@@ -175,7 +175,7 @@ def _run_oracles(spec, tol, pairs, samples, horizon, steps, seed) -> list[Oracle
     report = analyze(spec, pairs=pairs, tolerances=tol)
     verdicts: list[OracleVerdict] = []
 
-    kalman = kalman_reduced(spec, tol.rank)
+    kalman = kalman_reduced(spec, tol.rank, tol.zero)
     verdicts.append(
         OracleVerdict(
             name="kalman_reduced",
@@ -214,7 +214,7 @@ def _run_oracles(spec, tol, pairs, samples, horizon, steps, seed) -> list[Oracle
 
     for pair in pairs:
         k, l = pair
-        ranged = pairwise_range(spec, k, l, tol.rank)
+        ranged = pairwise_range(spec, k, l, tol.rank, tol.zero)
         verdicts.append(
             OracleVerdict(
                 name=f"pairwise_range_{k}_{l}",
@@ -227,7 +227,9 @@ def _run_oracles(spec, tol, pairs, samples, horizon, steps, seed) -> list[Oracle
         )
 
         positive = report.positive_pairwise[pair]
-        witness = polar_falsifier(spec, k, l, attempts=samples, seed=seed)
+        witness = polar_falsifier(
+            spec, k, l, attempts=samples, seed=seed, tol_zero=tol.zero
+        )
         if witness is None:
             verdicts.append(
                 OracleVerdict(
@@ -250,7 +252,9 @@ def _run_oracles(spec, tol, pairs, samples, horizon, steps, seed) -> list[Oracle
             )
 
         if positive.yes:
-            results = reach_simulator(make_reach_problem(spec, k, l, horizon, steps))
+            results = reach_simulator(
+                make_reach_problem(spec, k, l, horizon, steps), tol_zero=tol.zero
+            )
             worst = max(r.residual for r in results)
             all_hit = all(r.hit for r in results)
             verdicts.append(

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls as scipy_nnls
 
 from .array_model import disagreement_basis
 from .config import DEFAULT_TOLERANCES
@@ -31,7 +32,7 @@ from .errors import (
     NumericalFailureError,
     UnsupportedRenderError,
 )
-from .numutil import EPS, equilibrated, pair_difference, range_basis
+from .numutil import equilibrated, pair_difference, range_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,87 +106,43 @@ def make_graph(
 
 
 def nnls(M: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> tuple[np.ndarray, float]:
-    """Nonnegative least squares by the active-set method.
+    """Nonnegative least squares by the compiled Lawson–Hanson method.
 
-    Minimizes ``||M a - v||`` over ``a >= 0`` and returns ``(a, residual)``.
-    Candidate columns are admitted by lowest index rather than steepest
-    gradient, which keeps runs bit-reproducible.  A column whose trial
-    coefficient comes back nonpositive is numerically dependent on the
-    current passive set and cannot improve the fit; it is blocked until
-    the iterate moves, which breaks the classic degenerate cycle.
+    Minimizes ``||M a - v||`` over ``a >= 0`` and returns ``(a, residual)``
+    using ``scipy.optimize.nnls``, the classical active-set algorithm of
+    Lawson and Hanson (*Solving Least Squares Problems*, 1974/1995).  The
+    program runs on unit-norm columns, which leaves the cone unchanged and
+    keeps columns of very different magnitude (powers of the dynamics)
+    from skewing the active-set choices; the weights are mapped back at
+    the end and zero columns keep weight zero.  The residual is recomputed
+    as ``||v - M a||`` from the returned weights and the original columns,
+    so it is the distance the certificate actually achieves; the solver's
+    own norm belongs to the scaled problem and is not relied on (it has
+    been stale on duplicate-column instances).
 
-    Raises NumericalFailureError past ``50 * n_columns`` iterations.
+    Raises NumericalFailureError past ``max_iter`` iterations, by default
+    ``50 * n_columns``.
     """
     M = np.asarray(M, dtype=float)
     v = np.asarray(v, dtype=float).ravel()
     m, c = M.shape
     if v.shape[0] != m:
         raise DimensionError(f"target has length {v.shape[0]}, expected {m}")
-    x = np.zeros(c)
-    if c == 0:
-        return x, float(np.linalg.norm(v))
+    # With no rows the compiled solver returns uninitialised weights.
+    if c == 0 or m == 0:
+        return np.zeros(c), float(np.linalg.norm(v))
     if max_iter is None:
         max_iter = 50 * c
-
-    # Work on unit columns (the cone is unchanged) and map the weights
-    # back at the end; zero columns keep weight zero.
     colnorms = np.linalg.norm(M, axis=0)
     scaling = np.where(colnorms > 0.0, colnorms, 1.0)
-    M = M / scaling
-    wtol = 10.0 * EPS * max(m, c) * max(1.0, float(np.abs(v).max(initial=0.0)))
-
-    def solve_on(mask):
-        idx = np.flatnonzero(mask)
-        z = np.zeros(c)
-        sol, *_ = np.linalg.lstsq(M[:, idx], v, rcond=None)
-        z[idx] = sol
-        return idx, z
-
-    passive = np.zeros(c, dtype=bool)
-    blocked = np.zeros(c, dtype=bool)
-    iters = 0
-    while True:
-        w = M.T @ (v - M @ x)
-        candidates = np.flatnonzero(~passive & ~blocked & (w > wtol))
-        if candidates.size == 0:
-            break
-        j = candidates[0]
-        iters += 1
-        if iters > max_iter:
-            raise NumericalFailureError(
-                f"nonnegative least squares exceeded {max_iter} iterations"
-            )
-        passive[j] = True
-        idx, z = solve_on(passive)
-        if z[j] <= 0.0:
-            passive[j] = False
-            blocked[j] = True
-            continue
-        # Entering coefficient positive: every clipping step below moves x
-        # by a strictly positive amount, so the fit strictly improves.
-        while not np.all(z[idx] > 0.0):
-            iters += 1
-            if iters > max_iter:
-                raise NumericalFailureError(
-                    f"nonnegative least squares exceeded {max_iter} iterations"
-                )
-            neg = idx[z[idx] <= 0.0]
-            denom = x[neg] - z[neg]
-            steps = np.where(denom > 0.0, x[neg] / np.where(denom > 0.0, denom, 1.0), np.inf)
-            alpha = float(np.min(steps))
-            if not np.isfinite(alpha):
-                alpha = 0.0
-            x = x + alpha * (z - x)
-            x[~passive] = 0.0
-            passive &= x > 0.0
-            if not passive.any():
-                x = np.zeros(c)
-                break
-            idx, z = solve_on(passive)
-        else:
-            x = z
-        blocked[:] = False
-    return x / scaling, float(np.linalg.norm(v - M @ x))
+    try:
+        x, _ = scipy_nnls(M / scaling, v, maxiter=max_iter)
+    except RuntimeError as exc:
+        raise NumericalFailureError(
+            f"nonnegative least squares exceeded {max_iter} iterations"
+        ) from exc
+    x = x / scaling
+    return x, float(np.linalg.norm(v - M @ x))
 
 
 def cone_member(

@@ -40,9 +40,13 @@ class OracleVerdict:
     witness: np.ndarray | None = None
 
 
-def kalman_reduced(spec: ArraySpec, tol_rank: float = DEFAULT_TOLERANCES.rank) -> bool:
+def kalman_reduced(
+    spec: ArraySpec,
+    tol_rank: float = DEFAULT_TOLERANCES.rank,
+    tol_zero: float = DEFAULT_TOLERANCES.zero,
+) -> bool:
     """Controllability via the rank of the reduced controllability matrix."""
-    big = build_big(spec)
+    big = build_big(spec, tol_zero)
     blocks = []
     P = big.Bred
     for _ in range(spec.n):
@@ -64,9 +68,9 @@ def brammer_positive(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCE
     of reduced eigenvector components must be the whole space, which is
     checked by +/- membership of each standard basis vector.
     """
-    if not kalman_reduced(spec, tolerances.rank):
+    if not kalman_reduced(spec, tolerances.rank, tolerances.zero):
         return False
-    big = build_big(spec)
+    big = build_big(spec, tolerances.zero)
     spectrum = distinct_eigenvalues(spec.A)
     for comp in spectrum.components:
         if not comp.is_real:
@@ -84,10 +88,14 @@ def brammer_positive(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCE
 
 
 def pairwise_range(
-    spec: ArraySpec, k: int, l: int, tol_rank: float = DEFAULT_TOLERANCES.rank
+    spec: ArraySpec,
+    k: int,
+    l: int,
+    tol_rank: float = DEFAULT_TOLERANCES.rank,
+    tol_zero: float = DEFAULT_TOLERANCES.zero,
 ) -> bool:
     """Pairwise controllability via a direct controllability-matrix range test."""
-    big = build_big(spec)
+    big = build_big(spec, tol_zero)
     blocks = []
     P = big.Bbig
     for _ in range(spec.n):
@@ -175,9 +183,9 @@ def _chebyshev_grid(t_max: float, count: int) -> np.ndarray:
     return 0.5 * t_max * (1.0 - np.cos(np.pi * i / (count - 1)))
 
 
-def _response_stack(spec: ArraySpec, grid: np.ndarray) -> np.ndarray:
+def _response_stack(spec: ArraySpec, grid: np.ndarray, tol_zero: float) -> np.ndarray:
     """Rows of B* exp(A* t) for every grid time, stacked."""
-    big = build_big(spec)
+    big = build_big(spec, tol_zero)
     rows = []
     for t in grid:
         E = np.kron(np.eye(spec.q), expm(spec.A.T * t))
@@ -199,6 +207,7 @@ def polar_falsifier(
     attempts: int = 50,
     seed: int = 0,
     tol: float = 1e-7,
+    tol_zero: float = DEFAULT_TOLERANCES.zero,
 ) -> np.ndarray | None:
     """Search for a separating functional refuting positive (k,l) steering.
 
@@ -210,13 +219,13 @@ def polar_falsifier(
     a ten times denser grid.  Returns the witness or None; absence of a
     witness proves nothing.
     """
-    require_valid(spec)
+    require_valid(spec, tol_zero)
     if grid is None:
         grid = default_polar_grid(spec)
     grid = np.asarray(grid, dtype=float)
-    P = _response_stack(spec, grid)
+    P = _response_stack(spec, grid, tol_zero)
     P_dense = _response_stack(
-        spec, _chebyshev_grid(float(grid.max()), 10 * grid.size)
+        spec, _chebyshev_grid(float(grid.max()), 10 * grid.size), tol_zero
     )
     proj = np.kron(pair_difference(spec.q, k, l)[None, :], np.eye(spec.n))
     dim = spec.q * spec.n
@@ -296,7 +305,11 @@ def make_reach_problem(
     )
 
 
-def reach_simulator(prob: ReachProblem, tol_hit: float = 1e-6) -> list[TargetResult]:
+def reach_simulator(
+    prob: ReachProblem,
+    tol_hit: float = 1e-6,
+    tol_zero: float = DEFAULT_TOLERANCES.zero,
+) -> list[TargetResult]:
     """Distance of each target to the discretized positive reach cone.
 
     Inputs are piecewise constant and nonnegative on the step grid; each
@@ -306,8 +319,7 @@ def reach_simulator(prob: ReachProblem, tol_hit: float = 1e-6) -> list[TargetRes
     residual may only reflect the discretization.
     """
     spec = prob.spec
-    require_valid(spec)
-    big = build_big(spec)
+    big = build_big(spec, tol_zero)
     dt = prob.horizon / prob.steps
     cols = []
     for j in range(prob.steps):

@@ -254,6 +254,29 @@ def test_oracle_json_output(tmp_path, capsys):
     assert all(entry["agrees"] is not False for entry in doc)
 
 
+def test_oracle_honours_tol_zero(tmp_path, capsys):
+    # A column-sum error of 1e-7 is accepted under --tol-zero 1e-6, so
+    # every oracle must run on the spec instead of failing validation.
+    path = write_example(tmp_path, "watertanks")
+    doc = json.loads(path.read_text())
+    doc["B"]["incidence"][0][0] += 1e-7
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--tol-zero", "1e-6"]) == 0
+    capsys.readouterr()
+    code = main(
+        ["oracle", str(path), "--tol-zero", "1e-6", "--pair", "1", "2", "--samples", "5"]
+    )
+    out, err = capsys.readouterr()
+    # Exit 3 is allowed: the analysis keeps the column-sum error in B, and
+    # an exact oracle may disagree with it; what must not happen is a
+    # validation or numerical failure.
+    assert code in (0, 3), err
+    for name in ("kalman_reduced", "brammer_positive", "pairwise_range_1_2",
+                 "polar_falsifier_1_2"):
+        assert name in out
+
+
 def test_roundtrip_examples_reproduce_verdicts(tmp_path, capsys):
     expectations = {
         "watertanks": ("YES", "NO"),
@@ -338,7 +361,9 @@ def test_oracle_disagreement_exit_code(tmp_path, capsys, monkeypatch):
     import relctrl.cli as cli_module
 
     path = write_example(tmp_path, "watertanks")
-    monkeypatch.setattr(cli_module, "kalman_reduced", lambda spec, tol: False)
+    monkeypatch.setattr(
+        cli_module, "kalman_reduced", lambda spec, tol_rank, tol_zero: False
+    )
     assert main(["oracle", str(path), "--samples", "2"]) == 3
     out = capsys.readouterr().out
     assert "DISAGREES" in out

@@ -19,7 +19,7 @@ from relctrl import (
     range_contains,
     to_dot,
 )
-from relctrl.errors import GraphDomainError, UnsupportedRenderError
+from relctrl.errors import GraphDomainError, NumericalFailureError, UnsupportedRenderError
 
 from conftest import all_pairs, random_unit_incidence
 
@@ -259,11 +259,11 @@ def test_effective_conductance_matches_pairwise_connectivity():
 
 def test_nnls_solutions_are_optimal():
     # The program is convex, so feasibility plus the first-order
-    # conditions certify global optimality; the reference solver only
-    # needs to never beat us.  (Its reported norm is not trusted: on
-    # degenerate duplicate-column instances it can return a stale value,
-    # so both residuals are recomputed from the returned weights.)
-    from scipy.optimize import nnls as scipy_nnls
+    # conditions certify global optimality; the reference, a separate
+    # bounded-variable least squares implementation, only needs to never
+    # beat us.  Opposite pairs, exact duplicates and zero columns are the
+    # degenerate instances an active-set method can cycle or stall on.
+    from scipy.optimize import lsq_linear
 
     rng = np.random.default_rng(17)
     for _ in range(300):
@@ -272,6 +272,11 @@ def test_nnls_solutions_are_optimal():
         M = rng.standard_normal((m, c))
         if rng.random() < 0.3 and c >= 2:
             M[:, c - 1] = -M[:, 0]          # plant an exact opposite pair
+        if rng.random() < 0.3 and c >= 2:
+            i, j = rng.choice(c, size=2, replace=False)
+            M[:, j] = M[:, i]               # plant an exact duplicate
+        zero = rng.random(c) < 0.15
+        M[:, zero] = 0.0
         v = rng.standard_normal(m)
         if rng.random() < 0.5:
             v = M @ rng.uniform(0, 1, size=c)   # known member
@@ -279,13 +284,14 @@ def test_nnls_solutions_are_optimal():
 
         ours_x, ours_r = nnls(M, v)
         assert ours_x.min() >= 0.0
+        assert np.all(ours_x[zero] == 0.0)
         assert abs(ours_r - np.linalg.norm(M @ ours_x - v)) <= 1e-12 * scale
         grad = M.T @ (v - M @ ours_x)
         assert grad.max(initial=0.0) <= 1e-8 * scale          # no descent direction
         assert abs(grad @ ours_x) <= 1e-8 * scale * (1 + ours_x.max())
 
-        ref_x, _ = scipy_nnls(M, v)
-        ref_r = np.linalg.norm(M @ ref_x - v)
+        ref = lsq_linear(M, v, bounds=(0.0, np.inf), method="bvls")
+        ref_r = np.linalg.norm(M @ ref.x - v)
         assert ours_r <= ref_r + 1e-9 * scale
 
 
@@ -299,6 +305,18 @@ def test_nnls_no_columns():
     x, resid = nnls(np.zeros((3, 0)), np.array([1.0, -1.0, 0.0]))
     assert x.shape == (0,)
     assert resid == pytest.approx(np.sqrt(2))
+
+
+def test_nnls_no_rows():
+    x, resid = nnls(np.zeros((0, 2)), np.zeros(0))
+    np.testing.assert_array_equal(x, np.zeros(2))
+    assert resid == 0.0
+
+
+def test_nnls_iteration_cap_raises_numerical_failure():
+    # Reaching the positive orthant target takes two active-set steps.
+    with pytest.raises(NumericalFailureError, match="exceeded 1 iterations"):
+        nnls(np.eye(2), np.array([1.0, 1.0]), max_iter=1)
 
 
 def test_empty_graph_predicates():

@@ -12,7 +12,7 @@ from relctrl import (
     polar_falsifier,
     reach_simulator,
 )
-from relctrl.errors import GraphDomainError
+from relctrl.errors import GraphDomainError, InvalidArrayError
 
 WT = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
 TRIANGLE = np.array([[1.0, 0.0, -1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
@@ -119,6 +119,28 @@ def test_reach_two_pump_target_unreachable(watertanks):
         results = reach_simulator(prob)
         target_back = next(r for r in results if r.target[1] > 0)
         assert target_back.residual >= 0.1
+
+
+def test_reach_oscillators_completes_at_cli_defaults(oscillators_a):
+    # Degenerate programs: an active-set loop that cycles on them hits its
+    # iteration cap and raises instead of returning residuals.
+    from relctrl.cli import build_parser
+
+    args = build_parser().parse_args(["oracle", "spec.json"])
+    prob = make_reach_problem(oscillators_a, 1, 2, args.horizon, args.steps)
+    results = reach_simulator(prob)
+    assert len(results) == 2 * oscillators_a.n
+    assert all(np.isfinite(r.residual) for r in results)
+
+
+def test_reach_accepts_noise_within_tol_zero(watertanks_ring):
+    B = np.array(watertanks_ring.B)
+    B[0, 0, 0] += 1e-7                  # column-sum error of 1e-7
+    spec = ArraySpec(n=1, q=3, p=3, A=watertanks_ring.A, B=B)
+    prob = make_reach_problem(spec, 1, 2, horizon=2.0, steps=20)
+    with pytest.raises(InvalidArrayError):
+        reach_simulator(prob)
+    assert all(r.hit for r in reach_simulator(prob, tol_zero=1e-6))
 
 
 def test_reach_problem_validation(watertanks):

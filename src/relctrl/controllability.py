@@ -29,9 +29,7 @@ import numpy as np
 
 from .array_model import (
     ArraySpec,
-    BigOperators,
     ValidationReport,
-    build_big,
     disagreement_basis,
     require_valid,
     validate_array,
@@ -43,30 +41,31 @@ from .gengraph import (
     cone_contains_subspace,
     is_connected,
     is_kl_connected,
-    is_strongly_connected,
     lineality_space,
     make_graph,
 )
 from .numutil import pair_difference, subspace_contains
-from .spectral import EigComponent, Spectrum, distinct_eigenvalues
+from .spectral import EigComponent, Spectrum, default_eig_tol, distinct_eigenvalues
 
 
 # ---------------------------------------------------------------------------
 # graph construction
 
 
-def controllability_matrix(big: BigOperators, tol_zero: float = DEFAULT_TOLERANCES.zero) -> GenGraph:
+def controllability_matrix(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero) -> GenGraph:
     """Stacked controllability matrix [B, AB, ..., A^(n-1) B] as a graph.
 
-    The stacked dynamics satisfy the degree-n characteristic polynomial of
-    the node matrix, so n powers already span the controllable subspace.
+    The stacked dynamics are I_q ⊗ A, so each power is applied to the
+    (q, p, n) input blocks directly.  They satisfy the degree-n
+    characteristic polynomial of the node matrix, so n powers already
+    span the controllable subspace.
     """
-    blocks = []
-    P = big.Bbig
-    for _ in range(big.n):
-        blocks.append(P)
-        P = big.Abig @ P
-    return make_graph(big.q, big.n, np.hstack(blocks), tol_zero)
+    powers = [spec.B]
+    for _ in range(spec.n - 1):
+        powers.append(np.einsum("mn,qpn->qpm", spec.A, powers[-1]))
+    # (power, q, p, n) -> rows (system, state), columns (power, input)
+    W = np.stack(powers).transpose(1, 3, 0, 2).reshape(spec.q * spec.n, spec.n * spec.p)
+    return make_graph(spec.q, spec.n, W, tol_zero)
 
 
 def _component_blocks(spec: ArraySpec, comp: EigComponent) -> np.ndarray:
@@ -457,22 +456,31 @@ def _q_verdicts(spectrum, graphs, pairs, tol) -> list[EigGraphVerdict]:
     return verdicts
 
 
-def _prepare(spec, tolerances, big=None, spectrum=None):
+def _prepare(spec, tolerances, spectrum=None):
     tol = tolerances or DEFAULT_TOLERANCES
-    big = big or build_big(spec, tol.zero)
-    spectrum = spectrum or distinct_eigenvalues(spec.A, tol_eig=_eig_tol(spec, tol))
-    return tol, big, spectrum
+    require_valid(spec, tol.zero)
+    spectrum = spectrum or distinct_eigenvalues(
+        spec.A, tol_eig=default_eig_tol(spec.A, tol.eig)
+    )
+    return tol, spectrum
 
 
-def _eig_tol(spec: ArraySpec, tol: Tolerances) -> float:
-    radius = float(np.max(np.abs(np.linalg.eigvals(spec.A)))) if spec.A.size else 0.0
-    return tol.eig * (1.0 + radius)
+def _v_pass(spec, spectrum, tol, with_strong) -> tuple[bool, list[EigGraphVerdict]]:
+    """V-graph verdicts and controllability, cross-checked against the matrix."""
+    graphs = v_graphs(spec, spectrum, tol.zero)
+    verdicts = _v_verdicts(spec, spectrum, graphs, [], tol, with_strong)
+    by_graphs = all(v.connected for v in verdicts)
+    by_matrix = is_connected(controllability_matrix(spec, tol.zero), tol.rank)
+    if by_graphs != by_matrix:
+        raise InternalConsistencyError(
+            "per-eigenvalue connectivity and controllability-matrix connectivity disagree"
+        )
+    return by_graphs, verdicts
 
 
 def is_controllable(
     spec: ArraySpec,
     tolerances: Tolerances | None = None,
-    big: BigOperators | None = None,
     spectrum: Spectrum | None = None,
 ) -> tuple[bool, list[EigGraphVerdict]]:
     """Array controllability: every eigenvector graph connected.
@@ -481,36 +489,23 @@ def is_controllable(
     two characterizations are provably equivalent, so disagreement raises
     InternalConsistencyError instead of returning either answer.
     """
-    tol, big, spectrum = _prepare(spec, tolerances, big, spectrum)
-    graphs = v_graphs(spec, spectrum, tol.zero)
-    verdicts = _v_verdicts(spec, spectrum, graphs, [], tol)
-    by_graphs = all(v.connected for v in verdicts)
-    W = controllability_matrix(big, tol.zero)
-    by_matrix = is_connected(W, tol.rank)
-    if by_graphs != by_matrix:
-        raise InternalConsistencyError(
-            "per-eigenvalue connectivity and controllability-matrix connectivity disagree"
-        )
-    return by_graphs, verdicts
+    tol, spectrum = _prepare(spec, tolerances, spectrum)
+    return _v_pass(spec, spectrum, tol, with_strong=False)
 
 
 def is_positively_controllable(
     spec: ArraySpec,
     tolerances: Tolerances | None = None,
-    big: BigOperators | None = None,
     spectrum: Spectrum | None = None,
 ) -> tuple[bool, list[EigGraphVerdict]]:
     """Controllable and strongly connected at every real eigenvalue."""
-    tol, big, spectrum = _prepare(spec, tolerances, big, spectrum)
-    controllable, verdicts = is_controllable(spec, tol, big, spectrum)
-    graphs = v_graphs(spec, spectrum, tol.zero)
-    ok = controllable
-    for kappa, comp in enumerate(spectrum.components):
-        if not comp.is_real:
-            continue
-        strong = is_strongly_connected(graphs[kappa], tol.cone)
-        verdicts[kappa].strongly_connected = strong
-        ok = ok and strong
+    tol, spectrum = _prepare(spec, tolerances, spectrum)
+    controllable, verdicts = _v_pass(spec, spectrum, tol, with_strong=True)
+    ok = controllable and all(
+        row.strongly_connected
+        for row, comp in zip(verdicts, spectrum.components)
+        if comp.is_real
+    )
     return ok, verdicts
 
 
@@ -519,7 +514,6 @@ def is_pairwise_controllable(
     k: int,
     l: int,
     tolerances: Tolerances | None = None,
-    big: BigOperators | None = None,
     spectrum: Spectrum | None = None,
 ) -> tuple[bool, list[EigGraphVerdict]]:
     """Pairwise controllability of (k, l): every swept graph (k,l)-connected.
@@ -527,12 +521,12 @@ def is_pairwise_controllable(
     Cross-checked against the direct controllability-matrix range test;
     disagreement raises InternalConsistencyError.
     """
-    tol, big, spectrum = _prepare(spec, tolerances, big, spectrum)
+    tol, spectrum = _prepare(spec, tolerances, spectrum)
     pairs = _normalize_pairs(spec, [(k, l)])
     graphs = w_graphs(spec, spectrum, tol.zero)
     verdicts = _w_verdicts(spectrum, graphs, pairs, tol)
     by_graphs = all(v.kl_connected[pairs[0]] for v in verdicts)
-    W = controllability_matrix(big, tol.zero)
+    W = controllability_matrix(spec, tol.zero)
     by_matrix = is_kl_connected(W, k, l, tol.rank)
     if by_graphs != by_matrix:
         raise InternalConsistencyError(
@@ -546,7 +540,6 @@ def is_positive_pairwise_controllable(
     k: int,
     l: int,
     tolerances: Tolerances | None = None,
-    big: BigOperators | None = None,
     spectrum: Spectrum | None = None,
 ) -> tuple[bool, bool, list[EigGraphVerdict]]:
     """Positive pairwise controllability of (k, l).
@@ -557,7 +550,7 @@ def is_positive_pairwise_controllable(
     reach set is structurally verified), in which case the caller must
     present the verdict as provisional.
     """
-    tol, big, spectrum = _prepare(spec, tolerances, big, spectrum)
+    tol, spectrum = _prepare(spec, tolerances, spectrum)
     pairs = _normalize_pairs(spec, [(k, l)])
     graphs, _ = q_graphs_and_index_sets(spec, spectrum, tol)
     verdicts = _q_verdicts(spectrum, graphs, pairs, tol)
@@ -606,14 +599,13 @@ def analyze(
     validation = validate_array(spec, tol.zero)
     if not validation.ok:
         require_valid(spec, tol.zero)   # raises with a summary message
-    big = build_big(spec, tol.zero)
-    spectrum = distinct_eigenvalues(spec.A, tol_eig=_eig_tol(spec, tol))
+    spectrum = distinct_eigenvalues(spec.A, tol_eig=default_eig_tol(spec.A, tol.eig))
     pairlist = _normalize_pairs(spec, pairs)
 
     vgs = v_graphs(spec, spectrum, tol.zero)
     v_rows = _v_verdicts(spec, spectrum, vgs, pairlist, tol, with_strong=True)
 
-    W = controllability_matrix(big, tol.zero)
+    W = controllability_matrix(spec, tol.zero)
     w_matrix = WMatrixVerdict(
         connected=is_connected(W, tol.rank),
         kl_connected={

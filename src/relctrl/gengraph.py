@@ -11,6 +11,15 @@ strong (one-way) counterparts to cone inclusions:
     strongly connected     cone(M) contains all disagreement directions
     strongly (k,l)-conn.   cone(M) contains range((e_k - e_l) ⊗ I_n)
 
+Range questions are decided by projection: the first range query on a
+graph factors its column-equilibrated matrix once and keeps an
+orthonormal basis N of the complement of its numerical range (the left
+singular vectors beyond the cutoff ``tol_rank * smax``).  Every later
+query, at the same tolerance, only projects the equilibrated target onto
+N, so a graph asked about many vertex pairs pays for one factorization.
+The oracles in ``relctrl.oracles`` keep their own rank-of-``[W, T]``
+comparison on purpose: an oracle must not share the step it checks.
+
 Cone questions are decided by nonnegative least squares; the strong
 predicates split a subspace query into +/- membership tests over an
 orthonormal basis, which is exact because cones are closed under positive
@@ -19,7 +28,7 @@ combinations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import nnls as scipy_nnls
@@ -37,12 +46,19 @@ from .numutil import equilibrated, pair_difference, range_basis
 
 @dataclass(frozen=True, eq=False)
 class GenGraph:
-    """A (q*blocksize) x c matrix whose columns are generalized edges."""
+    """A (q*blocksize) x c matrix whose columns are generalized edges.
+
+    The matrix is never modified after construction, which lets
+    range_contains keep its range complement per tolerance.
+    """
 
     q: int
     blocksize: int
     M: np.ndarray
     is_real: bool
+    _complements: dict[float, tuple[np.ndarray, float]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def n_columns(self) -> int:
@@ -102,6 +118,8 @@ def make_graph(
                 f"column {worst + 1} has block sum {sums[worst]:.3e}; "
                 "not a generalized-graph matrix"
             )
+    M = M.view()
+    M.setflags(write=False)
     return GenGraph(q=q, blocksize=blocksize, M=M, is_real=not np.iscomplexobj(M))
 
 
@@ -163,32 +181,64 @@ def cone_member(
     )
 
 
+def _range_complement(G: GenGraph, tol_rank: float) -> tuple[np.ndarray, float]:
+    """(N*, smax) for the numerical range of G, computed once per tolerance.
+
+    The columns are equilibrated with the drop rule of ``equilibrated``
+    and factored by one SVD (full U when the matrix is tall, so that the
+    directions beyond its column count are included).  N is the
+    orthonormal basis of left singular vectors whose singular values do
+    not exceed ``tol_rank * smax``; its adjoint is kept, ready to project.
+    """
+    memo = G._complements.get(tol_rank)
+    if memo is None:
+        Gn = equilibrated(G.M, tol_rank)
+        m, c = Gn.shape
+        if c == 0:
+            memo = (np.eye(m), 0.0)
+        else:
+            U, s, _ = np.linalg.svd(Gn, full_matrices=m > c)
+            smax = float(s[0])
+            N = U[:, int(np.sum(s > tol_rank * smax)):]
+            memo = (N.conj().T, smax)
+        G._complements[tol_rank] = memo
+    return memo
+
+
 def range_contains(
     G: GenGraph, T: np.ndarray, tol_rank: float = DEFAULT_TOLERANCES.rank
 ) -> bool:
-    """True when range(G) contains range(T); complex-aware rank test.
+    """True when range(G) contains range(T); complex-aware projection test.
 
     Both sides are column-equilibrated first so that matrices whose
     columns span many magnitudes (powers of the dynamics) do not drown
-    their small directions under a global singular-value cutoff.
+    their small directions under a global singular-value cutoff.  The
+    graph side is factored once per tolerance (see ``_range_complement``);
+    T is contained when its equilibrated columns leave a spectral-norm
+    residual of at most ``tol_rank * max(smax, 1)`` outside the numerical
+    range, smax being the largest singular value of the equilibrated graph.
+    The oracles keep their own rank-of-``[W, T]`` comparison instead, so
+    that a cross-check does not share the step it checks.
     """
     T = np.atleast_2d(np.asarray(T))
     if T.ndim != 2 or T.shape[0] != G.M.shape[0]:
         raise DimensionError(
             f"target has {T.shape[0]} rows, expected {G.M.shape[0]}"
         )
-    Gn = equilibrated(G.M, tol_rank)
     Tn = equilibrated(T, tol_rank)
     if Tn.shape[1] == 0:
         return True
-    aug = np.hstack([Gn, Tn]) if Gn.shape[1] else Tn
-    s_aug = np.linalg.svd(aug, compute_uv=False)
-    smax = float(s_aug[0]) if s_aug.size else 0.0
-    if smax == 0.0:
+    Nh, smax = _range_complement(G, tol_rank)
+    X = Nh @ Tn
+    bound = tol_rank * max(smax, 1.0)
+    # ||X||_2 <= ||X||_F <= sqrt(rank) ||X||_2 settles all but near-threshold
+    # residuals without a factorization.
+    fro = float(np.linalg.norm(X))
+    if fro <= bound:
         return True
-    cutoff = tol_rank * smax
-    s_g = np.linalg.svd(Gn, compute_uv=False) if Gn.size else np.zeros(0)
-    return int(np.sum(s_aug > cutoff)) == int(np.sum(s_g > cutoff))
+    if fro > bound * np.sqrt(min(X.shape)):
+        return False
+    return float(np.linalg.norm(X, 2)) <= bound
 
 
 def _check_pair(q: int, k: int, l: int) -> None:
@@ -197,7 +247,11 @@ def _check_pair(q: int, k: int, l: int) -> None:
 
 
 def _pair_subspace(q: int, blocksize: int, k: int, l: int) -> np.ndarray:
-    return np.kron(pair_difference(q, k, l)[:, None], np.eye(blocksize))
+    """(e_k - e_l) ⊗ I, written blockwise."""
+    T = np.zeros((q, blocksize, blocksize))
+    T[k - 1] = np.eye(blocksize)
+    T[l - 1] = -np.eye(blocksize)
+    return T.reshape(q * blocksize, blocksize)
 
 
 def cone_contains_subspace(
@@ -358,21 +412,15 @@ def effective_conductance(
 ) -> float:
     """Two-point effective conductance of the graph Laplacian G G*.
 
-    Zero exactly when e_k - e_l falls outside range(G G*), which matches
-    the pairwise connectivity predicate; otherwise the reciprocal of the
-    pseudo-inverse quadratic form, as for a resistive network.
+    Zero exactly when the graph is not (k,l)-connected (range(G G*) is
+    range(G)); otherwise the reciprocal of the pseudo-inverse quadratic
+    form, as for a resistive network.
     """
     if G.blocksize != 1:
         raise GraphDomainError("effective conductance needs scalar vertex blocks")
     if not G.is_real:
         raise GraphDomainError("effective conductance is defined for real graphs only")
-    _check_pair(G.q, k, l)
-    L = G.M @ G.M.T
-    e = pair_difference(G.q, k, l)
-    aug = np.hstack([L, e[:, None]])
-    s_aug = np.linalg.svd(aug, compute_uv=False)
-    cutoff = tol_rank * float(s_aug[0]) if s_aug.size and s_aug[0] > 0 else 0.0
-    s_l = np.linalg.svd(L, compute_uv=False)
-    if int(np.sum(s_aug > cutoff)) != int(np.sum(s_l > cutoff)):
+    if not is_kl_connected(G, k, l, tol_rank):
         return 0.0
-    return float(1.0 / (e @ np.linalg.pinv(L) @ e))
+    e = pair_difference(G.q, k, l)
+    return float(1.0 / (e @ np.linalg.pinv(G.M @ G.M.T) @ e))

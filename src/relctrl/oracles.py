@@ -29,7 +29,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GraphDomainError
 from .gengraph import nnls
 from .numutil import equilibrated, pair_difference
-from .spectral import distinct_eigenvalues
+from .spectral import default_eig_tol, distinct_eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +71,7 @@ def brammer_positive(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCE
     if not kalman_reduced(spec, tolerances.rank, tolerances.zero):
         return False
     big = build_big(spec, tolerances.zero)
-    spectrum = distinct_eigenvalues(spec.A)
+    spectrum = distinct_eigenvalues(spec.A, tol_eig=default_eig_tol(spec.A, tolerances.eig))
     for comp in spectrum.components:
         if not comp.is_real:
             continue

@@ -377,3 +377,26 @@ def test_save_and_load_roundtrip(tmp_path, watertanks):
     np.testing.assert_array_equal(loaded.incidence, watertanks.incidence)
     np.testing.assert_array_equal(loaded.A, watertanks.A)
     assert loaded.name == watertanks.name
+
+
+def test_oracle_tol_eig_reaches_brammer_spectrum(tmp_path, capsys, monkeypatch):
+    import relctrl.oracles as oracles_module
+    from relctrl.spectral import default_eig_tol
+
+    # A nonzero spectral radius makes the scaled tolerance differ from the factor.
+    path = write_example(tmp_path, "oscillators-a")
+    spec, _ = load_spec(path)
+    seen = []
+    original = oracles_module.distinct_eigenvalues
+
+    def spy(A, tol_eig=None, **kwargs):
+        seen.append(tol_eig)
+        return original(A, tol_eig=tol_eig, **kwargs)
+
+    monkeypatch.setattr(oracles_module, "distinct_eigenvalues", spy)
+    assert main(["oracle", str(path), "--samples", "2"]) == 0
+    assert seen == [default_eig_tol(spec.A)]
+    seen.clear()
+    assert main(["oracle", str(path), "--samples", "2", "--tol-eig", "1e-6"]) == 0
+    assert seen == [default_eig_tol(spec.A, 1e-6)]
+    capsys.readouterr()

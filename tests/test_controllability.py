@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+import relctrl.controllability as controllability_module
 from relctrl import (
     ArraySpec,
     analyze,
@@ -20,7 +21,7 @@ from relctrl import (
     w_graphs,
 )
 from relctrl.controllability import _shift_chain_terminal
-from relctrl.errors import DimensionError
+from relctrl.errors import DimensionError, InvalidArrayError
 
 from conftest import all_pairs, random_array_spec
 
@@ -30,19 +31,34 @@ from conftest import all_pairs, random_array_spec
 
 
 def test_controllability_matrix_watertanks_is_input_matrix(watertanks):
-    W = controllability_matrix(build_big(watertanks))
+    W = controllability_matrix(watertanks)
     np.testing.assert_array_equal(W.M, watertanks.incidence)
 
 
 def test_controllability_matrix_counterexample(counterexample):
-    W = controllability_matrix(build_big(counterexample))
+    W = controllability_matrix(counterexample)
     assert W.M.shape == (12, 12)
     assert not is_kl_connected(W, 2, 3)
 
 
 def test_controllability_matrix_chain_ring_rank(chain_ring):
-    W = controllability_matrix(build_big(chain_ring))
+    W = controllability_matrix(chain_ring)
     assert np.linalg.matrix_rank(W.M) == (chain_ring.q - 1) * chain_ring.n
+
+
+def test_controllability_matrix_matches_stacked_operator():
+    # Applying A blockwise equals powers of the stacked I_q ⊗ A.
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        spec = random_array_spec(rng)
+        big = build_big(spec)
+        blocks, P = [], big.Bbig
+        for _ in range(spec.n):
+            blocks.append(P)
+            P = big.Abig @ P
+        np.testing.assert_allclose(
+            controllability_matrix(spec).M, np.hstack(blocks), rtol=1e-12, atol=1e-12
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +156,58 @@ def test_counterexample_pairwise(counterexample):
 def test_controllable_array_pairwise_everywhere(watertanks_ring):
     for k, l in all_pairs(3):
         assert is_pairwise_controllable(watertanks_ring, k, l)[0]
+
+
+def test_verdict_functions_refuse_invalid_arrays():
+    spec = ArraySpec(n=1, q=2, p=1, A=[[0.0]], B=np.ones((2, 1, 1)))
+    for check in (is_controllable, is_positively_controllable):
+        with pytest.raises(InvalidArrayError):
+            check(spec)
+    with pytest.raises(InvalidArrayError):
+        is_pairwise_controllable(spec, 1, 2)
+
+
+def test_positive_controllability_builds_v_graphs_once(watertanks_ring, monkeypatch):
+    calls = []
+    original = controllability_module.v_graphs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(controllability_module, "v_graphs", counting)
+    ok, rows = is_positively_controllable(watertanks_ring)
+    assert ok
+    assert len(calls) == 1
+    assert all(row.strongly_connected for row in rows if row.mu.imag == 0.0)
+
+
+def test_analyze_svd_count_does_not_grow_with_pairs(monkeypatch):
+    # Every eigenvalue of the damped rotation is non-real, so no cone
+    # program runs and every pairwise question is a range inclusion.
+    # Each graph is factored once, whatever the number of pairs.
+    rng = np.random.default_rng(11)
+    q, p = 8, 12
+    B = np.zeros((q, p, 2))
+    for s in range(p):
+        i, j = rng.choice(q, size=2, replace=False)
+        B[i, s] = rng.standard_normal(2)
+        B[j, s] = -B[i, s]
+    spec = ArraySpec(n=2, q=q, p=p, A=[[-0.2, 1.0], [-1.0, -0.2]], B=B)
+    svd = np.linalg.svd
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    counts = []
+    for n_pairs in (2, 40):
+        calls.clear()
+        analyze(spec, pairs=all_pairs(q)[:n_pairs])
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_pair_validation(watertanks):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relctrl import (
@@ -20,6 +20,7 @@ from relctrl import (
     to_dot,
 )
 from relctrl.errors import GraphDomainError, NumericalFailureError, UnsupportedRenderError
+from relctrl.numutil import equilibrated, pair_difference
 
 from conftest import all_pairs, random_unit_incidence
 
@@ -55,6 +56,143 @@ def test_range_contains_disagreement_basis():
 
 def test_range_does_not_contain_pair_difference_of_hyperedge():
     assert not range_contains(hyperedge_graph(), np.array([[1.0], [-1.0], [0.0]]))
+
+
+def reference_range_contains(G, T, tol_rank=1e-9):
+    """Earlier rule, rank([Gn, Tn]) == rank(Gn) at one cutoff, kept as a reference.
+
+    Returns (verdict, decisive); decisive is False when a singular value
+    of either matrix lies within a factor 10 of the cutoff, where two
+    sound rules may legitimately round differently.
+    """
+    Gn = equilibrated(G.M, tol_rank)
+    Tn = equilibrated(np.atleast_2d(T), tol_rank)
+    if Tn.shape[1] == 0:
+        return True, True
+    aug = np.hstack([Gn, Tn]) if Gn.shape[1] else Tn
+    s_aug = np.linalg.svd(aug, compute_uv=False)
+    cutoff = tol_rank * float(s_aug[0])
+    s_g = np.linalg.svd(Gn, compute_uv=False) if Gn.size else np.zeros(0)
+    near = [s for s in np.concatenate([s_aug, s_g]) if cutoff / 10 < s < 10 * cutoff]
+    return int(np.sum(s_aug > cutoff)) == int(np.sum(s_g > cutoff)), not near
+
+
+@st.composite
+def generalized_graphs(draw):
+    """Random real or complex graphs: wide or tall, with hyperedges, dependent
+    and zero columns, and column norms spread over six decades."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, b = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    is_complex = draw(st.booleans())
+    hyper_frac = draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+    def weights(*shape):
+        w = rng.standard_normal(shape)
+        return w + 1j * rng.standard_normal(shape) if is_complex else w
+
+    cols = []
+    for _ in range(draw(st.integers(0, q * b + 2))):
+        if rng.random() < hyper_frac:
+            blocks = weights(q, b)
+            blocks -= blocks.mean(axis=0)
+        else:
+            blocks = np.zeros((q, b), dtype=complex if is_complex else float)
+            i, j = rng.choice(q, size=2, replace=False)
+            blocks[i] = weights(b)
+            blocks[j] = -blocks[i]
+        cols.append(blocks.ravel())
+    M = np.stack(cols, axis=1) if cols else np.zeros((q * b, 0))
+    dependent = [M @ weights(M.shape[1]) for _ in range(draw(st.integers(0, 3)))] if cols else []
+    zeros = [np.zeros(q * b)] * draw(st.integers(0, 2))
+    M = np.column_stack([M, *dependent, *zeros]) if dependent or zeros else M
+    M = M[:, rng.permutation(M.shape[1])] * 10.0 ** rng.uniform(-3, 3, M.shape[1])
+    return make_graph(q, b, M), rng
+
+
+@settings(max_examples=150)
+@given(drawn=generalized_graphs())
+def test_range_contains_matches_reference_rank_rule(drawn):
+    G, rng = drawn
+    q, b = G.q, G.blocksize
+    m = q * b
+    targets = [rng.standard_normal((m, int(rng.integers(1, 4))))]
+    if G.n_columns:
+        targets.append(G.M @ rng.standard_normal((G.n_columns, int(rng.integers(1, 4)))))
+    decided = 0
+    for T in targets:
+        want, decisive = reference_range_contains(G, T)
+        if decisive:
+            assert range_contains(G, T) == want
+            decided += 1
+    want, decisive = reference_range_contains(G, np.kron(disagreement_basis(q), np.eye(b)))
+    if decisive:
+        assert is_connected(G) == want
+        decided += 1
+    for k, l in all_pairs(q):
+        T = np.kron(pair_difference(q, k, l)[:, None], np.eye(b))
+        want, decisive = reference_range_contains(G, T)
+        if decisive:
+            assert is_kl_connected(G, k, l) == want
+            decided += 1
+    assume(decided > 0)
+
+
+def count_svd_calls(monkeypatch) -> list:
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_range_complement_is_memoized_per_tolerance(monkeypatch):
+    # The second edge leans 1e-6 off the first: its direction counts at
+    # tol_rank 1e-9 and falls below the cutoff at 1e-3.
+    lean = np.array([1.0, 1.0, -2.0])
+    G = make_graph(3, 1, np.column_stack([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0] + 1e-6 * lean]))
+    T = lean[:, None]
+    calls = count_svd_calls(monkeypatch)
+    assert range_contains(G, T, 1e-9)
+    assert len(calls) == 1
+    assert not range_contains(G, T, 1e-3)
+    assert len(calls) == 2
+    for _ in range(3):
+        assert range_contains(G, T, 1e-9)
+        assert not range_contains(G, T, 1e-3)
+        assert is_connected(G, 1e-9)
+        assert not is_kl_connected(G, 1, 3, 1e-3)
+    assert len(calls) == 2
+
+
+def test_range_contains_bounds_the_spectral_norm_of_the_residual():
+    # One edge in R^4 leaves a two-dimensional complement; each target
+    # column leans a residual of 0.8e-3 or 0.75e-3 out of the range.
+    edge = np.array([1.0, -1.0, 0.0, 0.0])
+    n1 = np.array([1.0, 1.0, -2.0, 0.0]) / np.sqrt(6.0)
+    n2 = np.array([1.0, 1.0, 1.0, -3.0]) / np.sqrt(12.0)
+    G = make_graph(4, 1, edge[:, None])
+
+    def leaning(r, n):
+        # Unit column whose residual outside span(edge) is exactly r.
+        return np.sqrt(1.0 - r * r) * edge / np.sqrt(2.0) + r * n
+
+    # Orthogonal residuals: spectral norm 0.8e-3 <= 1e-3 < Frobenius norm.
+    assert range_contains(G, np.column_stack([leaning(8e-4, n1), leaning(8e-4, n2)]), 1e-3)
+    # Parallel residuals: spectral norm 0.75e-3 * sqrt(2) > 1e-3.
+    assert not range_contains(
+        G, np.column_stack([leaning(7.5e-4, n1), leaning(7.5e-4, n1)]), 1e-3
+    )
+
+
+def test_graph_matrix_is_read_only():
+    G = wt_graph()
+    with pytest.raises(ValueError):
+        G.M[0, 0] = 2.0
+    assert WT[0, 0] == 1.0
 
 
 def test_cone_member_exact_column():

@@ -2,9 +2,12 @@
 """Agreement study: graph-based verdicts against brute-force oracles.
 
 Draws seeded random arrays (unit-edge inputs with random injection
-vectors), runs the three decidable oracles against the corresponding
-analyses for every vertex pair, and reports the outcome counts.  Any
-disagreement is a bug and exits nonzero.
+vectors, relctrl.corpus.random_array_spec), runs the three decidable
+oracles against the corresponding analyses and the polar falsifier on
+every vertex pair, and reports the outcome counts.  A decidable oracle
+that disagrees, or a falsifier witness against a positive pairwise
+verdict, is a bug and exits nonzero.  A negative verdict without a
+witness is not: the falsifier's silence proves nothing.
 
 Usage:
     python scripts/oracle_agreement.py [--specs N] [--seed S]
@@ -15,22 +18,14 @@ import time
 
 import numpy as np
 
-from relctrl import analyze, brammer_positive, kalman_reduced, pairwise_range
-from relctrl.array_model import ArraySpec
-
-
-def random_spec(rng, n_max=3, q_max=4, p_max=5) -> ArraySpec:
-    n = int(rng.integers(1, n_max + 1))
-    q = int(rng.integers(2, q_max + 1))
-    p = int(rng.integers(1, p_max + 1))
-    A = rng.standard_normal((n, n))
-    B = np.zeros((q, p, n))
-    for s in range(p):
-        i, j = rng.choice(q, size=2, replace=False)
-        w = rng.standard_normal(n)
-        B[i, s] = w
-        B[j, s] = -w
-    return ArraySpec(n=n, q=q, p=p, A=A, B=B)
+from relctrl import (
+    analyze,
+    brammer_positive,
+    kalman_reduced,
+    pairwise_range,
+    polar_falsifier,
+)
+from relctrl.corpus import random_array_spec
 
 
 def main() -> int:
@@ -40,11 +35,12 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    counts = {"controllable": 0, "positive": 0, "pairs": 0, "pairs_yes": 0}
+    counts = {"controllable": 0, "positive": 0, "pairs": 0, "pairs_yes": 0,
+              "positive_pairs": 0, "witnessed": 0}
     disagreements = 0
     started = time.perf_counter()
     for index in range(args.specs):
-        spec = random_spec(rng)
+        spec = random_array_spec(rng)
         pairs = [
             (k, l)
             for k in range(1, spec.q + 1)
@@ -60,8 +56,14 @@ def main() -> int:
             checks.append(
                 (f"range{pair}", report.pairwise[pair], pairwise_range(spec, *pair))
             )
+            positive = report.positive_pairwise[pair].yes
+            if polar_falsifier(spec, *pair) is not None:
+                # A witness refutes positive steering; it must not meet a yes.
+                checks.append((f"falsifier{pair}", positive, False))
+                counts["witnessed"] += 1
             counts["pairs"] += 1
             counts["pairs_yes"] += report.pairwise[pair]
+            counts["positive_pairs"] += positive
         for label, ours, oracle in checks:
             if ours != oracle:
                 disagreements += 1
@@ -70,10 +72,13 @@ def main() -> int:
         counts["positive"] += report.positively_controllable
 
     elapsed = time.perf_counter() - started
+    negative = counts["pairs"] - counts["positive_pairs"]
     print(
         f"{args.specs} specs in {elapsed:.1f}s: "
         f"{counts['controllable']} controllable, {counts['positive']} positively controllable, "
         f"{counts['pairs_yes']}/{counts['pairs']} pairwise-controllable pairs, "
+        f"{counts['positive_pairs']} positively pairwise-controllable, "
+        f"falsifier witnesses for {counts['witnessed']}/{negative} negative ones, "
         f"{disagreements} disagreements"
     )
     return 1 if disagreements else 0

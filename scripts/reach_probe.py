@@ -2,13 +2,13 @@
 """Probe positive pairwise steering of a spec file with both evidence tools.
 
 Runs the discretized reach simulator toward +/-(e_k - e_l) targets and
-the randomized polar-cone falsifier for the given pair, then prints both
-outcomes next to the graph-based verdict.  Residuals are evidence, not
-proof; a validated falsifier witness is a proof of impossibility.
+the deterministic polar-cone falsifier for the given pair, then prints
+both outcomes next to the graph-based verdict.  Residuals are evidence,
+not proof; a validated falsifier witness refutes positive steering on
+the falsifier's finite horizon, and its absence proves nothing.
 
 Usage:
     python scripts/reach_probe.py spec.json K L [--horizon T] [--steps M]
-                                  [--attempts N] [--seed S]
 """
 
 import argparse
@@ -20,6 +20,7 @@ from relctrl import (
     polar_falsifier,
     reach_simulator,
 )
+from relctrl.oracles import default_polar_grid
 from relctrl.specio import load_spec
 
 
@@ -30,8 +31,6 @@ def main() -> int:
     parser.add_argument("l", type=int)
     parser.add_argument("--horizon", type=float, default=5.0)
     parser.add_argument("--steps", type=int, default=60)
-    parser.add_argument("--attempts", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     spec, tol = load_spec(args.path)
@@ -53,11 +52,10 @@ def main() -> int:
             f" {'(hit)' if r.hit else ''}"
         )
 
-    witness = polar_falsifier(
-        spec, args.k, args.l, attempts=args.attempts, seed=args.seed
-    )
+    grid = default_polar_grid(spec)
+    witness = polar_falsifier(spec, args.k, args.l, grid=grid)
     if witness is None:
-        print(f"  falsifier: no witness in {args.attempts} attempts")
+        print(f"  falsifier: no witness on horizon {grid[-1]:.4g} (proves nothing)")
     else:
         print(f"  falsifier: validated witness found: {witness.round(6)}")
     return 0

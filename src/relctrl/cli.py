@@ -3,8 +3,7 @@
 Usage:
     relctrl analyze spec.json [--pair K L ...] [--json] [--dot DIR] [--tol-* X]
     relctrl examples NAME [--out PATH]
-    relctrl oracle spec.json [--pair K L ...] [--samples N] [--horizon T]
-                             [--steps M] [--seed S] [--json]
+    relctrl oracle spec.json [--pair K L ...] [--horizon T] [--steps M] [--json]
 
 Vertex and input indices are 1-based everywhere.  Exit codes: 0 success,
 1 parse or validation error, 2 numerical failure, 3 oracle disagreement.
@@ -33,6 +32,7 @@ from .gengraph import detect_scalar_edges, to_dot
 from .oracles import (
     OracleVerdict,
     brammer_positive,
+    default_polar_grid,
     kalman_reduced,
     make_reach_problem,
     pairwise_range,
@@ -91,13 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("path", type=Path)
     po.add_argument("--pair", nargs=2, type=int, action="append", default=[],
                     metavar=("K", "L"))
-    po.add_argument("--samples", type=int, default=50,
-                    help="random restarts for the polar falsifier (default 50)")
     po.add_argument("--horizon", type=float, default=5.0,
                     help="reach-simulator time horizon (default 5)")
     po.add_argument("--steps", type=int, default=60,
                     help="reach-simulator input intervals (default 60)")
-    po.add_argument("--seed", type=int, default=0)
+    # The polar falsifier is deterministic; these are accepted and ignored.
+    po.add_argument("--samples", type=int, default=None, help="deprecated, ignored")
+    po.add_argument("--seed", type=int, default=None, help="deprecated, ignored")
     po.add_argument("--json", action="store_true")
     add_tolerance_flags(po)
     po.set_defaults(func=cmd_oracle)
@@ -171,7 +171,7 @@ def _bool_word(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _run_oracles(spec, tol, pairs, samples, horizon, steps, seed) -> list[OracleVerdict]:
+def _run_oracles(spec, tol, pairs, horizon, steps) -> list[OracleVerdict]:
     report = analyze(spec, pairs=pairs, tolerances=tol)
     verdicts: list[OracleVerdict] = []
 
@@ -227,15 +227,17 @@ def _run_oracles(spec, tol, pairs, samples, horizon, steps, seed) -> list[Oracle
         )
 
         positive = report.positive_pairwise[pair]
-        witness = polar_falsifier(
-            spec, k, l, attempts=samples, seed=seed, tol_zero=tol.zero
-        )
+        grid = default_polar_grid(spec)
+        witness = polar_falsifier(spec, k, l, grid=grid, tol_zero=tol.zero)
         if witness is None:
             verdicts.append(
                 OracleVerdict(
                     name=f"polar_falsifier_{k}_{l}",
                     agrees=None,
-                    detail=f"no witness in {samples} attempts (proves nothing)",
+                    detail=(
+                        f"no witness for the {2 * spec.n} targets +/-(e_{k} - e_{l}) (x) e_i "
+                        f"on horizon {grid[-1]:.4g} (proves nothing)"
+                    ),
                 )
             )
         else:
@@ -273,9 +275,13 @@ def _run_oracles(spec, tol, pairs, samples, horizon, steps, seed) -> list[Oracle
 def cmd_oracle(args) -> int:
     spec, tol = _load(args)
     pairs = [tuple(p) for p in args.pair]
-    verdicts = _run_oracles(
-        spec, tol, pairs, args.samples, args.horizon, args.steps, args.seed
-    )
+    if args.samples is not None or args.seed is not None:
+        print(
+            "warning: --samples and --seed are deprecated and ignored; "
+            "the polar falsifier is deterministic",
+            file=sys.stderr,
+        )
+    verdicts = _run_oracles(spec, tol, pairs, args.horizon, args.steps)
     if args.json:
         payload = [
             {

@@ -14,6 +14,9 @@ Six named arrays cover the interesting verdict combinations:
     integrator-chain-ring  double integrators coupled in a ring at the
                            velocity state; positively pairwise
                            controllable with both assumptions settled
+
+random_array_spec draws the small random arrays of the test suite and
+of scripts/oracle_agreement.py.
 """
 
 from __future__ import annotations
@@ -126,3 +129,23 @@ def build_example(name: str) -> ArraySpec:
     except KeyError:
         known = ", ".join(example_names())
         raise KeyError(f"unknown example {name!r}; known names: {known}") from None
+
+
+def random_array_spec(rng: np.random.Generator, n_max=3, q_max=4, p_max=5) -> ArraySpec:
+    """Random array whose input columns are unit edges times a random vector.
+
+    n, q and p are uniform on 1..n_max, 2..q_max and 1..p_max, A has
+    standard normal entries, and input s injects +w into one system and
+    -w into another, w standard normal.
+    """
+    n = int(rng.integers(1, n_max + 1))
+    q = int(rng.integers(2, q_max + 1))
+    p = int(rng.integers(1, p_max + 1))
+    A = rng.standard_normal((n, n))
+    B = np.zeros((q, p, n))
+    for s in range(p):
+        i, j = rng.choice(q, size=2, replace=False)
+        w = rng.standard_normal(n)
+        B[i, s] = w
+        B[j, s] = -w
+    return ArraySpec(n=n, q=q, p=p, A=A, B=B, name=f"random-{n}-{q}-{p}")

@@ -17,8 +17,8 @@ orthonormal basis N of the complement of its numerical range (the left
 singular vectors beyond the cutoff ``tol_rank * smax``).  Every later
 query, at the same tolerance, only projects the equilibrated target onto
 N, so a graph asked about many vertex pairs pays for one factorization.
-The oracles in ``relctrl.oracles`` keep their own rank-of-``[W, T]``
-comparison on purpose: an oracle must not share the step it checks.
+The oracles in ``relctrl.oracles`` build and factor their own matrices
+on purpose: an oracle must not share the step it checks.
 
 Cone questions are decided by nonnegative least squares; the strong
 predicates split a subspace query into +/- membership tests over an
@@ -217,8 +217,8 @@ def range_contains(
     T is contained when its equilibrated columns leave a spectral-norm
     residual of at most ``tol_rank * max(smax, 1)`` outside the numerical
     range, smax being the largest singular value of the equilibrated graph.
-    The oracles keep their own rank-of-``[W, T]`` comparison instead, so
-    that a cross-check does not share the step it checks.
+    The oracles build and factor their own matrices instead, so that a
+    cross-check does not share the step it checks.
     """
     T = np.atleast_2d(np.asarray(T))
     if T.ndim != 2 or T.shape[0] != G.M.shape[0]:

@@ -5,15 +5,22 @@ through the eigenvalue-indexed graphs:
 
     kalman_reduced    rank of the reduced controllability matrix
     brammer_positive  reduced-coordinate eigenvector cone test
-    pairwise_range    direct range test on the stacked controllability matrix
+    pairwise_range    projection onto the complement of the stacked
+                      controllability matrix's range
     path_oracle       breadth-first search over literal graph edges
-    polar_falsifier   randomized search for a separating functional
+    polar_falsifier   one nonnegative least-squares program per target,
+                      whose residual is a separating functional
     reach_simulator   discretized nonnegative input programs
 
 The first four decide their question exactly (at desk scale); the last
-two only gather evidence.  A falsifier witness refutes positive pairwise
-controllability, its absence proves nothing; reach residuals support a
-positive verdict but cannot overturn one.
+two only gather evidence.  The falsifier is deterministic: by the Moreau
+decomposition, the residual of a target's projection onto the cone of
+input responses sampled on a time grid is the separating functional with
+the largest component along that target.  A validated witness refutes
+positive pairwise controllability on the grid's finite horizon; its
+absence proves nothing.  Reach residuals support a positive verdict but
+cannot overturn one.  Both evidence tools build their input responses
+from batched n x n exponentials applied to the input blocks.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize
 
 from .array_model import ArraySpec, build_big, require_valid
 from .config import DEFAULT_TOLERANCES, Tolerances
@@ -94,7 +100,16 @@ def pairwise_range(
     tol_rank: float = DEFAULT_TOLERANCES.rank,
     tol_zero: float = DEFAULT_TOLERANCES.zero,
 ) -> bool:
-    """Pairwise controllability via a direct controllability-matrix range test."""
+    """Pairwise controllability via a direct controllability-matrix range test.
+
+    The stacked controllability matrix W = [B, (I ⊗ A) B, ...] and the
+    target T = (e_k - e_l) ⊗ I_n are column-equilibrated; T is in range
+    when its projection onto the complement of W's numerical range (the
+    span of the left singular vectors above ``tol_rank * smax``) has
+    spectral norm at most ``tol_rank * smax``.  W is built and factored
+    here, not through the analysis' graphs, so that the check does not
+    share the step it checks.
+    """
     big = build_big(spec, tol_zero)
     blocks = []
     P = big.Bbig
@@ -105,10 +120,13 @@ def pairwise_range(
     T = equilibrated(
         np.kron(pair_difference(spec.q, k, l)[:, None], np.eye(spec.n)), tol_rank
     )
-    s_aug = np.linalg.svd(np.hstack([W, T]) if W.shape[1] else T, compute_uv=False)
-    cutoff = tol_rank * float(s_aug[0]) if s_aug.size and s_aug[0] > 0 else 0.0
-    s_w = np.linalg.svd(W, compute_uv=False) if W.size else np.zeros(0)
-    return int(np.sum(s_aug > cutoff)) == int(np.sum(s_w > cutoff))
+    if W.shape[1] == 0:
+        return T.shape[1] == 0
+    U, s, _ = np.linalg.svd(W, full_matrices=False)
+    bound = tol_rank * float(s[0])
+    U = U[:, : int(np.sum(s > bound))]
+    outside = T - U @ (U.conj().T @ T)
+    return float(np.linalg.norm(outside, 2)) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +191,32 @@ def path_oracle(G: np.ndarray, kind: str, k: int | None = None, l: int | None = 
 
 
 # ---------------------------------------------------------------------------
+# input responses
+
+
+def _pair_targets(d: np.ndarray, n: int) -> list[np.ndarray]:
+    """+(d ⊗ e_i) and -(d ⊗ e_i) for i = 1..n, in that order."""
+    targets = []
+    for b in np.eye(n):
+        base = np.outer(d, b).ravel()
+        targets += [base, -base]
+    return targets
+
+
+def _input_responses(spec: ArraySpec, times: np.ndarray) -> np.ndarray:
+    """Row ``t * p + s`` is the stacked response (I_q ⊗ e^{A t}) b_s.
+
+    One batched n x n exponential per time is applied to the (q, p, n)
+    input blocks; no qn x qn operator is formed.  Read as rows the matrix
+    is B* exp(A* t) stacked over the times, read as columns it holds the
+    state each input moves the array to.
+    """
+    E = expm(spec.A[None, :, :] * times[:, None, None])        # (T, n, n)
+    R = np.einsum("tjm,qpm->tpqj", E, spec.B)
+    return R.reshape(times.size * spec.p, spec.q * spec.n)
+
+
+# ---------------------------------------------------------------------------
 # polar falsifier
 
 
@@ -183,20 +227,50 @@ def _chebyshev_grid(t_max: float, count: int) -> np.ndarray:
     return 0.5 * t_max * (1.0 - np.cos(np.pi * i / (count - 1)))
 
 
-def _response_stack(spec: ArraySpec, grid: np.ndarray, tol_zero: float) -> np.ndarray:
-    """Rows of B* exp(A* t) for every grid time, stacked."""
-    big = build_big(spec, tol_zero)
-    rows = []
-    for t in grid:
-        E = np.kron(np.eye(spec.q), expm(spec.A.T * t))
-        rows.append(big.Bbig.T @ E)
-    return np.vstack(rows)
+def polar_horizon(spec: ArraySpec) -> tuple[float, float]:
+    """(T, base): the falsifier's horizon and its base 4 / max(1, remax).
+
+    A functional that stays nonpositive on a short horizon can turn
+    positive later, when a slow rotation or the beat of two close real
+    modes comes round.  T therefore also covers one period 2 pi / omega_min
+    of the slowest rotation and 8 / gap_min for the closest distinct real
+    parts, capped at 16 base horizons.
+    """
+    evals = np.linalg.eigvals(spec.A)
+    base = 4.0 / max(1.0, float(np.max(np.abs(evals.real))))
+    tiny = 1e-8 * (1.0 + float(np.max(np.abs(evals))))
+    omega = np.abs(evals.imag)
+    gaps = np.diff(np.sort(evals.real))
+    horizon = max([base, *(2.0 * np.pi / omega[omega > tiny]), *(8.0 / gaps[gaps > tiny])])
+    return min(float(horizon), 16.0 * base), base
 
 
 def default_polar_grid(spec: ArraySpec, count: int = 64) -> np.ndarray:
-    evals = np.linalg.eigvals(spec.A)
-    remax = float(np.max(np.abs(evals.real))) if evals.size else 0.0
-    return _chebyshev_grid(4.0 / max(1.0, remax), count)
+    """Lobatto grid over ``polar_horizon``, count points per base horizon."""
+    horizon, base = polar_horizon(spec)
+    return _chebyshev_grid(horizon, int(np.ceil(count * horizon / base - 1e-9)))
+
+
+# Times per batch of the dense check: its exponentials take 128 n^2 floats.
+_CHUNK = 128
+
+
+def _stays_nonpositive(
+    spec: ArraySpec, times: np.ndarray, eta: np.ndarray, slack: float
+) -> bool:
+    """max over times and inputs of b_s* exp(A* t) eta is at most slack.
+
+    Only the products with eta are formed, _CHUNK times at a time, and the
+    scan stops at the first violation.
+    """
+    # G[s, j, m] = sum_i B[i, s, m] eta_i[j], so that b_s* exp(A* t) eta
+    # is the sum of exp(A t)[j, m] G[s, j, m].
+    G = np.einsum("qpm,qj->pjm", spec.B, eta.reshape(spec.q, spec.n))
+    for start in range(0, times.size, _CHUNK):
+        E = expm(spec.A[None, :, :] * times[start : start + _CHUNK, None, None])
+        if float(np.einsum("tjm,pjm->tp", E, G).max()) > slack:
+            return False
+    return True
 
 
 def polar_falsifier(
@@ -204,61 +278,49 @@ def polar_falsifier(
     k: int,
     l: int,
     grid: np.ndarray | None = None,
-    attempts: int = 50,
-    seed: int = 0,
     tol: float = 1e-7,
     tol_zero: float = DEFAULT_TOLERANCES.zero,
 ) -> np.ndarray | None:
-    """Search for a separating functional refuting positive (k,l) steering.
+    """Deterministic separating functional refuting positive (k,l) steering.
 
-    A witness is a direction eta along which every input's response stays
-    nonpositive over time while eta retains a significant component on
-    the (k,l) difference subspace.  The search minimizes a penalty
-    (positive response energy minus a small multiple of the difference
-    component) from seeded random starts; candidates are re-validated on
-    a ten times denser grid.  Returns the witness or None; absence of a
-    witness proves nothing.
+    A witness is a unit direction eta along which every input's response
+    stays nonpositive over the grid, b_s* exp(A* t) eta <= 0, while eta
+    keeps a component of at least 0.1 on the (k,l) difference subspace;
+    then no nonnegative input moves the array along that component, so
+    some target +/-(e_k - e_l) ⊗ b is out of reach.
+
+    For each target v = +/-(e_k - e_l) ⊗ e_i in turn (at most 2n), one
+    nonnegative least-squares program min ||P* x - v|| over x >= 0 runs on
+    the response stack P of the grid.  By the Moreau decomposition its
+    residual r = v - P* x lies in the polar cone, P r <= 0, with
+    v* r = ||r||^2: r / ||r|| is the unit separating functional with the
+    largest v-component.  A candidate must keep P eta within the slack,
+    have gain ||(e_k - e_l)* eta|| >= 0.1 and stay within the slack on a
+    ten times denser grid; the first one that does is returned.
+
+    The grid defaults to ``default_polar_grid``.  A witness is evidence
+    only for the finite horizon it was checked on: a response that turns
+    positive later would reach the target after all.  Returns the witness
+    or None; the absence of a witness proves nothing.
     """
     require_valid(spec, tol_zero)
     if grid is None:
         grid = default_polar_grid(spec)
     grid = np.asarray(grid, dtype=float)
-    P = _response_stack(spec, grid, tol_zero)
-    P_dense = _response_stack(
-        spec, _chebyshev_grid(float(grid.max()), 10 * grid.size), tol_zero
-    )
-    proj = np.kron(pair_difference(spec.q, k, l)[None, :], np.eye(spec.n))
-    dim = spec.q * spec.n
+    P = _input_responses(spec, grid)
     slack = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
-
-    def objective(eta: np.ndarray) -> float:
-        norm = float(np.linalg.norm(eta))
-        if norm < 1e-12:
-            return 1.0
-        unit = eta / norm
-        violation = np.clip(P @ unit, 0.0, None)
-        gain = float(np.linalg.norm(proj @ unit))
-        return float(violation @ violation) - 0.1 * gain * gain
-
-    rng = np.random.default_rng(seed)
-    for _ in range(attempts):
-        eta0 = rng.standard_normal(dim)
-        result = minimize(
-            objective,
-            eta0,
-            method="Nelder-Mead",
-            options={"maxiter": 400, "xatol": 1e-9, "fatol": 1e-12},
-        )
-        eta = result.x
-        norm = float(np.linalg.norm(eta))
-        if norm < 1e-12:
+    dense = _chebyshev_grid(float(grid.max()), 10 * grid.size)
+    d = pair_difference(spec.q, k, l)
+    for target in _pair_targets(d, spec.n):
+        x, residual = nnls(P.T, target)
+        if residual == 0.0:
             continue
-        eta = eta / norm
+        eta = (target - P.T @ x) / residual
         if float(np.max(P @ eta, initial=0.0)) > slack:
             continue
-        if float(np.linalg.norm(proj @ eta)) < 0.1:
+        if float(np.linalg.norm(d @ eta.reshape(spec.q, spec.n))) < 0.1:
             continue
-        if float(np.max(P_dense @ eta, initial=0.0)) <= slack:
+        if _stays_nonpositive(spec, dense, eta, slack):
             return eta
     return None
 
@@ -292,14 +354,7 @@ def make_reach_problem(
     """Probe with targets +/-(e_k - e_l) ⊗ b over the standard basis."""
     if horizon <= 0 or steps < 2:
         raise GraphDomainError("reach problem needs a positive horizon and at least 2 steps")
-    d = pair_difference(spec.q, k, l)
-    targets = []
-    for idx in range(spec.n):
-        b = np.zeros(spec.n)
-        b[idx] = 1.0
-        base = np.kron(d, b)
-        targets.append(base)
-        targets.append(-base)
+    targets = _pair_targets(pair_difference(spec.q, k, l), spec.n)
     return ReachProblem(
         spec=spec, k=k, l=l, horizon=float(horizon), steps=int(steps), targets=tuple(targets)
     )
@@ -318,15 +373,10 @@ def reach_simulator(
     positive reachability of the target, never proof, and a large
     residual may only reflect the discretization.
     """
-    spec = prob.spec
-    big = build_big(spec, tol_zero)
+    require_valid(prob.spec, tol_zero)
     dt = prob.horizon / prob.steps
-    cols = []
-    for j in range(prob.steps):
-        s = prob.horizon - j * dt
-        E = np.kron(np.eye(spec.q), expm(spec.A * s))
-        cols.append(E @ big.Bbig * dt)
-    C = np.hstack(cols)
+    times = prob.horizon - dt * np.arange(prob.steps)
+    C = _input_responses(prob.spec, times).T * dt
     out = []
     for target in prob.targets:
         _, residual = nnls(C, target)

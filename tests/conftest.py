@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from relctrl import ArraySpec, build_example
+from relctrl import build_example
+from relctrl.corpus import random_array_spec  # noqa: F401  (imported by the tests)
 
 settings.register_profile(
     "numeric",
@@ -53,21 +54,6 @@ def random_unit_incidence(rng, q_max=6, p_max=8) -> np.ndarray:
         G[i, s] = 1.0
         G[j, s] = -1.0
     return G
-
-
-def random_array_spec(rng, n_max=3, q_max=4, p_max=5) -> ArraySpec:
-    """Random array whose input columns are unit edges times a random vector."""
-    n = int(rng.integers(1, n_max + 1))
-    q = int(rng.integers(2, q_max + 1))
-    p = int(rng.integers(1, p_max + 1))
-    A = rng.standard_normal((n, n))
-    B = np.zeros((q, p, n))
-    for s in range(p):
-        i, j = rng.choice(q, size=2, replace=False)
-        w = rng.standard_normal(n)
-        B[i, s] = w
-        B[j, s] = -w
-    return ArraySpec(n=n, q=q, p=p, A=A, B=B, name=f"random-{n}-{q}-{p}")
 
 
 def all_pairs(q):

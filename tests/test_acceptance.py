@@ -207,9 +207,9 @@ def test_criterion_7_positive_pairwise_end_to_end():
         results = reach_simulator(make_reach_problem(spec, 1, 2, horizon, steps))
         assert all(r.residual <= 1e-6 for r in results), spec.name
 
-    assert polar_falsifier(ring, 1, 2, attempts=1000, seed=2) is None
-    assert polar_falsifier(chain, 1, 2, attempts=1000, seed=2) is None
+    assert polar_falsifier(ring, 1, 2) is None
+    assert polar_falsifier(chain, 1, 2) is None
 
-    witness = polar_falsifier(build_example("watertanks"), 1, 2, attempts=1000, seed=2)
+    witness = polar_falsifier(build_example("watertanks"), 1, 2)
     assert witness is not None
     _finish("criterion 7 (positive pairwise end to end)", start, 120.0)

@@ -357,6 +357,32 @@ def test_oracle_byte_stable_with_seed(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_oracle_sampling_flags_are_deprecated_no_ops(tmp_path, capsys):
+    path = write_example(tmp_path, "oscillators-b")
+    capsys.readouterr()
+    plain = ["oracle", str(path), "--pair", "1", "2", "--json"]
+    assert main(plain) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    for extra in (["--samples", "7"], ["--seed", "3"], ["--samples", "200", "--seed", "7"]):
+        assert main(plain + extra) == 0
+        flagged_out, flagged_err = capsys.readouterr()
+        assert flagged_out == out
+        lines = flagged_err.splitlines()
+        assert len(lines) == 1 and "deprecated" in lines[0], flagged_err
+
+
+def test_oracle_no_witness_detail_names_targets_and_horizon(tmp_path, capsys):
+    path = write_example(tmp_path, "oscillators-a")
+    capsys.readouterr()
+    assert main(["oracle", str(path), "--pair", "1", "2", "--json"]) == 0
+    doc = {v["name"]: v for v in json.loads(capsys.readouterr().out)}
+    detail = doc["polar_falsifier_1_2"]["detail"]
+    assert doc["polar_falsifier_1_2"]["agrees"] is None
+    assert "no witness" in detail and "proves nothing" in detail
+    assert "20 targets" in detail and "e_1 - e_2" in detail and "horizon 12.14" in detail
+
+
 def test_oracle_disagreement_exit_code(tmp_path, capsys, monkeypatch):
     import relctrl.cli as cli_module
 

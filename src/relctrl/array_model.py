@@ -139,6 +139,25 @@ def require_valid(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero) ->
         )
 
 
+def zero_sum_projection(spec: ArraySpec) -> ArraySpec:
+    """The spec with every input column projected onto the zero-sum subspace.
+
+    Validation accepts column sums up to tol_zero, but the graphs, the
+    controllability matrix and the oracles all assume that inputs only
+    move differences between systems; a leftover sum of 1e-7 would read
+    as one more direction to reach and flip their verdicts.  Subtracting
+    the mean over the systems from every injection vector removes it.
+    Every validated entry point works on this projection.  A spec whose
+    column sums are exactly zero is returned unchanged.
+    """
+    sums = spec.B.sum(axis=0)                 # (p, n)
+    if not np.any(sums):
+        return spec
+    return ArraySpec(
+        n=spec.n, q=spec.q, p=spec.p, A=spec.A, B=spec.B - sums / spec.q, name=spec.name
+    )
+
+
 def disagreement_basis(q: int) -> np.ndarray:
     """Deterministic q x (q-1) orthonormal basis of the all-ones complement.
 
@@ -177,8 +196,12 @@ class BigOperators:
 
 
 def build_big(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero) -> BigOperators:
-    """Assemble stacked and reduced operators for a validated spec."""
+    """Assemble stacked and reduced operators for a validated spec.
+
+    The operators are built from ``zero_sum_projection(spec)``.
+    """
     require_valid(spec, tol_zero)
+    spec = zero_sum_projection(spec)
     n, q, p = spec.n, spec.q, spec.p
     A = spec.A
     Bbig = spec.incidence

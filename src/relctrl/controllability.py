@@ -33,6 +33,7 @@ from .array_model import (
     disagreement_basis,
     require_valid,
     validate_array,
+    zero_sum_projection,
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionError, InternalConsistencyError
@@ -44,7 +45,7 @@ from .gengraph import (
     lineality_space,
     make_graph,
 )
-from .numutil import pair_difference, subspace_contains
+from .numutil import pair_difference
 from .spectral import EigComponent, Spectrum, default_eig_tol, distinct_eigenvalues
 
 
@@ -157,16 +158,15 @@ def q_graphs_and_index_sets(
         graphs.append(G)
         if comp.is_real:
             lin = lineality_space(G, tolerances.cone, tolerances.rank)
-            removed = []
-            nk = comp.alg_mult
-            for pos, s in enumerate(active):
-                cols = G.M[:, pos * nk : (pos + 1) * nk]
-                inside = all(
-                    subspace_contains(lin.columns, cols[:, r], tolerances.rank)
-                    for r in range(nk)
-                )
-                if not inside:
-                    removed.append(s)
+            # One projection of every active column onto the lineality
+            # space; an input stays when all its nk swept columns do.
+            L = lin.columns
+            outside = G.M - L @ (L.conj().T @ G.M)
+            inside = np.linalg.norm(outside, axis=0) <= tolerances.rank * (
+                1.0 + np.linalg.norm(G.M, axis=0)
+            )
+            kept = inside.reshape(len(active), comp.alg_mult).all(axis=1)
+            removed = [s for s, ok in zip(active, kept) if not ok]
             steps.append(
                 IndexStep(
                     kappa=kappa + 1,
@@ -403,7 +403,7 @@ def _v_verdicts(
         row.connected = is_connected(G, tol.rank)
         if comp.is_real and with_strong:
             D = np.kron(disagreement_basis(spec.q), np.eye(G.blocksize))
-            ok, marginal = cone_contains_subspace(G, D, tol.cone)
+            ok, marginal = cone_contains_subspace(G, D, tol.cone, tol.rank)
             row.strongly_connected = ok
             row.marginal = marginal
         row.kl_connected = {
@@ -443,7 +443,7 @@ def _q_verdicts(spectrum, graphs, pairs, tol) -> list[EigGraphVerdict]:
                 T = np.kron(
                     pair_difference(G.q, pair[0], pair[1])[:, None], np.eye(G.blocksize)
                 )
-                ok, marg = cone_contains_subspace(G, T, tol.cone)
+                ok, marg = cone_contains_subspace(G, T, tol.cone, tol.rank)
                 strong[pair] = ok
                 marginal |= marg
             row.strongly_kl_connected = strong
@@ -462,7 +462,7 @@ def _prepare(spec, tolerances, spectrum=None):
     spectrum = spectrum or distinct_eigenvalues(
         spec.A, tol_eig=default_eig_tol(spec.A, tol.eig)
     )
-    return tol, spectrum
+    return zero_sum_projection(spec), tol, spectrum
 
 
 def _v_pass(spec, spectrum, tol, with_strong) -> tuple[bool, list[EigGraphVerdict]]:
@@ -489,7 +489,7 @@ def is_controllable(
     two characterizations are provably equivalent, so disagreement raises
     InternalConsistencyError instead of returning either answer.
     """
-    tol, spectrum = _prepare(spec, tolerances, spectrum)
+    spec, tol, spectrum = _prepare(spec, tolerances, spectrum)
     return _v_pass(spec, spectrum, tol, with_strong=False)
 
 
@@ -499,7 +499,7 @@ def is_positively_controllable(
     spectrum: Spectrum | None = None,
 ) -> tuple[bool, list[EigGraphVerdict]]:
     """Controllable and strongly connected at every real eigenvalue."""
-    tol, spectrum = _prepare(spec, tolerances, spectrum)
+    spec, tol, spectrum = _prepare(spec, tolerances, spectrum)
     controllable, verdicts = _v_pass(spec, spectrum, tol, with_strong=True)
     ok = controllable and all(
         row.strongly_connected
@@ -521,7 +521,7 @@ def is_pairwise_controllable(
     Cross-checked against the direct controllability-matrix range test;
     disagreement raises InternalConsistencyError.
     """
-    tol, spectrum = _prepare(spec, tolerances, spectrum)
+    spec, tol, spectrum = _prepare(spec, tolerances, spectrum)
     pairs = _normalize_pairs(spec, [(k, l)])
     graphs = w_graphs(spec, spectrum, tol.zero)
     verdicts = _w_verdicts(spectrum, graphs, pairs, tol)
@@ -550,7 +550,7 @@ def is_positive_pairwise_controllable(
     reach set is structurally verified), in which case the caller must
     present the verdict as provisional.
     """
-    tol, spectrum = _prepare(spec, tolerances, spectrum)
+    spec, tol, spectrum = _prepare(spec, tolerances, spectrum)
     pairs = _normalize_pairs(spec, [(k, l)])
     graphs, _ = q_graphs_and_index_sets(spec, spectrum, tol)
     verdicts = _q_verdicts(spectrum, graphs, pairs, tol)
@@ -593,12 +593,15 @@ def analyze(
     """Run validation, spectral analysis and all four verdicts.
 
     Pairwise and positive pairwise verdicts are computed for the requested
-    1-based vertex pairs only.
+    1-based vertex pairs only.  After validation the inputs are projected
+    onto the zero-sum subspace (``zero_sum_projection``), so a column-sum
+    error the validator accepts does not reach the verdicts.
     """
     tol = tolerances or DEFAULT_TOLERANCES
     validation = validate_array(spec, tol.zero)
     if not validation.ok:
         require_valid(spec, tol.zero)   # raises with a summary message
+    spec = zero_sum_projection(spec)
     spectrum = distinct_eigenvalues(spec.A, tol_eig=default_eig_tol(spec.A, tol.eig))
     pairlist = _normalize_pairs(spec, pairs)
 

@@ -20,10 +20,17 @@ N, so a graph asked about many vertex pairs pays for one factorization.
 The oracles in ``relctrl.oracles`` build and factor their own matrices
 on purpose: an oracle must not share the step it checks.
 
-Cone questions are decided by nonnegative least squares; the strong
-predicates split a subspace query into +/- membership tests over an
-orthonormal basis, which is exact because cones are closed under positive
-combinations.
+Cone questions about a subspace are range questions in disguise.  A
+cone contains a subspace L exactly when its lineality space (the largest
+subspace inside it) contains L, because L = -L.  The lineality space of
+cone(M) is spanned by its generators, the columns g_i with -g_i in
+cone(M).  ``lineality_generators`` finds them for a real graph with a few
+nonnegative least-squares programs (a peel, described there) and keeps
+them on the graph per cone tolerance, as a graph of their own; strong
+connectivity, every strongly (k,l)-connected pair and the lineality
+space then reduce to ``range_contains`` against that generator graph,
+whose range complement is in turn factored once.  Single vector
+memberships go through ``cone_member``.
 """
 
 from __future__ import annotations
@@ -49,7 +56,8 @@ class GenGraph:
     """A (q*blocksize) x c matrix whose columns are generalized edges.
 
     The matrix is never modified after construction, which lets
-    range_contains keep its range complement per tolerance.
+    range_contains keep its range complement per rank tolerance and
+    lineality_generators its generators per cone tolerance.
     """
 
     q: int
@@ -57,6 +65,9 @@ class GenGraph:
     M: np.ndarray
     is_real: bool
     _complements: dict[float, tuple[np.ndarray, float]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    _linealities: dict[float, "Lineality"] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -69,15 +80,18 @@ class GenGraph:
 class Feasibility:
     """Outcome of one cone-membership program.
 
-    certificate holds the nonnegative combination weights on membership;
-    residual is the distance to the cone otherwise.  marginal flags a
-    non-member whose residual lies within a decade of the threshold.
+    weights are the nonnegative combination weights the program found;
+    certificate holds them on membership and is None otherwise.  residual
+    is the distance ||v - M weights|| those weights achieve, the distance
+    to the cone.  marginal flags a non-member whose residual lies within
+    a decade of the threshold.
     """
 
     member: bool
     certificate: np.ndarray | None
     residual: float
     marginal: bool = False
+    weights: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +101,22 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return self.columns.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class Lineality:
+    """Lineality generators of a real graph's cone, as found by the peel.
+
+    columns are the indices of the generators in G.M, the columns g_i with
+    -g_i in cone(G); graph holds those columns as a graph of its own, so
+    that range questions against their span reuse one factorization.
+    marginal reports a rejection during the peel that lay within a decade
+    of its threshold.
+    """
+
+    columns: tuple[int, ...]
+    graph: GenGraph
+    marginal: bool
 
 
 def make_graph(
@@ -178,6 +208,7 @@ def cone_member(
         certificate=alpha if member else None,
         residual=residual,
         marginal=(not member) and residual <= 10.0 * bound,
+        weights=alpha,
     )
 
 
@@ -254,22 +285,94 @@ def _pair_subspace(q: int, blocksize: int, k: int, l: int) -> np.ndarray:
     return T.reshape(q * blocksize, blocksize)
 
 
-def cone_contains_subspace(
-    G: GenGraph, T: np.ndarray, tol_cone: float = DEFAULT_TOLERANCES.cone
-) -> tuple[bool, bool]:
-    """Test cone(G) ⊇ range(T) by +/- membership over the columns of T.
+def _column_graph(G: GenGraph, columns: np.ndarray) -> GenGraph:
+    """The graph of some of G's columns; they are edges of G already."""
+    M = G.M[:, columns]
+    M.setflags(write=False)
+    return GenGraph(q=G.q, blocksize=G.blocksize, M=M, is_real=G.is_real)
 
-    Returns (verdict, marginal); marginal reports any near-threshold
-    rejection among the individual programs.
+
+def lineality_generators(
+    G: GenGraph, tol_cone: float = DEFAULT_TOLERANCES.cone
+) -> Lineality:
+    """The generators of the lineality space of cone(G), once per tolerance.
+
+    Column g_i is a generator when -g_i lies in cone(G).  The peel keeps a
+    set S of candidate columns, at first the nonzero ones, with unit-norm
+    versions u_i, and runs one ``cone_member`` program on
+    v = -sum_{i in S} u_i.  If v is a member, every u_i is a generator
+    (sum u_i + U x = 0 with x >= 0).  Otherwise the residual r = v - U x
+    lies in the polar cone (Moreau): U* r <= 0, and the pushes -u_i* r
+    sum to ||r||^2.  A generator's push is at most 2 tol_cone ||r||,
+    since -u_i lies within 2 tol_cone of the cone, so every column that
+    pushes harder is dropped and the peel repeats; dropping non-generators
+    leaves the generators unchanged.  When no column clears that
+    threshold, or some push is below -2 tol_cone ||r|| (r is not polar:
+    the program stopped short of its optimum), one ``cone_member(-g_i)``
+    program per remaining column decides.  Every round drops a column or
+    ends the peel, so at most c rounds run.
+
+    marginal is set when a rejecting program's residual, or a dropped
+    column's push, lies within a decade of its threshold.  The result is
+    kept on the graph, so its lineality space and every strong
+    connectivity question about it share one peel.
     """
-    ok = True
+    if not G.is_real:
+        raise GraphDomainError("lineality generators are defined for real graphs only")
+    memo = G._linealities.get(tol_cone)
+    if memo is not None:
+        return memo
+    norms = np.linalg.norm(G.M, axis=0)
+    S = np.flatnonzero(norms > 0.0)
     marginal = False
-    for col in np.atleast_2d(T).T:
-        for sign in (1.0, -1.0):
-            feas = cone_member(G, sign * col, tol_cone)
-            ok &= feas.member
-            marginal |= feas.marginal
-    return ok, marginal
+    while S.size:
+        H = _column_graph(G, S)
+        v = -(H.M / norms[S]).sum(axis=1)
+        feas = cone_member(H, v, tol_cone)
+        if feas.member:
+            break
+        marginal |= feas.marginal
+        r = v - H.M @ feas.weights
+        push = -(r @ H.M) / norms[S]
+        cut = 2.0 * tol_cone * feas.residual
+        drop = push > cut
+        # The drop rule needs r in the polar cone, which only an optimal
+        # program guarantees; the compiled solver can stall short of the
+        # optimum on degenerate columns (exactly opposite pairs), leaving
+        # some push negative.
+        if not drop.any() or push.min() < -cut:
+            rows = [cone_member(H, -g, tol_cone) for g in H.M.T]
+            marginal |= any(f.marginal for f in rows)
+            S = S[[f.member for f in rows]]
+            break
+        marginal |= bool(np.any(drop & (push <= 10.0 * cut)))
+        S = S[~drop]
+    memo = Lineality(
+        columns=tuple(int(i) for i in S),
+        graph=_column_graph(G, S),
+        marginal=marginal,
+    )
+    G._linealities[tol_cone] = memo
+    return memo
+
+
+def cone_contains_subspace(
+    G: GenGraph,
+    T: np.ndarray,
+    tol_cone: float = DEFAULT_TOLERANCES.cone,
+    tol_rank: float = DEFAULT_TOLERANCES.rank,
+) -> tuple[bool, bool]:
+    """Test cone(G) ⊇ range(T) as range(T) ⊆ span of the lineality generators.
+
+    Returns (verdict, marginal).  The generators come from the graph's
+    memoized peel (``lineality_generators``) and the inclusion is one
+    ``range_contains`` query against them.  marginal is set on a negative
+    verdict when the peel met a near-threshold rejection: a generator set
+    decided the other way could only have grown, and with it the verdict.
+    """
+    lin = lineality_generators(G, tol_cone)
+    ok = range_contains(lin.graph, T, tol_rank)
+    return ok, (not ok) and lin.marginal
 
 
 def is_connected(G: GenGraph, tol_rank: float = DEFAULT_TOLERANCES.rank) -> bool:
@@ -286,23 +389,32 @@ def is_kl_connected(
     return range_contains(G, _pair_subspace(G.q, G.blocksize, k, l), tol_rank)
 
 
-def is_strongly_connected(G: GenGraph, tol_cone: float = DEFAULT_TOLERANCES.cone) -> bool:
+def is_strongly_connected(
+    G: GenGraph,
+    tol_cone: float = DEFAULT_TOLERANCES.cone,
+    tol_rank: float = DEFAULT_TOLERANCES.rank,
+) -> bool:
     """cone(G) contains every disagreement direction (real graphs only)."""
     if not G.is_real:
         raise GraphDomainError("strong connectivity is defined for real graphs only")
     D = disagreement_basis(G.q)
-    ok, _ = cone_contains_subspace(G, np.kron(D, np.eye(G.blocksize)), tol_cone)
+    ok, _ = cone_contains_subspace(G, np.kron(D, np.eye(G.blocksize)), tol_cone, tol_rank)
     return ok
 
 
 def is_strongly_kl_connected(
-    G: GenGraph, k: int, l: int, tol_cone: float = DEFAULT_TOLERANCES.cone
+    G: GenGraph,
+    k: int,
+    l: int,
+    tol_cone: float = DEFAULT_TOLERANCES.cone,
+    tol_rank: float = DEFAULT_TOLERANCES.rank,
 ) -> bool:
     """cone(G) contains range((e_k - e_l) ⊗ I); 1-based vertices."""
     if not G.is_real:
         raise GraphDomainError("strong connectivity is defined for real graphs only")
     _check_pair(G.q, k, l)
-    ok, _ = cone_contains_subspace(G, _pair_subspace(G.q, G.blocksize, k, l), tol_cone)
+    T = _pair_subspace(G.q, G.blocksize, k, l)
+    ok, _ = cone_contains_subspace(G, T, tol_cone, tol_rank)
     return ok
 
 
@@ -313,22 +425,12 @@ def lineality_space(
 ) -> SubspaceBasis:
     """Largest subspace contained in cone(G), as an orthonormal basis.
 
-    For a finitely generated cone this is the span of the generators whose
-    negation is itself a member, so one membership program per column
-    decides it.
+    For a finitely generated cone this is the span of the lineality
+    generators (``lineality_generators``, one memoized peel per graph and
+    cone tolerance), orthonormalized at the rank tolerance.
     """
-    if not G.is_real:
-        raise GraphDomainError("lineality space is defined for real graphs only")
-    keep = []
-    for i in range(G.n_columns):
-        col = G.M[:, i]
-        if float(np.linalg.norm(col)) == 0.0:
-            continue
-        if cone_member(G, -col, tol_cone).member:
-            keep.append(i)
-    if not keep:
-        return SubspaceBasis(np.zeros((G.M.shape[0], 0)))
-    return SubspaceBasis(range_basis(G.M[:, keep], tol_rank))
+    lin = lineality_generators(G, tol_cone)
+    return SubspaceBasis(range_basis(lin.graph.M, tol_rank))
 
 
 def detect_scalar_edges(

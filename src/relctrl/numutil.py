@@ -62,21 +62,6 @@ def range_basis(M: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
     return u[:, :r]
 
 
-def subspace_contains(basis: np.ndarray, v: np.ndarray, rel_tol: float = 1e-9) -> bool:
-    """True when v lies in the span of the given orthonormal columns.
-
-    The residual of the orthogonal projection is compared against
-    rel_tol * (1 + ||v||), so the zero subspace contains only (nearly)
-    zero vectors.
-    """
-    v = np.asarray(v).ravel()
-    nv = float(np.linalg.norm(v))
-    if basis.shape[1] == 0:
-        return nv <= rel_tol
-    resid = v - basis @ (basis.conj().T @ v)
-    return float(np.linalg.norm(resid)) <= rel_tol * (1.0 + nv)
-
-
 def equilibrated(M: np.ndarray, drop_rel: float = 0.0) -> np.ndarray:
     """Columns rescaled to unit norm, for scale-robust rank and cone tests.
 

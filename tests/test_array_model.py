@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relctrl import ArraySpec, build_big, disagreement_basis, validate_array
+from relctrl import (
+    DEFAULT_TOLERANCES,
+    ArraySpec,
+    analyze,
+    build_big,
+    disagreement_basis,
+    is_controllable,
+    kalman_reduced,
+    validate_array,
+)
+from relctrl.array_model import zero_sum_projection
 from relctrl.errors import DimensionError, InvalidArrayError
 
 from conftest import random_array_spec
@@ -117,3 +127,37 @@ def test_reduction_commutes_with_dynamics():
         left = Dn @ big.Abig @ big.Bbig
         right = big.Ared @ big.Bred
         np.testing.assert_allclose(left, right, atol=1e-10)
+
+
+def _with_sum_error(spec, eps=1e-7):
+    B = spec.B.copy()
+    B[0, 0, 0] += eps
+    return ArraySpec(n=spec.n, q=spec.q, p=spec.p, A=spec.A, B=B, name=spec.name)
+
+
+def test_zero_sum_projection_leaves_exact_specs_alone(watertanks):
+    assert zero_sum_projection(watertanks) is watertanks
+
+
+def test_zero_sum_projection_removes_accepted_sum_error(watertanks):
+    noisy = _with_sum_error(watertanks)
+    projected = zero_sum_projection(noisy)
+    assert np.abs(projected.B.sum(axis=0)).max() <= 1e-15
+    assert np.abs(projected.B - watertanks.B).max() <= 1e-7
+    big = build_big(noisy, tol_zero=1e-6)
+    assert np.abs(big.Bbig.reshape(noisy.q, noisy.n, noisy.p).sum(axis=0)).max() <= 1e-15
+
+
+def test_verdicts_ignore_accepted_sum_error(watertanks, oscillators_a):
+    # A column-sum error the validator accepts must not flip a verdict.
+    tol = DEFAULT_TOLERANCES.override(zero=1e-6)
+    for spec in (watertanks, oscillators_a):
+        pairs = [(1, 2), (2, 3)]
+        exact = analyze(spec, pairs=pairs, tolerances=tol)
+        noisy = analyze(_with_sum_error(spec), pairs=pairs, tolerances=tol)
+        assert noisy.controllable == exact.controllable
+        assert noisy.positively_controllable == exact.positively_controllable
+        assert noisy.pairwise == exact.pairwise
+        assert noisy.positive_pairwise == exact.positive_pairwise
+        assert kalman_reduced(_with_sum_error(spec), tol_zero=1e-6) == exact.controllable
+        assert is_controllable(_with_sum_error(spec), tol)[0] == exact.controllable

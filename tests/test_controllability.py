@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import block_diag
 
 import relctrl.controllability as controllability_module
+import relctrl.gengraph as gengraph_module
 from relctrl import (
     ArraySpec,
     analyze,
@@ -208,6 +209,53 @@ def test_analyze_svd_count_does_not_grow_with_pairs(monkeypatch):
         analyze(spec, pairs=all_pairs(q)[:n_pairs])
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_analyze_nnls_count_is_one_per_real_graph(monkeypatch):
+    # Directed ring of 32 integrators: one real eigenvalue, so one V-graph
+    # and one Q-graph need cone answers.  Each is peeled once, however
+    # many pairs are asked about.
+    q = 32
+    G = np.zeros((q, q))
+    for s in range(q):
+        G[s, s], G[(s + 1) % q, s] = 1.0, -1.0
+    spec = ArraySpec.from_incidence([[0.0]], G, name="ring-q32-n1")
+    nnls = gengraph_module.nnls
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return nnls(*args, **kwargs)
+
+    monkeypatch.setattr(gengraph_module, "nnls", counting)
+    counts = []
+    for n_pairs in (2, 11):
+        calls.clear()
+        report = analyze(spec, pairs=[(1, l) for l in range(2, 2 + n_pairs)])
+        assert report.positively_controllable
+        assert all(v.yes for v in report.positive_pairwise.values())
+        counts.append(len(calls))
+    real_graphs = 2 * sum(comp.is_real for comp in report.spectrum.components)
+    assert counts[0] == counts[1] <= real_graphs
+
+
+def test_index_recursion_keeps_inputs_inside_lineality():
+    # Inputs 1-3 form a ring (all lineality), input 4 a one-way edge
+    # 3 -> 4 off it: only input 4 leaves the index set.
+    G = np.array(
+        [
+            [1.0, 0.0, -1.0, 0.0],
+            [-1.0, 1.0, 0.0, 0.0],
+            [0.0, -1.0, 1.0, 1.0],
+            [0.0, 0.0, 0.0, -1.0],
+        ]
+    )
+    spec = ArraySpec.from_incidence([[0.0]], G)
+    _, trace = q_graphs_and_index_sets(spec, distinct_eigenvalues(spec.A))
+    (step,) = trace.steps
+    assert step.index_set == (1, 2, 3, 4)
+    assert step.removed == (4,)
+    assert step.lineality_dim == 2
 
 
 def test_pair_validation(watertanks):

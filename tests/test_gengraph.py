@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import relctrl.gengraph as gengraph_module
 from relctrl import (
     cone_member,
     detect_scalar_edges,
@@ -20,6 +21,7 @@ from relctrl import (
     to_dot,
 )
 from relctrl.errors import GraphDomainError, NumericalFailureError, UnsupportedRenderError
+from relctrl.gengraph import cone_contains_subspace, lineality_generators
 from relctrl.numutil import equilibrated, pair_difference
 
 from conftest import all_pairs, random_unit_incidence
@@ -207,6 +209,7 @@ def test_cone_member_reversed_edge_rejected():
     assert not feas.member
     assert feas.certificate is None
     assert feas.residual > 0.1
+    assert feas.weights.shape == (2,) and feas.weights.min() >= 0.0
 
 
 def test_cone_member_triangle_path_certificate():
@@ -462,3 +465,184 @@ def test_empty_graph_predicates():
     assert not is_connected(G)
     assert not is_strongly_connected(G)
     assert not is_kl_connected(G, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# lineality peel
+
+
+def _random_cone_graph(rng):
+    """Edges and hyperedges on q vertices with blocks of size 1-3.
+
+    Some draws plant lineality (the negated positive sum of a few
+    columns), exact duplicates and zero columns; column norms span six
+    decades.
+    """
+    q = int(rng.integers(2, 6))
+    b = int(rng.integers(1, 4))
+    cols = []
+    for _ in range(int(rng.integers(1, 8))):
+        if rng.random() < 0.7:
+            i, j = rng.choice(q, size=2, replace=False)
+            col = np.zeros((q, b))
+            w = rng.standard_normal(b)
+            col[i], col[j] = w, -w
+        else:
+            col = rng.standard_normal((q, b))
+            col -= col.mean(axis=0)
+        cols.append(col.ravel())
+    M = np.stack(cols, axis=1)
+    if rng.random() < 0.5:
+        chosen = rng.choice(M.shape[1], size=int(rng.integers(1, M.shape[1] + 1)), replace=False)
+        planted = -M[:, chosen] @ rng.uniform(0.5, 2.0, size=chosen.size)
+        M = np.column_stack([M, planted])
+    if rng.random() < 0.3:
+        M = np.column_stack([M, M[:, int(rng.integers(M.shape[1]))]])
+    if rng.random() < 0.3:
+        M = np.column_stack([M, np.zeros(q * b)])
+    M = M[:, rng.permutation(M.shape[1])] * 10.0 ** rng.uniform(-3.0, 3.0, M.shape[1])
+    return make_graph(q, b, M, tol_zero=1e-8)
+
+
+def test_lineality_generators_match_per_column_programs():
+    # Reference: the per-column rule, -g_i in cone(G).  Draws whose
+    # reference residual lies within 10x of its threshold are skipped.
+    rng = np.random.default_rng(20261018)
+    compared = nontrivial = 0
+    for _ in range(300):
+        G = _random_cone_graph(rng)
+        reference = set()
+        near = False
+        for i, g in enumerate(G.M.T):
+            norm = float(np.linalg.norm(g))
+            if norm == 0.0:
+                continue
+            feas = cone_member(G, -g)
+            bound = 1e-8 * (1.0 + norm)
+            near |= bound / 10.0 <= feas.residual <= 10.0 * bound
+            if feas.member:
+                reference.add(i)
+        if near:
+            continue
+        assert set(lineality_generators(G).columns) == reference
+        compared += 1
+        nontrivial += bool(reference)
+    assert compared > 250
+    assert nontrivial > 100
+
+
+def _cycle_edges(M):
+    # An edge generates lineality exactly when it lies on a directed cycle,
+    # that is when its two ends reach each other.
+    return {
+        s
+        for s, col in enumerate(M.T)
+        if path_oracle(
+            M, "strong_kl", int(np.flatnonzero(col == 1.0)[0]) + 1,
+            int(np.flatnonzero(col == -1.0)[0]) + 1,
+        )
+    }
+
+
+@given(data=st.integers(0, 2**31 - 1))
+def test_lineality_generators_are_the_cycle_edges(data):
+    M = random_unit_incidence(np.random.default_rng(data))
+    assert set(lineality_generators(make_graph(M.shape[0], 1, M)).columns) == _cycle_edges(M)
+
+
+def test_lineality_peel_survives_a_stalled_program():
+    # The first peel program on this graph stops short of its optimum in
+    # the compiled solver (the opposite pair 2 -> 4, 4 -> 2 leaves a
+    # positive gradient of 0.09), so its residual is not polar; the peel
+    # must not drop the cycle edges it appears to push.
+    edges = [(1, 3), (2, 5), (5, 1), (2, 4), (3, 1), (1, 5), (4, 1), (4, 2)]
+    M = np.zeros((5, len(edges)))
+    for s, (i, j) in enumerate(edges):
+        M[i - 1, s], M[j - 1, s] = 1.0, -1.0
+    lin = lineality_generators(make_graph(5, 1, M))
+    assert set(lin.columns) == _cycle_edges(M) == {0, 2, 3, 4, 5, 7}
+
+
+@pytest.fixture
+def nnls_calls(monkeypatch):
+    calls = []
+    original = gengraph_module.nnls
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gengraph_module, "nnls", counting)
+    return calls
+
+
+def test_lineality_generators_memoized_and_shared(nnls_calls):
+    G = triangle_graph()
+    lin = lineality_generators(G)
+    assert lin.columns == (0, 1, 2)
+    assert lineality_space(G).dim == 2
+    assert is_strongly_connected(G)
+    for k, l in all_pairs(3):
+        assert is_strongly_kl_connected(G, k, l)
+    assert lineality_generators(G) is lin
+    assert len(nnls_calls) == 1
+    lineality_generators(G, tol_cone=1e-6)
+    assert len(nnls_calls) == 2
+
+
+def test_lineality_peel_terminates_on_long_path(nnls_calls):
+    # A directed path has no lineality; each round drops its two end
+    # edges, so the peel needs about half as many programs as columns.
+    q = 64
+    M = np.zeros((q, q - 1))
+    for s in range(q - 1):
+        M[s, s], M[s + 1, s] = 1.0, -1.0
+    G = make_graph(q, 1, M)
+    lin = lineality_generators(G)
+    assert lin.columns == ()
+    assert not lin.marginal
+    assert len(nnls_calls) <= G.n_columns
+    assert not is_strongly_connected(G)
+
+
+def test_lineality_peel_falls_back_to_per_column_programs(nnls_calls):
+    # At a loose tolerance the two-edge path's residual is rejected but
+    # neither push clears 2 tol ||r||, so each column gets its own program.
+    G = make_graph(3, 1, WT)
+    assert lineality_generators(G, tol_cone=0.3).columns == ()
+    assert len(nnls_calls) == 3
+    assert not any(cone_member(G, -g, 0.3).member for g in WT.T)
+
+
+def test_lineality_marginal_near_threshold():
+    # An edge and its reversal tilted by eps out of the plane: the peel's
+    # rejection and the dropped column's push lie within a decade of their
+    # thresholds for eps = 5e-8, far outside them for eps = 1e-3.
+    tilt = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+    edge = np.array([1.0, -1.0, 0.0])
+    T = edge[:, None]
+
+    def graph(eps):
+        return make_graph(3, 1, np.column_stack([edge, -edge + eps * tilt]))
+
+    near = graph(5e-8)
+    lin = lineality_generators(near, tol_cone=1e-8)
+    assert lin.columns == ()
+    assert lin.marginal
+    assert cone_contains_subspace(near, T, tol_cone=1e-8) == (False, True)
+
+    far = graph(1e-3)
+    assert not lineality_generators(far, tol_cone=1e-8).marginal
+    assert cone_contains_subspace(far, T, tol_cone=1e-8) == (False, False)
+
+    # A positive verdict is never marginal.
+    exact = graph(0.0)
+    assert cone_contains_subspace(exact, T, tol_cone=1e-8) == (True, False)
+
+
+def test_lineality_requires_real_graph():
+    G = make_graph(2, 1, np.array([[1.0j], [-1.0j]]))
+    with pytest.raises(GraphDomainError):
+        lineality_generators(G)
+    with pytest.raises(GraphDomainError):
+        cone_contains_subspace(G, np.array([[1.0], [-1.0]]))

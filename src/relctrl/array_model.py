@@ -128,8 +128,13 @@ def validate_array(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero) -
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def require_valid(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero) -> None:
-    """Raise InvalidArrayError when validation fails."""
+def require_valid(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero) -> ArraySpec:
+    """The spec every validated entry point works on.
+
+    Raises InvalidArrayError when validation fails; otherwise returns
+    ``zero_sum_projection(spec)``, so that a column-sum error within
+    tol_zero never reaches an analysis or an oracle.
+    """
     report = validate_array(spec, tol_zero)
     if not report.ok:
         first = report.violations[0]
@@ -137,6 +142,7 @@ def require_valid(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero) ->
             f"array spec failed validation ({len(report.violations)} problem(s)); "
             f"first: {first.kind} at {first.location}, magnitude {first.magnitude:g}"
         )
+    return zero_sum_projection(spec)
 
 
 def zero_sum_projection(spec: ArraySpec) -> ArraySpec:
@@ -147,8 +153,9 @@ def zero_sum_projection(spec: ArraySpec) -> ArraySpec:
     move differences between systems; a leftover sum of 1e-7 would read
     as one more direction to reach and flip their verdicts.  Subtracting
     the mean over the systems from every injection vector removes it.
-    Every validated entry point works on this projection.  A spec whose
-    column sums are exactly zero is returned unchanged.
+    ``require_valid`` returns this projection, so every validated entry
+    point works on it.  A spec whose column sums are exactly zero is
+    returned unchanged.
     """
     sums = spec.B.sum(axis=0)                 # (p, n)
     if not np.any(sums):
@@ -198,10 +205,9 @@ class BigOperators:
 def build_big(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero) -> BigOperators:
     """Assemble stacked and reduced operators for a validated spec.
 
-    The operators are built from ``zero_sum_projection(spec)``.
+    The operators are built from the projection ``require_valid`` returns.
     """
-    require_valid(spec, tol_zero)
-    spec = zero_sum_projection(spec)
+    spec = require_valid(spec, tol_zero)
     n, q, p = spec.n, spec.q, spec.p
     A = spec.A
     Bbig = spec.incidence

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .array_model import validate_array
+from .array_model import require_valid, validate_array
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .controllability import analyze
 from .corpus import build_example
@@ -26,6 +26,7 @@ from .errors import (
     AnalysisError,
     DimensionError,
     GraphDomainError,
+    InvalidArrayError,
     SpecFormatError,
 )
 from .gengraph import detect_scalar_edges, to_dot
@@ -115,15 +116,15 @@ def _tolerances(args, file_tolerances: Tolerances | None) -> Tolerances:
 def _load(args) -> tuple:
     spec, file_tol = load_spec(args.path)
     tol = _tolerances(args, file_tol)
-    report = validate_array(spec, tol.zero)
-    if not report.ok:
-        for v in report.violations:
+    try:
+        return require_valid(spec, tol.zero), tol
+    except InvalidArrayError:
+        for v in validate_array(spec, tol.zero).violations:
             print(
                 f"validation: {v.kind} at {v.location} (magnitude {v.magnitude:g})",
                 file=sys.stderr,
             )
-        raise SpecFormatError(f"{args.path}: array spec failed validation")
-    return spec, tol
+        raise SpecFormatError(f"{args.path}: array spec failed validation") from None
 
 
 def _write_dot_files(spec, report, directory: Path) -> None:

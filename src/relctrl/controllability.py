@@ -32,8 +32,6 @@ from .array_model import (
     ValidationReport,
     disagreement_basis,
     require_valid,
-    validate_array,
-    zero_sum_projection,
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionError, InternalConsistencyError
@@ -159,7 +157,11 @@ def q_graphs_and_index_sets(
         if comp.is_real:
             lin = lineality_space(G, tolerances.cone, tolerances.rank)
             # One projection of every active column onto the lineality
-            # space; an input stays when all its nk swept columns do.
+            # space; an input stays when all its nk swept columns do.  In
+            # exact arithmetic a column lies in the space exactly when it
+            # is a lineality generator, but the rank rule is kept: it
+            # keeps zero columns, which the peel never lists, and columns
+            # within tol_rank of the space that tol_cone rejects.
             L = lin.columns
             outside = G.M - L @ (L.conj().T @ G.M)
             inside = np.linalg.norm(outside, axis=0) <= tolerances.rank * (
@@ -458,11 +460,11 @@ def _q_verdicts(spectrum, graphs, pairs, tol) -> list[EigGraphVerdict]:
 
 def _prepare(spec, tolerances, spectrum=None):
     tol = tolerances or DEFAULT_TOLERANCES
-    require_valid(spec, tol.zero)
+    spec = require_valid(spec, tol.zero)
     spectrum = spectrum or distinct_eigenvalues(
         spec.A, tol_eig=default_eig_tol(spec.A, tol.eig)
     )
-    return zero_sum_projection(spec), tol, spectrum
+    return spec, tol, spectrum
 
 
 def _v_pass(spec, spectrum, tol, with_strong) -> tuple[bool, list[EigGraphVerdict]]:
@@ -593,15 +595,13 @@ def analyze(
     """Run validation, spectral analysis and all four verdicts.
 
     Pairwise and positive pairwise verdicts are computed for the requested
-    1-based vertex pairs only.  After validation the inputs are projected
-    onto the zero-sum subspace (``zero_sum_projection``), so a column-sum
-    error the validator accepts does not reach the verdicts.
+    1-based vertex pairs only.  The verdicts are computed on the spec that
+    ``require_valid`` returns, whose inputs are projected onto the
+    zero-sum subspace, so a column-sum error the validator accepts does
+    not reach them.
     """
     tol = tolerances or DEFAULT_TOLERANCES
-    validation = validate_array(spec, tol.zero)
-    if not validation.ok:
-        require_valid(spec, tol.zero)   # raises with a summary message
-    spec = zero_sum_projection(spec)
+    spec = require_valid(spec, tol.zero)
     spectrum = distinct_eigenvalues(spec.A, tol_eig=default_eig_tol(spec.A, tol.eig))
     pairlist = _normalize_pairs(spec, pairs)
 
@@ -669,7 +669,7 @@ def analyze(
         q=spec.q,
         p=spec.p,
         tolerances=tol,
-        validation=validation,
+        validation=ValidationReport(ok=True),
         spectrum=spectrum,
         graph_verdicts=tuple(v_rows + w_rows + q_rows),
         w_matrix=w_matrix,

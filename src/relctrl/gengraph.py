@@ -297,20 +297,26 @@ def lineality_generators(
 ) -> Lineality:
     """The generators of the lineality space of cone(G), once per tolerance.
 
-    Column g_i is a generator when -g_i lies in cone(G).  The peel keeps a
-    set S of candidate columns, at first the nonzero ones, with unit-norm
-    versions u_i, and runs one ``cone_member`` program on
-    v = -sum_{i in S} u_i.  If v is a member, every u_i is a generator
-    (sum u_i + U x = 0 with x >= 0).  Otherwise the residual r = v - U x
-    lies in the polar cone (Moreau): U* r <= 0, and the pushes -u_i* r
-    sum to ||r||^2.  A generator's push is at most 2 tol_cone ||r||,
-    since -u_i lies within 2 tol_cone of the cone, so every column that
-    pushes harder is dropped and the peel repeats; dropping non-generators
-    leaves the generators unchanged.  When no column clears that
-    threshold, or some push is below -2 tol_cone ||r|| (r is not polar:
-    the program stopped short of its optimum), one ``cone_member(-g_i)``
-    program per remaining column decides.  Every round drops a column or
-    ends the peel, so at most c rounds run.
+    Column g_i is a generator when -g_i lies in cone(G), by the rule of
+    ``cone_member``: its distance to the cone is at most
+    tol_cone (1 + ||g_i||).  Distances to a cone scale with the vector, so
+    for the unit-norm column u_i = g_i / ||g_i|| this reads
+    dist(-u_i, cone) <= tau_i = tol_cone (1 + ||g_i||) / ||g_i||, and
+    every step of the peel applies the rule in that form.
+
+    The peel keeps a set S of candidate columns, at first the nonzero
+    ones, and runs one ``cone_member`` program on v = -sum_{i in S} u_i.
+    Since -u_i = v + sum_{j != i} u_j, dist(-u_i, cone) <= dist(v, cone),
+    so a residual at most min_S tau_i makes every column of S a
+    generator.  Otherwise the residual r = v - U x lies in the polar cone
+    (Moreau): U* r <= 0, and the pushes -u_i* r sum to ||r||^2.  A
+    generator's push is at most tau_i ||r||, since -u_i lies within tau_i
+    of the cone, so every column that pushes harder is dropped and the
+    peel repeats; dropping non-generators leaves the generators unchanged.
+    When no column clears its cut, or some push is below minus its cut
+    (r is not polar: the program stopped short of its optimum), one
+    ``cone_member(-g_i)`` program per remaining column decides.  Every
+    round drops a column or ends the peel, so at most c rounds run.
 
     marginal is set when a rejecting program's residual, or a dropped
     column's push, lies within a decade of its threshold.  The result is
@@ -324,29 +330,33 @@ def lineality_generators(
         return memo
     norms = np.linalg.norm(G.M, axis=0)
     S = np.flatnonzero(norms > 0.0)
+    tau = tol_cone * (1.0 + norms[S]) / norms[S]
     marginal = False
     while S.size:
         H = _column_graph(G, S)
         v = -(H.M / norms[S]).sum(axis=1)
+        # The program runs through cone_member, but its verdict is taken
+        # against the unit-column bound, not against tol_cone (1 + ||v||).
         feas = cone_member(H, v, tol_cone)
-        if feas.member:
+        bound = float(tau.min())
+        if feas.residual <= bound:
             break
-        marginal |= feas.marginal
+        marginal |= feas.residual <= 10.0 * bound
         r = v - H.M @ feas.weights
         push = -(r @ H.M) / norms[S]
-        cut = 2.0 * tol_cone * feas.residual
+        cut = tau * feas.residual
         drop = push > cut
         # The drop rule needs r in the polar cone, which only an optimal
         # program guarantees; the compiled solver can stall short of the
         # optimum on degenerate columns (exactly opposite pairs), leaving
         # some push negative.
-        if not drop.any() or push.min() < -cut:
+        if not drop.any() or np.any(push < -cut):
             rows = [cone_member(H, -g, tol_cone) for g in H.M.T]
             marginal |= any(f.marginal for f in rows)
             S = S[[f.member for f in rows]]
             break
         marginal |= bool(np.any(drop & (push <= 10.0 * cut)))
-        S = S[~drop]
+        S, tau = S[~drop], tau[~drop]
     memo = Lineality(
         columns=tuple(int(i) for i in S),
         graph=_column_graph(G, S),
@@ -389,32 +399,23 @@ def is_kl_connected(
     return range_contains(G, _pair_subspace(G.q, G.blocksize, k, l), tol_rank)
 
 
-def is_strongly_connected(
-    G: GenGraph,
-    tol_cone: float = DEFAULT_TOLERANCES.cone,
-    tol_rank: float = DEFAULT_TOLERANCES.rank,
-) -> bool:
+def is_strongly_connected(G: GenGraph, tol_cone: float = DEFAULT_TOLERANCES.cone) -> bool:
     """cone(G) contains every disagreement direction (real graphs only)."""
     if not G.is_real:
         raise GraphDomainError("strong connectivity is defined for real graphs only")
     D = disagreement_basis(G.q)
-    ok, _ = cone_contains_subspace(G, np.kron(D, np.eye(G.blocksize)), tol_cone, tol_rank)
+    ok, _ = cone_contains_subspace(G, np.kron(D, np.eye(G.blocksize)), tol_cone)
     return ok
 
 
 def is_strongly_kl_connected(
-    G: GenGraph,
-    k: int,
-    l: int,
-    tol_cone: float = DEFAULT_TOLERANCES.cone,
-    tol_rank: float = DEFAULT_TOLERANCES.rank,
+    G: GenGraph, k: int, l: int, tol_cone: float = DEFAULT_TOLERANCES.cone
 ) -> bool:
     """cone(G) contains range((e_k - e_l) ⊗ I); 1-based vertices."""
     if not G.is_real:
         raise GraphDomainError("strong connectivity is defined for real graphs only")
     _check_pair(G.q, k, l)
-    T = _pair_subspace(G.q, G.blocksize, k, l)
-    ok, _ = cone_contains_subspace(G, T, tol_cone, tol_rank)
+    ok, _ = cone_contains_subspace(G, _pair_subspace(G.q, G.blocksize, k, l), tol_cone)
     return ok
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .array_model import ArraySpec, build_big, require_valid, zero_sum_projection
+from .array_model import ArraySpec, build_big, require_valid
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GraphDomainError
 from .gengraph import nnls
@@ -303,8 +303,7 @@ def polar_falsifier(
     positive later would reach the target after all.  Returns the witness
     or None; the absence of a witness proves nothing.
     """
-    require_valid(spec, tol_zero)
-    spec = zero_sum_projection(spec)
+    spec = require_valid(spec, tol_zero)
     if grid is None:
         grid = default_polar_grid(spec)
     grid = np.asarray(grid, dtype=float)
@@ -374,10 +373,10 @@ def reach_simulator(
     positive reachability of the target, never proof, and a large
     residual may only reflect the discretization.
     """
-    require_valid(prob.spec, tol_zero)
+    spec = require_valid(prob.spec, tol_zero)
     dt = prob.horizon / prob.steps
     times = prob.horizon - dt * np.arange(prob.steps)
-    C = _input_responses(zero_sum_projection(prob.spec), times).T * dt
+    C = _input_responses(spec, times).T * dt
     out = []
     for target in prob.targets:
         _, residual = nnls(C, target)

@@ -276,6 +276,24 @@ def test_oracle_honours_tol_zero(tmp_path, capsys):
         assert name in out
 
 
+def test_analyze_dot_uses_the_projected_spec(tmp_path, capsys, monkeypatch):
+    # The dot files must come from the same zero-sum B as the report.
+    import relctrl.cli as cli_module
+
+    path = write_example(tmp_path, "watertanks")
+    doc = json.loads(path.read_text())
+    doc["B"]["incidence"][0][0] += 1e-7
+    path.write_text(json.dumps(doc))
+    seen = []
+    monkeypatch.setattr(
+        cli_module, "_write_dot_files", lambda spec, report, directory: seen.append(spec)
+    )
+    argv = ["analyze", str(path), "--tol-zero", "1e-6", "--dot", str(tmp_path / "dots")]
+    assert main(argv) == 0
+    (spec,) = seen
+    assert np.abs(spec.B.sum(axis=0)).max() <= 1e-15
+
+
 def test_roundtrip_examples_reproduce_verdicts(tmp_path, capsys):
     expectations = {
         "watertanks": ("YES", "NO"),

@@ -607,7 +607,8 @@ def test_lineality_peel_terminates_on_long_path(nnls_calls):
 
 def test_lineality_peel_falls_back_to_per_column_programs(nnls_calls):
     # At a loose tolerance the two-edge path's residual is rejected but
-    # neither push clears 2 tol ||r||, so each column gets its own program.
+    # neither push clears its cut tau_i ||r||, so each column gets its own
+    # program.
     G = make_graph(3, 1, WT)
     assert lineality_generators(G, tol_cone=0.3).columns == ()
     assert len(nnls_calls) == 3
@@ -638,6 +639,22 @@ def test_lineality_marginal_near_threshold():
     # A positive verdict is never marginal.
     exact = graph(0.0)
     assert cone_contains_subspace(exact, T, tol_cone=1e-8) == (True, False)
+
+
+def test_lineality_peel_scales_its_rule_per_column():
+    # Two short columns 1e-3 e and 1e-3 (-e + 1e-7 t): each negation lies
+    # 1e-10 from the cone, well inside tol_cone (1 + ||g_i||) ~ 1e-8, so
+    # both are generators.  On unit columns the peel's target sits 7e-8
+    # from the cone, which the unit-column bound tau_i ~ 7e-6 accepts.
+    tilt = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+    edge = np.array([1.0, -1.0, 0.0])
+    M = 1e-3 * np.column_stack([edge, -edge + 1e-7 * tilt])
+    G = make_graph(3, 1, M)
+    assert all(cone_member(G, -g).member for g in M.T)
+    lin = lineality_generators(G)
+    assert lin.columns == (0, 1)
+    assert not lin.marginal
+    assert cone_contains_subspace(G, edge[:, None]) == (True, False)
 
 
 def test_lineality_requires_real_graph():

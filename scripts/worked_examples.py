@@ -17,7 +17,7 @@ of the one-line summary; --dot exports the scalar-edge graphs.
 import argparse
 from pathlib import Path
 
-from relctrl import analyze, build_example, example_names, render_text
+from relctrl import analyze_with_graphs, build_example, example_names, render_text
 from relctrl.cli import _write_dot_files
 
 
@@ -30,9 +30,9 @@ def main() -> int:
     for name in example_names():
         spec = build_example(name)
         pairs = [(2, 3)] if name == "counterexample-23" else [(1, 2)]
-        report = analyze(spec, pairs=pairs)
+        report, graphs = analyze_with_graphs(spec, pairs)
         if args.dot is not None:
-            _write_dot_files(spec, report, args.dot)
+            _write_dot_files(report, graphs, args.dot)
         if args.full:
             print(render_text(report))
             continue

@@ -22,6 +22,7 @@ from .controllability import (
     EigGraphVerdict,
     IndexRecursionTrace,
     analyze,
+    analyze_with_graphs,
     check_assumption_closed_structural,
     check_assumption_eigen,
     controllability_matrix,
@@ -38,10 +39,8 @@ from .errors import AnalysisError
 from .gengraph import (
     Feasibility,
     GenGraph,
-    SubspaceBasis,
     cone_member,
     detect_scalar_edges,
-    effective_conductance,
     is_connected,
     is_kl_connected,
     is_strongly_connected,
@@ -90,10 +89,10 @@ __all__ = [
     "REPORT_SCHEMA",
     "ReachProblem",
     "Spectrum",
-    "SubspaceBasis",
     "Tolerances",
     "ValidationReport",
     "analyze",
+    "analyze_with_graphs",
     "brammer_positive",
     "build_big",
     "build_example",
@@ -104,7 +103,6 @@ __all__ = [
     "detect_scalar_edges",
     "disagreement_basis",
     "distinct_eigenvalues",
-    "effective_conductance",
     "eigenvector_basis",
     "example_names",
     "generalized_basis",

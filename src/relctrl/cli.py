@@ -20,7 +20,7 @@ import numpy as np
 
 from .array_model import require_valid, validate_array
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .controllability import analyze
+from .controllability import analyze, analyze_with_graphs
 from .corpus import build_example
 from .errors import (
     AnalysisError,
@@ -28,8 +28,9 @@ from .errors import (
     GraphDomainError,
     InvalidArrayError,
     SpecFormatError,
+    UnsupportedRenderError,
 )
-from .gengraph import detect_scalar_edges, to_dot
+from .gengraph import to_dot
 from .oracles import (
     OracleVerdict,
     brammer_positive,
@@ -127,31 +128,24 @@ def _load(args) -> tuple:
         raise SpecFormatError(f"{args.path}: array spec failed validation") from None
 
 
-def _write_dot_files(spec, report, directory: Path) -> None:
-    from .controllability import q_graphs_and_index_sets, v_graphs, w_graphs
-
+def _write_dot_files(report, graphs, directory: Path) -> None:
+    """Draw every scalar-edge graph of ``analyze_with_graphs`` as a DOT file."""
     directory.mkdir(parents=True, exist_ok=True)
-    tol = report.tolerances
-    spectrum = report.spectrum
     stem = report.name or "array"
-    graph_lists = {
-        "v": v_graphs(spec, spectrum, tol.zero),
-        "w": w_graphs(spec, spectrum, tol.zero),
-        "q": q_graphs_and_index_sets(spec, spectrum, tol)[0],
-    }
-    for kind, graphs in graph_lists.items():
-        for kappa, G in enumerate(graphs, start=1):
-            if detect_scalar_edges(G, tol.zero) is None:
-                continue
-            path = directory / f"{stem}_{kind}_k{kappa}.dot"
-            path.write_text(to_dot(G))
+    for kind, family in graphs.items():
+        for kappa, G in enumerate(family, start=1):
+            try:
+                text = to_dot(G, tol_zero=report.tolerances.zero)
+            except UnsupportedRenderError:
+                continue   # a hyperedge column has no drawing
+            (directory / f"{stem}_{kind.lower()}_k{kappa}.dot").write_text(text)
 
 
 def cmd_analyze(args) -> int:
     spec, tol = _load(args)
-    report = analyze(spec, pairs=[tuple(p) for p in args.pair], tolerances=tol)
+    report, graphs = analyze_with_graphs(spec, [tuple(p) for p in args.pair], tol)
     if args.dot is not None:
-        _write_dot_files(spec, report, args.dot)
+        _write_dot_files(report, graphs, args.dot)
     sys.stdout.write(render_json(report) if args.json else render_text(report))
     return EXIT_OK
 

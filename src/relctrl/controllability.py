@@ -19,11 +19,16 @@ graphs built from the array:
 Both controllability and pairwise controllability admit a second, whole
 controllability-matrix characterization; the two are computed side by
 side and any numerical disagreement raises instead of guessing.
+
+``analyze`` is the one pipeline: it validates the array, computes the
+spectrum, builds each graph family once and reads every verdict off it.
+The four ``is_*`` functions are projections of its report;
+``analyze_with_graphs`` also hands back the graphs, for drawing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,8 +47,8 @@ from .gengraph import (
     is_kl_connected,
     lineality_space,
     make_graph,
+    pair_subspace,
 )
-from .numutil import pair_difference
 from .spectral import EigComponent, Spectrum, default_eig_tol, distinct_eigenvalues
 
 
@@ -299,7 +304,7 @@ def check_assumption_closed_structural(
 # verdicts
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigGraphVerdict:
     """Connectivity flags of one eigenvalue-indexed graph.
 
@@ -351,6 +356,10 @@ class AnalysisReport:
     assumption_closed: bool
     caveats: tuple[str, ...] = field(default_factory=tuple)
 
+    def rows(self, kind: str) -> list[EigGraphVerdict]:
+        """The per-eigenvalue verdict rows of one graph kind ("V", "W" or "Q")."""
+        return [row for row in self.graph_verdicts if row.graph_kind == kind]
+
 
 def _normalize_pairs(spec: ArraySpec, pairs) -> list[tuple[int, int]]:
     out: list[tuple[int, int]] = []
@@ -365,209 +374,21 @@ def _normalize_pairs(spec: ArraySpec, pairs) -> list[tuple[int, int]]:
     return out
 
 
-def _dedup_enumerate(spectrum: Spectrum):
-    """Yield (kappa, component, source) where source is the conjugate index
-    whose verdicts can be copied, or None when fresh work is needed."""
-    for kappa, comp in enumerate(spectrum.components):
+def _rows(kind: str, spectrum: Spectrum, graphs: list[GenGraph], fill) -> list[EigGraphVerdict]:
+    """One verdict row per eigenvalue, its flags given by ``fill(G, comp)``.
+
+    The graph at a conjugate eigenvalue has the conjugate columns and so
+    the same connectivity; its row copies the partner's row, which comes
+    first, instead of filling in again.
+    """
+    rows: list[EigGraphVerdict] = []
+    for kappa, (comp, G) in enumerate(zip(spectrum.components, graphs)):
         if not comp.is_real and comp.mu.imag < 0:
-            yield kappa, comp, spectrum.conjugate_partner(kappa)
+            partner = rows[spectrum.conjugate_partner(kappa)]
+            rows.append(replace(partner, kappa=kappa + 1, mu=comp.mu))
         else:
-            yield kappa, comp, None
-
-
-def _copied(verdict: EigGraphVerdict, kappa: int, mu: complex) -> EigGraphVerdict:
-    return EigGraphVerdict(
-        kappa=kappa + 1,
-        mu=mu,
-        graph_kind=verdict.graph_kind,
-        connected=verdict.connected,
-        strongly_connected=verdict.strongly_connected,
-        kl_connected=None if verdict.kl_connected is None else dict(verdict.kl_connected),
-        strongly_kl_connected=(
-            None
-            if verdict.strongly_kl_connected is None
-            else dict(verdict.strongly_kl_connected)
-        ),
-        marginal=verdict.marginal,
-    )
-
-
-def _v_verdicts(
-    spec, spectrum, graphs, pairs, tol, with_strong=False
-) -> list[EigGraphVerdict]:
-    verdicts: list[EigGraphVerdict] = []
-    for kappa, comp, source in _dedup_enumerate(spectrum):
-        if source is not None:
-            verdicts.append(_copied(verdicts[source], kappa, comp.mu))
-            continue
-        G = graphs[kappa]
-        row = EigGraphVerdict(kappa=kappa + 1, mu=comp.mu, graph_kind="V")
-        row.connected = is_connected(G, tol.rank)
-        if comp.is_real and with_strong:
-            D = np.kron(disagreement_basis(spec.q), np.eye(G.blocksize))
-            ok, marginal = cone_contains_subspace(G, D, tol.cone, tol.rank)
-            row.strongly_connected = ok
-            row.marginal = marginal
-        row.kl_connected = {
-            pair: is_kl_connected(G, pair[0], pair[1], tol.rank) for pair in pairs
-        }
-        verdicts.append(row)
-    return verdicts
-
-
-def _w_verdicts(spectrum, graphs, pairs, tol) -> list[EigGraphVerdict]:
-    verdicts: list[EigGraphVerdict] = []
-    for kappa, comp, source in _dedup_enumerate(spectrum):
-        if source is not None:
-            verdicts.append(_copied(verdicts[source], kappa, comp.mu))
-            continue
-        G = graphs[kappa]
-        row = EigGraphVerdict(kappa=kappa + 1, mu=comp.mu, graph_kind="W")
-        row.kl_connected = {
-            pair: is_kl_connected(G, pair[0], pair[1], tol.rank) for pair in pairs
-        }
-        verdicts.append(row)
-    return verdicts
-
-
-def _q_verdicts(spectrum, graphs, pairs, tol) -> list[EigGraphVerdict]:
-    verdicts: list[EigGraphVerdict] = []
-    for kappa, comp, source in _dedup_enumerate(spectrum):
-        if source is not None:
-            verdicts.append(_copied(verdicts[source], kappa, comp.mu))
-            continue
-        G = graphs[kappa]
-        row = EigGraphVerdict(kappa=kappa + 1, mu=comp.mu, graph_kind="Q")
-        if comp.is_real:
-            strong = {}
-            marginal = False
-            for pair in pairs:
-                T = np.kron(
-                    pair_difference(G.q, pair[0], pair[1])[:, None], np.eye(G.blocksize)
-                )
-                ok, marg = cone_contains_subspace(G, T, tol.cone, tol.rank)
-                strong[pair] = ok
-                marginal |= marg
-            row.strongly_kl_connected = strong
-            row.marginal = marginal
-        else:
-            row.kl_connected = {
-                pair: is_kl_connected(G, pair[0], pair[1], tol.rank) for pair in pairs
-            }
-        verdicts.append(row)
-    return verdicts
-
-
-def _prepare(spec, tolerances, spectrum=None):
-    tol = tolerances or DEFAULT_TOLERANCES
-    spec = require_valid(spec, tol.zero)
-    spectrum = spectrum or distinct_eigenvalues(
-        spec.A, tol_eig=default_eig_tol(spec.A, tol.eig)
-    )
-    return spec, tol, spectrum
-
-
-def _v_pass(spec, spectrum, tol, with_strong) -> tuple[bool, list[EigGraphVerdict]]:
-    """V-graph verdicts and controllability, cross-checked against the matrix."""
-    graphs = v_graphs(spec, spectrum, tol.zero)
-    verdicts = _v_verdicts(spec, spectrum, graphs, [], tol, with_strong)
-    by_graphs = all(v.connected for v in verdicts)
-    by_matrix = is_connected(controllability_matrix(spec, tol.zero), tol.rank)
-    if by_graphs != by_matrix:
-        raise InternalConsistencyError(
-            "per-eigenvalue connectivity and controllability-matrix connectivity disagree"
-        )
-    return by_graphs, verdicts
-
-
-def is_controllable(
-    spec: ArraySpec,
-    tolerances: Tolerances | None = None,
-    spectrum: Spectrum | None = None,
-) -> tuple[bool, list[EigGraphVerdict]]:
-    """Array controllability: every eigenvector graph connected.
-
-    Also evaluates connectivity of the whole controllability matrix; the
-    two characterizations are provably equivalent, so disagreement raises
-    InternalConsistencyError instead of returning either answer.
-    """
-    spec, tol, spectrum = _prepare(spec, tolerances, spectrum)
-    return _v_pass(spec, spectrum, tol, with_strong=False)
-
-
-def is_positively_controllable(
-    spec: ArraySpec,
-    tolerances: Tolerances | None = None,
-    spectrum: Spectrum | None = None,
-) -> tuple[bool, list[EigGraphVerdict]]:
-    """Controllable and strongly connected at every real eigenvalue."""
-    spec, tol, spectrum = _prepare(spec, tolerances, spectrum)
-    controllable, verdicts = _v_pass(spec, spectrum, tol, with_strong=True)
-    ok = controllable and all(
-        row.strongly_connected
-        for row, comp in zip(verdicts, spectrum.components)
-        if comp.is_real
-    )
-    return ok, verdicts
-
-
-def is_pairwise_controllable(
-    spec: ArraySpec,
-    k: int,
-    l: int,
-    tolerances: Tolerances | None = None,
-    spectrum: Spectrum | None = None,
-) -> tuple[bool, list[EigGraphVerdict]]:
-    """Pairwise controllability of (k, l): every swept graph (k,l)-connected.
-
-    Cross-checked against the direct controllability-matrix range test;
-    disagreement raises InternalConsistencyError.
-    """
-    spec, tol, spectrum = _prepare(spec, tolerances, spectrum)
-    pairs = _normalize_pairs(spec, [(k, l)])
-    graphs = w_graphs(spec, spectrum, tol.zero)
-    verdicts = _w_verdicts(spectrum, graphs, pairs, tol)
-    by_graphs = all(v.kl_connected[pairs[0]] for v in verdicts)
-    W = controllability_matrix(spec, tol.zero)
-    by_matrix = is_kl_connected(W, k, l, tol.rank)
-    if by_graphs != by_matrix:
-        raise InternalConsistencyError(
-            f"per-eigenvalue and controllability-matrix ({k},{l})-connectivity disagree"
-        )
-    return by_graphs, verdicts
-
-
-def is_positive_pairwise_controllable(
-    spec: ArraySpec,
-    k: int,
-    l: int,
-    tolerances: Tolerances | None = None,
-    spectrum: Spectrum | None = None,
-) -> tuple[bool, bool, list[EigGraphVerdict]]:
-    """Positive pairwise controllability of (k, l).
-
-    Returns (verdict, conditional, per-eigenvalue rows).  The verdict
-    follows the graph conditions alone; conditional is True unless both
-    soundness assumptions are settled (eigen overlap holds and the closed
-    reach set is structurally verified), in which case the caller must
-    present the verdict as provisional.
-    """
-    spec, tol, spectrum = _prepare(spec, tolerances, spectrum)
-    pairs = _normalize_pairs(spec, [(k, l)])
-    graphs, _ = q_graphs_and_index_sets(spec, spectrum, tol)
-    verdicts = _q_verdicts(spectrum, graphs, pairs, tol)
-    yes = True
-    for row, comp in zip(verdicts, spectrum.components):
-        flag = (
-            row.strongly_kl_connected[pairs[0]]
-            if comp.is_real
-            else row.kl_connected[pairs[0]]
-        )
-        yes = yes and flag
-    eigen = check_assumption_eigen(spectrum, tol.eig)
-    closed = check_assumption_closed_structural(spec, tol.zero)
-    conditional = not (eigen.holds and closed)
-    return yes, conditional, verdicts
+            rows.append(EigGraphVerdict(kappa + 1, comp.mu, kind, **fill(G, comp)))
+    return rows
 
 
 BASIS_CAVEAT = (
@@ -600,60 +421,93 @@ def analyze(
     zero-sum subspace, so a column-sum error the validator accepts does
     not reach them.
     """
+    return analyze_with_graphs(spec, pairs, tolerances)[0]
+
+
+def analyze_with_graphs(
+    spec: ArraySpec,
+    pairs=(),
+    tolerances: Tolerances | None = None,
+) -> tuple[AnalysisReport, dict[str, list[GenGraph]]]:
+    """``analyze``, also returning the graphs the verdicts were read from.
+
+    The graphs are keyed by kind ("V", "W", "Q"), one per eigenvalue.
+    They are not kept on the report, so that holding many reports does
+    not hold their graphs too; ``relctrl analyze --dot`` draws them.
+    """
     tol = tolerances or DEFAULT_TOLERANCES
     spec = require_valid(spec, tol.zero)
     spectrum = distinct_eigenvalues(spec.A, tol_eig=default_eig_tol(spec.A, tol.eig))
     pairlist = _normalize_pairs(spec, pairs)
 
+    def kl_flags(G):
+        return {pair: is_kl_connected(G, *pair, tol.rank) for pair in pairlist}
+
+    def v_fill(G, comp):
+        flags = {"connected": is_connected(G, tol.rank), "kl_connected": kl_flags(G)}
+        if comp.is_real:
+            D = np.kron(disagreement_basis(spec.q), np.eye(G.blocksize))
+            ok, marginal = cone_contains_subspace(G, D, tol.cone, tol.rank)
+            flags.update(strongly_connected=ok, marginal=marginal)
+        return flags
+
+    def q_fill(G, comp):
+        if not comp.is_real:
+            return {"kl_connected": kl_flags(G)}
+        strong = {
+            pair: cone_contains_subspace(
+                G, pair_subspace(G.q, G.blocksize, *pair), tol.cone, tol.rank
+            )
+            for pair in pairlist
+        }
+        return {
+            "strongly_kl_connected": {pair: ok for pair, (ok, _) in strong.items()},
+            "marginal": any(marginal for _, marginal in strong.values()),
+        }
+
     vgs = v_graphs(spec, spectrum, tol.zero)
-    v_rows = _v_verdicts(spec, spectrum, vgs, pairlist, tol, with_strong=True)
+    v_rows = _rows("V", spectrum, vgs, v_fill)
+    wgs = w_graphs(spec, spectrum, tol.zero)
+    w_rows = _rows("W", spectrum, wgs, lambda G, comp: {"kl_connected": kl_flags(G)})
 
+    # Both graph characterizations are checked against the whole
+    # controllability matrix; they are provably equivalent, so a
+    # disagreement raises instead of returning either answer.
     W = controllability_matrix(spec, tol.zero)
-    w_matrix = WMatrixVerdict(
-        connected=is_connected(W, tol.rank),
-        kl_connected={
-            pair: is_kl_connected(W, pair[0], pair[1], tol.rank) for pair in pairlist
-        },
-    )
-
+    w_matrix = WMatrixVerdict(connected=is_connected(W, tol.rank), kl_connected=kl_flags(W))
     controllable = all(row.connected for row in v_rows)
     if controllable != w_matrix.connected:
         raise InternalConsistencyError(
             "per-eigenvalue connectivity and controllability-matrix connectivity disagree"
         )
+    pairwise = {pair: all(row.kl_connected[pair] for row in w_rows) for pair in pairlist}
+    for pair in pairlist:
+        if pairwise[pair] != w_matrix.kl_connected[pair]:
+            raise InternalConsistencyError(
+                f"per-eigenvalue and controllability-matrix {pair}-connectivity disagree"
+            )
+
     positively = controllable and all(
         row.strongly_connected
         for row, comp in zip(v_rows, spectrum.components)
         if comp.is_real
     )
 
-    wgs = w_graphs(spec, spectrum, tol.zero)
-    w_rows = _w_verdicts(spectrum, wgs, pairlist, tol)
-    pairwise = {}
-    for pair in pairlist:
-        by_graphs = all(row.kl_connected[pair] for row in w_rows)
-        if by_graphs != w_matrix.kl_connected[pair]:
-            raise InternalConsistencyError(
-                f"per-eigenvalue and controllability-matrix {pair}-connectivity disagree"
-            )
-        pairwise[pair] = by_graphs
-
     qgs, trace = q_graphs_and_index_sets(spec, spectrum, tol)
-    q_rows = _q_verdicts(spectrum, qgs, pairlist, tol)
+    q_rows = _rows("Q", spectrum, qgs, q_fill)
     eigen = check_assumption_eigen(spectrum, tol.eig)
     closed = check_assumption_closed_structural(spec, tol.zero)
     conditional = not (eigen.holds and closed)
-    positive_pairwise = {}
-    for pair in pairlist:
-        yes = True
-        for row, comp in zip(q_rows, spectrum.components):
-            flag = (
-                row.strongly_kl_connected[pair]
-                if comp.is_real
-                else row.kl_connected[pair]
-            )
-            yes = yes and flag
-        positive_pairwise[pair] = PositivePairVerdict(yes=yes, conditional=conditional)
+    positive_pairwise = {
+        pair: PositivePairVerdict(
+            yes=all(
+                row.strongly_kl_connected[pair] if comp.is_real else row.kl_connected[pair]
+                for row, comp in zip(q_rows, spectrum.components)
+            ),
+            conditional=conditional,
+        )
+        for pair in pairlist
+    }
 
     caveats = [BASIS_CAVEAT]
     if not eigen.holds:
@@ -663,7 +517,7 @@ def analyze(
     if any(row.marginal for row in v_rows + w_rows + q_rows):
         caveats.append(MARGINAL_CAVEAT)
 
-    return AnalysisReport(
+    report = AnalysisReport(
         name=spec.name,
         n=spec.n,
         q=spec.q,
@@ -682,3 +536,49 @@ def analyze(
         assumption_closed=closed,
         caveats=tuple(caveats),
     )
+    return report, {"V": vgs, "W": wgs, "Q": qgs}
+
+
+# ---------------------------------------------------------------------------
+# the four verdicts, each read off one analysis
+
+
+def is_controllable(
+    spec: ArraySpec, tolerances: Tolerances | None = None
+) -> tuple[bool, list[EigGraphVerdict]]:
+    """Array controllability: every eigenvector graph connected."""
+    report = analyze(spec, tolerances=tolerances)
+    return report.controllable, report.rows("V")
+
+
+def is_positively_controllable(
+    spec: ArraySpec, tolerances: Tolerances | None = None
+) -> tuple[bool, list[EigGraphVerdict]]:
+    """Controllable and strongly connected at every real eigenvalue."""
+    report = analyze(spec, tolerances=tolerances)
+    return report.positively_controllable, report.rows("V")
+
+
+def is_pairwise_controllable(
+    spec: ArraySpec, k: int, l: int, tolerances: Tolerances | None = None
+) -> tuple[bool, list[EigGraphVerdict]]:
+    """Pairwise controllability of (k, l): every swept graph (k,l)-connected."""
+    report = analyze(spec, [(k, l)], tolerances)
+    (verdict,) = report.pairwise.values()
+    return verdict, report.rows("W")
+
+
+def is_positive_pairwise_controllable(
+    spec: ArraySpec, k: int, l: int, tolerances: Tolerances | None = None
+) -> tuple[bool, bool, list[EigGraphVerdict]]:
+    """Positive pairwise controllability of (k, l).
+
+    Returns (verdict, conditional, per-eigenvalue Q rows).  The verdict
+    follows the graph conditions alone; conditional is True unless both
+    soundness assumptions are settled (eigen overlap holds and the closed
+    reach set is structurally verified), in which case the caller must
+    present the verdict as provisional.
+    """
+    report = analyze(spec, [(k, l)], tolerances)
+    (verdict,) = report.positive_pairwise.values()
+    return verdict.yes, verdict.conditional, report.rows("Q")

@@ -48,7 +48,7 @@ from .errors import (
     NumericalFailureError,
     UnsupportedRenderError,
 )
-from .numutil import equilibrated, pair_difference, range_basis
+from .numutil import equilibrated, range_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +277,7 @@ def _check_pair(q: int, k: int, l: int) -> None:
         raise DimensionError(f"vertex pair ({k},{l}) invalid for q={q} (1-based, distinct)")
 
 
-def _pair_subspace(q: int, blocksize: int, k: int, l: int) -> np.ndarray:
+def pair_subspace(q: int, blocksize: int, k: int, l: int) -> np.ndarray:
     """(e_k - e_l) ⊗ I, written blockwise."""
     T = np.zeros((q, blocksize, blocksize))
     T[k - 1] = np.eye(blocksize)
@@ -396,7 +396,7 @@ def is_kl_connected(
 ) -> bool:
     """range(G) contains range((e_k - e_l) ⊗ I); 1-based vertices."""
     _check_pair(G.q, k, l)
-    return range_contains(G, _pair_subspace(G.q, G.blocksize, k, l), tol_rank)
+    return range_contains(G, pair_subspace(G.q, G.blocksize, k, l), tol_rank)
 
 
 def is_strongly_connected(G: GenGraph, tol_cone: float = DEFAULT_TOLERANCES.cone) -> bool:
@@ -415,7 +415,7 @@ def is_strongly_kl_connected(
     if not G.is_real:
         raise GraphDomainError("strong connectivity is defined for real graphs only")
     _check_pair(G.q, k, l)
-    ok, _ = cone_contains_subspace(G, _pair_subspace(G.q, G.blocksize, k, l), tol_cone)
+    ok, _ = cone_contains_subspace(G, pair_subspace(G.q, G.blocksize, k, l), tol_cone)
     return ok
 
 
@@ -486,13 +486,18 @@ def _fmt_weight(w: np.ndarray) -> str:
     return "(" + ", ".join(one(x) for x in w) + ")"
 
 
-def to_dot(G: GenGraph, labels: list[str] | None = None) -> str:
+def to_dot(
+    G: GenGraph,
+    labels: list[str] | None = None,
+    tol_zero: float = DEFAULT_TOLERANCES.zero,
+) -> str:
     """Render a scalar-edge graph as Graphviz digraph text.
 
-    One arc per detected edge, weights annotated to 4 significant digits;
-    output is byte-stable for identical inputs.
+    One arc per edge that ``detect_scalar_edges`` finds at tol_zero,
+    weights annotated to 4 significant digits; output is byte-stable for
+    identical inputs.
     """
-    edges = detect_scalar_edges(G)
+    edges = detect_scalar_edges(G, tol_zero)
     if edges is None:
         raise UnsupportedRenderError(
             "graph has a hyperedge column; only scalar-edge graphs can be drawn"
@@ -508,22 +513,3 @@ def to_dot(G: GenGraph, labels: list[str] | None = None) -> str:
         lines.append(f'  "{labels[i - 1]}" -> "{labels[j - 1]}" [label="{_fmt_weight(w)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def effective_conductance(
-    G: GenGraph, k: int, l: int, tol_rank: float = DEFAULT_TOLERANCES.rank
-) -> float:
-    """Two-point effective conductance of the graph Laplacian G G*.
-
-    Zero exactly when the graph is not (k,l)-connected (range(G G*) is
-    range(G)); otherwise the reciprocal of the pseudo-inverse quadratic
-    form, as for a resistive network.
-    """
-    if G.blocksize != 1:
-        raise GraphDomainError("effective conductance needs scalar vertex blocks")
-    if not G.is_real:
-        raise GraphDomainError("effective conductance is defined for real graphs only")
-    if not is_kl_connected(G, k, l, tol_rank):
-        return 0.0
-    e = pair_difference(G.q, k, l)
-    return float(1.0 / (e @ np.linalg.pinv(G.M @ G.M.T) @ e))

@@ -15,21 +15,6 @@ def _cutoff(shape, smax: float, rel_tol: float | None) -> float:
     return rel_tol * smax
 
 
-def matrix_rank(M: np.ndarray, rel_tol: float | None = None) -> int:
-    """Rank by singular-value thresholding.
-
-    rel_tol=None uses the conventional cutoff max(shape)*eps*sigma_max,
-    otherwise the cutoff is rel_tol*sigma_max.
-    """
-    M = np.atleast_2d(M)
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > _cutoff(M.shape, float(s[0]), rel_tol)))
-
-
 def null_basis(
     M: np.ndarray, rel_tol: float | None = None, abs_floor: float = 0.0
 ) -> np.ndarray:
@@ -81,13 +66,9 @@ def equilibrated(M: np.ndarray, drop_rel: float = 0.0) -> np.ndarray:
     return M[:, keep] / norms[keep]
 
 
-def unit_vector(q: int, k: int) -> np.ndarray:
-    """Standard basis vector e_k of length q, 1-based index."""
-    e = np.zeros(q)
-    e[k - 1] = 1.0
-    return e
-
-
 def pair_difference(q: int, k: int, l: int) -> np.ndarray:
     """The vector e_k - e_l in R^q, 1-based indices."""
-    return unit_vector(q, k) - unit_vector(q, l)
+    e = np.zeros(q)
+    e[k - 1] += 1.0
+    e[l - 1] -= 1.0
+    return e

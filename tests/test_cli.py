@@ -277,7 +277,8 @@ def test_oracle_honours_tol_zero(tmp_path, capsys):
 
 
 def test_analyze_dot_uses_the_projected_spec(tmp_path, capsys, monkeypatch):
-    # The dot files must come from the same zero-sum B as the report.
+    # The dot files are drawn from the analysis' own graphs, which must
+    # come from the same zero-sum B as its verdicts.
     import relctrl.cli as cli_module
 
     path = write_example(tmp_path, "watertanks")
@@ -285,13 +286,41 @@ def test_analyze_dot_uses_the_projected_spec(tmp_path, capsys, monkeypatch):
     doc["B"]["incidence"][0][0] += 1e-7
     path.write_text(json.dumps(doc))
     seen = []
-    monkeypatch.setattr(
-        cli_module, "_write_dot_files", lambda spec, report, directory: seen.append(spec)
-    )
+    write = cli_module._write_dot_files
+
+    def recording(report, graphs, directory):
+        seen.append((report, graphs))
+        write(report, graphs, directory)
+
+    monkeypatch.setattr(cli_module, "_write_dot_files", recording)
     argv = ["analyze", str(path), "--tol-zero", "1e-6", "--dot", str(tmp_path / "dots")]
     assert main(argv) == 0
-    (spec,) = seen
-    assert np.abs(spec.B.sum(axis=0)).max() <= 1e-15
+    ((report, graphs),) = seen
+    graphs = [G for kind in "VWQ" for G in graphs[kind]]
+    assert len(graphs) == 3 * len(report.spectrum.components)
+    for G in graphs:
+        blocksums = G.M.reshape(G.q, G.blocksize, -1).sum(axis=0)
+        assert np.abs(blocksums).max() <= 1e-15
+    assert (tmp_path / "dots" / "watertanks_v_k1.dot").exists()
+
+
+def test_analyze_dot_builds_each_graph_family_once(tmp_path, capsys, monkeypatch):
+    import relctrl.controllability as controllability_module
+
+    calls = dict.fromkeys(("v_graphs", "w_graphs", "q_graphs_and_index_sets"), 0)
+    for name in calls:
+        original = getattr(controllability_module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(controllability_module, name, counting)
+    path = write_example(tmp_path, "oscillators-a")
+    argv = ["analyze", str(path), "--pair", "1", "2", "--dot", str(tmp_path / "dots")]
+    assert main(argv) == 0
+    assert calls == dict.fromkeys(calls, 1)
+    assert any((tmp_path / "dots").iterdir())
 
 
 def test_roundtrip_examples_reproduce_verdicts(tmp_path, capsys):

@@ -183,6 +183,41 @@ def test_positive_controllability_builds_v_graphs_once(watertanks_ring, monkeypa
     assert all(row.strongly_connected for row in rows if row.mu.imag == 0.0)
 
 
+def _projection_corpus():
+    from relctrl import build_example, example_names
+
+    rng = np.random.default_rng(53)
+    return [build_example(name) for name in example_names()] + [
+        random_array_spec(rng) for _ in range(40)
+    ]
+
+
+@pytest.mark.parametrize("spec", _projection_corpus(), ids=lambda spec: spec.name)
+def test_verdict_functions_are_projections_of_analyze(spec):
+    report = analyze(spec)
+    assert is_controllable(spec) == (report.controllable, report.rows("V"))
+    assert is_positively_controllable(spec) == (
+        report.positively_controllable,
+        report.rows("V"),
+    )
+    # The V rows carry the strong flag at every real eigenvalue, whichever
+    # of the two global verdicts asked for them.
+    for row in report.rows("V"):
+        assert (row.strongly_connected is not None) == (row.mu.imag == 0.0)
+    everything = analyze(spec, all_pairs(spec.q))
+    for pair in all_pairs(spec.q):
+        one = analyze(spec, [pair])
+        assert is_pairwise_controllable(spec, *pair) == (one.pairwise[pair], one.rows("W"))
+        verdict = one.positive_pairwise[pair]
+        assert is_positive_pairwise_controllable(spec, *pair) == (
+            verdict.yes,
+            verdict.conditional,
+            one.rows("Q"),
+        )
+        assert one.pairwise[pair] == everything.pairwise[pair]
+        assert verdict == everything.positive_pairwise[pair]
+
+
 def test_analyze_svd_count_does_not_grow_with_pairs(monkeypatch):
     # Every eigenvalue of the damped rotation is non-real, so no cone
     # program runs and every pairwise question is a range inclusion.

@@ -8,7 +8,6 @@ from relctrl import (
     cone_member,
     detect_scalar_edges,
     disagreement_basis,
-    effective_conductance,
     is_connected,
     is_kl_connected,
     is_strongly_connected,
@@ -370,32 +369,6 @@ def test_to_dot_triangle_has_three_arcs():
 def test_to_dot_rejects_hyperedge():
     with pytest.raises(UnsupportedRenderError):
         to_dot(hyperedge_graph())
-
-
-def test_effective_conductance_hyperedge_zero():
-    for k, l in all_pairs(3):
-        assert effective_conductance(hyperedge_graph(), k, l) == 0.0
-
-
-def test_effective_conductance_single_edge():
-    G = make_graph(2, 1, np.array([[1.0], [-1.0]]))
-    assert effective_conductance(G, 1, 2) == pytest.approx(1.0)
-
-
-def test_effective_conductance_triangle():
-    for k, l in all_pairs(3):
-        assert effective_conductance(triangle_graph(), k, l) == pytest.approx(1.5)
-
-
-def test_effective_conductance_matches_pairwise_connectivity():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        M = random_unit_incidence(rng)
-        q = M.shape[0]
-        G = make_graph(q, 1, M)
-        for k, l in all_pairs(q):
-            positive = effective_conductance(G, k, l) > 0.0
-            assert positive == is_kl_connected(G, k, l)
 
 
 def test_nnls_solutions_are_optimal():

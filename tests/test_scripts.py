@@ -1,0 +1,46 @@
+"""Smoke tests: each script in scripts/ runs to exit 0 against the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import relctrl
+from relctrl.cli import main
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    src = str(Path(relctrl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_worked_examples_writes_dot_files(tmp_path):
+    done = run_script("worked_examples.py", "--dot", tmp_path)
+    assert done.returncode == 0, done.stderr
+    names = {path.name for path in tmp_path.glob("*_v_k1.dot")}
+    assert {"watertanks_v_k1.dot", "watertanks-ring_v_k1.dot"} <= names
+    assert "watertanks " in done.stdout
+
+
+def test_oracle_agreement_reports_no_disagreement():
+    done = run_script("oracle_agreement.py", "--specs", 3)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "3 specs in" in done.stdout
+    assert done.stdout.rstrip().endswith(" 0 disagreements")
+
+
+def test_reach_probe_on_a_bundled_example(tmp_path, capsys):
+    path = tmp_path / "watertanks-ring.json"
+    assert main(["examples", "watertanks-ring", "--out", str(path)]) == 0
+    capsys.readouterr()
+    done = run_script("reach_probe.py", path, 1, 2)
+    assert done.returncode == 0, done.stderr
+    assert "graph verdict for positive (1,2) steering: yes" in done.stdout
+    assert "falsifier:" in done.stdout

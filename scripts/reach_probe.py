@@ -15,6 +15,7 @@ import argparse
 from pathlib import Path
 
 from relctrl import (
+    DEFAULT_TOLERANCES,
     is_positive_pairwise_controllable,
     make_reach_problem,
     polar_falsifier,
@@ -34,6 +35,7 @@ def main() -> int:
     args = parser.parse_args()
 
     spec, tol = load_spec(args.path)
+    tol = tol or DEFAULT_TOLERANCES
     yes, conditional, _ = is_positive_pairwise_controllable(
         spec, args.k, args.l, tolerances=tol
     )
@@ -43,7 +45,8 @@ def main() -> int:
     print(f"graph verdict for positive ({args.k},{args.l}) steering: {label}")
 
     results = reach_simulator(
-        make_reach_problem(spec, args.k, args.l, args.horizon, args.steps)
+        make_reach_problem(spec, args.k, args.l, args.horizon, args.steps),
+        tol_zero=tol.zero,
     )
     for r in results:
         direction = "+" if r.target[r.target.nonzero()[0][0]] > 0 else "-"
@@ -53,7 +56,9 @@ def main() -> int:
         )
 
     grid = default_polar_grid(spec)
-    witness = polar_falsifier(spec, args.k, args.l, grid=grid)
+    witness = polar_falsifier(
+        spec, args.k, args.l, grid=grid, tol_zero=tol.zero, tol_cone=tol.cone
+    )
     if witness is None:
         print(f"  falsifier: no witness on horizon {grid[-1]:.4g} (proves nothing)")
     else:

@@ -223,7 +223,9 @@ def _run_oracles(spec, tol, pairs, horizon, steps) -> list[OracleVerdict]:
 
         positive = report.positive_pairwise[pair]
         grid = default_polar_grid(spec)
-        witness = polar_falsifier(spec, k, l, grid=grid, tol_zero=tol.zero)
+        witness = polar_falsifier(
+            spec, k, l, grid=grid, tol_zero=tol.zero, tol_cone=tol.cone
+        )
         if witness is None:
             verdicts.append(
                 OracleVerdict(
@@ -283,7 +285,11 @@ def cmd_oracle(args) -> int:
                 "name": v.name,
                 "agrees": v.agrees,
                 "detail": v.detail,
-                "witness": None if v.witness is None else list(np.round(v.witness, 12)),
+                # + 0.0 maps -0.0 to 0.0, so that the sign of a component
+                # rounded away does not reach the output.
+                "witness": (
+                    None if v.witness is None else list(np.round(v.witness, 12) + 0.0)
+                ),
             }
             for v in verdicts
         ]

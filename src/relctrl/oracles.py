@@ -20,7 +20,11 @@ the largest component along that target.  A validated witness refutes
 positive pairwise controllability on the grid's finite horizon; its
 absence proves nothing.  Reach residuals support a positive verdict but
 cannot overturn one.  Both evidence tools build their input responses
-from batched n x n exponentials applied to the input blocks.
+from n x n exponentials e^{A t} applied to the input blocks.  One kernel,
+``_exponentials``, forms those exponentials for a whole time grid by
+batched Pade-13 scaling and squaring (Higham 2005); the falsifier forms
+its dense grid's exponentials once per call and scans every candidate
+against them.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .array_model import ArraySpec, build_big, require_valid
 from .config import DEFAULT_TOLERANCES, Tolerances
@@ -203,6 +206,63 @@ def _pair_targets(d: np.ndarray, n: int) -> list[np.ndarray]:
     return targets
 
 
+# Times per batch of the exponential kernel and of the dense scan: a batch
+# keeps a few 128 n^2 float temporaries.
+_CHUNK = 128
+
+# Pade-13 coefficients b_0..b_13, divided by b_0 so that t = 0 solves
+# I x = I exactly, and the largest 1-norm theta_13 at which the
+# approximant is accurate to unit roundoff (Higham 2005).
+_PADE13 = np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+]) / 64764752532480000.0
+_THETA13 = 5.371920351148152
+
+
+def _exponentials(A: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The stack e^{A t} for every t in times, shape (T, n, n).
+
+    Batched Pade-13 scaling and squaring (Higham 2005, "The scaling and
+    squaring method for the matrix exponential revisited").  Each time
+    gets its own squaring count s = max(0, ceil(log2(||A||_1 |t| /
+    theta_13))); the scaled matrices' U and V come from batched products
+    and one batched solve, and then each is squared s times.  The work is
+    done _CHUNK times at a time into one preallocated output.  t = 0 gives
+    exactly the identity.
+    """
+    A = np.asarray(A, dtype=float)
+    times = np.asarray(times, dtype=float)
+    n = A.shape[0]
+    b = _PADE13
+    ident = np.eye(n)
+    norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
+    out = np.empty((times.size, n, n))
+    for start in range(0, times.size, _CHUNK):
+        t = times[start : start + _CHUNK]
+        s = np.ceil(np.log2(np.maximum(norm * np.abs(t) / _THETA13, 1.0))).astype(int)
+        X = A * (t / 2.0**s)[:, None, None]
+        X2 = X @ X
+        X4 = X2 @ X2
+        X6 = X4 @ X2
+        U = X @ (
+            X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+            + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * ident
+        )
+        V = (
+            X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+            + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * ident
+        )
+        E = np.linalg.solve(V - U, V + U)
+        for step in range(int(s.max(initial=0))):
+            active = s > step
+            R = E[active]
+            E[active] = R @ R
+        out[start : start + t.size] = E
+    return out
+
+
 def _input_responses(spec: ArraySpec, times: np.ndarray) -> np.ndarray:
     """Row ``t * p + s`` is the stacked response (I_q ⊗ e^{A t}) b_s.
 
@@ -211,7 +271,7 @@ def _input_responses(spec: ArraySpec, times: np.ndarray) -> np.ndarray:
     is B* exp(A* t) stacked over the times, read as columns it holds the
     state each input moves the array to.
     """
-    E = expm(spec.A[None, :, :] * times[:, None, None])        # (T, n, n)
+    E = _exponentials(spec.A, times)
     R = np.einsum("tjm,qpm->tpqj", E, spec.B)
     return R.reshape(times.size * spec.p, spec.q * spec.n)
 
@@ -251,24 +311,21 @@ def default_polar_grid(spec: ArraySpec, count: int = 64) -> np.ndarray:
     return _chebyshev_grid(horizon, int(np.ceil(count * horizon / base - 1e-9)))
 
 
-# Times per batch of the dense check: its exponentials take 128 n^2 floats.
-_CHUNK = 128
-
-
 def _stays_nonpositive(
-    spec: ArraySpec, times: np.ndarray, eta: np.ndarray, slack: float
+    E: np.ndarray, B: np.ndarray, eta: np.ndarray, slack: float
 ) -> bool:
-    """max over times and inputs of b_s* exp(A* t) eta is at most slack.
+    """max over the stack E = e^{A t} and inputs of b_s* e^{A* t} eta <= slack.
 
-    Only the products with eta are formed, _CHUNK times at a time, and the
-    scan stops at the first violation.
+    B holds the (q, p, n) input blocks.  Only the products with eta are
+    formed, _CHUNK times at a time, and the scan stops at the first
+    violation.
     """
+    q, _, n = B.shape
     # G[s, j, m] = sum_i B[i, s, m] eta_i[j], so that b_s* exp(A* t) eta
     # is the sum of exp(A t)[j, m] G[s, j, m].
-    G = np.einsum("qpm,qj->pjm", spec.B, eta.reshape(spec.q, spec.n))
-    for start in range(0, times.size, _CHUNK):
-        E = expm(spec.A[None, :, :] * times[start : start + _CHUNK, None, None])
-        if float(np.einsum("tjm,pjm->tp", E, G).max()) > slack:
+    G = np.einsum("qpm,qj->pjm", B, eta.reshape(q, n))
+    for start in range(0, len(E), _CHUNK):
+        if float(np.einsum("tjm,pjm->tp", E[start : start + _CHUNK], G).max()) > slack:
             return False
     return True
 
@@ -280,6 +337,7 @@ def polar_falsifier(
     grid: np.ndarray | None = None,
     tol: float = 1e-7,
     tol_zero: float = DEFAULT_TOLERANCES.zero,
+    tol_cone: float = DEFAULT_TOLERANCES.cone,
 ) -> np.ndarray | None:
     """Deterministic separating functional refuting positive (k,l) steering.
 
@@ -291,12 +349,15 @@ def polar_falsifier(
 
     For each target v = +/-(e_k - e_l) ⊗ e_i in turn (at most 2n), one
     nonnegative least-squares program min ||P* x - v|| over x >= 0 runs on
-    the response stack P of the grid.  By the Moreau decomposition its
-    residual r = v - P* x lies in the polar cone, P r <= 0, with
-    v* r = ||r||^2: r / ||r|| is the unit separating functional with the
-    largest v-component.  A candidate must keep P eta within the slack,
-    have gain ||(e_k - e_l)* eta|| >= 0.1 and stay within the slack on a
-    ten times denser grid; the first one that does is returned.
+    the response stack P of the grid.  A residual at most
+    ``tol_cone * (1 + ||v||)``, the package's cone rule, means the target
+    is reached.  Otherwise, by the Moreau decomposition the residual
+    r = v - P* x lies in the polar cone, P r <= 0, with v* r = ||r||^2:
+    r / ||r|| is the unit separating functional with the largest
+    v-component.  A candidate must keep P eta within the slack, have gain
+    ||(e_k - e_l)* eta|| >= 0.1 and stay within the slack on a ten times
+    denser grid; the first one that does is returned.  The dense grid's
+    exponentials are formed once, at the first candidate that gets there.
 
     The grid defaults to ``default_polar_grid``.  A witness is evidence
     only for the finite horizon it was checked on: a response that turns
@@ -309,18 +370,20 @@ def polar_falsifier(
     grid = np.asarray(grid, dtype=float)
     P = _input_responses(spec, grid)
     slack = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
-    dense = _chebyshev_grid(float(grid.max()), 10 * grid.size)
+    dense = None
     d = pair_difference(spec.q, k, l)
     for target in _pair_targets(d, spec.n):
         x, residual = nnls(P.T, target)
-        if residual == 0.0:
+        if residual <= tol_cone * (1.0 + float(np.linalg.norm(target))):
             continue
         eta = (target - P.T @ x) / residual
         if float(np.max(P @ eta, initial=0.0)) > slack:
             continue
         if float(np.linalg.norm(d @ eta.reshape(spec.q, spec.n))) < 0.1:
             continue
-        if _stays_nonpositive(spec, dense, eta, slack):
+        if dense is None:
+            dense = _exponentials(spec.A, _chebyshev_grid(float(grid.max()), 10 * grid.size))
+        if _stays_nonpositive(dense, spec.B, eta, slack):
             return eta
     return None
 

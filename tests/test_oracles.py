@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import relctrl.oracles
 from relctrl import (
     ArraySpec,
     analyze,
     brammer_positive,
+    build_example,
+    example_names,
     is_pairwise_controllable,
     kalman_reduced,
     make_reach_problem,
@@ -16,9 +19,13 @@ from relctrl import (
 )
 from relctrl.corpus import random_array_spec
 from relctrl.errors import GraphDomainError, InvalidArrayError
+from relctrl.numutil import pair_difference
 from relctrl.oracles import (
+    _CHUNK,
     _chebyshev_grid,
+    _exponentials,
     _input_responses,
+    _pair_targets,
     _stays_nonpositive,
     default_polar_grid,
     polar_horizon,
@@ -147,18 +154,149 @@ def test_input_responses_match_kron_reference(oscillators_b):
     )
 
 
-def test_falsifier_witness_holds_on_dense_grid(oscillators_b, counterexample):
-    for spec, pair in ((oscillators_b, (1, 2)), (counterexample, (2, 3))):
-        eta = polar_falsifier(spec, *pair)
-        assert eta is not None, spec.name
+# ---------------------------------------------------------------------------
+# the exponential kernel, against scipy.linalg.expm as the reference
+
+
+def _assert_matches_expm(A, times):
+    # Per time, max-norm error at most 1e-11 (1 + ||E_ref||_max).
+    A = np.asarray(A, dtype=float)
+    got = _exponentials(A, times)
+    ref = expm(A[None, :, :] * times[:, None, None])
+    err = np.abs(got - ref).max(axis=(1, 2), initial=0.0)
+    bound = 1e-11 * (1.0 + np.abs(ref).max(axis=(1, 2), initial=0.0))
+    bad = np.flatnonzero(err > bound)
+    assert bad.size == 0, (times[bad], err[bad], bound[bad])
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_exponentials_match_expm_on_example_dense_grids(name):
+    spec = build_example(name)
+    grid = default_polar_grid(spec)
+    _assert_matches_expm(spec.A, _chebyshev_grid(grid[-1], 10 * grid.size))
+
+
+def test_exponentials_match_expm_on_random_matrices():
+    # Standard normal A, as in random_array_spec, over the falsifier's own
+    # horizon for A, where entries of e^{A t} reach ~1e27.  Near that growth
+    # the reference itself errs by up to ~8e-12 against 40-digit arithmetic,
+    # while the kernel stays within ~2e-14 (see the test below).
+    rng = np.random.default_rng(1)
+    for n in range(1, 11):
+        for _ in range(4):
+            A = rng.standard_normal((n, n))
+            B = np.zeros((2, 1, n))
+            B[0, 0, 0], B[1, 0, 0] = 1.0, -1.0
+            horizon, _ = polar_horizon(ArraySpec(n=n, q=2, p=1, A=A, B=B))
+            _assert_matches_expm(A, _chebyshev_grid(horizon, 200))
+
+
+def test_exponentials_match_expm_on_similar_nilpotent_chains():
+    # A defective eigenvalue 0 of full multiplicity behind a similarity.
+    rng = np.random.default_rng(0)
+    for n in range(2, 7):
+        N = np.diag(np.ones(n - 1), 1)
+        for _ in range(4):
+            T = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+            _assert_matches_expm(T @ N @ np.linalg.inv(T), np.linspace(0.0, 10.0, 257))
+
+
+def test_exponentials_match_expm_on_a_stiff_matrix():
+    A = -np.diag([1.0, 10.0, 100.0, 1000.0]) + np.triu(np.arange(1.0, 17.0).reshape(4, 4), 1)
+    _assert_matches_expm(A, _chebyshev_grid(5.0, 300))
+
+
+def test_exponentials_stay_accurate_under_growth():
+    # Entries reach 3e24 at t = 40.  Against a 40-digit reference the kernel
+    # errs by ~2e-14 relative; scipy's expm errs by 3e-12 here.
+    mpmath = pytest.importorskip("mpmath")
+    A = np.array([[1.0, 2.0], [0.5, -1.0]])
+    times = np.array([10.0, 20.0, 40.0])
+    got = _exponentials(A, times)
+    with mpmath.workdps(40):
+        for t, E in zip(times, got):
+            exact = np.array(
+                mpmath.expm(mpmath.matrix(A.tolist()) * mpmath.mpf(t)).tolist(), dtype=float
+            )
+            assert np.abs(E - exact).max() <= 1e-13 * (1.0 + np.abs(exact).max()), t
+
+
+def test_exponentials_at_time_zero_are_exactly_the_identity():
+    A = np.random.default_rng(2).standard_normal((5, 5))
+    E = _exponentials(A, np.array([0.0, 1.0, 0.0]))
+    assert np.array_equal(E[0], np.eye(5))
+    assert np.array_equal(E[2], np.eye(5))
+    assert np.array_equal(_exponentials(np.zeros((3, 3)), np.array([2.0]))[0], np.eye(3))
+
+
+def test_exponentials_on_a_grid_off_the_chunk_size():
+    A = np.random.default_rng(3).standard_normal((4, 4))
+    times = np.linspace(0.0, 3.0, 2 * _CHUNK + 37)
+    _assert_matches_expm(A, times)
+    assert _exponentials(A, times[:0]).shape == (0, 4, 4)
+
+
+def test_falsifier_witness_holds_on_dense_grid():
+    # Every witness on the six examples, at every ordered pair, re-checked
+    # on stacks built with scipy's expm and np.kron, so that the kernel is
+    # never the only judge of its own witnesses.
+    witnessed = set()
+    for name in example_names():
+        spec = build_example(name)
         grid = default_polar_grid(spec)
-        slack = 1e-7 * (1.0 + np.abs(_kron_responses(spec, grid)).max())
-        dense = _chebyshev_grid(grid[-1], 10 * grid.size)
-        assert (_kron_responses(spec, dense) @ eta).max() <= slack
-        d = np.zeros(spec.q)
-        d[pair[0] - 1], d[pair[1] - 1] = 1.0, -1.0
-        assert np.linalg.norm(d @ eta.reshape(spec.q, spec.n)) >= 0.1
-        assert np.linalg.norm(eta) == pytest.approx(1.0)
+        P = _kron_responses(spec, grid)
+        slack = 1e-7 * (1.0 + np.abs(P).max())
+        dense = None
+        for pair in all_pairs(spec.q):
+            eta = polar_falsifier(spec, *pair)
+            if eta is None:
+                continue
+            witnessed.add((name, pair))
+            if dense is None:
+                dense = _kron_responses(spec, _chebyshev_grid(grid[-1], 10 * grid.size))
+            assert (P @ eta).max() <= slack, (name, pair)
+            assert (dense @ eta).max() <= slack, (name, pair)
+            d = pair_difference(spec.q, *pair)
+            assert np.linalg.norm(d @ eta.reshape(spec.q, spec.n)) >= 0.1, (name, pair)
+            assert np.linalg.norm(eta) == pytest.approx(1.0)
+    assert {("oscillators-b", (1, 2)), ("counterexample-23", (2, 3))} <= witnessed
+
+
+def test_falsifier_forms_the_dense_exponentials_once(oscillators_a, monkeypatch):
+    # On (1,2) many candidates pass the coarse grid and reach the dense
+    # check (17 at the time of writing); all of them scan one stack.
+    dense_size = 10 * default_polar_grid(oscillators_a).size
+    calls = []
+    real = relctrl.oracles._exponentials
+
+    def counting(A, times):
+        calls.append(times.size)
+        return real(A, times)
+
+    monkeypatch.setattr(relctrl.oracles, "_exponentials", counting)
+    checked = []
+    real_scan = relctrl.oracles._stays_nonpositive
+
+    def scan(E, B, eta, slack):
+        checked.append(len(E))
+        return real_scan(E, B, eta, slack)
+
+    monkeypatch.setattr(relctrl.oracles, "_stays_nonpositive", scan)
+    assert polar_falsifier(oscillators_a, 1, 2) is None
+    assert len(checked) > 1
+    assert calls.count(dense_size) <= 1
+    assert len(calls) <= 2
+
+
+def test_falsifier_counts_a_target_reached_within_the_cone_rule(watertanks, counterexample):
+    # A residual at most tol_cone (1 + ||v||) is a hit, not a candidate.
+    assert polar_falsifier(watertanks, 1, 2) is not None
+    assert polar_falsifier(watertanks, 1, 2, tol_cone=1.0) is None
+    # On counterexample-23 (2,3) the first target is reached up to rounding;
+    # the witness is the second target's own direction.
+    targets = _pair_targets(pair_difference(counterexample.q, 2, 3), counterexample.n)
+    eta = polar_falsifier(counterexample, 2, 3)
+    np.testing.assert_allclose(eta, targets[1] / np.linalg.norm(targets[1]), atol=1e-12)
 
 
 def test_falsifier_is_deterministic(oscillators_b):
@@ -175,9 +313,9 @@ def test_dense_check_scans_every_chunk():
     spec = ArraySpec(n=2, q=2, p=1, A=[[0.0, w], [-w, 0.0]],
                      B=[[[1.0, 0.0]], [[-1.0, 0.0]]])
     eta = np.array([-1.0, 0.0, 0.0, 0.0])
-    times = np.linspace(0.0, 1.0, 300)
-    assert not _stays_nonpositive(spec, times, eta, 1e-7)
-    assert _stays_nonpositive(spec, times[:260], eta, 1e-7)
+    E = _exponentials(spec.A, np.linspace(0.0, 1.0, 300))
+    assert not _stays_nonpositive(E, spec.B, eta, 1e-7)
+    assert _stays_nonpositive(E[:260], spec.B, eta, 1e-7)
 
 
 def test_polar_horizon_rule():

@@ -1,5 +1,6 @@
 """Smoke tests: each script in scripts/ runs to exit 0 against the package."""
 
+import json
 import os
 import subprocess
 import sys
@@ -44,3 +45,19 @@ def test_reach_probe_on_a_bundled_example(tmp_path, capsys):
     assert done.returncode == 0, done.stderr
     assert "graph verdict for positive (1,2) steering: yes" in done.stdout
     assert "falsifier:" in done.stdout
+
+
+def test_reach_probe_honours_the_spec_files_tolerances(tmp_path, capsys):
+    # A column-sum error of 1e-7 that the file's zero tolerance accepts must
+    # reach the reach simulator and the falsifier too, not only the verdict.
+    path = tmp_path / "watertanks-ring.json"
+    assert main(["examples", "watertanks-ring", "--out", str(path)]) == 0
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    data["B"]["incidence"][0][0] += 1e-7
+    data["tolerances"] = {"zero": 1e-6}
+    path.write_text(json.dumps(data))
+    done = run_script("reach_probe.py", path, 1, 2)
+    assert done.returncode == 0, done.stderr
+    assert "graph verdict for positive (1,2) steering: yes" in done.stdout
+    assert "falsifier: no witness" in done.stdout

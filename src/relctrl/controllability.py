@@ -44,10 +44,10 @@ from .gengraph import (
     GenGraph,
     cone_contains_subspace,
     is_connected,
-    is_kl_connected,
+    kl_connected_pairs,
+    lineality_generators,
     lineality_space,
     make_graph,
-    pair_subspace,
 )
 from .spectral import EigComponent, Spectrum, default_eig_tol, distinct_eigenvalues
 
@@ -98,21 +98,13 @@ def _power_swept_graph(
 ) -> GenGraph:
     """Graph with columns [I_q ⊗ sweep^r] b_sigma, sigma-major then power."""
     nk = comp.alg_mult
-    blocks = _component_blocks(spec, comp)          # (q, nk, p)
+    blocks = _component_blocks(spec, comp)[:, :, sigmas]    # (q, nk, len(sigmas))
     powers = [np.eye(nk, dtype=sweep.dtype)]
     for _ in range(nk - 1):
         powers.append(powers[-1] @ sweep)
-    cols = []
-    for s in sigmas:
-        bs = blocks[:, :, s]                        # (q, nk)
-        for P in powers:
-            cols.append((bs @ P.T).reshape(spec.q * nk))
-    M = (
-        np.stack(cols, axis=1)
-        if cols
-        else np.zeros((spec.q * nk, 0), dtype=blocks.dtype)
-    )
-    return make_graph(spec.q, nk, M, tol_zero)
+    # Entry (system i, row a), column (sigma, power r): (sweep^r b_sigma,i)_a.
+    M = np.einsum("qcs,rac->qasr", blocks, np.stack(powers))
+    return make_graph(spec.q, nk, M.reshape(spec.q * nk, -1), tol_zero)
 
 
 def w_graphs(
@@ -362,16 +354,15 @@ class AnalysisReport:
 
 
 def _normalize_pairs(spec: ArraySpec, pairs) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
+    out: dict[tuple[int, int], None] = {}
     for k, l in pairs:
         k, l = int(k), int(l)
         if not (1 <= k <= spec.q and 1 <= l <= spec.q) or k == l:
             raise DimensionError(
                 f"pair ({k},{l}) invalid for q={spec.q} (1-based, distinct)"
             )
-        if (k, l) not in out:
-            out.append((k, l))
-    return out
+        out[k, l] = None
+    return list(out)
 
 
 def _rows(kind: str, spectrum: Spectrum, graphs: list[GenGraph], fill) -> list[EigGraphVerdict]:
@@ -441,7 +432,7 @@ def analyze_with_graphs(
     pairlist = _normalize_pairs(spec, pairs)
 
     def kl_flags(G):
-        return {pair: is_kl_connected(G, *pair, tol.rank) for pair in pairlist}
+        return dict(zip(pairlist, kl_connected_pairs(G, pairlist, tol.rank)))
 
     def v_fill(G, comp):
         flags = {"connected": is_connected(G, tol.rank), "kl_connected": kl_flags(G)}
@@ -454,15 +445,12 @@ def analyze_with_graphs(
     def q_fill(G, comp):
         if not comp.is_real:
             return {"kl_connected": kl_flags(G)}
-        strong = {
-            pair: cone_contains_subspace(
-                G, pair_subspace(G.q, G.blocksize, *pair), tol.cone, tol.rank
-            )
-            for pair in pairlist
-        }
+        # The rule of cone_contains_subspace, for every pair at once.
+        lin = lineality_generators(G, tol.cone)
+        strong = kl_flags(lin.graph)
         return {
-            "strongly_kl_connected": {pair: ok for pair, (ok, _) in strong.items()},
-            "marginal": any(marginal for _, marginal in strong.values()),
+            "strongly_kl_connected": strong,
+            "marginal": lin.marginal and not all(strong.values()),
         }
 
     vgs = v_graphs(spec, spectrum, tol.zero)

@@ -16,9 +16,11 @@ graph factors its column-equilibrated matrix once and keeps an
 orthonormal basis N of the complement of its numerical range (the left
 singular vectors beyond the cutoff ``tol_rank * smax``).  Every later
 query, at the same tolerance, only projects the equilibrated target onto
-N, so a graph asked about many vertex pairs pays for one factorization.
-The oracles in ``relctrl.oracles`` build and factor their own matrices
-on purpose: an oracle must not share the step it checks.
+N.  A vertex pair needs not even that product: its residual is the
+difference of column blocks k and l of N*, so ``kl_connected_pairs``
+answers every requested pair of a graph with one array operation on
+those blocks.  The oracles in ``relctrl.oracles`` build and factor their
+own matrices on purpose: an oracle must not share the step it checks.
 
 Cone questions about a subspace are range questions in disguise.  A
 cone contains a subspace L exactly when its lineality space (the largest
@@ -28,7 +30,7 @@ cone(M).  ``lineality_generators`` finds them for a real graph with a few
 nonnegative least-squares programs (a peel, described there) and keeps
 them on the graph per cone tolerance, as a graph of their own; strong
 connectivity, every strongly (k,l)-connected pair and the lineality
-space then reduce to ``range_contains`` against that generator graph,
+space then reduce to range questions against that generator graph,
 whose range complement is in turn factored once.  Single vector
 memberships go through ``cone_member``.
 """
@@ -260,29 +262,50 @@ def range_contains(
     if Tn.shape[1] == 0:
         return True
     Nh, smax = _range_complement(G, tol_rank)
-    X = Nh @ Tn
+    return bool(_within_bound((Nh @ Tn)[None], tol_rank * max(smax, 1.0))[0])
+
+
+def _within_bound(X: np.ndarray, bound: float) -> np.ndarray:
+    """Which residuals of a (P, r, b) stack have spectral norm <= bound."""
+    # ||X||_2 <= ||X||_F <= sqrt(min(r, b)) ||X||_2 settles all but
+    # near-threshold residuals without a factorization.
+    fro = np.sqrt(np.einsum("prb,prb->p", X.conj(), X).real)
+    ok = fro <= bound
+    mid = ~ok & (fro <= bound * np.sqrt(min(X.shape[1:])))
+    if mid.any():
+        ok[mid] = np.linalg.norm(X[mid], 2, axis=(1, 2)) <= bound
+    return ok
+
+
+def kl_connected_pairs(
+    G: GenGraph, pairs, tol_rank: float = DEFAULT_TOLERANCES.rank
+) -> list[bool]:
+    """(k,l)-connectivity of every requested 1-based pair, in one batch.
+
+    Each verdict equals ``range_contains(G, (e_k - e_l) ⊗ I)``.  The
+    target's columns all have norm sqrt(2), so equilibrated it is
+    ((e_k - e_l) ⊗ I)/sqrt(2), and its residual outside the range is
+    (N*_k - N*_l)/sqrt(2), where N*_k is column block k of the memoized
+    complement.  The residuals of all pairs are gathered into (P, r, b)
+    stacks and judged together by the rule of ``range_contains``.
+    """
+    pairs = list(pairs)
+    for k, l in pairs:
+        if not (1 <= k <= G.q and 1 <= l <= G.q) or k == l:
+            raise DimensionError(f"vertex pair ({k},{l}) invalid for q={G.q} (1-based, distinct)")
+    if not pairs:
+        return []
+    Nh, smax = _range_complement(G, tol_rank)
+    blocks = Nh.reshape(-1, G.q, G.blocksize)
+    k, l = (np.asarray(pairs) - 1).T
+    # Pairs per stack, so that one stack holds at most 2**18 entries.
+    step = max(1, 2**18 // max(1, Nh.size // G.q))
     bound = tol_rank * max(smax, 1.0)
-    # ||X||_2 <= ||X||_F <= sqrt(rank) ||X||_2 settles all but near-threshold
-    # residuals without a factorization.
-    fro = float(np.linalg.norm(X))
-    if fro <= bound:
-        return True
-    if fro > bound * np.sqrt(min(X.shape)):
-        return False
-    return float(np.linalg.norm(X, 2)) <= bound
-
-
-def _check_pair(q: int, k: int, l: int) -> None:
-    if not (1 <= k <= q and 1 <= l <= q) or k == l:
-        raise DimensionError(f"vertex pair ({k},{l}) invalid for q={q} (1-based, distinct)")
-
-
-def pair_subspace(q: int, blocksize: int, k: int, l: int) -> np.ndarray:
-    """(e_k - e_l) ⊗ I, written blockwise."""
-    T = np.zeros((q, blocksize, blocksize))
-    T[k - 1] = np.eye(blocksize)
-    T[l - 1] = -np.eye(blocksize)
-    return T.reshape(q * blocksize, blocksize)
+    ok: list[bool] = []
+    for i in range(0, len(pairs), step):
+        X = (blocks[:, k[i : i + step]] - blocks[:, l[i : i + step]]) / np.sqrt(2.0)
+        ok += _within_bound(X.transpose(1, 0, 2), bound).tolist()
+    return ok
 
 
 def _column_graph(G: GenGraph, columns: np.ndarray) -> GenGraph:
@@ -395,8 +418,7 @@ def is_kl_connected(
     G: GenGraph, k: int, l: int, tol_rank: float = DEFAULT_TOLERANCES.rank
 ) -> bool:
     """range(G) contains range((e_k - e_l) ⊗ I); 1-based vertices."""
-    _check_pair(G.q, k, l)
-    return range_contains(G, pair_subspace(G.q, G.blocksize, k, l), tol_rank)
+    return kl_connected_pairs(G, [(k, l)], tol_rank)[0]
 
 
 def is_strongly_connected(G: GenGraph, tol_cone: float = DEFAULT_TOLERANCES.cone) -> bool:
@@ -414,9 +436,7 @@ def is_strongly_kl_connected(
     """cone(G) contains range((e_k - e_l) ⊗ I); 1-based vertices."""
     if not G.is_real:
         raise GraphDomainError("strong connectivity is defined for real graphs only")
-    _check_pair(G.q, k, l)
-    ok, _ = cone_contains_subspace(G, pair_subspace(G.q, G.blocksize, k, l), tol_cone)
-    return ok
+    return kl_connected_pairs(lineality_generators(G, tol_cone).graph, [(k, l)])[0]
 
 
 def lineality_space(

@@ -246,6 +246,40 @@ def test_analyze_svd_count_does_not_grow_with_pairs(monkeypatch):
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize(
+    "A",
+    [[[-0.2, 1.0], [-1.0, -0.2]], block_diag([[-0.2, 1.0], [-1.0, -0.2]], [[-0.5]])],
+    ids=["damped", "damped-and-real"],
+)
+def test_analyze_range_contains_count_does_not_grow_with_pairs(A, monkeypatch):
+    # Every requested pair of a graph is read off its range complement in
+    # one array operation, plain pairs and (at the real eigenvalue)
+    # strong pairs alike; range_contains answers only the connectivity
+    # questions, one per graph.
+    rng = np.random.default_rng(5)
+    q, p, n = 12, 18, len(A)
+    B = np.zeros((q, p, n))
+    for s in range(p):
+        i, j = rng.choice(q, size=2, replace=False)
+        B[i, s] = rng.standard_normal(n)
+        B[j, s] = -B[i, s]
+    spec = ArraySpec(n=n, q=q, p=p, A=A, B=B)
+    range_contains = gengraph_module.range_contains
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return range_contains(*args, **kwargs)
+
+    monkeypatch.setattr(gengraph_module, "range_contains", counting)
+    counts = []
+    for n_pairs in (2, 60):
+        calls.clear()
+        analyze(spec, pairs=all_pairs(q)[:n_pairs])
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_analyze_nnls_count_is_one_per_real_graph(monkeypatch):
     # Directed ring of 32 integrators: one real eigenvalue, so one V-graph
     # and one Q-graph need cone answers.  Each is peeled once, however
@@ -329,6 +363,38 @@ def test_w_graph_watertanks_equals_input_matrix(watertanks):
     spectrum = distinct_eigenvalues(watertanks.A)
     (wg,) = w_graphs(watertanks, spectrum)
     np.testing.assert_array_equal(wg.M, watertanks.incidence)
+
+
+def power_swept_reference(spec, comp, sweep, sigmas):
+    """Columns [I_q ⊗ sweep^r] b_sigma, one small product each, sigma-major."""
+    blocks = np.einsum("dn,qpn->qdp", comp.U.conj().T, spec.B)
+    powers = [np.eye(comp.alg_mult)]
+    for _ in range(comp.alg_mult - 1):
+        powers.append(powers[-1] @ sweep)
+    cols = [(blocks[:, :, s] @ P.T).ravel() for s in sigmas for P in powers]
+    return np.stack(cols, axis=1) if cols else np.zeros((spec.q * comp.alg_mult, 0))
+
+
+def test_power_swept_graph_matches_the_loop_reference(chain_ring, oscillators_a):
+    # A Jordan block of size 3 next to a damped rotation: real and
+    # non-real components, with nilpotent parts of order 3 and 1.
+    rng = np.random.default_rng(3)
+    A = block_diag([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]], [[-0.2, 1.0], [-1.0, -0.2]])
+    B = np.zeros((4, 5, 5))
+    for s in range(5):
+        i, j = rng.choice(4, size=2, replace=False)
+        B[i, s] = rng.standard_normal(5)
+        B[j, s] = -B[i, s]
+    jordan = ArraySpec(n=5, q=4, p=5, A=A, B=B)
+    for spec in (chain_ring, oscillators_a, jordan):
+        for comp in distinct_eigenvalues(spec.A).components:
+            for sweep in (comp.A_k, comp.Lambda):
+                for sigmas in (list(range(spec.p)), [spec.p - 1, 0], []):
+                    got = controllability_module._power_swept_graph(spec, comp, sweep, sigmas, 1e-9)
+                    want = power_swept_reference(spec, comp, sweep, sigmas)
+                    assert got.M.shape == want.shape
+                    scale = 1.0 + float(np.abs(want).max(initial=0.0))
+                    np.testing.assert_allclose(got.M, want, rtol=0, atol=1e-13 * scale)
 
 
 # ---------------------------------------------------------------------------

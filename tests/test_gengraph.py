@@ -19,8 +19,19 @@ from relctrl import (
     range_contains,
     to_dot,
 )
-from relctrl.errors import GraphDomainError, NumericalFailureError, UnsupportedRenderError
-from relctrl.gengraph import cone_contains_subspace, lineality_generators
+from relctrl.errors import (
+    DimensionError,
+    GraphDomainError,
+    NumericalFailureError,
+    UnsupportedRenderError,
+)
+from relctrl.gengraph import (
+    GenGraph,
+    _range_complement,
+    cone_contains_subspace,
+    kl_connected_pairs,
+    lineality_generators,
+)
 from relctrl.numutil import equilibrated, pair_difference
 
 from conftest import all_pairs, random_unit_incidence
@@ -136,6 +147,82 @@ def test_range_contains_matches_reference_rank_rule(drawn):
             assert is_kl_connected(G, k, l) == want
             decided += 1
     assume(decided > 0)
+
+
+@st.composite
+def pair_questions(draw):
+    """A graph from generalized_graphs, or a GenGraph around an arbitrary
+    matrix (a wide one has full row rank, so an empty complement), and a
+    rank tolerance; 1.0 makes equilibrated drop every target column."""
+    G, rng = draw(generalized_graphs())
+    if draw(st.booleans()):
+        m = G.q * G.blocksize
+        M = rng.standard_normal((m, draw(st.sampled_from([0, m // 2, m, m + 3]))))
+        if not G.is_real:
+            M = M + 1j * rng.standard_normal(M.shape)
+        G = GenGraph(q=G.q, blocksize=G.blocksize, M=M, is_real=G.is_real)
+    return G, draw(st.sampled_from([1e-9, 1e-3, 0.3, 1.0]))
+
+
+@settings(max_examples=150)
+@given(drawn=pair_questions())
+def test_kl_connected_pairs_matches_range_contains(drawn):
+    G, tol = drawn
+    q, b = G.q, G.blocksize
+    pairs = all_pairs(q)
+    got = kl_connected_pairs(G, pairs, tol)
+    assert all(type(flag) is bool for flag in got)
+    Nh, smax = _range_complement(G, tol)
+    bound = tol * max(smax, 1.0)
+    decided = 0
+    for (k, l), flag in zip(pairs, got):
+        T = np.kron(pair_difference(q, k, l)[:, None], np.eye(b))
+        # Skip residuals whose norms sit at a threshold of the rule, where
+        # two orders of the same arithmetic may round differently.
+        X = Nh @ equilibrated(T, tol)
+        if X.size:
+            fro = np.linalg.norm(X)
+            norms = (fro, fro / np.sqrt(min(X.shape)), np.linalg.norm(X, 2))
+            if any(abs(v / bound - 1.0) < 1e-6 for v in norms):
+                continue
+        assert flag == range_contains(G, T, tol)
+        decided += 1
+    assume(decided > 0)
+    assert kl_connected_pairs(G, [], tol) == []
+
+
+def test_kl_connected_pairs_bounds_the_spectral_norm_of_each_residual():
+    # Two orthonormal edges of a q = 3, b = 2 graph lean out of the plane
+    # of pair (1,2) towards vertex 3 by angles of sine a and c, so that
+    # pair's residual has singular values a and c; pair (1,3) is far off.
+    def graph(a, c):
+        t = np.kron(pair_difference(3, 1, 2)[:, None], np.eye(2)) / np.sqrt(2.0)
+        n = np.kron(np.array([[1.0], [1.0], [-2.0]]), np.eye(2)) / np.sqrt(6.0)
+        lean = np.array([a, c])
+        return make_graph(3, 2, t * np.sqrt(1.0 - lean**2) + n * lean)
+
+    pairs = [(1, 2), (1, 3), (2, 1)]
+    # Frobenius norm 1.13e-3 > 1e-3 >= spectral norm 0.8e-3.
+    assert kl_connected_pairs(graph(8e-4, 8e-4), pairs, 1e-3) == [True, False, True]
+    # Frobenius norm 1.21e-3 <= sqrt(2) 1e-3, spectral norm 1.1e-3 > 1e-3.
+    assert kl_connected_pairs(graph(5e-4, 1.1e-3), pairs, 1e-3) == [False, False, False]
+
+
+def test_kl_connected_pairs_over_many_stacks():
+    # Systems 1-10 of 40 form a path with full 8 x 8 edges; the other 30
+    # are isolated.  The complement has dimension 248, so the 1560 ordered
+    # pairs are judged in a dozen stacks of 2**18 entries or fewer.
+    q, b = 40, 8
+    M = np.kron(np.eye(q, 9, k=0) - np.eye(q, 9, k=-1), np.eye(b))
+    pairs = all_pairs(q)
+    got = kl_connected_pairs(make_graph(q, b, M), pairs)
+    assert got == [k <= 10 and l <= 10 for k, l in pairs]
+
+
+def test_kl_connected_pairs_checks_every_pair():
+    for bad in [(1, 1), (0, 2), (2, 4)]:
+        with pytest.raises(DimensionError):
+            kl_connected_pairs(wt_graph(), [(1, 2), bad])
 
 
 def count_svd_calls(monkeypatch) -> list:

@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Print one SHA-1 per report output over a fixed corpus.
+
+Two trees whose reports are byte-identical print identical lines, so a
+change meant to keep every verdict and every byte can be checked by
+running this script once against each tree's package and comparing:
+
+    PYTHONPATH=old/src python scripts/report_digest.py > old.txt
+    PYTHONPATH=new/src python scripts/report_digest.py > new.txt
+    diff old.txt new.txt
+
+The corpus is fixed, so the script takes no options:
+
+    examples/*        ``analyze`` + ``render_json`` of the six bundled
+                      examples, with every ordered pair and with none;
+    damped-q12-n6/*   the same for tests/golden/damped-q12-n6-spec.json,
+                      at the file's tolerances;
+    random-600/*      the same for 600 ``random_array_spec`` arrays drawn
+                      from numpy's default_rng(20261018);
+    oracle            ``relctrl oracle --json --pair 1 2 --pair 2 3`` on
+                      the six examples, exit codes included.
+
+An analysis that raises contributes its error type and message instead
+of a report.  The whole run takes a few seconds.
+
+Usage:
+    python scripts/report_digest.py
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from relctrl import analyze, build_example, example_names, render_json
+from relctrl.cli import main as relctrl_main
+from relctrl.corpus import random_array_spec
+from relctrl.errors import AnalysisError
+from relctrl.specio import load_spec, save_spec
+
+DAMPED = Path(__file__).resolve().parents[1] / "tests" / "golden" / "damped-q12-n6-spec.json"
+
+
+def _all_pairs(q):
+    return [(k, l) for k in range(1, q + 1) for l in range(1, q + 1) if k != l]
+
+
+def _report_bytes(spec, pairs, tolerances=None) -> bytes:
+    try:
+        return render_json(analyze(spec, pairs, tolerances)).encode()
+    except AnalysisError as exc:
+        return f"error: {type(exc).__name__}: {exc}\n".encode()
+
+
+def _digest_reports(label, cases) -> None:
+    """Print the digests of one corpus with all ordered pairs and with none."""
+    full, bare = hashlib.sha1(), hashlib.sha1()
+    for spec, tolerances in cases:
+        full.update(_report_bytes(spec, _all_pairs(spec.q), tolerances))
+        bare.update(_report_bytes(spec, (), tolerances))
+    print(f"{full.hexdigest()}  {label}/all-pairs")
+    print(f"{bare.hexdigest()}  {label}/no-pairs")
+
+
+def _digest_oracles() -> None:
+    digest = hashlib.sha1()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in example_names():
+            path = Path(tmp) / f"{name}.json"
+            save_spec(build_example(name), path)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = relctrl_main(
+                    ["oracle", str(path), "--json", "--pair", "1", "2", "--pair", "2", "3"]
+                )
+            digest.update(f"{name} exit {code}\n{out.getvalue()}".encode())
+    print(f"{digest.hexdigest()}  oracle")
+
+
+def main() -> int:
+    _digest_reports("examples", [(build_example(name), None) for name in example_names()])
+    _digest_reports("damped-q12-n6", [load_spec(DAMPED)])
+    rng = np.random.default_rng(20261018)
+    _digest_reports("random-600", [(random_array_spec(rng), None) for _ in range(600)])
+    _digest_oracles()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

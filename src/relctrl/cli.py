@@ -166,29 +166,23 @@ def _bool_word(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _compared(name: str, label: str, oracle: bool, analysis: bool) -> OracleVerdict:
+    """A decidable oracle's verdict set against the analysis' verdict."""
+    return OracleVerdict(
+        name=name,
+        agrees=oracle == analysis,
+        detail=f"{label} {_bool_word(oracle)}, analysis {_bool_word(analysis)}",
+    )
+
+
 def _run_oracles(spec, tol, pairs, horizon, steps) -> list[OracleVerdict]:
     report = analyze(spec, pairs=pairs, tolerances=tol)
-    verdicts: list[OracleVerdict] = []
-
     kalman = kalman_reduced(spec, tol.rank, tol.zero)
-    verdicts.append(
-        OracleVerdict(
-            name="kalman_reduced",
-            agrees=kalman == report.controllable,
-            detail=f"rank test {_bool_word(kalman)}, analysis {_bool_word(report.controllable)}",
-        )
-    )
     brammer = brammer_positive(spec, tol)
-    verdicts.append(
-        OracleVerdict(
-            name="brammer_positive",
-            agrees=brammer == report.positively_controllable,
-            detail=(
-                f"cone test {_bool_word(brammer)}, analysis "
-                f"{_bool_word(report.positively_controllable)}"
-            ),
-        )
-    )
+    verdicts = [
+        _compared("kalman_reduced", "rank test", kalman, report.controllable),
+        _compared("brammer_positive", "cone test", brammer, report.positively_controllable),
+    ]
 
     if spec.n == 1:
         try:
@@ -197,13 +191,7 @@ def _run_oracles(spec, tol, pairs, horizon, steps) -> list[OracleVerdict]:
                 ("strong", report.positively_controllable),
             ):
                 walked = path_oracle(spec.incidence, kind)
-                verdicts.append(
-                    OracleVerdict(
-                        name=f"path_{kind}",
-                        agrees=walked == expected,
-                        detail=f"walk {_bool_word(walked)}, analysis {_bool_word(expected)}",
-                    )
-                )
+                verdicts.append(_compared(f"path_{kind}", "walk", walked, expected))
         except GraphDomainError:
             pass   # inputs are not literal unit edges; inapplicable
 
@@ -211,14 +199,7 @@ def _run_oracles(spec, tol, pairs, horizon, steps) -> list[OracleVerdict]:
         k, l = pair
         ranged = pairwise_range(spec, k, l, tol.rank, tol.zero)
         verdicts.append(
-            OracleVerdict(
-                name=f"pairwise_range_{k}_{l}",
-                agrees=ranged == report.pairwise[pair],
-                detail=(
-                    f"range test {_bool_word(ranged)}, analysis "
-                    f"{_bool_word(report.pairwise[pair])}"
-                ),
-            )
+            _compared(f"pairwise_range_{k}_{l}", "range test", ranged, report.pairwise[pair])
         )
 
         positive = report.positive_pairwise[pair]

@@ -42,6 +42,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionError, InternalConsistencyError
 from .gengraph import (
     GenGraph,
+    blocks_in_range,
     cone_contains_subspace,
     is_connected,
     kl_connected_pairs,
@@ -49,7 +50,7 @@ from .gengraph import (
     lineality_space,
     make_graph,
 )
-from .spectral import EigComponent, Spectrum, default_eig_tol, distinct_eigenvalues
+from .spectral import EigComponent, Spectrum, distinct_eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +73,9 @@ def controllability_matrix(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES
     return make_graph(spec.q, spec.n, W, tol_zero)
 
 
-def _component_blocks(spec: ArraySpec, comp: EigComponent) -> np.ndarray:
-    # (q, d, p) array of per-system input components U* B[i, s].
-    return np.einsum("dn,qpn->qdp", comp.U.conj().T, spec.B)
+def _component_blocks(spec: ArraySpec, basis: np.ndarray) -> np.ndarray:
+    # (q, d, p) array of per-system input components basis* B[i, s].
+    return np.einsum("dn,qpn->qdp", basis.conj().T, spec.B)
 
 
 def v_graphs(
@@ -83,8 +84,7 @@ def v_graphs(
     """One eigenvector-component graph per distinct eigenvalue."""
     graphs = []
     for comp in spectrum.components:
-        blocks = np.einsum("dn,qpn->qdp", comp.V.conj().T, spec.B)
-        M = blocks.reshape(spec.q * comp.geo_mult, spec.p)
+        M = _component_blocks(spec, comp.V).reshape(spec.q * comp.geo_mult, spec.p)
         graphs.append(make_graph(spec.q, comp.geo_mult, M, tol_zero))
     return graphs
 
@@ -98,7 +98,7 @@ def _power_swept_graph(
 ) -> GenGraph:
     """Graph with columns [I_q ⊗ sweep^r] b_sigma, sigma-major then power."""
     nk = comp.alg_mult
-    blocks = _component_blocks(spec, comp)[:, :, sigmas]    # (q, nk, len(sigmas))
+    blocks = _component_blocks(spec, comp.U)[:, :, sigmas]    # (q, nk, len(sigmas))
     powers = [np.eye(nk, dtype=sweep.dtype)]
     for _ in range(nk - 1):
         powers.append(powers[-1] @ sweep)
@@ -142,8 +142,10 @@ def q_graphs_and_index_sets(
 
     Starting from all inputs, each real eigenvalue discards the inputs
     whose swept columns leave the lineality space of the current graph
-    cone; non-real eigenvalues discard nothing.  The graphs returned are
-    restricted to the index set active at their eigenvalue.
+    cone; non-real eigenvalues discard nothing.  An input stays when its
+    block of swept columns lies in the range of the cone's lineality
+    generators, by the rule of ``blocks_in_range``.  The graphs returned
+    are restricted to the index set active at their eigenvalue.
     """
     graphs: list[GenGraph] = []
     steps: list[IndexStep] = []
@@ -151,41 +153,26 @@ def q_graphs_and_index_sets(
     for kappa, comp in enumerate(spectrum.components):
         G = _power_swept_graph(spec, comp, comp.Lambda, active, tolerances.zero)
         graphs.append(G)
+        removed, dim = [], None
         if comp.is_real:
-            lin = lineality_space(G, tolerances.cone, tolerances.rank)
-            # One projection of every active column onto the lineality
-            # space; an input stays when all its nk swept columns do.  In
-            # exact arithmetic a column lies in the space exactly when it
-            # is a lineality generator, but the rank rule is kept: it
-            # keeps zero columns, which the peel never lists, and columns
-            # within tol_rank of the space that tol_cone rejects.
-            L = lin.columns
-            outside = G.M - L @ (L.conj().T @ G.M)
-            inside = np.linalg.norm(outside, axis=0) <= tolerances.rank * (
-                1.0 + np.linalg.norm(G.M, axis=0)
-            )
-            kept = inside.reshape(len(active), comp.alg_mult).all(axis=1)
+            # In exact arithmetic a column lies in the lineality space
+            # exactly when it is a generator.  The range rule also keeps
+            # zero columns, which the peel never lists, and columns within
+            # tol_rank of the space that tol_cone rejects.
+            lin = lineality_generators(G, tolerances.cone).graph
+            kept = blocks_in_range(lin, G.M, comp.alg_mult, tolerances.rank)
             removed = [s for s, ok in zip(active, kept) if not ok]
-            steps.append(
-                IndexStep(
-                    kappa=kappa + 1,
-                    mu=comp.mu,
-                    index_set=tuple(s + 1 for s in active),
-                    removed=tuple(s + 1 for s in removed),
-                    lineality_dim=lin.dim,
-                )
+            dim = lineality_space(G, tolerances.cone, tolerances.rank).shape[1]
+        steps.append(
+            IndexStep(
+                kappa=kappa + 1,
+                mu=comp.mu,
+                index_set=tuple(s + 1 for s in active),
+                removed=tuple(s + 1 for s in removed),
+                lineality_dim=dim,
             )
-            active = [s for s in active if s not in removed]
-        else:
-            steps.append(
-                IndexStep(
-                    kappa=kappa + 1,
-                    mu=comp.mu,
-                    index_set=tuple(s + 1 for s in active),
-                    removed=(),
-                    lineality_dim=None,
-                )
-            )
+        )
+        active = [s for s in active if s not in removed]
     return graphs, IndexRecursionTrace(steps=tuple(steps))
 
 
@@ -202,9 +189,7 @@ class EigenOverlapCheck:
 
 
 def check_assumption_eigen(
-    spectrum: Spectrum,
-    tol_eig: float = DEFAULT_TOLERANCES.eig,
-    tol_res: float | None = None,
+    spectrum: Spectrum, tol_eig: float = DEFAULT_TOLERANCES.eig
 ) -> EigenOverlapCheck:
     """Every non-real eigenvalue overlapping a real one must have zero nilpotent part."""
     reals = [c.mu.real for c in spectrum.components if c.is_real]
@@ -214,8 +199,7 @@ def check_assumption_eigen(
             continue
         if not any(abs(comp.mu.real - r) <= tol_eig * (1.0 + abs(r)) for r in reals):
             continue
-        scale = tol_res if tol_res is not None else 1e-8 * (1.0 + float(np.abs(comp.A_k).max()))
-        if float(np.linalg.norm(comp.Lambda)) > scale:
+        if float(np.linalg.norm(comp.Lambda)) > 1e-8 * (1.0 + float(np.abs(comp.A_k).max())):
             violated.append(kappa + 1)
     return EigenOverlapCheck(holds=not violated, violated_at=tuple(violated))
 
@@ -428,7 +412,7 @@ def analyze_with_graphs(
     """
     tol = tolerances or DEFAULT_TOLERANCES
     spec = require_valid(spec, tol.zero)
-    spectrum = distinct_eigenvalues(spec.A, tol_eig=default_eig_tol(spec.A, tol.eig))
+    spectrum = distinct_eigenvalues(spec.A, tol.eig)
     pairlist = _normalize_pairs(spec, pairs)
 
     def kl_flags(G):

@@ -11,16 +11,19 @@ strong (one-way) counterparts to cone inclusions:
     strongly connected     cone(M) contains all disagreement directions
     strongly (k,l)-conn.   cone(M) contains range((e_k - e_l) ⊗ I_n)
 
-Range questions are decided by projection: the first range query on a
-graph factors its column-equilibrated matrix once and keeps an
-orthonormal basis N of the complement of its numerical range (the left
-singular vectors beyond the cutoff ``tol_rank * smax``).  Every later
-query, at the same tolerance, only projects the equilibrated target onto
-N.  A vertex pair needs not even that product: its residual is the
-difference of column blocks k and l of N*, so ``kl_connected_pairs``
-answers every requested pair of a graph with one array operation on
-those blocks.  The oracles in ``relctrl.oracles`` build and factor their
-own matrices on purpose: an oracle must not share the step it checks.
+Every range question has one rule, ``blocks_in_range``.  The first
+range query on a graph factors its column-equilibrated matrix once and
+keeps an orthonormal basis N of the complement of its numerical range
+(the left singular vectors beyond the cutoff ``tol_rank * smax``).  A
+target, cut into column blocks, is equilibrated block by block and
+projected onto N; a block lies in the range when its residual has
+spectral norm at most ``tol_rank * max(smax, 1)``.  ``range_contains`` is
+the one-block case.  A vertex pair needs not even the product: its
+residual is the difference of column blocks k and l of N*, so
+``kl_connected_pairs`` answers every requested pair of a graph with one
+array operation on those blocks, under the same bound.  The oracles in
+``relctrl.oracles`` build and factor their own matrices on purpose: an
+oracle must not share the step it checks.
 
 Cone questions about a subspace are range questions in disguise.  A
 cone contains a subspace L exactly when its lineality space (the largest
@@ -29,10 +32,11 @@ cone(M) is spanned by its generators, the columns g_i with -g_i in
 cone(M).  ``lineality_generators`` finds them for a real graph with a few
 nonnegative least-squares programs (a peel, described there) and keeps
 them on the graph per cone tolerance, as a graph of their own; strong
-connectivity, every strongly (k,l)-connected pair and the lineality
-space then reduce to range questions against that generator graph,
-whose range complement is in turn factored once.  Single vector
-memberships go through ``cone_member``.
+connectivity, every strongly (k,l)-connected pair, the inputs the
+index recursion keeps and the lineality space then reduce to range
+questions against that generator graph, whose range complement is in
+turn factored once.  Single vector memberships go through
+``cone_member``.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .errors import (
     NumericalFailureError,
     UnsupportedRenderError,
 )
-from .numutil import equilibrated, range_basis
+from .numutil import equilibrated, null_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,15 +98,6 @@ class Feasibility:
     residual: float
     marginal: bool = False
     weights: np.ndarray | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True, eq=False)
-class SubspaceBasis:
-    columns: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,31 +233,48 @@ def _range_complement(G: GenGraph, tol_rank: float) -> tuple[np.ndarray, float]:
     return memo
 
 
+def blocks_in_range(
+    G: GenGraph, T: np.ndarray, width: int, tol_rank: float = DEFAULT_TOLERANCES.rank
+) -> list[bool]:
+    """Which consecutive width-column blocks of T lie in range(G).
+
+    Block j is T[:, j*width : (j+1)*width].  Each block is equilibrated on
+    its own, by the drop rule of ``equilibrated``: its columns are scaled
+    to unit norm and those below ``tol_rank`` times its largest column
+    norm are zeroed, so that columns spanning many magnitudes (powers of
+    the dynamics) do not drown small directions, and noise is not
+    inflated into them.  The graph side is factored once per tolerance
+    (see ``_range_complement``); a block lies in the range when its
+    equilibrated columns leave a spectral-norm residual of at most
+    ``tol_rank * max(smax, 1)`` outside it, smax being the largest
+    singular value of the equilibrated graph.  All blocks are judged in
+    one stack.
+    """
+    T = np.atleast_2d(np.asarray(T))
+    if T.ndim != 2 or T.shape[0] != G.M.shape[0]:
+        raise DimensionError(f"target has {T.shape[0]} rows, expected {G.M.shape[0]}")
+    m, c = T.shape
+    if width < 1 or c % width:
+        raise DimensionError(f"{c} target columns do not split into blocks of {width}")
+    count = c // width
+    norms = np.linalg.norm(T, axis=0).reshape(count, width)
+    keep = norms > tol_rank * norms.max(axis=1, initial=0.0)[:, None]
+    Tn = np.where(keep, T.reshape(m, count, width) / np.where(keep, norms, 1.0), 0.0)
+    Nh, smax = _range_complement(G, tol_rank)
+    X = (Nh @ Tn.reshape(m, c)).reshape(Nh.shape[0], count, width).transpose(1, 0, 2)
+    return _within_bound(X, tol_rank * max(smax, 1.0)).tolist()
+
+
 def range_contains(
     G: GenGraph, T: np.ndarray, tol_rank: float = DEFAULT_TOLERANCES.rank
 ) -> bool:
-    """True when range(G) contains range(T); complex-aware projection test.
+    """True when range(G) contains range(T): ``blocks_in_range`` on one block.
 
-    Both sides are column-equilibrated first so that matrices whose
-    columns span many magnitudes (powers of the dynamics) do not drown
-    their small directions under a global singular-value cutoff.  The
-    graph side is factored once per tolerance (see ``_range_complement``);
-    T is contained when its equilibrated columns leave a spectral-norm
-    residual of at most ``tol_rank * max(smax, 1)`` outside the numerical
-    range, smax being the largest singular value of the equilibrated graph.
     The oracles build and factor their own matrices instead, so that a
     cross-check does not share the step it checks.
     """
     T = np.atleast_2d(np.asarray(T))
-    if T.ndim != 2 or T.shape[0] != G.M.shape[0]:
-        raise DimensionError(
-            f"target has {T.shape[0]} rows, expected {G.M.shape[0]}"
-        )
-    Tn = equilibrated(T, tol_rank)
-    if Tn.shape[1] == 0:
-        return True
-    Nh, smax = _range_complement(G, tol_rank)
-    return bool(_within_bound((Nh @ Tn)[None], tol_rank * max(smax, 1.0))[0])
+    return all(blocks_in_range(G, T, max(1, T.shape[1]), tol_rank))
 
 
 def _within_bound(X: np.ndarray, bound: float) -> np.ndarray:
@@ -443,15 +455,17 @@ def lineality_space(
     G: GenGraph,
     tol_cone: float = DEFAULT_TOLERANCES.cone,
     tol_rank: float = DEFAULT_TOLERANCES.rank,
-) -> SubspaceBasis:
-    """Largest subspace contained in cone(G), as an orthonormal basis.
+) -> np.ndarray:
+    """Largest subspace contained in cone(G), as orthonormal columns.
 
     For a finitely generated cone this is the span of the lineality
     generators (``lineality_generators``, one memoized peel per graph and
-    cone tolerance), orthonormalized at the rank tolerance.
+    cone tolerance): the orthogonal complement of the generator graph's
+    memoized range complement, so that its dimension is the numerical
+    rank by which ``blocks_in_range`` judges that span.
     """
-    lin = lineality_generators(G, tol_cone)
-    return SubspaceBasis(range_basis(lin.graph.M, tol_rank))
+    Nh, _ = _range_complement(lineality_generators(G, tol_cone).graph, tol_rank)
+    return null_basis(Nh)
 
 
 def detect_scalar_edges(

@@ -7,21 +7,15 @@ import numpy as np
 EPS = float(np.finfo(float).eps)
 
 
-def _cutoff(shape, smax: float, rel_tol: float | None) -> float:
-    if smax == 0.0:
-        return 0.0
-    if rel_tol is None:
-        return max(shape) * EPS * smax
-    return rel_tol * smax
-
-
 def null_basis(
     M: np.ndarray, rel_tol: float | None = None, abs_floor: float = 0.0
 ) -> np.ndarray:
     """Orthonormal basis (as columns) of null(M); real for real input.
 
-    abs_floor raises the singular-value cutoff to an absolute level, for
-    callers whose matrices are only accurate to a known absolute error.
+    The singular-value cutoff is rel_tol times the largest singular value,
+    by default max(shape) eps times it.  abs_floor raises the cutoff to an
+    absolute level, for callers whose matrices are only accurate to a
+    known absolute error.
     """
     M = np.atleast_2d(M)
     m, c = M.shape
@@ -29,22 +23,10 @@ def null_basis(
         return M[:0, :0].copy()
     if m == 0:
         return np.eye(c, dtype=M.dtype)
-    u, s, vh = np.linalg.svd(M, full_matrices=True)
-    smax = float(s[0]) if s.size else 0.0
-    cutoff = max(_cutoff(M.shape, smax, rel_tol), abs_floor)
+    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    cutoff = max((max(m, c) * EPS if rel_tol is None else rel_tol) * float(s[0]), abs_floor)
     r = int(np.sum(s > cutoff))
     return vh[r:].conj().T
-
-
-def range_basis(M: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis (as columns) of range(M)."""
-    M = np.atleast_2d(M)
-    if M.shape[1] == 0 or M.size == 0:
-        return np.zeros((M.shape[0], 0), dtype=M.dtype)
-    u, s, _ = np.linalg.svd(M, full_matrices=False)
-    smax = float(s[0]) if s.size else 0.0
-    r = int(np.sum(s > _cutoff(M.shape, smax, rel_tol)))
-    return u[:, :r]
 
 
 def equilibrated(M: np.ndarray, drop_rel: float = 0.0) -> np.ndarray:

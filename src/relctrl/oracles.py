@@ -38,7 +38,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GraphDomainError
 from .gengraph import nnls
 from .numutil import equilibrated, pair_difference
-from .spectral import default_eig_tol, distinct_eigenvalues
+from .spectral import distinct_eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +80,7 @@ def brammer_positive(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCE
     if not kalman_reduced(spec, tolerances.rank, tolerances.zero):
         return False
     big = build_big(spec, tolerances.zero)
-    spectrum = distinct_eigenvalues(spec.A, tol_eig=default_eig_tol(spec.A, tolerances.eig))
+    spectrum = distinct_eigenvalues(spec.A, tolerances.eig)
     for comp in spectrum.components:
         if not comp.is_real:
             continue
@@ -305,10 +305,10 @@ def polar_horizon(spec: ArraySpec) -> tuple[float, float]:
     return min(float(horizon), 16.0 * base), base
 
 
-def default_polar_grid(spec: ArraySpec, count: int = 64) -> np.ndarray:
-    """Lobatto grid over ``polar_horizon``, count points per base horizon."""
+def default_polar_grid(spec: ArraySpec) -> np.ndarray:
+    """Lobatto grid over ``polar_horizon``, 64 points per base horizon."""
     horizon, base = polar_horizon(spec)
-    return _chebyshev_grid(horizon, int(np.ceil(count * horizon / base - 1e-9)))
+    return _chebyshev_grid(horizon, int(np.ceil(64 * horizon / base - 1e-9)))
 
 
 def _stays_nonpositive(
@@ -335,7 +335,6 @@ def polar_falsifier(
     k: int,
     l: int,
     grid: np.ndarray | None = None,
-    tol: float = 1e-7,
     tol_zero: float = DEFAULT_TOLERANCES.zero,
     tol_cone: float = DEFAULT_TOLERANCES.cone,
 ) -> np.ndarray | None:
@@ -354,10 +353,11 @@ def polar_falsifier(
     is reached.  Otherwise, by the Moreau decomposition the residual
     r = v - P* x lies in the polar cone, P r <= 0, with v* r = ||r||^2:
     r / ||r|| is the unit separating functional with the largest
-    v-component.  A candidate must keep P eta within the slack, have gain
-    ||(e_k - e_l)* eta|| >= 0.1 and stay within the slack on a ten times
-    denser grid; the first one that does is returned.  The dense grid's
-    exponentials are formed once, at the first candidate that gets there.
+    v-component.  A candidate must keep P eta within the slack
+    1e-7 (1 + max |P|), have gain ||(e_k - e_l)* eta|| >= 0.1 and stay
+    within the slack on a ten times denser grid; the first one that does
+    is returned.  The dense grid's exponentials are formed once, at the
+    first candidate that gets there.
 
     The grid defaults to ``default_polar_grid``.  A witness is evidence
     only for the finite horizon it was checked on: a response that turns
@@ -369,7 +369,7 @@ def polar_falsifier(
         grid = default_polar_grid(spec)
     grid = np.asarray(grid, dtype=float)
     P = _input_responses(spec, grid)
-    slack = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
+    slack = 1e-7 * (1.0 + float(np.abs(P).max(initial=0.0)))
     dense = None
     d = pair_difference(spec.q, k, l)
     for target in _pair_targets(d, spec.n):
@@ -424,17 +424,15 @@ def make_reach_problem(
 
 
 def reach_simulator(
-    prob: ReachProblem,
-    tol_hit: float = 1e-6,
-    tol_zero: float = DEFAULT_TOLERANCES.zero,
+    prob: ReachProblem, tol_zero: float = DEFAULT_TOLERANCES.zero
 ) -> list[TargetResult]:
     """Distance of each target to the discretized positive reach cone.
 
     Inputs are piecewise constant and nonnegative on the step grid; each
     target's best approximation is a nonnegative least-squares program
-    over all step/input weights.  Small residuals are evidence for
-    positive reachability of the target, never proof, and a large
-    residual may only reflect the discretization.
+    over all step/input weights.  A residual of at most 1e-6 is a hit:
+    evidence for positive reachability of the target, never proof, and
+    a large residual may only reflect the discretization.
     """
     spec = require_valid(prob.spec, tol_zero)
     dt = prob.horizon / prob.steps
@@ -443,5 +441,5 @@ def reach_simulator(
     out = []
     for target in prob.targets:
         _, residual = nnls(C, target)
-        out.append(TargetResult(target=target, residual=residual, hit=residual <= tol_hit))
+        out.append(TargetResult(target=target, residual=residual, hit=residual <= 1e-6))
     return out

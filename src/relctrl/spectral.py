@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .errors import (
     IllConditionedSpectrumError,
     InconsistentSpectrumError,
@@ -88,12 +89,6 @@ def _cluster_gap(values, ca, cb) -> float:
     return min(abs(values[i] - values[j]) for i in ca for j in cb)
 
 
-def default_eig_tol(A: np.ndarray, factor: float = 1e-8) -> float:
-    """Clustering tolerance scaled by the spectral radius."""
-    radius = float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
-    return factor * (1.0 + radius)
-
-
 def _shifted(A: np.ndarray, mu: complex) -> np.ndarray:
     n = A.shape[0]
     if np.imag(mu) == 0.0:
@@ -160,17 +155,15 @@ def generalized_basis(
     )
 
 
-def restriction(
-    A: np.ndarray, U: np.ndarray, mu: complex, tol_res: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def restriction(A: np.ndarray, U: np.ndarray, mu: complex) -> tuple[np.ndarray, np.ndarray]:
     """Restriction A_k of the dynamics to range(U) and its nilpotent part.
 
     U must have orthonormal columns spanning an A*-invariant subspace, so
-    A_k* = U* A* U and A* U = U A_k* up to the residual tolerance.
+    A_k* = U* A* U and A* U = U A_k* up to a residual of
+    1e-7 (1 + ||A||_F).
     """
     A = np.asarray(A, dtype=float)
-    if tol_res is None:
-        tol_res = 1e-7 * (1.0 + float(np.linalg.norm(A)))
+    tol_res = 1e-7 * (1.0 + float(np.linalg.norm(A)))
     n_k = U.shape[1]
     Ak_star = U.conj().T @ A.T @ U
     resid = float(np.linalg.norm(A.T @ U - U @ Ak_star))
@@ -221,15 +214,13 @@ def _conjugate_component(comp: EigComponent) -> EigComponent:
     )
 
 
-def distinct_eigenvalues(
-    A: np.ndarray,
-    tol_eig: float | None = None,
-    tol_rank: float | None = None,
-) -> Spectrum:
+def distinct_eigenvalues(A: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig) -> Spectrum:
     """Cluster the eigenvalues of A* and assemble the ordered spectrum.
 
-    Clusters whose imaginary part is below the tolerance are snapped to
-    the real axis; the rest are symmetrized into exact conjugate pairs.
+    Eigenvalues are clustered at the tolerance tol_eig (1 + radius), the
+    radius being the largest modulus among them.  Clusters whose
+    imaginary part is below the tolerance are snapped to the real axis;
+    the rest are symmetrized into exact conjugate pairs.
     Raises IllConditionedSpectrumError when two clusters are separated by
     less than twice the clustering tolerance, since the grouping would
     then hinge on the tolerance choice.
@@ -239,14 +230,13 @@ def distinct_eigenvalues(
         raise InconsistentSpectrumError(f"A must be square, got shape {A.shape}")
     n = A.shape[0]
     evals = np.linalg.eigvals(A.T)
-    tol = default_eig_tol(A) if tol_eig is None else float(tol_eig)
-    if tol_rank is None:
-        # Clustered eigenvalues carry an error up to the clustering
-        # tolerance, so eigenspace extraction must not use a cutoff finer
-        # than that: a null direction of A* - mu I leaves a residual of
-        # the order of the eigenvalue error.
-        smax = float(np.linalg.norm(A, 2)) if A.size else 0.0
-        tol_rank = tol / (1.0 + smax)
+    tol = float(tol_eig) * (1.0 + float(np.abs(evals).max(initial=0.0)))
+    # Clustered eigenvalues carry an error up to the clustering tolerance,
+    # so eigenspace extraction must not use a cutoff finer than that: a
+    # null direction of A* - mu I leaves a residual of the order of the
+    # eigenvalue error.
+    smax = float(np.linalg.norm(A, 2)) if A.size else 0.0
+    tol_rank = tol / (1.0 + smax)
 
     clusters = _cluster(evals, tol)
     for i in range(len(clusters)):

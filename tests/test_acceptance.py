@@ -170,9 +170,8 @@ def test_criterion_6_lineality_correctness():
     for _ in range(50):
         G = _random_cone(rng)
         basis = lineality_space(G)
-        nontrivial += basis.dim > 0
-        for idx in range(basis.dim):
-            b = basis.columns[:, idx]
+        nontrivial += basis.shape[1] > 0
+        for b in basis.T:
             for sign in (1.0, -1.0):
                 feas = cone_member(G, sign * b)
                 assert feas.member
@@ -181,8 +180,8 @@ def test_criterion_6_lineality_correctness():
         for col in G.M.T:
             if np.linalg.norm(col) == 0.0:
                 continue
-            inside = basis.dim > 0 and np.linalg.norm(
-                col - basis.columns @ (basis.columns.T @ col)
+            inside = basis.shape[1] > 0 and np.linalg.norm(
+                col - basis @ (basis.T @ col)
             ) <= 1e-8 * (1 + np.linalg.norm(col))
             if not inside:
                 assert not cone_member(G, -col).member

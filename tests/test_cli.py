@@ -3,7 +3,7 @@ import json
 import numpy as np
 from jsonschema import validate as schema_validate
 
-from relctrl import REPORT_SCHEMA, example_names
+from relctrl import DEFAULT_TOLERANCES, REPORT_SCHEMA, example_names
 from relctrl.cli import main
 from relctrl.specio import load_spec, save_spec
 
@@ -453,22 +453,21 @@ def test_save_and_load_roundtrip(tmp_path, watertanks):
 
 def test_oracle_tol_eig_reaches_brammer_spectrum(tmp_path, capsys, monkeypatch):
     import relctrl.oracles as oracles_module
-    from relctrl.spectral import default_eig_tol
 
-    # A nonzero spectral radius makes the scaled tolerance differ from the factor.
+    # The --tol-eig factor reaches brammer_positive, which hands it to its
+    # spectrum unscaled; distinct_eigenvalues scales it by the radius.
     path = write_example(tmp_path, "oscillators-a")
-    spec, _ = load_spec(path)
     seen = []
     original = oracles_module.distinct_eigenvalues
 
-    def spy(A, tol_eig=None, **kwargs):
+    def spy(A, tol_eig=DEFAULT_TOLERANCES.eig):
         seen.append(tol_eig)
-        return original(A, tol_eig=tol_eig, **kwargs)
+        return original(A, tol_eig)
 
     monkeypatch.setattr(oracles_module, "distinct_eigenvalues", spy)
     assert main(["oracle", str(path), "--samples", "2"]) == 0
-    assert seen == [default_eig_tol(spec.A)]
+    assert seen == [DEFAULT_TOLERANCES.eig]
     seen.clear()
     assert main(["oracle", str(path), "--samples", "2", "--tol-eig", "1e-6"]) == 0
-    assert seen == [default_eig_tol(spec.A, 1e-6)]
+    assert seen == [1e-6]
     capsys.readouterr()

@@ -17,12 +17,15 @@ from relctrl import (
     is_pairwise_controllable,
     is_positive_pairwise_controllable,
     is_positively_controllable,
+    lineality_space,
     q_graphs_and_index_sets,
+    range_contains,
     v_graphs,
     w_graphs,
 )
 from relctrl.controllability import _shift_chain_terminal
 from relctrl.errors import DimensionError, InvalidArrayError
+from relctrl.gengraph import lineality_generators
 
 from conftest import all_pairs, random_array_spec
 
@@ -325,6 +328,45 @@ def test_index_recursion_keeps_inputs_inside_lineality():
     assert step.index_set == (1, 2, 3, 4)
     assert step.removed == (4,)
     assert step.lineality_dim == 2
+
+
+def _nilpotent_chain_array(rng) -> ArraySpec:
+    # One Jordan block at 0, so every input sweeps a block of n columns.
+    n, q, p = int(rng.integers(2, 4)), int(rng.integers(3, 6)), int(rng.integers(3, 8))
+    B = np.zeros((q, p, n))
+    for s in range(p):
+        i, j = rng.choice(q, size=2, replace=False)
+        B[i, s] = rng.standard_normal(n)
+        B[j, s] = -B[i, s]
+    return ArraySpec(n=n, q=q, p=p, A=np.eye(n, k=1), B=B, name="nilpotent-chain")
+
+
+def test_index_recursion_keeps_the_inputs_range_contains_keeps():
+    # Each real step removes exactly the inputs whose block of swept
+    # columns range_contains rejects against the lineality generators.
+    rng = np.random.default_rng(20261018)
+    specs = [random_array_spec(rng) for _ in range(40)]
+    specs += [_nilpotent_chain_array(rng) for _ in range(20)]
+    kept = removed = blocks = 0
+    for spec in specs:
+        spectrum = distinct_eigenvalues(spec.A)
+        graphs, trace = q_graphs_and_index_sets(spec, spectrum)
+        for G, step, comp in zip(graphs, trace.steps, spectrum.components):
+            if not comp.is_real:
+                continue
+            lin = lineality_generators(G).graph
+            nk = comp.alg_mult
+            rejected = tuple(
+                s
+                for i, s in enumerate(step.index_set)
+                if not range_contains(lin, G.M[:, i * nk : (i + 1) * nk])
+            )
+            assert step.removed == rejected
+            assert step.lineality_dim == lineality_space(G).shape[1]
+            removed += len(rejected)
+            kept += len(step.index_set) - len(rejected)
+            blocks += nk > 1 and len(step.index_set) > 0
+    assert kept > 50 and removed > 50 and blocks > 10
 
 
 def test_pair_validation(watertanks):

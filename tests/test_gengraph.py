@@ -28,6 +28,7 @@ from relctrl.errors import (
 from relctrl.gengraph import (
     GenGraph,
     _range_complement,
+    blocks_in_range,
     cone_contains_subspace,
     kl_connected_pairs,
     lineality_generators,
@@ -189,6 +190,85 @@ def test_kl_connected_pairs_matches_range_contains(drawn):
         decided += 1
     assume(decided > 0)
     assert kl_connected_pairs(G, [], tol) == []
+
+
+@st.composite
+def block_questions(draw):
+    """A graph and tolerance from pair_questions and a target of width-column
+    blocks: each block mixes columns inside the range, random columns and
+    zero columns, with its own magnitude, and one column of a block may sit
+    up to twelve decades below the others."""
+    G, tol = draw(pair_questions())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, c = G.M.shape
+    width = draw(st.integers(1, 3))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        cols = []
+        for _ in range(width):
+            kind = draw(st.sampled_from(["inside", "random", "zero"] if c else ["random", "zero"]))
+            if kind == "inside":
+                col = G.M @ rng.standard_normal(c)
+            elif kind == "random":
+                col = rng.standard_normal(m)
+            else:
+                col = np.zeros(m)
+            cols.append(col if G.is_real else col * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        block = np.column_stack(cols) * 10.0 ** rng.uniform(-6, 6)
+        block[:, rng.integers(width)] *= 10.0 ** -rng.uniform(0, 12)
+        blocks.append(block)
+    T = np.hstack(blocks) if blocks else np.zeros((m, 0))
+    return G, tol, T, width
+
+
+@settings(max_examples=150)
+@given(drawn=block_questions())
+def test_blocks_in_range_matches_range_contains_per_block(drawn):
+    G, tol, T, width = drawn
+    got = blocks_in_range(G, T, width, tol)
+    assert all(type(flag) is bool for flag in got)
+    assert len(got) == T.shape[1] // width
+    Nh, smax = _range_complement(G, tol)
+    bound = tol * max(smax, 1.0)
+    for j, flag in enumerate(got):
+        block = T[:, j * width : (j + 1) * width]
+        # Skip residuals at a threshold of the rule, as for the pairs.
+        X = Nh @ equilibrated(block, tol)
+        if X.size:
+            fro = np.linalg.norm(X)
+            norms = (fro, fro / np.sqrt(min(X.shape)), np.linalg.norm(X, 2))
+            if any(abs(v / bound - 1.0) < 1e-6 for v in norms):
+                continue
+        assert flag == range_contains(G, block, tol)
+
+
+def test_blocks_in_range_equilibrates_each_block_on_its_own():
+    # The second block's small column leans out of the range.  Next to its
+    # own unit column it counts; next to the first block's 1e12 column it
+    # falls below the drop rule, so one block of all four columns passes.
+    G = make_graph(3, 1, np.array([[1.0], [-1.0], [0.0]]))
+    edge, lean = np.array([1.0, -1.0, 0.0]), np.array([1.0, 1.0, -2.0])
+    T = np.column_stack([1e12 * edge, edge, edge, 1e-6 * lean])
+    assert blocks_in_range(G, T, 2) == [True, False]
+    assert range_contains(G, T[:, :2]) and not range_contains(G, T[:, 2:])
+    assert range_contains(G, T)
+
+
+def test_blocks_in_range_on_a_full_rank_graph():
+    # A full-row-rank matrix leaves a complement with no rows: every block
+    # lies in its range, and none of the stacks is empty of blocks.
+    rng = np.random.default_rng(3)
+    G = GenGraph(q=3, blocksize=2, M=rng.standard_normal((6, 9)), is_real=True)
+    assert _range_complement(G, 1e-9)[0].shape == (0, 6)
+    assert blocks_in_range(G, rng.standard_normal((6, 6)), 3) == [True, True]
+    assert blocks_in_range(G, np.zeros((6, 0)), 2) == []
+    assert lineality_space(triangle_graph()).shape == (3, 2)
+
+
+def test_blocks_in_range_checks_its_shapes():
+    for T, width in [(np.zeros((3, 4)), 3), (np.zeros((3, 4)), 0), (np.zeros((2, 2)), 1)]:
+        with pytest.raises(DimensionError):
+            blocks_in_range(wt_graph(), T, width)
 
 
 def test_kl_connected_pairs_bounds_the_spectral_norm_of_each_residual():
@@ -392,8 +472,8 @@ def test_polar_vectors_reject_members():
 def test_lineality_single_reversible_edge():
     G = make_graph(3, 1, np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 1.0], [0.0, 0.0, -1.0]]))
     basis = lineality_space(G)
-    assert basis.dim == 1
-    direction = basis.columns[:, 0]
+    assert basis.shape[1] == 1
+    direction = basis[:, 0]
     expected = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
     assert min(
         np.linalg.norm(direction - expected), np.linalg.norm(direction + expected)
@@ -402,12 +482,12 @@ def test_lineality_single_reversible_edge():
 
 def test_lineality_triangle_is_disagreement_plane():
     basis = lineality_space(triangle_graph())
-    assert basis.dim == 2
-    np.testing.assert_allclose(np.ones(3) @ basis.columns, 0.0, atol=1e-10)
+    assert basis.shape[1] == 2
+    np.testing.assert_allclose(np.ones(3) @ basis, 0.0, atol=1e-10)
 
 
 def test_lineality_pointed_cone_is_trivial():
-    assert lineality_space(wt_graph()).dim == 0
+    assert lineality_space(wt_graph()).shape[1] == 0
 
 
 def test_detect_scalar_edges_watertanks():
@@ -640,7 +720,7 @@ def test_lineality_generators_memoized_and_shared(nnls_calls):
     G = triangle_graph()
     lin = lineality_generators(G)
     assert lin.columns == (0, 1, 2)
-    assert lineality_space(G).dim == 2
+    assert lineality_space(G).shape[1] == 2
     assert is_strongly_connected(G)
     for k, l in all_pairs(3):
         assert is_strongly_kl_connected(G, k, l)

@@ -61,3 +61,15 @@ def test_reach_probe_honours_the_spec_files_tolerances(tmp_path, capsys):
     assert done.returncode == 0, done.stderr
     assert "graph verdict for positive (1,2) steering: yes" in done.stdout
     assert "falsifier: no witness" in done.stdout
+
+
+def test_report_digest_prints_one_sha1_per_output():
+    done = run_script("report_digest.py")
+    assert done.returncode == 0, done.stderr
+    lines = [line.split("  ") for line in done.stdout.splitlines()]
+    assert [label for _, label in lines] == [
+        f"{corpus}/{pairs}"
+        for corpus in ("examples", "damped-q12-n6", "random-600")
+        for pairs in ("all-pairs", "no-pairs")
+    ] + ["oracle"]
+    assert all(len(digest) == 40 and set(digest) <= set("0123456789abcdef") for digest, _ in lines)

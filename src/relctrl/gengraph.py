@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls as scipy_nnls
 
 from .array_model import disagreement_basis
 from .config import DEFAULT_TOLERANCES
@@ -165,9 +164,16 @@ def nnls(M: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> tuple[np.
     own norm belongs to the scaled problem and is not relied on (it has
     been stale on duplicate-column instances).
 
+    ``scipy.optimize`` is imported here, at the first program, and not
+    when the package loads: the import takes about 0.45 s and 40 MB,
+    most of a cold ``import relctrl``, and an array without a real
+    eigenvalue is decided by rank tests alone.
+
     Raises NumericalFailureError past ``max_iter`` iterations, by default
     ``50 * n_columns``.
     """
+    from scipy.optimize import nnls as scipy_nnls
+
     M = np.asarray(M, dtype=float)
     v = np.asarray(v, dtype=float).ravel()
     m, c = M.shape

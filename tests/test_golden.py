@@ -17,12 +17,16 @@ controllability-matrix pair verdicts at all 132 ordered pairs, which the
 examples barely use.
 """
 
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from relctrl import build_example, example_names
+from relctrl import analyze, build_example, example_names, render_json, report_to_dict
 from relctrl.cli import main
+from relctrl.corpus import random_array_spec
+from relctrl.report import _json
 
 from conftest import all_pairs
 
@@ -50,3 +54,37 @@ def test_damped_array_json_matches_golden_bytes(capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / "damped-q12-n6.json").read_bytes()
+
+
+# render_json's writer against json.dumps(indent=2), the reference it replaces
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_writer_matches_json_dumps_on_every_golden_file(path):
+    value = json.loads(path.read_text())
+    assert _json(value, "") == json.dumps(value, indent=2)
+
+
+def test_writer_matches_json_dumps_on_a_random_all_pairs_report():
+    spec = random_array_spec(np.random.default_rng(20261018), n_max=3, q_max=7, p_max=9)
+    report = analyze(spec, all_pairs(spec.q))
+    assert render_json(report) == json.dumps(report_to_dict(report), indent=2) + "\n"
+
+
+def test_writer_matches_json_dumps_on_every_value_type():
+    value = {
+        "text": "tab\there, quote \" slash \\ é ∞ \U0001f600",
+        "ints": [0, -3, 2**70],
+        "floats": [0.0, -0.0, 1e-300, 1.5e16, 0.1, float("nan"), float("inf"), -float("inf")],
+        "numpy": [np.float64(2.5), np.float64(-1e-9)],
+        "flags": [True, False, None],
+        "empty": [{}, [], ()],
+        "nested": {"kl": {"1-2": True}, "steps": [{"set": (1, 2)}]},
+    }
+    assert _json(value, "") == json.dumps(value, indent=2)
+
+
+def test_writer_refuses_what_json_dumps_refuses():
+    with pytest.raises(TypeError):
+        json.dumps(np.bool_(True), indent=2)
+    with pytest.raises(TypeError):
+        _json(np.bool_(True), "")

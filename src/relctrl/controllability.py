@@ -18,7 +18,15 @@ graphs built from the array:
 
 Both controllability and pairwise controllability admit a second, whole
 controllability-matrix characterization; the two are computed side by
-side and any numerical disagreement raises instead of guessing.
+side and any numerical disagreement raises instead of guessing.  That
+check uses no spectrum.  It first contracts the matrix W (see
+``w_matrix_verdict``): an input that touches only systems i and j, with
+blocks b and -b, contributes (e_i - e_j) ⊗ A^k b, so when its Krylov
+matrix [b, Ab, ..., A^(n-1) b] has full rank, range(W) contains all of
+(e_i - e_j) ⊗ R^n.  When every nonzero input contracts, range(W) is
+exactly the span of those blocks: W is connected when the inputs join
+all systems into one component, and (k,l)-connected when k and l share
+one.  Otherwise W is factored whole, by the SVD route only.
 
 ``analyze`` is the one pipeline: it validates the array, computes the
 spectrum, builds each graph family once and reads every verdict off it.
@@ -35,7 +43,6 @@ import numpy as np
 from .array_model import (
     ArraySpec,
     ValidationReport,
-    disagreement_basis,
     require_valid,
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
@@ -43,13 +50,13 @@ from .errors import DimensionError, InternalConsistencyError
 from .gengraph import (
     GenGraph,
     blocks_in_range,
-    cone_contains_subspace,
     is_connected,
     kl_connected_pairs,
+    lineality_dim,
     lineality_generators,
-    lineality_space,
     make_graph,
 )
+from .numutil import component_labels, edge_ends
 from .spectral import EigComponent, Spectrum, distinct_eigenvalues
 
 
@@ -63,14 +70,16 @@ def controllability_matrix(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES
     The stacked dynamics are I_q ⊗ A, so each power is applied to the
     (q, p, n) input blocks directly.  They satisfy the degree-n
     characteristic polynomial of the node matrix, so n powers already
-    span the controllable subspace.
+    span the controllable subspace.  The graph never takes the edge
+    route of ``relctrl.gengraph``, even at n = 1, where it is an edge
+    graph.
     """
     powers = [spec.B]
     for _ in range(spec.n - 1):
         powers.append(np.einsum("mn,qpn->qpm", spec.A, powers[-1]))
     # (power, q, p, n) -> rows (system, state), columns (power, input)
     W = np.stack(powers).transpose(1, 3, 0, 2).reshape(spec.q * spec.n, spec.n * spec.p)
-    return make_graph(spec.q, spec.n, W, tol_zero)
+    return replace(make_graph(spec.q, spec.n, W, tol_zero), edge_route=False)
 
 
 def _component_blocks(spec: ArraySpec, basis: np.ndarray) -> np.ndarray:
@@ -162,7 +171,7 @@ def q_graphs_and_index_sets(
             lin = lineality_generators(G, tolerances.cone).graph
             kept = blocks_in_range(lin, G.M, comp.alg_mult, tolerances.rank)
             removed = [s for s, ok in zip(active, kept) if not ok]
-            dim = lineality_space(G, tolerances.cone, tolerances.rank).shape[1]
+            dim = lineality_dim(G, tolerances.cone, tolerances.rank)
         steps.append(
             IndexStep(
                 kappa=kappa + 1,
@@ -310,6 +319,58 @@ class WMatrixVerdict:
     kl_connected: dict[tuple[int, int], bool]
 
 
+def _contracted_labels(spec: ArraySpec, tol_rank: float) -> np.ndarray | None:
+    """Component labels of range(W) by contraction, or None.
+
+    Every input with a nonzero block must touch exactly two systems i, j,
+    with blocks b and -b, and its column-equilibrated Krylov matrix
+    [b, Ab, ..., A^(n-1) b] must have sigma_min > 10 tol_rank sigma_max;
+    the singular values of all of them come from one batched call on a
+    (p, n, n) stack.  The labels are those of ``component_labels`` over
+    the (i, j) of the inputs.
+    """
+    columns = spec.B.transpose(0, 2, 1).reshape(spec.q * spec.n, spec.p)
+    i, j, edge = edge_ends(columns, spec.n)
+    live = columns.any(axis=0)
+    if not np.all(edge | ~live):
+        return None
+    i, j = i[live], j[live]
+    krylov = [spec.B[i, live]]                           # (p', n)
+    for _ in range(spec.n - 1):
+        krylov.append(krylov[-1] @ spec.A.T)
+    K = np.stack(krylov, axis=2)                         # (p', n, n), column k is A^k b
+    norms = np.linalg.norm(K, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        return None
+    s = np.linalg.svd(K / norms, compute_uv=False)
+    if np.any(s[:, -1] <= 10.0 * tol_rank * s[:, 0]):
+        return None
+    return component_labels(spec.q, zip(i.tolist(), j.tolist()))
+
+
+def w_matrix_verdict(
+    spec: ArraySpec, pairs: list[tuple[int, int]], tol: Tolerances
+) -> WMatrixVerdict:
+    """Connectivity of the controllability matrix W, at every pair.
+
+    By contraction when every nonzero input contracts
+    (``_contracted_labels``): connected is one component, a pair is
+    connected when it shares one.  Otherwise W is built and factored
+    whole (``controllability_matrix``), by the SVD route.
+    """
+    labels = _contracted_labels(spec, tol.rank)
+    if labels is not None:
+        return WMatrixVerdict(
+            connected=not labels.any(),
+            kl_connected={(k, l): bool(labels[k - 1] == labels[l - 1]) for k, l in pairs},
+        )
+    W = controllability_matrix(spec, tol.zero)
+    return WMatrixVerdict(
+        connected=is_connected(W, tol.rank),
+        kl_connected=dict(zip(pairs, kl_connected_pairs(W, pairs, tol.rank))),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class AnalysisReport:
     """Everything the front end renders, in one immutable bundle."""
@@ -421,9 +482,11 @@ def analyze_with_graphs(
     def v_fill(G, comp):
         flags = {"connected": is_connected(G, tol.rank), "kl_connected": kl_flags(G)}
         if comp.is_real:
-            D = np.kron(disagreement_basis(spec.q), np.eye(G.blocksize))
-            ok, marginal = cone_contains_subspace(G, D, tol.cone, tol.rank)
-            flags.update(strongly_connected=ok, marginal=marginal)
+            # The rule of cone_contains_subspace, on the whole
+            # disagreement space.
+            lin = lineality_generators(G, tol.cone)
+            ok = is_connected(lin.graph, tol.rank)
+            flags.update(strongly_connected=ok, marginal=lin.marginal and not ok)
         return flags
 
     def q_fill(G, comp):
@@ -445,8 +508,7 @@ def analyze_with_graphs(
     # Both graph characterizations are checked against the whole
     # controllability matrix; they are provably equivalent, so a
     # disagreement raises instead of returning either answer.
-    W = controllability_matrix(spec, tol.zero)
-    w_matrix = WMatrixVerdict(connected=is_connected(W, tol.rank), kl_connected=kl_flags(W))
+    w_matrix = w_matrix_verdict(spec, pairlist, tol)
     controllable = all(row.connected for row in v_rows)
     if controllable != w_matrix.connected:
         raise InternalConsistencyError(

@@ -18,10 +18,31 @@ keeps an orthonormal basis N of the complement of its numerical range
 target, cut into column blocks, is equilibrated block by block and
 projected onto N; a block lies in the range when its residual has
 spectral norm at most ``tol_rank * max(smax, 1)``.  ``range_contains`` is
-the one-block case.  A vertex pair needs not even the product: its
-residual is the difference of column blocks k and l of N*, so
-``kl_connected_pairs`` answers every requested pair of a graph with one
-array operation on those blocks, under the same bound.  The oracles in
+the one-block case and always takes this SVD route.  A vertex pair needs
+not even the product: its residual is the difference of column blocks k
+and l of N*, so ``kl_connected_pairs`` answers every requested pair of a
+graph with one array operation on those blocks, under the same bound.
+
+Most graphs are edge graphs, and for them the rule is a component
+lookup (the edge route).  A graph qualifies when its blocksize is 1 and
+every column either lies below the drop cut of ``equilibrated``
+(``tol_rank`` times the largest column norm) or is exactly w (e_i - e_j),
+w real or complex, with no column norm within a decade of that cut.
+Equilibrated, its columns are then unit incidence columns, so its range
+is {x : x sums to zero on every component} and N spans the component
+indicators.  The SVD rule gives the same verdicts under the guard
+10 tol_rank max(1, sqrt(maxdeg)) q < 1, maxdeg being the largest vertex
+degree: the singular values are sqrt(lambda/2) over the Laplacian's
+eigenvalues lambda, so smax <= sqrt(maxdeg) and, since
+lambda_2 >= 4 / (q diam) (Mohar 1991), every nonzero one is at least
+sqrt(2)/q, far above the cutoff; and a pair split between components
+leaves a residual of at least 1/sqrt(q), far above the bound, while a
+pair inside one leaves none.  The components come from one union–find
+per graph and tolerance (``_edge_labels``).  Connectivity is then one
+component, (k,l)-connectivity a shared label, a single edge column as
+a target lies in the range when its ends share a label, and the range
+has dimension q minus the number of components.  Every other graph, and
+every general target, takes the SVD route.  The oracles in
 ``relctrl.oracles`` build and factor their own matrices on purpose: an
 oracle must not share the step it checks.
 
@@ -41,7 +62,7 @@ turn factored once.  Single vector memberships go through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,7 +74,7 @@ from .errors import (
     NumericalFailureError,
     UnsupportedRenderError,
 )
-from .numutil import equilibrated, null_basis
+from .numutil import component_labels, edge_ends, equilibrated, null_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,15 +82,22 @@ class GenGraph:
     """A (q*blocksize) x c matrix whose columns are generalized edges.
 
     The matrix is never modified after construction, which lets
-    range_contains keep its range complement per rank tolerance and
-    lineality_generators its generators per cone tolerance.
+    range_contains keep its range complement per rank tolerance, the edge
+    route its component labels per rank tolerance and
+    lineality_generators its generators per cone tolerance.  edge_route
+    False sends every range question down the SVD route, whatever the
+    columns look like.
     """
 
     q: int
     blocksize: int
     M: np.ndarray
     is_real: bool
+    edge_route: bool = True
     _complements: dict[float, tuple[np.ndarray, float]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    _edges: dict[float, np.ndarray | None] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
     _linealities: dict[float, "Lineality"] = field(
@@ -239,6 +267,31 @@ def _range_complement(G: GenGraph, tol_rank: float) -> tuple[np.ndarray, float]:
     return memo
 
 
+def _edge_labels(G: GenGraph, tol_rank: float) -> np.ndarray | None:
+    """Component labels of an edge graph, or None; once per tolerance.
+
+    None unless G qualifies for the edge route (see the module
+    docstring): blocksize 1, every column exactly an edge or below the
+    drop cut of ``equilibrated``, no column norm within a decade of that
+    cut, and 10 tol_rank max(1, sqrt(maxdeg)) q < 1.  The labels are those
+    of ``component_labels`` over the edges above the cut.
+    """
+    if tol_rank in G._edges:
+        return G._edges[tol_rank]
+    labels = None
+    if G.edge_route and G.blocksize == 1:
+        norms = np.linalg.norm(G.M, axis=0)
+        cut = tol_rank * norms.max(initial=0.0)
+        kept = norms > cut
+        if not np.any(kept & (norms < 10.0 * cut) | ~kept & (norms > cut / 10.0)):
+            i, j, edge = edge_ends(G.M[:, kept], 1)
+            maxdeg = np.bincount(np.concatenate([i, j]), minlength=G.q).max()
+            if edge.all() and 10.0 * tol_rank * max(1.0, np.sqrt(maxdeg)) * G.q < 1.0:
+                labels = component_labels(G.q, zip(i.tolist(), j.tolist()))
+    G._edges[tol_rank] = labels
+    return labels
+
+
 def blocks_in_range(
     G: GenGraph, T: np.ndarray, width: int, tol_rank: float = DEFAULT_TOLERANCES.rank
 ) -> list[bool]:
@@ -255,8 +308,24 @@ def blocks_in_range(
     ``tol_rank * max(smax, 1)`` outside it, smax being the largest
     singular value of the equilibrated graph.  All blocks are judged in
     one stack.
+
+    On an edge graph (``_edge_labels``), single-column blocks that are
+    each exactly an edge or zero take the edge route: a zero column lies
+    in the range, and an edge does when its ends share a component.
     """
     T = np.atleast_2d(np.asarray(T))
+    if width == 1 and T.ndim == 2 and T.shape[0] == G.M.shape[0]:
+        labels = _edge_labels(G, tol_rank)
+        if labels is not None:
+            i, j, edge = edge_ends(T, 1)
+            zero = ~T.any(axis=0)
+            if np.all(edge | zero):
+                return (zero | (labels[i] == labels[j])).tolist()
+    return _blocks_by_svd(G, T, width, tol_rank)
+
+
+def _blocks_by_svd(G: GenGraph, T: np.ndarray, width: int, tol_rank: float) -> list[bool]:
+    """The SVD route of ``blocks_in_range``, on a target already 2-d."""
     if T.ndim != 2 or T.shape[0] != G.M.shape[0]:
         raise DimensionError(f"target has {T.shape[0]} rows, expected {G.M.shape[0]}")
     m, c = T.shape
@@ -276,11 +345,13 @@ def range_contains(
 ) -> bool:
     """True when range(G) contains range(T): ``blocks_in_range`` on one block.
 
-    The oracles build and factor their own matrices instead, so that a
-    cross-check does not share the step it checks.
+    It always takes the SVD route, on edge graphs too, so it is the
+    reference the edge route is checked against.  The oracles build and
+    factor their own matrices instead, so that a cross-check does not
+    share the step it checks.
     """
     T = np.atleast_2d(np.asarray(T))
-    return all(blocks_in_range(G, T, max(1, T.shape[1]), tol_rank))
+    return all(_blocks_by_svd(G, T, max(1, T.shape[1]), tol_rank))
 
 
 def _within_bound(X: np.ndarray, bound: float) -> np.ndarray:
@@ -305,7 +376,9 @@ def kl_connected_pairs(
     ((e_k - e_l) ⊗ I)/sqrt(2), and its residual outside the range is
     (N*_k - N*_l)/sqrt(2), where N*_k is column block k of the memoized
     complement.  The residuals of all pairs are gathered into (P, r, b)
-    stacks and judged together by the rule of ``range_contains``.
+    stacks and judged together by the rule of ``range_contains``.  On an
+    edge graph a pair is connected exactly when its ends share a
+    component label.
     """
     pairs = list(pairs)
     for k, l in pairs:
@@ -313,9 +386,12 @@ def kl_connected_pairs(
             raise DimensionError(f"vertex pair ({k},{l}) invalid for q={G.q} (1-based, distinct)")
     if not pairs:
         return []
+    k, l = (np.asarray(pairs) - 1).T
+    labels = _edge_labels(G, tol_rank)
+    if labels is not None:
+        return (labels[k] == labels[l]).tolist()
     Nh, smax = _range_complement(G, tol_rank)
     blocks = Nh.reshape(-1, G.q, G.blocksize)
-    k, l = (np.asarray(pairs) - 1).T
     # Pairs per stack, so that one stack holds at most 2**18 entries.
     step = max(1, 2**18 // max(1, Nh.size // G.q))
     bound = tol_rank * max(smax, 1.0)
@@ -330,7 +406,7 @@ def _column_graph(G: GenGraph, columns: np.ndarray) -> GenGraph:
     """The graph of some of G's columns; they are edges of G already."""
     M = G.M[:, columns]
     M.setflags(write=False)
-    return GenGraph(q=G.q, blocksize=G.blocksize, M=M, is_real=G.is_real)
+    return replace(G, M=M)
 
 
 def lineality_generators(
@@ -427,7 +503,13 @@ def cone_contains_subspace(
 
 
 def is_connected(G: GenGraph, tol_rank: float = DEFAULT_TOLERANCES.rank) -> bool:
-    """range(G) contains every disagreement direction."""
+    """range(G) contains every disagreement direction.
+
+    On an edge graph: G has one component, every label is vertex 0.
+    """
+    labels = _edge_labels(G, tol_rank)
+    if labels is not None:
+        return not labels.any()
     D = disagreement_basis(G.q)
     return range_contains(G, np.kron(D, np.eye(G.blocksize)), tol_rank)
 
@@ -440,12 +522,14 @@ def is_kl_connected(
 
 
 def is_strongly_connected(G: GenGraph, tol_cone: float = DEFAULT_TOLERANCES.cone) -> bool:
-    """cone(G) contains every disagreement direction (real graphs only)."""
+    """cone(G) contains every disagreement direction (real graphs only).
+
+    By the rule of ``cone_contains_subspace``: the span of the lineality
+    generators is connected.
+    """
     if not G.is_real:
         raise GraphDomainError("strong connectivity is defined for real graphs only")
-    D = disagreement_basis(G.q)
-    ok, _ = cone_contains_subspace(G, np.kron(D, np.eye(G.blocksize)), tol_cone)
-    return ok
+    return is_connected(lineality_generators(G, tol_cone).graph)
 
 
 def is_strongly_kl_connected(
@@ -472,6 +556,21 @@ def lineality_space(
     """
     Nh, _ = _range_complement(lineality_generators(G, tol_cone).graph, tol_rank)
     return null_basis(Nh)
+
+
+def lineality_dim(G: GenGraph, tol_cone: float, tol_rank: float) -> int:
+    """The dimension of ``lineality_space``, without forming the basis.
+
+    That basis completes the rows of the generator graph's range
+    complement N*, which are orthonormal, so its dimension is the row
+    count of G.M less that of N*.  On the edge route N* has one row per
+    component of the generator graph.
+    """
+    H = lineality_generators(G, tol_cone).graph
+    labels = _edge_labels(H, tol_rank)
+    if labels is not None:
+        return H.q - int(np.count_nonzero(labels == np.arange(H.q)))
+    return H.M.shape[0] - _range_complement(H, tol_rank)[0].shape[0]
 
 
 def detect_scalar_edges(

@@ -48,6 +48,47 @@ def equilibrated(M: np.ndarray, drop_rel: float = 0.0) -> np.ndarray:
     return M[:, keep] / norms[keep]
 
 
+def edge_ends(M: np.ndarray, blocksize: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each column of a (q*blocksize) x c matrix is an exact edge.
+
+    Returns (i, j, edge): i <= j are the first and last of the q row
+    blocks in which the column is nonzero, and edge says whether the
+    column is exactly (e_i - e_j) ⊗ w: nonzero in exactly two blocks,
+    which are exact negatives of each other.
+    """
+    c = M.shape[1]
+    blocks = M.reshape(M.shape[0] // blocksize, blocksize, c)
+    nz = np.any(blocks != 0, axis=1)                     # (q, c)
+    i = nz.argmax(axis=0)
+    j = nz.shape[0] - 1 - nz[::-1].argmax(axis=0)
+    cols = np.arange(c)
+    negated = np.all(blocks[i, :, cols] == -blocks[j, :, cols], axis=1)
+    return i, j, (nz.sum(axis=0) == 2) & negated
+
+
+def component_labels(size: int, edges) -> np.ndarray:
+    """Connected-component labels of a graph on vertices 0..size-1.
+
+    Union–find with path halving over the (i, j) pairs of edges.  Every
+    vertex is labelled by the smallest vertex of its component, so the
+    labels do not depend on the order of the edges, and a root is the one
+    vertex of its component labelled by itself.
+    """
+    parent = list(range(size))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    return np.array([find(a) for a in range(size)], dtype=np.intp)
+
+
 def pair_difference(q: int, k: int, l: int) -> np.ndarray:
     """The vector e_k - e_l in R^q, 1-based indices."""
     e = np.zeros(q)

@@ -188,12 +188,7 @@ def format_mu(mu: complex) -> str:
     return f"{mu.real:.9g}{mu.imag:+.9g}j"
 
 
-def _graph_json(v: EigGraphVerdict) -> dict:
-    def pairmap(d):
-        if d is None:
-            return None
-        return {_pair_key(pair): bool(val) for pair, val in d.items()}
-
+def _graph_json(v: EigGraphVerdict, pairmap) -> dict:
     return {
         "kappa": v.kappa,
         "mu": _complex_json(v.mu),
@@ -207,6 +202,16 @@ def _graph_json(v: EigGraphVerdict) -> dict:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
+    # Every pair map of a report is keyed by the requested pairs, in the
+    # order of report.pairwise, so each key is formatted once and zipped
+    # with the values of every map.
+    keys = [_pair_key(pair) for pair in report.pairwise]
+
+    def pairmap(d):
+        if d is None:
+            return None
+        return dict(zip(keys, map(bool, d.values())))
+
     return {
         "report_version": REPORT_VERSION,
         "name": report.name,
@@ -236,12 +241,10 @@ def report_to_dict(report: AnalysisReport) -> dict:
             }
             for i, c in enumerate(report.spectrum.components)
         ],
-        "graphs": [_graph_json(v) for v in report.graph_verdicts],
+        "graphs": [_graph_json(v, pairmap) for v in report.graph_verdicts],
         "controllability_matrix": {
             "connected": report.w_matrix.connected,
-            "kl_connected": {
-                _pair_key(pair): val for pair, val in report.w_matrix.kl_connected.items()
-            },
+            "kl_connected": pairmap(report.w_matrix.kl_connected),
         },
         "index_recursion": [
             {
@@ -256,10 +259,10 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "verdicts": {
             "controllable": report.controllable,
             "positively_controllable": report.positively_controllable,
-            "pairwise": {_pair_key(p): v for p, v in report.pairwise.items()},
+            "pairwise": pairmap(report.pairwise),
             "positive_pairwise": {
-                _pair_key(p): {"yes": v.yes, "conditional": v.conditional}
-                for p, v in report.positive_pairwise.items()
+                key: {"yes": v.yes, "conditional": v.conditional}
+                for key, v in zip(keys, report.positive_pairwise.values())
             },
         },
         "assumptions": {

@@ -22,7 +22,7 @@ from .errors import (
     InconsistentSpectrumError,
     InvarianceViolationError,
 )
-from .numutil import null_basis
+from .numutil import component_labels, null_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,27 +61,15 @@ class Spectrum:
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
-    # Union-find on |v_i - v_j| <= tol; transitive closure keeps clusters
-    # stable under member ordering.
-    k = len(values)
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(values[i] - values[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
+    # Components of |v_i - v_j| <= tol; the transitive closure keeps
+    # clusters stable under member ordering.
+    values = np.asarray(values)
+    close = np.triu(np.abs(values[:, None] - values[None, :]) <= tol, 1)
+    rows, cols = np.nonzero(close)
+    labels = component_labels(len(values), zip(rows.tolist(), cols.tolist()))
     groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
+    for i, root in enumerate(labels.tolist()):
+        groups.setdefault(root, []).append(i)
     return [groups[r] for r in sorted(groups)]
 
 

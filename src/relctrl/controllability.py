@@ -23,10 +23,12 @@ check uses no spectrum.  It first contracts the matrix W (see
 ``w_matrix_verdict``): an input that touches only systems i and j, with
 blocks b and -b, contributes (e_i - e_j) ⊗ A^k b, so when its Krylov
 matrix [b, Ab, ..., A^(n-1) b] has full rank, range(W) contains all of
-(e_i - e_j) ⊗ R^n.  When every nonzero input contracts, range(W) is
-exactly the span of those blocks: W is connected when the inputs join
-all systems into one component, and (k,l)-connected when k and l share
-one.  Otherwise W is factored whole, by the SVD route only.
+(e_i - e_j) ⊗ R^n.  When every nonzero input contracts, and the Krylov
+column norms and conditioning pass the guards of ``_contracted_labels``
+under which the SVD rule provably agrees, range(W) is exactly the span
+of those blocks: W is connected when the inputs join all systems into
+one component, and (k,l)-connected when k and l share one.  Otherwise W
+is built and judged whole like any other graph.
 
 ``analyze`` is the one pipeline: it validates the array, computes the
 spectrum, builds each graph family once and reads every verdict off it.
@@ -50,6 +52,7 @@ from .errors import DimensionError, InternalConsistencyError
 from .gengraph import (
     GenGraph,
     blocks_in_range,
+    cone_contains_subspace,
     is_connected,
     kl_connected_pairs,
     lineality_dim,
@@ -70,16 +73,14 @@ def controllability_matrix(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES
     The stacked dynamics are I_q ⊗ A, so each power is applied to the
     (q, p, n) input blocks directly.  They satisfy the degree-n
     characteristic polynomial of the node matrix, so n powers already
-    span the controllable subspace.  The graph never takes the edge
-    route of ``relctrl.gengraph``, even at n = 1, where it is an edge
-    graph.
+    span the controllable subspace.
     """
     powers = [spec.B]
     for _ in range(spec.n - 1):
         powers.append(np.einsum("mn,qpn->qpm", spec.A, powers[-1]))
     # (power, q, p, n) -> rows (system, state), columns (power, input)
     W = np.stack(powers).transpose(1, 3, 0, 2).reshape(spec.q * spec.n, spec.n * spec.p)
-    return replace(make_graph(spec.q, spec.n, W, tol_zero), edge_route=False)
+    return make_graph(spec.q, spec.n, W, tol_zero)
 
 
 def _component_blocks(spec: ArraySpec, basis: np.ndarray) -> np.ndarray:
@@ -323,28 +324,48 @@ def _contracted_labels(spec: ArraySpec, tol_rank: float) -> np.ndarray | None:
     """Component labels of range(W) by contraction, or None.
 
     Every input with a nonzero block must touch exactly two systems i, j,
-    with blocks b and -b, and its column-equilibrated Krylov matrix
-    [b, Ab, ..., A^(n-1) b] must have sigma_min > 10 tol_rank sigma_max;
-    the singular values of all of them come from one batched call on a
+    with blocks b and -b.  W then holds the columns (e_i - e_j) ⊗ A^k b,
+    and two guards make the SVD rule of ``relctrl.gengraph`` give the
+    component verdicts on it:
+
+    * every Krylov column A^k b of every such input has a norm more than
+      ten times ``tol_rank`` times the largest, so the drop cut of
+      ``equilibrated`` keeps every column of W, with a decade to spare;
+    * with K_s the column-equilibrated Krylov matrix [b, Ab, ...,
+      A^(n-1) b] of input s, min_s sigma_min(K_s) sqrt(2)/q >
+      10 tol_rank sqrt(maxdeg n), maxdeg being the largest number of
+      inputs at one system.
+
+    The equilibrated W W* lies between sigma_min^2 (L/2 ⊗ I) and
+    n (L/2 ⊗ I), L the Laplacian of the input edges, whose largest
+    eigenvalue is at most 2 maxdeg and whose smallest nonzero one is at
+    least 4/q^2 (Mohar 1991).  So the largest singular value is at most
+    sqrt(maxdeg n), every nonzero one exceeds ten times the rank cutoff,
+    and range(W) is exactly the span of the (e_i - e_j) ⊗ R^n; a pair
+    split between components leaves a residual of at least 1/sqrt(q).
+    The singular values of all K_s come from one batched call on a
     (p, n, n) stack.  The labels are those of ``component_labels`` over
     the (i, j) of the inputs.
     """
     columns = spec.B.transpose(0, 2, 1).reshape(spec.q * spec.n, spec.p)
-    i, j, edge = edge_ends(columns, spec.n)
-    live = columns.any(axis=0)
-    if not np.all(edge | ~live):
+    i, j, edge, zero = edge_ends(columns, spec.n)
+    if not np.all(edge | zero):
         return None
+    live = ~zero
     i, j = i[live], j[live]
-    krylov = [spec.B[i, live]]                           # (p', n)
-    for _ in range(spec.n - 1):
-        krylov.append(krylov[-1] @ spec.A.T)
-    K = np.stack(krylov, axis=2)                         # (p', n, n), column k is A^k b
-    norms = np.linalg.norm(K, axis=1, keepdims=True)
-    if not np.all(np.isfinite(norms) & (norms > 0.0)):
-        return None
-    s = np.linalg.svd(K / norms, compute_uv=False)
-    if np.any(s[:, -1] <= 10.0 * tol_rank * s[:, 0]):
-        return None
+    if i.size:
+        krylov = [spec.B[i, live]]                       # (p', n)
+        for _ in range(spec.n - 1):
+            krylov.append(krylov[-1] @ spec.A.T)
+        K = np.stack(krylov, axis=2)                     # (p', n, n), column k is A^k b
+        norms = np.linalg.norm(K, axis=1)                # (p', n)
+        top = norms.max()
+        if not (np.isfinite(top) and np.all(norms > 10.0 * tol_rank * top)):
+            return None
+        s = np.linalg.svd(K / norms[:, None, :], compute_uv=False)
+        maxdeg = np.bincount(np.concatenate([i, j]), minlength=spec.q).max()
+        if s[:, -1].min() * np.sqrt(2.0) / spec.q <= 10.0 * tol_rank * np.sqrt(maxdeg * spec.n):
+            return None
     return component_labels(spec.q, zip(i.tolist(), j.tolist()))
 
 
@@ -353,10 +374,11 @@ def w_matrix_verdict(
 ) -> WMatrixVerdict:
     """Connectivity of the controllability matrix W, at every pair.
 
-    By contraction when every nonzero input contracts
-    (``_contracted_labels``): connected is one component, a pair is
-    connected when it shares one.  Otherwise W is built and factored
-    whole (``controllability_matrix``), by the SVD route.
+    By contraction when every nonzero input contracts and passes its
+    guards (``_contracted_labels``): connected is one component, a pair
+    is connected when it shares one.  Otherwise W is built whole
+    (``controllability_matrix``) and judged by ``is_connected`` and
+    ``kl_connected_pairs``.
     """
     labels = _contracted_labels(spec, tol.rank)
     if labels is not None:
@@ -482,11 +504,8 @@ def analyze_with_graphs(
     def v_fill(G, comp):
         flags = {"connected": is_connected(G, tol.rank), "kl_connected": kl_flags(G)}
         if comp.is_real:
-            # The rule of cone_contains_subspace, on the whole
-            # disagreement space.
-            lin = lineality_generators(G, tol.cone)
-            ok = is_connected(lin.graph, tol.rank)
-            flags.update(strongly_connected=ok, marginal=lin.marginal and not ok)
+            ok, marginal = cone_contains_subspace(G, None, tol.cone, tol.rank)
+            flags.update(strongly_connected=ok, marginal=marginal)
         return flags
 
     def q_fill(G, comp):

@@ -62,7 +62,7 @@ turn factored once.  Single vector memberships go through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,16 +84,13 @@ class GenGraph:
     The matrix is never modified after construction, which lets
     range_contains keep its range complement per rank tolerance, the edge
     route its component labels per rank tolerance and
-    lineality_generators its generators per cone tolerance.  edge_route
-    False sends every range question down the SVD route, whatever the
-    columns look like.
+    lineality_generators its generators per cone tolerance.
     """
 
     q: int
     blocksize: int
     M: np.ndarray
     is_real: bool
-    edge_route: bool = True
     _complements: dict[float, tuple[np.ndarray, float]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -279,12 +276,12 @@ def _edge_labels(G: GenGraph, tol_rank: float) -> np.ndarray | None:
     if tol_rank in G._edges:
         return G._edges[tol_rank]
     labels = None
-    if G.edge_route and G.blocksize == 1:
+    if G.blocksize == 1:
         norms = np.linalg.norm(G.M, axis=0)
         cut = tol_rank * norms.max(initial=0.0)
         kept = norms > cut
         if not np.any(kept & (norms < 10.0 * cut) | ~kept & (norms > cut / 10.0)):
-            i, j, edge = edge_ends(G.M[:, kept], 1)
+            i, j, edge, _ = edge_ends(G.M[:, kept], 1)
             maxdeg = np.bincount(np.concatenate([i, j]), minlength=G.q).max()
             if edge.all() and 10.0 * tol_rank * max(1.0, np.sqrt(maxdeg)) * G.q < 1.0:
                 labels = component_labels(G.q, zip(i.tolist(), j.tolist()))
@@ -317,8 +314,7 @@ def blocks_in_range(
     if width == 1 and T.ndim == 2 and T.shape[0] == G.M.shape[0]:
         labels = _edge_labels(G, tol_rank)
         if labels is not None:
-            i, j, edge = edge_ends(T, 1)
-            zero = ~T.any(axis=0)
+            i, j, edge, zero = edge_ends(T, 1)
             if np.all(edge | zero):
                 return (zero | (labels[i] == labels[j])).tolist()
     return _blocks_by_svd(G, T, width, tol_rank)
@@ -406,7 +402,7 @@ def _column_graph(G: GenGraph, columns: np.ndarray) -> GenGraph:
     """The graph of some of G's columns; they are edges of G already."""
     M = G.M[:, columns]
     M.setflags(write=False)
-    return replace(G, M=M)
+    return GenGraph(q=G.q, blocksize=G.blocksize, M=M, is_real=G.is_real)
 
 
 def lineality_generators(
@@ -485,7 +481,7 @@ def lineality_generators(
 
 def cone_contains_subspace(
     G: GenGraph,
-    T: np.ndarray,
+    T: np.ndarray | None = None,
     tol_cone: float = DEFAULT_TOLERANCES.cone,
     tol_rank: float = DEFAULT_TOLERANCES.rank,
 ) -> tuple[bool, bool]:
@@ -493,12 +489,18 @@ def cone_contains_subspace(
 
     Returns (verdict, marginal).  The generators come from the graph's
     memoized peel (``lineality_generators``) and the inclusion is one
-    ``range_contains`` query against them.  marginal is set on a negative
-    verdict when the peel met a near-threshold rejection: a generator set
-    decided the other way could only have grown, and with it the verdict.
+    range query against them: ``range_contains`` for a target T, and
+    ``is_connected`` of the generator graph when T is None, which stands
+    for the whole disagreement space (strong connectivity).  marginal is
+    set on a negative verdict when the peel met a near-threshold
+    rejection: a generator set decided the other way could only have
+    grown, and with it the verdict.
     """
     lin = lineality_generators(G, tol_cone)
-    ok = range_contains(lin.graph, T, tol_rank)
+    if T is None:
+        ok = is_connected(lin.graph, tol_rank)
+    else:
+        ok = range_contains(lin.graph, T, tol_rank)
     return ok, (not ok) and lin.marginal
 
 
@@ -522,14 +524,11 @@ def is_kl_connected(
 
 
 def is_strongly_connected(G: GenGraph, tol_cone: float = DEFAULT_TOLERANCES.cone) -> bool:
-    """cone(G) contains every disagreement direction (real graphs only).
-
-    By the rule of ``cone_contains_subspace``: the span of the lineality
-    generators is connected.
-    """
+    """cone(G) contains every disagreement direction (real graphs only)."""
     if not G.is_real:
         raise GraphDomainError("strong connectivity is defined for real graphs only")
-    return is_connected(lineality_generators(G, tol_cone).graph)
+    ok, _ = cone_contains_subspace(G, None, tol_cone)
+    return ok
 
 
 def is_strongly_kl_connected(
@@ -580,29 +579,23 @@ def detect_scalar_edges(
 
     Vertices are 1-based.  Zero columns carry no edge and are skipped so
     that graphs missing an edge (a disconnected cell of a verdict table)
-    still render.  Returns None as soon as some nonzero column touches
-    more than two vertices or its two blocks are not exact negatives;
-    such a column is a hyperedge and the graph has no drawing here.
+    still render.  Returns None when some nonzero column touches more
+    than two vertices or its two blocks are not negatives; such a column
+    is a hyperedge and the graph has no drawing here.  Blocks are judged
+    by ``edge_ends`` at tol_zero: a block is zero, and two blocks are
+    negatives, within tol_zero * max(1, ||column||).
     """
-    q, b = G.q, G.blocksize
+    i, j, edge, zero = edge_ends(G.M, G.blocksize, tol_zero)
+    if not np.all(edge | zero):
+        return None
+    blocks = G.M.reshape(G.q, G.blocksize, -1)
     edges: list[tuple[int, int, np.ndarray]] = []
-    for col in G.M.T:
-        scale = max(1.0, float(np.linalg.norm(col)))
-        cut = tol_zero * scale
-        blocks = col.reshape(q, b)
-        norms = np.linalg.norm(blocks, axis=1)
-        nz = np.flatnonzero(norms > cut)
-        if nz.size == 0:
-            continue
-        if nz.size != 2:
-            return None
-        i, j = int(nz[0]), int(nz[1])
-        w = blocks[i].copy()
-        if float(np.linalg.norm(blocks[j] + w)) > cut:
-            return None
-        if b == 1 and G.is_real and w[0] < 0.0:
-            i, j, w = j, i, -w
-        edges.append((i + 1, j + 1, w))
+    for c in np.flatnonzero(edge).tolist():
+        a, z = int(i[c]), int(j[c])
+        w = blocks[a, :, c].copy()
+        if G.blocksize == 1 and G.is_real and w[0] < 0.0:
+            a, z, w = z, a, -w
+        edges.append((a + 1, z + 1, w))
     return edges
 
 

@@ -48,22 +48,41 @@ def equilibrated(M: np.ndarray, drop_rel: float = 0.0) -> np.ndarray:
     return M[:, keep] / norms[keep]
 
 
-def edge_ends(M: np.ndarray, blocksize: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where each column of a (q*blocksize) x c matrix is an exact edge.
+def edge_ends(
+    M: np.ndarray, blocksize: int, tol_zero: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Which columns of a (q*blocksize) x c matrix are edges (e_i - e_j) ⊗ w.
 
-    Returns (i, j, edge): i <= j are the first and last of the q row
-    blocks in which the column is nonzero, and edge says whether the
-    column is exactly (e_i - e_j) ⊗ w: nonzero in exactly two blocks,
-    which are exact negatives of each other.
+    Returns (i, j, edge, zero): i <= j are the first and last of the q row
+    blocks in which the column is nonzero, edge says whether the column is
+    nonzero in exactly those two blocks and they are negatives of each
+    other, and zero whether it has no nonzero block.
+
+    At tol_zero = 0 both tests are exact, which the edge route of
+    ``relctrl.gengraph`` needs: its proof that the SVD rule gives the same
+    verdicts holds for exact incidence columns only.  A positive tol_zero
+    serves the drawing of computed graphs, whose two blocks may be
+    negatives only to rounding: a block is zero when its norm, and two
+    blocks are negatives when the norm of their sum, is at most
+    tol_zero * max(1, ||column||).
     """
     c = M.shape[1]
     blocks = M.reshape(M.shape[0] // blocksize, blocksize, c)
-    nz = np.any(blocks != 0, axis=1)                     # (q, c)
+    cols = np.arange(c)
+    if tol_zero == 0.0:
+        nz = np.any(blocks != 0, axis=1)                 # (q, c)
+    else:
+        cut = tol_zero * np.maximum(1.0, np.linalg.norm(M, axis=0))
+        nz = np.linalg.norm(blocks, axis=1) > cut
     i = nz.argmax(axis=0)
     j = nz.shape[0] - 1 - nz[::-1].argmax(axis=0)
-    cols = np.arange(c)
-    negated = np.all(blocks[i, :, cols] == -blocks[j, :, cols], axis=1)
-    return i, j, (nz.sum(axis=0) == 2) & negated
+    gap = blocks[i, :, cols] + blocks[j, :, cols]        # (c, blocksize)
+    if tol_zero == 0.0:
+        negated = ~np.any(gap, axis=1)
+    else:
+        negated = np.linalg.norm(gap, axis=1) <= cut
+    count = nz.sum(axis=0)
+    return i, j, (count == 2) & negated, count == 0
 
 
 def component_labels(size: int, edges) -> np.ndarray:

@@ -202,15 +202,20 @@ def _graph_json(v: EigGraphVerdict, pairmap) -> dict:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    # Every pair map of a report is keyed by the requested pairs, in the
+    # The pair maps of an analysis are keyed by the requested pairs in the
     # order of report.pairwise, so each key is formatted once and zipped
-    # with the values of every map.
-    keys = [_pair_key(pair) for pair in report.pairwise]
+    # with the values of every such map; a map keyed otherwise is keyed
+    # pair by pair.
+    pairs = list(report.pairwise)
+    keys = [_pair_key(pair) for pair in pairs]
+
+    def keys_of(d):
+        return keys if list(d) == pairs else [_pair_key(pair) for pair in d]
 
     def pairmap(d):
         if d is None:
             return None
-        return dict(zip(keys, map(bool, d.values())))
+        return dict(zip(keys_of(d), map(bool, d.values())))
 
     return {
         "report_version": REPORT_VERSION,
@@ -262,7 +267,9 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "pairwise": pairmap(report.pairwise),
             "positive_pairwise": {
                 key: {"yes": v.yes, "conditional": v.conditional}
-                for key, v in zip(keys, report.positive_pairwise.values())
+                for key, v in zip(
+                    keys_of(report.positive_pairwise), report.positive_pairwise.values()
+                )
             },
         },
         "assumptions": {

@@ -1,19 +1,18 @@
 """The edge route of the range rule and the contraction of the W-matrix check.
 
 Every verdict the edge route gives must equal the SVD route's on the same
-graph (``edge_route=False``), and the contraction must equal the SVD route
-of the whole controllability matrix.  Graphs the edge route does not
-cover must take the SVD route, which the ``_complements`` memo shows.
+graph (``range_contains``, ``lineality_space`` and ``_blocks_by_svd``
+always take it), and the contraction must equal the SVD route of the
+whole controllability matrix.  Graphs the edge route does not cover must
+take the SVD route, which the ``_complements`` memo shows.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import relctrl.controllability as controllability_module
 from relctrl import ArraySpec, analyze, kalman_reduced, pairwise_range
-from relctrl.array_model import require_valid
+from relctrl.array_model import disagreement_basis, require_valid
 from relctrl.config import DEFAULT_TOLERANCES
 from relctrl.controllability import (
     _contracted_labels,
@@ -22,15 +21,19 @@ from relctrl.controllability import (
     w_matrix_verdict,
 )
 from relctrl.gengraph import (
+    _blocks_by_svd,
     _edge_labels,
     blocks_in_range,
+    detect_scalar_edges,
     is_connected,
     kl_connected_pairs,
     lineality_dim,
     lineality_generators,
+    lineality_space,
     make_graph,
+    range_contains,
 )
-from relctrl.numutil import component_labels
+from relctrl.numutil import component_labels, pair_difference
 
 from conftest import all_pairs, random_array_spec
 
@@ -89,23 +92,41 @@ def _corpus():
     return specs
 
 
+def _svd_connected(G) -> bool:
+    return range_contains(G, np.kron(disagreement_basis(G.q), np.eye(G.blocksize)), TOL.rank)
+
+
+def _svd_pairs(G, pairs) -> list[bool]:
+    # Every pair target (e_k - e_l) ⊗ I as one block of one stacked target.
+    E = np.column_stack([pair_difference(G.q, k, l) for k, l in pairs])
+    b = G.blocksize
+    T = np.einsum("qp,mn->qmpn", E, np.eye(b)).reshape(G.q * b, len(pairs) * b)
+    return _blocks_by_svd(G, T, b, TOL.rank)
+
+
 def _assert_routes_agree(G, pairs) -> bool:
     """Compare every verdict of G with the SVD route; True if G took the edge route."""
-    S = replace(G, edge_route=False)
-    assert is_connected(G, TOL.rank) == is_connected(S, TOL.rank)
-    assert kl_connected_pairs(G, pairs, TOL.rank) == kl_connected_pairs(S, pairs, TOL.rank)
+    assert is_connected(G, TOL.rank) == _svd_connected(G)
+    assert kl_connected_pairs(G, pairs, TOL.rank) == _svd_pairs(G, pairs)
     if G.is_real:
         lin = lineality_generators(G, TOL.cone).graph
-        lin_svd = replace(lin, edge_route=False)
-        assert is_connected(lin, TOL.rank) == is_connected(lin_svd, TOL.rank)
-        strong = kl_connected_pairs(lin, pairs, TOL.rank)
-        assert strong == kl_connected_pairs(lin_svd, pairs, TOL.rank)
+        assert is_connected(lin, TOL.rank) == _svd_connected(lin)
+        assert kl_connected_pairs(lin, pairs, TOL.rank) == _svd_pairs(lin, pairs)
         width = G.blocksize
         kept = blocks_in_range(lin, G.M, width, TOL.rank)
-        assert kept == blocks_in_range(lin_svd, G.M, width, TOL.rank)
-        assert lineality_dim(G, TOL.cone, TOL.rank) == lineality_dim(S, TOL.cone, TOL.rank)
-    assert S._edges == {TOL.rank: None}
+        assert kept == _blocks_by_svd(lin, G.M, width, TOL.rank)
+        dim = lineality_space(G, TOL.cone, TOL.rank).shape[1]
+        assert lineality_dim(G, TOL.cone, TOL.rank) == dim
     return _edge_labels(G, TOL.rank) is not None
+
+
+def _assert_w_matrix_matches_svd_route(spec, pairs):
+    spec = require_valid(spec, TOL.zero)
+    W = controllability_matrix(spec, TOL.zero)
+    verdict = w_matrix_verdict(spec, pairs, TOL)
+    assert verdict.connected == _svd_connected(W)
+    assert list(verdict.kl_connected.values()) == _svd_pairs(W, pairs)
+    return verdict
 
 
 def test_edge_route_matches_svd_route_on_the_corpus():
@@ -116,13 +137,8 @@ def test_edge_route_matches_svd_route_on_the_corpus():
         for G in families["V"] + families["W"] + families["Q"]:
             graphs += 1
             edge += _assert_routes_agree(G, pairs)
-        spec = require_valid(spec, TOL.zero)
-        W = controllability_matrix(spec, TOL.zero)
-        assert report.w_matrix.connected == is_connected(W, TOL.rank)
-        assert list(report.w_matrix.kl_connected.values()) == kl_connected_pairs(
-            W, pairs, TOL.rank
-        )
-        assert W._edges == {TOL.rank: None}
+        verdict = _assert_w_matrix_matches_svd_route(spec, pairs)
+        assert verdict == report.w_matrix
         contracted += _contracted_labels(spec, TOL.rank) is not None
     # Every random, ring, path and damped graph here is an edge graph of
     # blocksize 1 except the Jordan-block graphs of the n = 2 chains.
@@ -211,6 +227,58 @@ def test_an_input_with_a_rank_deficient_krylov_matrix_takes_the_svd_route(monkey
     assert _contracted_labels(spec, TOL.rank).tolist() == [0, 0, 0]
 
 
+def test_inputs_twelve_decades_apart_give_the_svd_verdict():
+    # The small input lies below the drop cut of W, so W and every V graph
+    # drop it; the contraction must fall back instead of joining systems
+    # 2 and 3 through it.
+    B = np.zeros((3, 2, 1))
+    B[:, 0, 0] = [1.0, -1.0, 0.0]
+    B[:, 1, 0] = [0.0, 1e-12, -1e-12]
+    spec = ArraySpec(n=1, q=3, p=2, A=[[0.5]], B=B)
+    assert _contracted_labels(spec, TOL.rank) is None
+    _assert_w_matrix_matches_svd_route(spec, all_pairs(3))
+    for pair, expected in (((1, 2), True), ((2, 3), False), ((1, 3), False)):
+        report = analyze(spec, [pair])
+        assert not report.controllable and report.pairwise == {pair: expected}
+
+
+@pytest.mark.parametrize("delta, contracted", [(1e-7, False), (1e-5, True)])
+def test_a_long_path_with_a_poorly_conditioned_krylov_matrix(delta, contracted):
+    # A = diag(1, 1 + delta), b = (1, 1): sigma_min of the equilibrated
+    # Krylov matrix is about delta / (2 sqrt(2)).  On a path of 100 systems
+    # the smallest nonzero singular value of W is about that times
+    # pi / (sqrt(2) q), which at delta = 1e-7 falls below the rank cutoff,
+    # and the SVD route calls W disconnected.  The contraction must then
+    # fall back; at delta = 1e-5 its guard holds and both say connected.
+    q = 100
+    spec = ArraySpec.from_incidence(
+        np.diag([1.0, 1.0 + delta]), np.kron(_path_incidence(q), [[1.0], [1.0]])
+    )
+    assert (_contracted_labels(spec, TOL.rank) is not None) == contracted
+    verdict = _assert_w_matrix_matches_svd_route(spec, [(1, 2), (1, q), (50, 51)])
+    assert verdict.connected == contracted
+
+
+def test_a_krylov_column_within_a_decade_of_the_drop_cut_is_not_contracted():
+    # A b is 2e-9 times b: inside the decade above the cut of W.
+    B = np.zeros((2, 1, 2))
+    B[0, 0], B[1, 0] = [1.0, 0.0], [-1.0, 0.0]
+    for a in (2e-9, 1e-7):
+        spec = ArraySpec(n=2, q=2, p=1, A=[[0.0, 0.0], [a, 0.0]], B=B)
+        assert (_contracted_labels(spec, TOL.rank) is None) == (a == 2e-9)
+        _assert_w_matrix_matches_svd_route(spec, [(1, 2)])
+
+
+def test_drawing_tolerates_blocks_that_are_negatives_only_to_rounding():
+    # edge_ends at tol_zero = 0 asks for exact negatives, which the edge
+    # route needs; detect_scalar_edges judges them within tol_zero.
+    M = np.array([[1.0, 0.0], [-(1.0 + 2e-16), 1.0], [0.0, -1.0]])
+    G = make_graph(3, 1, M)
+    assert _edge_labels(G, TOL.rank) is None
+    assert [(i, j) for i, j, _ in detect_scalar_edges(G)] == [(1, 2), (2, 3)]
+    assert detect_scalar_edges(G, tol_zero=0.0) is None
+
+
 def test_a_hyperedge_input_is_not_contracted():
     # Input 2 pushes system 3 against systems 1 and 2 together.
     B = np.zeros((3, 2, 2))
@@ -226,11 +294,12 @@ def test_a_hyperedge_input_is_not_contracted():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_w_matrix_verdict_agrees_with_kalman_on_geometric_spectra(n):
     # A = diag(1, 10, ..., 10^(n-1)): the Krylov matrices are scaled
-    # Vandermonde matrices.  The contraction's threshold accepts them up to
+    # Vandermonde matrices.  The contraction's guard accepts them up to
     # n = 5; from n = 6 on the SVD route decides.  b_i = 10^(-i (n-1))
     # gives every power A^k b unit scale.  With b = (1, ..., 1) the powers
-    # would span (n-1)^2 decades, and at n = 5 the global drop cut of
-    # kalman_reduced discards the low ones, which the contraction keeps.
+    # would span (n-1)^2 decades; from n = 4 the contraction falls back
+    # because some lie within a decade of the drop cut, and from n = 5
+    # both kalman_reduced and W drop the low ones.
     A = np.diag(10.0 ** np.arange(n))
     b = 10.0 ** (-np.arange(n) * (n - 1))
     ring = np.array([[1.0, 0.0, -1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])

@@ -88,3 +88,19 @@ def test_writer_refuses_what_json_dumps_refuses():
         json.dumps(np.bool_(True), indent=2)
     with pytest.raises(TypeError):
         _json(np.bool_(True), "")
+
+
+def test_a_pair_map_keyed_in_another_order_keeps_its_keys():
+    # report_to_dict formats the requested pairs once and zips them with
+    # every pair map in that order; a map in another order is keyed pair
+    # by pair instead of being mislabelled.
+    from dataclasses import replace
+
+    from relctrl.controllability import WMatrixVerdict
+
+    report = analyze(build_example("watertanks-ring"), [(1, 2), (2, 3), (1, 3)])
+    flipped = dict(reversed(list(report.w_matrix.kl_connected.items())))
+    flipped[(2, 3)] = not flipped[(2, 3)]
+    report = replace(report, w_matrix=WMatrixVerdict(report.w_matrix.connected, flipped))
+    out = report_to_dict(report)["controllability_matrix"]["kl_connected"]
+    assert list(out.items()) == [(f"{k}-{l}", v) for (k, l), v in flipped.items()]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from relctrl import (
     DEFAULT_TOLERANCES,
-    is_positive_pairwise_controllable,
+    analyze,
     make_reach_problem,
     polar_falsifier,
     reach_simulator,
@@ -36,11 +36,9 @@ def main() -> int:
 
     spec, tol = load_spec(args.path)
     tol = tol or DEFAULT_TOLERANCES
-    yes, conditional, _ = is_positive_pairwise_controllable(
-        spec, args.k, args.l, tolerances=tol
-    )
-    label = "yes" if yes else "no"
-    if conditional:
+    verdict = analyze(spec, [(args.k, args.l)], tol).positive_pairwise[args.k, args.l]
+    label = "yes" if verdict.yes else "no"
+    if verdict.conditional:
         label += " (conditional)"
     print(f"graph verdict for positive ({args.k},{args.l}) steering: {label}")
 

@@ -6,7 +6,7 @@ Usage:
     relctrl oracle spec.json [--pair K L ...] [--horizon T] [--steps M] [--json]
 
 Vertex and input indices are 1-based everywhere.  Exit codes: 0 success,
-1 parse or validation error, 2 numerical failure, 3 oracle disagreement.
+1 usage, parse or validation error, 2 numerical failure, 3 oracle disagreement.
 """
 
 from __future__ import annotations
@@ -97,9 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="reach-simulator time horizon (default 5)")
     po.add_argument("--steps", type=int, default=60,
                     help="reach-simulator input intervals (default 60)")
-    # The polar falsifier is deterministic; these are accepted and ignored.
-    po.add_argument("--samples", type=int, default=None, help="deprecated, ignored")
-    po.add_argument("--seed", type=int, default=None, help="deprecated, ignored")
     po.add_argument("--json", action="store_true")
     add_tolerance_flags(po)
     po.set_defaults(func=cmd_oracle)
@@ -195,15 +192,12 @@ def _run_oracles(spec, tol, pairs, horizon, steps) -> list[OracleVerdict]:
         except GraphDomainError:
             pass   # inputs are not literal unit edges; inapplicable
 
-    for pair in pairs:
-        k, l = pair
+    grid = default_polar_grid(spec)
+    for (k, l), pairwise in report.pairwise.items():
         ranged = pairwise_range(spec, k, l, tol.rank, tol.zero)
-        verdicts.append(
-            _compared(f"pairwise_range_{k}_{l}", "range test", ranged, report.pairwise[pair])
-        )
+        verdicts.append(_compared(f"pairwise_range_{k}_{l}", "range test", ranged, pairwise))
 
-        positive = report.positive_pairwise[pair]
-        grid = default_polar_grid(spec)
+        positive = report.positive_pairwise[k, l]
         witness = polar_falsifier(
             spec, k, l, grid=grid, tol_zero=tol.zero, tol_cone=tol.cone
         )
@@ -253,12 +247,6 @@ def _run_oracles(spec, tol, pairs, horizon, steps) -> list[OracleVerdict]:
 def cmd_oracle(args) -> int:
     spec, tol = _load(args)
     pairs = [tuple(p) for p in args.pair]
-    if args.samples is not None or args.seed is not None:
-        print(
-            "warning: --samples and --seed are deprecated and ignored; "
-            "the polar falsifier is deterministic",
-            file=sys.stderr,
-        )
     verdicts = _run_oracles(spec, tol, pairs, args.horizon, args.steps)
     if args.json:
         payload = [
@@ -285,8 +273,12 @@ def cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is the
+        # code for a numerical failure here.
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (SpecFormatError, DimensionError, FileNotFoundError) as exc:

@@ -31,9 +31,8 @@ one component, and (k,l)-connected when k and l share one.  Otherwise W
 is built and judged whole like any other graph.
 
 ``analyze`` is the one pipeline: it validates the array, computes the
-spectrum, builds each graph family once and reads every verdict off it.
-The four ``is_*`` functions are projections of its report;
-``analyze_with_graphs`` also hands back the graphs, for drawing.
+spectrum, builds each graph family once and reads all four verdicts off
+it; ``analyze_with_graphs`` also hands back the graphs, for drawing.
 """
 
 from __future__ import annotations
@@ -42,13 +41,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .array_model import (
-    ArraySpec,
-    ValidationReport,
-    require_valid,
-)
+from .array_model import ArraySpec, require_valid
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DimensionError, InternalConsistencyError
+from .errors import InternalConsistencyError
 from .gengraph import (
     GenGraph,
     blocks_in_range,
@@ -59,7 +54,7 @@ from .gengraph import (
     lineality_generators,
     make_graph,
 )
-from .numutil import component_labels, edge_ends
+from .numutil import check_pair, component_labels, edge_ends
 from .spectral import EigComponent, Spectrum, distinct_eigenvalues
 
 
@@ -138,16 +133,11 @@ class IndexStep:
     lineality_dim: int | None      # populated at real eigenvalues only
 
 
-@dataclass(frozen=True)
-class IndexRecursionTrace:
-    steps: tuple[IndexStep, ...]
-
-
 def q_graphs_and_index_sets(
     spec: ArraySpec,
     spectrum: Spectrum,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[list[GenGraph], IndexRecursionTrace]:
+) -> tuple[list[GenGraph], tuple[IndexStep, ...]]:
     """Nilpotent-swept graphs over the shrinking input index sets.
 
     Starting from all inputs, each real eigenvalue discards the inputs
@@ -183,7 +173,7 @@ def q_graphs_and_index_sets(
             )
         )
         active = [s for s in active if s not in removed]
-    return graphs, IndexRecursionTrace(steps=tuple(steps))
+    return graphs, tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +392,10 @@ class AnalysisReport:
     q: int
     p: int
     tolerances: Tolerances
-    validation: ValidationReport
     spectrum: Spectrum
     graph_verdicts: tuple[EigGraphVerdict, ...]
     w_matrix: WMatrixVerdict
-    index_trace: IndexRecursionTrace
+    index_trace: tuple[IndexStep, ...]
     controllable: bool
     positively_controllable: bool
     pairwise: dict[tuple[int, int], bool]
@@ -424,10 +413,7 @@ def _normalize_pairs(spec: ArraySpec, pairs) -> list[tuple[int, int]]:
     out: dict[tuple[int, int], None] = {}
     for k, l in pairs:
         k, l = int(k), int(l)
-        if not (1 <= k <= spec.q and 1 <= l <= spec.q) or k == l:
-            raise DimensionError(
-                f"pair ({k},{l}) invalid for q={spec.q} (1-based, distinct)"
-            )
+        check_pair(spec.q, k, l)
         out[k, l] = None
     return list(out)
 
@@ -576,7 +562,6 @@ def analyze_with_graphs(
         q=spec.q,
         p=spec.p,
         tolerances=tol,
-        validation=ValidationReport(ok=True),
         spectrum=spectrum,
         graph_verdicts=tuple(v_rows + w_rows + q_rows),
         w_matrix=w_matrix,
@@ -591,47 +576,3 @@ def analyze_with_graphs(
     )
     return report, {"V": vgs, "W": wgs, "Q": qgs}
 
-
-# ---------------------------------------------------------------------------
-# the four verdicts, each read off one analysis
-
-
-def is_controllable(
-    spec: ArraySpec, tolerances: Tolerances | None = None
-) -> tuple[bool, list[EigGraphVerdict]]:
-    """Array controllability: every eigenvector graph connected."""
-    report = analyze(spec, tolerances=tolerances)
-    return report.controllable, report.rows("V")
-
-
-def is_positively_controllable(
-    spec: ArraySpec, tolerances: Tolerances | None = None
-) -> tuple[bool, list[EigGraphVerdict]]:
-    """Controllable and strongly connected at every real eigenvalue."""
-    report = analyze(spec, tolerances=tolerances)
-    return report.positively_controllable, report.rows("V")
-
-
-def is_pairwise_controllable(
-    spec: ArraySpec, k: int, l: int, tolerances: Tolerances | None = None
-) -> tuple[bool, list[EigGraphVerdict]]:
-    """Pairwise controllability of (k, l): every swept graph (k,l)-connected."""
-    report = analyze(spec, [(k, l)], tolerances)
-    (verdict,) = report.pairwise.values()
-    return verdict, report.rows("W")
-
-
-def is_positive_pairwise_controllable(
-    spec: ArraySpec, k: int, l: int, tolerances: Tolerances | None = None
-) -> tuple[bool, bool, list[EigGraphVerdict]]:
-    """Positive pairwise controllability of (k, l).
-
-    Returns (verdict, conditional, per-eigenvalue Q rows).  The verdict
-    follows the graph conditions alone; conditional is True unless both
-    soundness assumptions are settled (eigen overlap holds and the closed
-    reach set is structurally verified), in which case the caller must
-    present the verdict as provisional.
-    """
-    report = analyze(spec, [(k, l)], tolerances)
-    (verdict,) = report.positive_pairwise.values()
-    return verdict.yes, verdict.conditional, report.rows("Q")

@@ -74,7 +74,7 @@ from .errors import (
     NumericalFailureError,
     UnsupportedRenderError,
 )
-from .numutil import component_labels, edge_ends, equilibrated, null_basis
+from .numutil import check_pair, component_labels, edge_ends, equilibrated, null_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,18 +110,17 @@ class GenGraph:
 class Feasibility:
     """Outcome of one cone-membership program.
 
-    weights are the nonnegative combination weights the program found;
-    certificate holds them on membership and is None otherwise.  residual
-    is the distance ||v - M weights|| those weights achieve, the distance
-    to the cone.  marginal flags a non-member whose residual lies within
-    a decade of the threshold.
+    weights are the nonnegative combination weights the program found,
+    the certificate of membership when member is true.  residual is the
+    distance ||v - M weights|| those weights achieve, the distance to the
+    cone.  marginal flags a non-member whose residual lies within a decade
+    of the threshold.
     """
 
     member: bool
-    certificate: np.ndarray | None
     residual: float
-    marginal: bool = False
-    weights: np.ndarray | None = field(default=None, repr=False)
+    marginal: bool
+    weights: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +184,7 @@ def nnls(M: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> tuple[np.
     from skewing the active-set choices; the weights are mapped back at
     the end and zero columns keep weight zero.  The residual is recomputed
     as ``||v - M a||`` from the returned weights and the original columns,
-    so it is the distance the certificate actually achieves; the solver's
+    so it is the distance the weights actually achieve; the solver's
     own norm belongs to the scaled problem and is not relied on (it has
     been stale on duplicate-column instances).
 
@@ -233,7 +232,6 @@ def cone_member(
     member = residual <= bound
     return Feasibility(
         member=member,
-        certificate=alpha if member else None,
         residual=residual,
         marginal=(not member) and residual <= 10.0 * bound,
         weights=alpha,
@@ -378,8 +376,7 @@ def kl_connected_pairs(
     """
     pairs = list(pairs)
     for k, l in pairs:
-        if not (1 <= k <= G.q and 1 <= l <= G.q) or k == l:
-            raise DimensionError(f"vertex pair ({k},{l}) invalid for q={G.q} (1-based, distinct)")
+        check_pair(G.q, k, l)
     if not pairs:
         return []
     k, l = (np.asarray(pairs) - 1).T
@@ -514,30 +511,6 @@ def is_connected(G: GenGraph, tol_rank: float = DEFAULT_TOLERANCES.rank) -> bool
         return not labels.any()
     D = disagreement_basis(G.q)
     return range_contains(G, np.kron(D, np.eye(G.blocksize)), tol_rank)
-
-
-def is_kl_connected(
-    G: GenGraph, k: int, l: int, tol_rank: float = DEFAULT_TOLERANCES.rank
-) -> bool:
-    """range(G) contains range((e_k - e_l) ⊗ I); 1-based vertices."""
-    return kl_connected_pairs(G, [(k, l)], tol_rank)[0]
-
-
-def is_strongly_connected(G: GenGraph, tol_cone: float = DEFAULT_TOLERANCES.cone) -> bool:
-    """cone(G) contains every disagreement direction (real graphs only)."""
-    if not G.is_real:
-        raise GraphDomainError("strong connectivity is defined for real graphs only")
-    ok, _ = cone_contains_subspace(G, None, tol_cone)
-    return ok
-
-
-def is_strongly_kl_connected(
-    G: GenGraph, k: int, l: int, tol_cone: float = DEFAULT_TOLERANCES.cone
-) -> bool:
-    """cone(G) contains range((e_k - e_l) ⊗ I); 1-based vertices."""
-    if not G.is_real:
-        raise GraphDomainError("strong connectivity is defined for real graphs only")
-    return kl_connected_pairs(lineality_generators(G, tol_cone).graph, [(k, l)])[0]
 
 
 def lineality_space(

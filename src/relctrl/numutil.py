@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionError
+
 EPS = float(np.finfo(float).eps)
 
 
@@ -108,8 +110,15 @@ def component_labels(size: int, edges) -> np.ndarray:
     return np.array([find(a) for a in range(size)], dtype=np.intp)
 
 
+def check_pair(q: int, k: int, l: int) -> None:
+    """Raise DimensionError unless k and l are distinct vertices 1..q."""
+    if not (1 <= k <= q and 1 <= l <= q) or k == l:
+        raise DimensionError(f"pair ({k},{l}) invalid for q={q} (1-based, distinct)")
+
+
 def pair_difference(q: int, k: int, l: int) -> np.ndarray:
     """The vector e_k - e_l in R^q, 1-based indices."""
+    check_pair(q, k, l)
     e = np.zeros(q)
     e[k - 1] += 1.0
     e[l - 1] -= 1.0

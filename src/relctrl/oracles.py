@@ -37,7 +37,7 @@ from .array_model import ArraySpec, build_big, require_valid
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GraphDomainError
 from .gengraph import nnls
-from .numutil import equilibrated, pair_difference
+from .numutil import check_pair, equilibrated, pair_difference
 from .spectral import distinct_eigenvalues
 
 
@@ -174,14 +174,20 @@ def path_oracle(G: np.ndarray, kind: str, k: int | None = None, l: int | None = 
     kind is one of 'connected', 'strong', 'kl', 'strong_kl'; the pairwise
     kinds take 1-based vertices k and l.  Directed walks answer the
     strong kinds, edge-direction-blind walks the others.
+
+    On a unit incidence array the undirected walk answers the question
+    that the edge route of ``relctrl.gengraph`` answers by union–find, so
+    there it is not an independent check of plain or pairwise
+    connectivity; the directed walks still check the cone peel.
     """
     G = np.asarray(G, dtype=float)
     q = G.shape[0]
     arcs = _unit_edges(G)
     undirected = arcs + [(j, i) for i, j in arcs]
     if kind in ("kl", "strong_kl"):
-        if k is None or l is None or not (1 <= k <= q and 1 <= l <= q) or k == l:
-            raise GraphDomainError(f"pairwise query needs distinct 1-based vertices, got {k},{l}")
+        if k is None or l is None:
+            raise GraphDomainError(f"pairwise query {kind!r} needs vertices k and l")
+        check_pair(q, k, l)
         a, b = k - 1, l - 1
         if kind == "kl":
             return b in _reachable(q, undirected, a)
@@ -365,13 +371,13 @@ def polar_falsifier(
     or None; the absence of a witness proves nothing.
     """
     spec = require_valid(spec, tol_zero)
+    d = pair_difference(spec.q, k, l)
     if grid is None:
         grid = default_polar_grid(spec)
     grid = np.asarray(grid, dtype=float)
     P = _input_responses(spec, grid)
     slack = 1e-7 * (1.0 + float(np.abs(P).max(initial=0.0)))
     dense = None
-    d = pair_difference(spec.q, k, l)
     for target in _pair_targets(d, spec.n):
         x, residual = nnls(P.T, target)
         if residual <= tol_cone * (1.0 + float(np.linalg.norm(target))):

@@ -42,7 +42,6 @@ class EigComponent:
 @dataclass(frozen=True)
 class Spectrum:
     components: tuple[EigComponent, ...]
-    order_certificate: tuple[tuple[int, float, float], ...]
 
     @property
     def m(self) -> int:
@@ -305,8 +304,4 @@ def distinct_eigenvalues(A: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig)
         raise InconsistentSpectrumError(
             f"algebraic multiplicities sum to {total}, expected {n}"
         )
-
-    certificate = tuple(
-        (idx + 1, float(c.mu.real), float(c.mu.imag)) for idx, c in enumerate(components)
-    )
-    return Spectrum(components=tuple(components), order_certificate=certificate)
+    return Spectrum(components=tuple(components))

@@ -13,21 +13,23 @@ from relctrl import (
     analyze,
     brammer_positive,
     build_example,
-    cone_member,
-    distinct_eigenvalues,
-    is_connected,
-    is_kl_connected,
-    is_strongly_connected,
-    is_strongly_kl_connected,
     kalman_reduced,
-    lineality_space,
-    make_graph,
     make_reach_problem,
     pairwise_range,
     path_oracle,
     polar_falsifier,
     reach_simulator,
 )
+from relctrl.gengraph import (
+    cone_contains_subspace,
+    cone_member,
+    is_connected,
+    kl_connected_pairs,
+    lineality_generators,
+    lineality_space,
+    make_graph,
+)
+from relctrl.spectral import distinct_eigenvalues
 
 from conftest import all_pairs, random_array_spec, random_unit_incidence
 
@@ -139,11 +141,13 @@ def test_criterion_5_path_oracle_suite():
         M = random_unit_incidence(rng, q_max=6, p_max=8)
         q = M.shape[0]
         G = make_graph(q, 1, M)
+        pairs = all_pairs(q)
         assert is_connected(G) == path_oracle(M, "connected")
-        assert is_strongly_connected(G) == path_oracle(M, "strong")
-        for k, l in all_pairs(q):
-            assert is_kl_connected(G, k, l) == path_oracle(M, "kl", k, l)
-            assert is_strongly_kl_connected(G, k, l) == path_oracle(M, "strong_kl", k, l)
+        assert cone_contains_subspace(G)[0] == path_oracle(M, "strong")
+        assert kl_connected_pairs(G, pairs) == [path_oracle(M, "kl", *pair) for pair in pairs]
+        assert kl_connected_pairs(lineality_generators(G).graph, pairs) == [
+            path_oracle(M, "strong_kl", *pair) for pair in pairs
+        ]
     _finish("criterion 5 (path oracle, 200 graphs)", start, 10.0)
 
 

@@ -3,17 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relctrl import (
-    DEFAULT_TOLERANCES,
-    ArraySpec,
-    analyze,
+from relctrl import DEFAULT_TOLERANCES, ArraySpec, analyze, kalman_reduced
+from relctrl.array_model import (
     build_big,
     disagreement_basis,
-    is_controllable,
-    kalman_reduced,
     validate_array,
+    zero_sum_projection,
 )
-from relctrl.array_model import zero_sum_projection
 from relctrl.errors import DimensionError, InvalidArrayError
 
 from conftest import random_array_spec
@@ -160,4 +156,3 @@ def test_verdicts_ignore_accepted_sum_error(watertanks, oscillators_a):
         assert noisy.pairwise == exact.pairwise
         assert noisy.positive_pairwise == exact.positive_pairwise
         assert kalman_reduced(_with_sum_error(spec), tol_zero=1e-6) == exact.controllable
-        assert is_controllable(_with_sum_error(spec), tol)[0] == exact.controllable

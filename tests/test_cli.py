@@ -204,7 +204,7 @@ def test_tolerance_precedence_flag_beats_file(tmp_path, capsys):
 
 def test_oracle_watertanks_agrees(tmp_path, capsys):
     path = write_example(tmp_path, "watertanks")
-    assert main(["oracle", str(path), "--pair", "1", "2", "--samples", "40"]) == 0
+    assert main(["oracle", str(path), "--pair", "1", "2"]) == 0
     out = capsys.readouterr().out
     assert "kalman_reduced" in out
     assert "brammer_positive" in out
@@ -214,7 +214,7 @@ def test_oracle_watertanks_agrees(tmp_path, capsys):
 
 def test_oracle_counterexample_pairwise(tmp_path, capsys):
     path = write_example(tmp_path, "counterexample-23")
-    assert main(["oracle", str(path), "--pair", "2", "3", "--samples", "5"]) == 0
+    assert main(["oracle", str(path), "--pair", "2", "3"]) == 0
     out = capsys.readouterr().out
     assert "pairwise_range_2_3" in out
     assert "range test no, analysis no" in out
@@ -229,10 +229,6 @@ def test_oracle_ring_reach_and_falsifier(tmp_path, capsys):
             "--pair",
             "1",
             "2",
-            "--seed",
-            "7",
-            "--samples",
-            "30",
             "--horizon",
             "2",
             "--steps",
@@ -247,7 +243,7 @@ def test_oracle_ring_reach_and_falsifier(tmp_path, capsys):
 def test_oracle_json_output(tmp_path, capsys):
     path = write_example(tmp_path, "watertanks")
     capsys.readouterr()
-    assert main(["oracle", str(path), "--json", "--samples", "5"]) == 0
+    assert main(["oracle", str(path), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     names = {entry["name"] for entry in doc}
     assert {"kalman_reduced", "brammer_positive"} <= names
@@ -267,7 +263,7 @@ def test_oracle_honours_tol_zero(tmp_path, capsys):
     assert main(["analyze", str(path), "--tol-zero", "1e-6"]) == 0
     capsys.readouterr()
     code = main(
-        ["oracle", str(path), "--tol-zero", "1e-6", "--pair", "1", "2", "--samples", "5"]
+        ["oracle", str(path), "--tol-zero", "1e-6", "--pair", "1", "2"]
     )
     out, err = capsys.readouterr()
     assert code == 0, out + err
@@ -396,26 +392,52 @@ def test_unknown_keys_rejected_in_nested_objects(tmp_path, capsys):
 def test_oracle_byte_stable_with_seed(tmp_path, capsys):
     path = write_example(tmp_path, "watertanks")
     capsys.readouterr()
-    args = ["oracle", str(path), "--pair", "1", "2", "--samples", "10", "--seed", "3"]
+    args = ["oracle", str(path), "--pair", "1", "2"]
     assert main(args) == 0
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
 
 
-def test_oracle_sampling_flags_are_deprecated_no_ops(tmp_path, capsys):
+def test_usage_errors_exit_with_the_input_code(tmp_path, capsys):
+    # argparse alone would exit 2, the code of a numerical failure.  The
+    # retired --samples and --seed are unknown flags now.
     path = write_example(tmp_path, "oscillators-b")
     capsys.readouterr()
-    plain = ["oracle", str(path), "--pair", "1", "2", "--json"]
-    assert main(plain) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    for extra in (["--samples", "7"], ["--seed", "3"], ["--samples", "200", "--seed", "7"]):
-        assert main(plain + extra) == 0
-        flagged_out, flagged_err = capsys.readouterr()
-        assert flagged_out == out
-        lines = flagged_err.splitlines()
-        assert len(lines) == 1 and "deprecated" in lines[0], flagged_err
+    for argv in (
+        ["oracle", str(path), "--samples", "7"],
+        ["oracle", str(path), "--seed", "3"],
+        ["oracle"],
+        ["analyze", str(path), "--pair", "1"],
+    ):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+    assert main(["oracle", "--help"]) == 0
+    assert "--horizon" in capsys.readouterr().out
+
+
+def test_oracle_runs_each_pair_once(tmp_path, capsys, monkeypatch):
+    import relctrl.cli as cli_module
+
+    path = write_example(tmp_path, "watertanks")
+    capsys.readouterr()
+    grids = []
+    original = cli_module.default_polar_grid
+
+    def counting(spec):
+        grids.append(1)
+        return original(spec)
+
+    monkeypatch.setattr(cli_module, "default_polar_grid", counting)
+    assert main(["oracle", str(path), "--pair", "1", "2", "--json"]) == 0
+    once = capsys.readouterr().out
+    assert main(["oracle", str(path), "--pair", "1", "2", "--pair", "1", "2", "--json"]) == 0
+    assert capsys.readouterr().out == once
+    grids.clear()
+    assert main(["oracle", str(path), "--pair", "1", "2", "--pair", "2", "3"]) == 0
+    assert len(grids) == 1
+    capsys.readouterr()
 
 
 def test_oracle_no_witness_detail_names_targets_and_horizon(tmp_path, capsys):
@@ -436,7 +458,7 @@ def test_oracle_disagreement_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         cli_module, "kalman_reduced", lambda spec, tol_rank, tol_zero: False
     )
-    assert main(["oracle", str(path), "--samples", "2"]) == 3
+    assert main(["oracle", str(path)]) == 3
     out = capsys.readouterr().out
     assert "DISAGREES" in out
 
@@ -465,9 +487,9 @@ def test_oracle_tol_eig_reaches_brammer_spectrum(tmp_path, capsys, monkeypatch):
         return original(A, tol_eig)
 
     monkeypatch.setattr(oracles_module, "distinct_eigenvalues", spy)
-    assert main(["oracle", str(path), "--samples", "2"]) == 0
+    assert main(["oracle", str(path)]) == 0
     assert seen == [DEFAULT_TOLERANCES.eig]
     seen.clear()
-    assert main(["oracle", str(path), "--samples", "2", "--tol-eig", "1e-6"]) == 0
+    assert main(["oracle", str(path), "--tol-eig", "1e-6"]) == 0
     assert seen == [1e-6]
     capsys.readouterr()

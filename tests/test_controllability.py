@@ -4,28 +4,25 @@ from scipy.linalg import block_diag
 
 import relctrl.controllability as controllability_module
 import relctrl.gengraph as gengraph_module
-from relctrl import (
-    ArraySpec,
-    analyze,
-    build_big,
+from relctrl import ArraySpec, analyze
+from relctrl.array_model import build_big
+from relctrl.controllability import (
+    _shift_chain_terminal,
     check_assumption_closed_structural,
     check_assumption_eigen,
     controllability_matrix,
-    distinct_eigenvalues,
-    is_controllable,
-    is_kl_connected,
-    is_pairwise_controllable,
-    is_positive_pairwise_controllable,
-    is_positively_controllable,
-    lineality_space,
     q_graphs_and_index_sets,
-    range_contains,
     v_graphs,
     w_graphs,
 )
-from relctrl.controllability import _shift_chain_terminal
 from relctrl.errors import DimensionError, InvalidArrayError
-from relctrl.gengraph import lineality_generators
+from relctrl.gengraph import (
+    kl_connected_pairs,
+    lineality_generators,
+    lineality_space,
+    range_contains,
+)
+from relctrl.spectral import distinct_eigenvalues
 
 from conftest import all_pairs, random_array_spec
 
@@ -42,7 +39,7 @@ def test_controllability_matrix_watertanks_is_input_matrix(watertanks):
 def test_controllability_matrix_counterexample(counterexample):
     W = controllability_matrix(counterexample)
     assert W.M.shape == (12, 12)
-    assert not is_kl_connected(W, 2, 3)
+    assert kl_connected_pairs(W, [(2, 3)]) == [False]
 
 
 def test_controllability_matrix_chain_ring_rank(chain_ring):
@@ -76,7 +73,7 @@ def test_v_graph_watertanks_is_input_matrix(watertanks):
 
 
 def test_v_graphs_oscillators_scalar_edges(oscillators_a, oscillators_b):
-    from relctrl import detect_scalar_edges
+    from relctrl.gengraph import detect_scalar_edges
 
     spectrum = distinct_eigenvalues(oscillators_a.A)
     counts_a = [len(detect_scalar_edges(G)) for G in v_graphs(oscillators_a, spectrum)]
@@ -87,7 +84,7 @@ def test_v_graphs_oscillators_scalar_edges(oscillators_a, oscillators_b):
 
 
 def test_v_graph_oscillator_b_disconnected_at_middle_pair(oscillators_b):
-    from relctrl import is_connected
+    from relctrl.gengraph import is_connected
 
     spectrum = distinct_eigenvalues(oscillators_b.A)
     connected = [is_connected(G) for G in v_graphs(oscillators_b, spectrum)]
@@ -100,7 +97,7 @@ def test_v_graph_oscillator_b_disconnected_at_middle_pair(oscillators_b):
 def test_oscillator_b_disconnected_cell_renders_with_missing_vertex(oscillators_b):
     # The disconnected graph still renders: one arc between systems 2 and
     # 3, system 1 isolated.
-    from relctrl import to_dot
+    from relctrl.gengraph import to_dot
 
     spectrum = distinct_eigenvalues(oscillators_b.A)
     kappa = next(
@@ -121,54 +118,52 @@ def test_oscillator_b_disconnected_cell_renders_with_missing_vertex(oscillators_
 
 
 def test_watertanks_verdicts(watertanks):
-    assert is_controllable(watertanks)[0]
-    assert not is_positively_controllable(watertanks)[0]
-    assert is_pairwise_controllable(watertanks, 1, 3)[0]
-    yes, conditional, _ = is_positive_pairwise_controllable(watertanks, 1, 2)
-    assert not yes
-    assert not conditional
+    report = analyze(watertanks, [(1, 3), (1, 2)])
+    assert report.controllable
+    assert not report.positively_controllable
+    assert report.pairwise[1, 3]
+    verdict = report.positive_pairwise[1, 2]
+    assert not verdict.yes
+    assert not verdict.conditional
 
 
 def test_watertanks_ring_verdicts(watertanks_ring):
-    assert is_controllable(watertanks_ring)[0]
-    assert is_positively_controllable(watertanks_ring)[0]
-    for k, l in all_pairs(3):
-        yes, conditional, _ = is_positive_pairwise_controllable(watertanks_ring, k, l)
-        assert yes and not conditional
+    report = analyze(watertanks_ring, all_pairs(3))
+    assert report.controllable
+    assert report.positively_controllable
+    for verdict in report.positive_pairwise.values():
+        assert verdict.yes and not verdict.conditional
 
 
 def test_oscillator_verdicts(oscillators_a, oscillators_b):
-    assert is_controllable(oscillators_a)[0]
-    assert not is_controllable(oscillators_b)[0]
+    report = analyze(oscillators_a)
+    assert report.controllable
+    assert not analyze(oscillators_b).controllable
     # No real eigenvalues, so the strong condition is vacuous.
-    assert is_positively_controllable(oscillators_a)[0]
+    assert report.positively_controllable
 
 
 def test_zero_input_not_controllable():
     spec = ArraySpec(n=1, q=2, p=1, A=[[0.0]], B=np.zeros((2, 1, 1)))
-    assert not is_controllable(spec)[0]
+    assert not analyze(spec).controllable
 
 
 def test_counterexample_pairwise(counterexample):
-    ok, rows = is_pairwise_controllable(counterexample, 2, 3)
-    assert not ok
+    assert not analyze(counterexample, [(2, 3)]).pairwise[2, 3]
     spectrum = distinct_eigenvalues(counterexample.A)
     (vg,) = v_graphs(counterexample, spectrum)
-    assert is_kl_connected(vg, 2, 3)
+    assert kl_connected_pairs(vg, [(2, 3)]) == [True]
 
 
 def test_controllable_array_pairwise_everywhere(watertanks_ring):
-    for k, l in all_pairs(3):
-        assert is_pairwise_controllable(watertanks_ring, k, l)[0]
+    assert all(analyze(watertanks_ring, all_pairs(3)).pairwise.values())
 
 
 def test_verdict_functions_refuse_invalid_arrays():
     spec = ArraySpec(n=1, q=2, p=1, A=[[0.0]], B=np.ones((2, 1, 1)))
-    for check in (is_controllable, is_positively_controllable):
+    for pairs in ((), [(1, 2)]):
         with pytest.raises(InvalidArrayError):
-            check(spec)
-    with pytest.raises(InvalidArrayError):
-        is_pairwise_controllable(spec, 1, 2)
+            analyze(spec, pairs)
 
 
 def test_positive_controllability_builds_v_graphs_once(watertanks_ring, monkeypatch):
@@ -180,10 +175,10 @@ def test_positive_controllability_builds_v_graphs_once(watertanks_ring, monkeypa
         return original(*args, **kwargs)
 
     monkeypatch.setattr(controllability_module, "v_graphs", counting)
-    ok, rows = is_positively_controllable(watertanks_ring)
-    assert ok
+    report = analyze(watertanks_ring)
+    assert report.positively_controllable
     assert len(calls) == 1
-    assert all(row.strongly_connected for row in rows if row.mu.imag == 0.0)
+    assert all(row.strongly_connected for row in report.rows("V") if row.mu.imag == 0.0)
 
 
 def _projection_corpus():
@@ -197,28 +192,17 @@ def _projection_corpus():
 
 @pytest.mark.parametrize("spec", _projection_corpus(), ids=lambda spec: spec.name)
 def test_verdict_functions_are_projections_of_analyze(spec):
+    # Every verdict is read off one report: the V rows carry the strong
+    # flag at every real eigenvalue, and a pair's verdicts do not depend
+    # on which other pairs the analysis was asked for.
     report = analyze(spec)
-    assert is_controllable(spec) == (report.controllable, report.rows("V"))
-    assert is_positively_controllable(spec) == (
-        report.positively_controllable,
-        report.rows("V"),
-    )
-    # The V rows carry the strong flag at every real eigenvalue, whichever
-    # of the two global verdicts asked for them.
     for row in report.rows("V"):
         assert (row.strongly_connected is not None) == (row.mu.imag == 0.0)
     everything = analyze(spec, all_pairs(spec.q))
     for pair in all_pairs(spec.q):
         one = analyze(spec, [pair])
-        assert is_pairwise_controllable(spec, *pair) == (one.pairwise[pair], one.rows("W"))
-        verdict = one.positive_pairwise[pair]
-        assert is_positive_pairwise_controllable(spec, *pair) == (
-            verdict.yes,
-            verdict.conditional,
-            one.rows("Q"),
-        )
         assert one.pairwise[pair] == everything.pairwise[pair]
-        assert verdict == everything.positive_pairwise[pair]
+        assert one.positive_pairwise[pair] == everything.positive_pairwise[pair]
 
 
 def test_analyze_svd_count_does_not_grow_with_pairs(monkeypatch):
@@ -324,7 +308,7 @@ def test_index_recursion_keeps_inputs_inside_lineality():
     )
     spec = ArraySpec.from_incidence([[0.0]], G)
     _, trace = q_graphs_and_index_sets(spec, distinct_eigenvalues(spec.A))
-    (step,) = trace.steps
+    (step,) = trace
     assert step.index_set == (1, 2, 3, 4)
     assert step.removed == (4,)
     assert step.lineality_dim == 2
@@ -351,7 +335,7 @@ def test_index_recursion_keeps_the_inputs_range_contains_keeps():
     for spec in specs:
         spectrum = distinct_eigenvalues(spec.A)
         graphs, trace = q_graphs_and_index_sets(spec, spectrum)
-        for G, step, comp in zip(graphs, trace.steps, spectrum.components):
+        for G, step, comp in zip(graphs, trace, spectrum.components):
             if not comp.is_real:
                 continue
             lin = lineality_generators(G).graph
@@ -370,12 +354,9 @@ def test_index_recursion_keeps_the_inputs_range_contains_keeps():
 
 
 def test_pair_validation(watertanks):
-    with pytest.raises(DimensionError):
-        is_pairwise_controllable(watertanks, 1, 1)
-    with pytest.raises(DimensionError):
-        is_pairwise_controllable(watertanks, 0, 2)
-    with pytest.raises(DimensionError):
-        is_pairwise_controllable(watertanks, 1, 4)
+    for pair in ((1, 1), (0, 2), (1, 4)):
+        with pytest.raises(DimensionError):
+            analyze(watertanks, [pair])
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +379,7 @@ def test_w_graph_counterexample_not_23_connected(counterexample):
     spectrum = distinct_eigenvalues(counterexample.A)
     (wg,) = w_graphs(counterexample, spectrum)
     assert wg.M.shape[0] == 12
-    assert not is_kl_connected(wg, 2, 3)
+    assert kl_connected_pairs(wg, [(2, 3)]) == [False]
 
 
 def test_w_graph_watertanks_equals_input_matrix(watertanks):
@@ -446,7 +427,7 @@ def test_power_swept_graph_matches_the_loop_reference(chain_ring, oscillators_a)
 def test_index_recursion_watertanks(watertanks):
     spectrum = distinct_eigenvalues(watertanks.A)
     _, trace = q_graphs_and_index_sets(watertanks, spectrum)
-    (step,) = trace.steps
+    (step,) = trace
     assert step.index_set == (1, 2)
     assert step.removed == (1, 2)
     assert step.lineality_dim == 0
@@ -455,7 +436,7 @@ def test_index_recursion_watertanks(watertanks):
 def test_index_recursion_ring(watertanks_ring):
     spectrum = distinct_eigenvalues(watertanks_ring.A)
     _, trace = q_graphs_and_index_sets(watertanks_ring, spectrum)
-    (step,) = trace.steps
+    (step,) = trace
     assert step.index_set == (1, 2, 3)
     assert step.removed == ()
     assert step.lineality_dim == 2
@@ -464,7 +445,7 @@ def test_index_recursion_ring(watertanks_ring):
 def test_index_recursion_oscillators(oscillators_a):
     spectrum = distinct_eigenvalues(oscillators_a.A)
     _, trace = q_graphs_and_index_sets(oscillators_a, spectrum)
-    for step in trace.steps:
+    for step in trace:
         assert step.index_set == (1, 2, 3)
         assert step.removed == ()
         assert step.lineality_dim is None
@@ -477,7 +458,7 @@ def test_index_recursion_monotone_on_random_specs():
         spectrum = distinct_eigenvalues(spec.A)
         _, trace = q_graphs_and_index_sets(spec, spectrum)
         previous = None
-        for step in trace.steps:
+        for step in trace:
             if previous is not None:
                 assert set(step.index_set) <= set(previous)
             assert set(step.removed) <= set(step.index_set)
@@ -560,15 +541,14 @@ def test_closed_structural_non_unit_weights():
 
 
 def test_positive_pairwise_counterexample(counterexample):
-    yes, conditional, _ = is_positive_pairwise_controllable(counterexample, 2, 3)
-    assert not yes
-    assert conditional        # chain pattern does not match: two chains
+    verdict = analyze(counterexample, [(2, 3)]).positive_pairwise[2, 3]
+    assert not verdict.yes
+    assert verdict.conditional        # chain pattern does not match: two chains
 
 
 def test_chain_ring_positive_pairwise_unconditional(chain_ring):
-    for k, l in all_pairs(3):
-        yes, conditional, _ = is_positive_pairwise_controllable(chain_ring, k, l)
-        assert yes and not conditional
+    for verdict in analyze(chain_ring, all_pairs(3)).positive_pairwise.values():
+        assert verdict.yes and not verdict.conditional
 
 
 # ---------------------------------------------------------------------------
@@ -578,15 +558,11 @@ def test_chain_ring_positive_pairwise_unconditional(chain_ring):
 def test_random_corpus_implications():
     rng = np.random.default_rng(31)
     for _ in range(40):
-        spec = random_array_spec(rng)
-        controllable = is_controllable(spec)[0]
-        positive = is_positively_controllable(spec)[0]
-        if positive:
-            assert controllable
-        pair = (1, 2)
-        yes, _, _ = is_positive_pairwise_controllable(spec, *pair)
-        if yes:
-            assert is_pairwise_controllable(spec, *pair)[0]
+        report = analyze(random_array_spec(rng), [(1, 2)])
+        if report.positively_controllable:
+            assert report.controllable
+        if report.positive_pairwise[1, 2].yes:
+            assert report.pairwise[1, 2]
 
 
 def _structured_spec(rng):
@@ -621,12 +597,11 @@ def test_oracle_agreement_on_repeated_eigenvalue_corpus():
     rng = np.random.default_rng(47)
     for _ in range(30):
         spec = _structured_spec(rng)
-        assert is_controllable(spec)[0] == kalman_reduced(spec)
-        assert is_positively_controllable(spec)[0] == brammer_positive(spec)
-        for pair in all_pairs(spec.q):
-            assert is_pairwise_controllable(spec, *pair)[0] == pairwise_range(
-                spec, *pair
-            )
+        report = analyze(spec, all_pairs(spec.q))
+        assert report.controllable == kalman_reduced(spec)
+        assert report.positively_controllable == brammer_positive(spec)
+        for pair, verdict in report.pairwise.items():
+            assert verdict == pairwise_range(spec, *pair)
 
 
 def test_verdicts_invariant_under_uniform_scaling():
@@ -682,7 +657,7 @@ def test_conjugate_rows_match_direct_computation():
             if comp.is_real or comp.mu.imag > 0:
                 continue
             for pair in all_pairs(spec.q):
-                direct = is_kl_connected(graphs[kappa], pair[0], pair[1])
+                (direct,) = kl_connected_pairs(graphs[kappa], [pair])
                 assert w_rows[kappa].kl_connected[pair] == direct
                 checked += 1
     assert checked > 20

@@ -4,21 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import relctrl.gengraph as gengraph_module
-from relctrl import (
-    cone_member,
-    detect_scalar_edges,
-    disagreement_basis,
-    is_connected,
-    is_kl_connected,
-    is_strongly_connected,
-    is_strongly_kl_connected,
-    lineality_space,
-    make_graph,
-    nnls,
-    path_oracle,
-    range_contains,
-    to_dot,
-)
+from relctrl import nnls, path_oracle
+from relctrl.array_model import disagreement_basis
 from relctrl.errors import (
     DimensionError,
     GraphDomainError,
@@ -30,8 +17,15 @@ from relctrl.gengraph import (
     _range_complement,
     blocks_in_range,
     cone_contains_subspace,
+    cone_member,
+    detect_scalar_edges,
+    is_connected,
     kl_connected_pairs,
     lineality_generators,
+    lineality_space,
+    make_graph,
+    range_contains,
+    to_dot,
 )
 from relctrl.numutil import equilibrated, pair_difference
 
@@ -145,7 +139,7 @@ def test_range_contains_matches_reference_rank_rule(drawn):
         T = np.kron(pair_difference(q, k, l)[:, None], np.eye(b))
         want, decisive = reference_range_contains(G, T)
         if decisive:
-            assert is_kl_connected(G, k, l) == want
+            assert kl_connected_pairs(G, [(k, l)]) == [want]
             decided += 1
     assume(decided > 0)
 
@@ -332,7 +326,7 @@ def test_range_complement_is_memoized_per_tolerance(monkeypatch):
         assert range_contains(G, T, 1e-9)
         assert not range_contains(G, T, 1e-3)
         assert is_connected(G, 1e-9)
-        assert not is_kl_connected(G, 1, 3, 1e-3)
+        assert kl_connected_pairs(G, [(1, 3)], 1e-3) == [False]
     assert len(calls) == 2
 
 
@@ -366,14 +360,13 @@ def test_graph_matrix_is_read_only():
 def test_cone_member_exact_column():
     feas = cone_member(wt_graph(), np.array([1.0, -1.0, 0.0]))
     assert feas.member
-    np.testing.assert_allclose(feas.certificate, [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(feas.weights, [1.0, 0.0], atol=1e-12)
     assert feas.residual <= 1e-12
 
 
 def test_cone_member_reversed_edge_rejected():
     feas = cone_member(wt_graph(), np.array([-1.0, 1.0, 0.0]))
     assert not feas.member
-    assert feas.certificate is None
     assert feas.residual > 0.1
     assert feas.weights.shape == (2,) and feas.weights.min() >= 0.0
 
@@ -381,7 +374,7 @@ def test_cone_member_reversed_edge_rejected():
 def test_cone_member_triangle_path_certificate():
     feas = cone_member(triangle_graph(), np.array([-1.0, 1.0, 0.0]))
     assert feas.member
-    np.testing.assert_allclose(feas.certificate, [0.0, 1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(feas.weights, [0.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_cone_member_requires_real_graph():
@@ -404,18 +397,17 @@ def test_cone_member_marginal_band():
 
 def test_predicates_on_named_graphs():
     assert is_connected(wt_graph())
-    assert not is_strongly_connected(wt_graph())
-    assert is_strongly_connected(triangle_graph())
-    for k, l in all_pairs(3):
-        assert not is_kl_connected(hyperedge_graph(), k, l)
+    assert not cone_contains_subspace(wt_graph())[0]
+    assert cone_contains_subspace(triangle_graph())[0]
+    assert not any(kl_connected_pairs(hyperedge_graph(), all_pairs(3)))
 
 
 def test_strong_predicates_reject_complex_graphs():
     G = make_graph(2, 1, np.array([[1.0j], [-1.0j]]))
     with pytest.raises(GraphDomainError):
-        is_strongly_connected(G)
+        cone_contains_subspace(G)
     with pytest.raises(GraphDomainError):
-        is_strongly_kl_connected(G, 1, 2)
+        lineality_generators(G)
 
 
 @given(data=st.integers(0, 2**31 - 1))
@@ -424,11 +416,13 @@ def test_predicates_match_path_oracle(data):
     M = random_unit_incidence(rng)
     q = M.shape[0]
     G = make_graph(q, 1, M)
+    pairs = all_pairs(q)
     assert is_connected(G) == path_oracle(M, "connected")
-    assert is_strongly_connected(G) == path_oracle(M, "strong")
-    for k, l in all_pairs(q):
-        assert is_kl_connected(G, k, l) == path_oracle(M, "kl", k, l)
-        assert is_strongly_kl_connected(G, k, l) == path_oracle(M, "strong_kl", k, l)
+    assert cone_contains_subspace(G)[0] == path_oracle(M, "strong")
+    assert kl_connected_pairs(G, pairs) == [path_oracle(M, "kl", *pair) for pair in pairs]
+    assert kl_connected_pairs(lineality_generators(G).graph, pairs) == [
+        path_oracle(M, "strong_kl", *pair) for pair in pairs
+    ]
 
 
 @given(data=st.integers(0, 2**31 - 1))
@@ -440,8 +434,8 @@ def test_cone_certificates_reconstruct_member(data):
     v = M @ rng.uniform(0.0, 2.0, size=M.shape[1])
     feas = cone_member(G, v)
     assert feas.member
-    assert np.linalg.norm(M @ feas.certificate - v) <= 1e-8 * (1 + np.linalg.norm(v))
-    assert feas.certificate.min() >= 0.0
+    assert np.linalg.norm(M @ feas.weights - v) <= 1e-8 * (1 + np.linalg.norm(v))
+    assert feas.weights.min() >= 0.0
 
 
 def test_polar_vectors_reject_members():
@@ -603,8 +597,8 @@ def test_nnls_iteration_cap_raises_numerical_failure():
 def test_empty_graph_predicates():
     G = make_graph(2, 1, np.zeros((2, 0)))
     assert not is_connected(G)
-    assert not is_strongly_connected(G)
-    assert not is_kl_connected(G, 1, 2)
+    assert not cone_contains_subspace(G)[0]
+    assert kl_connected_pairs(G, [(1, 2)]) == [False]
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +715,8 @@ def test_lineality_generators_memoized_and_shared(nnls_calls):
     lin = lineality_generators(G)
     assert lin.columns == (0, 1, 2)
     assert lineality_space(G).shape[1] == 2
-    assert is_strongly_connected(G)
-    for k, l in all_pairs(3):
-        assert is_strongly_kl_connected(G, k, l)
+    assert cone_contains_subspace(G)[0]
+    assert all(kl_connected_pairs(lin.graph, all_pairs(3)))
     assert lineality_generators(G) is lin
     assert len(nnls_calls) == 1
     lineality_generators(G, tol_cone=1e-6)
@@ -742,7 +735,7 @@ def test_lineality_peel_terminates_on_long_path(nnls_calls):
     assert lin.columns == ()
     assert not lin.marginal
     assert len(nnls_calls) <= G.n_columns
-    assert not is_strongly_connected(G)
+    assert not cone_contains_subspace(G)[0]
 
 
 def test_lineality_peel_falls_back_to_per_column_programs(nnls_calls):

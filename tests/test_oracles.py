@@ -9,7 +9,6 @@ from relctrl import (
     brammer_positive,
     build_example,
     example_names,
-    is_pairwise_controllable,
     kalman_reduced,
     make_reach_problem,
     pairwise_range,
@@ -18,7 +17,7 @@ from relctrl import (
     reach_simulator,
 )
 from relctrl.corpus import random_array_spec
-from relctrl.errors import GraphDomainError, InvalidArrayError
+from relctrl.errors import DimensionError, GraphDomainError, InvalidArrayError
 from relctrl.numutil import pair_difference
 from relctrl.oracles import (
     _CHUNK,
@@ -64,9 +63,20 @@ def test_brammer_oscillator_a(oscillators_a):
 
 def test_pairwise_range_counterexample(counterexample):
     assert not pairwise_range(counterexample, 2, 3)
-    assert pairwise_range(counterexample, 1, 2) == is_pairwise_controllable(
-        counterexample, 1, 2
-    )[0]
+    assert pairwise_range(counterexample, 1, 2) == analyze(counterexample, [(1, 2)]).pairwise[1, 2]
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (1, 1), (4, 1)])
+def test_oracles_reject_invalid_pairs(watertanks, pair):
+    # Index 0 and negative indices must not wrap round to system q.
+    with pytest.raises(DimensionError):
+        pairwise_range(watertanks, *pair)
+    with pytest.raises(DimensionError):
+        polar_falsifier(watertanks, *pair)
+    with pytest.raises(DimensionError):
+        make_reach_problem(watertanks, *pair, horizon=1.0, steps=10)
+    with pytest.raises(DimensionError):
+        path_oracle(WT, "kl", *pair)
 
 
 def test_pairwise_range_controllable_array(watertanks_ring):
@@ -86,7 +96,7 @@ def test_pairwise_range_sees_residual_beside_small_kept_direction():
     n = (t - 1e-3 * m) / np.linalg.norm(t - 1e-3 * m)
     spec = ArraySpec.from_incidence([[0.0]], np.stack([e, e + 1e-8 * n], axis=1))
     assert not pairwise_range(spec, 1, 2)
-    assert not is_pairwise_controllable(spec, 1, 2)[0]
+    assert not analyze(spec, [(1, 2)]).pairwise[1, 2]
 
 
 def test_path_oracle_watertanks_graph():

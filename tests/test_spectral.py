@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
-from relctrl import (
+from relctrl.spectral import (
     distinct_eigenvalues,
     eigenvector_basis,
     generalized_basis,
@@ -52,14 +52,6 @@ def test_ordering_real_before_coincident_pair():
     spectrum = distinct_eigenvalues(A)
     mus = [c.mu for c in spectrum.components]
     assert mus == [0.0, 1j, -1j, -1.0]
-
-
-def test_order_certificate_matches_components(oscillators_a):
-    spectrum = distinct_eigenvalues(oscillators_a.A)
-    for (kappa, re, im), comp in zip(spectrum.order_certificate, spectrum.components):
-        assert comp.mu == complex(re, im)
-    res = [re for _, re, _ in spectrum.order_certificate]
-    assert res == sorted(res, reverse=True)
 
 
 def test_conjugate_components_are_conjugated(oscillators_a):

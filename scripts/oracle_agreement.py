@@ -2,12 +2,13 @@
 """Agreement study: graph-based verdicts against brute-force oracles.
 
 Draws seeded random arrays (unit-edge inputs with random injection
-vectors, relctrl.corpus.random_array_spec), runs the three decidable
-oracles against the corresponding analyses and the polar falsifier on
-every vertex pair, and reports the outcome counts.  A decidable oracle
-that disagrees, or a falsifier witness against a positive pairwise
-verdict, is a bug and exits nonzero.  A negative verdict without a
-witness is not: the falsifier's silence proves nothing.
+vectors, relctrl.corpus.random_array_spec), analyzes each at every
+vertex pair, runs relctrl.cross_check on the report (the same oracles
+as ``relctrl oracle``, the polar falsifier on every pair included) and
+reports the outcome counts.  A decidable oracle that disagrees, or a
+falsifier witness against a positive pairwise verdict, is a bug and
+exits nonzero.  A negative verdict without a witness is not: the
+falsifier's silence proves nothing.
 
 Usage:
     python scripts/oracle_agreement.py [--specs N] [--seed S]
@@ -18,14 +19,9 @@ import time
 
 import numpy as np
 
-from relctrl import (
-    analyze,
-    brammer_positive,
-    kalman_reduced,
-    pairwise_range,
-    polar_falsifier,
-)
+from relctrl import DEFAULT_TOLERANCES, analyze, cross_check
 from relctrl.corpus import random_array_spec
+from relctrl.oracles import REACH_HORIZON, REACH_STEPS
 
 
 def main() -> int:
@@ -48,28 +44,17 @@ def main() -> int:
             if k != l
         ]
         report = analyze(spec, pairs=pairs)
-        checks = [
-            ("kalman", report.controllable, kalman_reduced(spec)),
-            ("brammer", report.positively_controllable, brammer_positive(spec)),
-        ]
-        for pair in pairs:
-            checks.append(
-                (f"range{pair}", report.pairwise[pair], pairwise_range(spec, *pair))
-            )
-            positive = report.positive_pairwise[pair].yes
-            if polar_falsifier(spec, *pair) is not None:
-                # A witness refutes positive steering; it must not meet a yes.
-                checks.append((f"falsifier{pair}", positive, False))
-                counts["witnessed"] += 1
-            counts["pairs"] += 1
-            counts["pairs_yes"] += report.pairwise[pair]
-            counts["positive_pairs"] += positive
-        for label, ours, oracle in checks:
-            if ours != oracle:
+        verdicts = cross_check(spec, report, DEFAULT_TOLERANCES, REACH_HORIZON, REACH_STEPS)
+        for v in verdicts:
+            if v.agrees is False:
                 disagreements += 1
-                print(f"DISAGREEMENT on spec {index} [{label}]: analysis={ours} oracle={oracle}")
+                print(f"DISAGREEMENT on spec {index} [{v.name}]: {v.detail}")
+        counts["witnessed"] += sum(v.witness is not None for v in verdicts)
         counts["controllable"] += report.controllable
         counts["positive"] += report.positively_controllable
+        counts["pairs"] += len(pairs)
+        counts["pairs_yes"] += sum(report.pairwise.values())
+        counts["positive_pairs"] += sum(v.yes for v in report.positive_pairwise.values())
 
     elapsed = time.perf_counter() - started
     negative = counts["pairs"] - counts["positive_pairs"]

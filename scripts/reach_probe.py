@@ -14,14 +14,8 @@ Usage:
 import argparse
 from pathlib import Path
 
-from relctrl import (
-    DEFAULT_TOLERANCES,
-    analyze,
-    make_reach_problem,
-    polar_falsifier,
-    reach_simulator,
-)
-from relctrl.oracles import default_polar_grid
+from relctrl import DEFAULT_TOLERANCES, analyze, polar_falsifier, reach_simulator
+from relctrl.oracles import REACH_HORIZON, REACH_STEPS, default_polar_grid
 from relctrl.specio import load_spec
 
 
@@ -30,8 +24,8 @@ def main() -> int:
     parser.add_argument("path", type=Path)
     parser.add_argument("k", type=int)
     parser.add_argument("l", type=int)
-    parser.add_argument("--horizon", type=float, default=5.0)
-    parser.add_argument("--steps", type=int, default=60)
+    parser.add_argument("--horizon", type=float, default=REACH_HORIZON)
+    parser.add_argument("--steps", type=int, default=REACH_STEPS)
     args = parser.parse_args()
 
     spec, tol = load_spec(args.path)
@@ -42,10 +36,7 @@ def main() -> int:
         label += " (conditional)"
     print(f"graph verdict for positive ({args.k},{args.l}) steering: {label}")
 
-    results = reach_simulator(
-        make_reach_problem(spec, args.k, args.l, args.horizon, args.steps),
-        tol_zero=tol.zero,
-    )
+    results = reach_simulator(spec, args.k, args.l, args.horizon, args.steps, tol.zero)
     for r in results:
         direction = "+" if r.target[r.target.nonzero()[0][0]] > 0 else "-"
         print(

@@ -20,8 +20,8 @@ from .errors import AnalysisError
 from .gengraph import GenGraph, nnls
 from .oracles import (
     brammer_positive,
+    cross_check,
     kalman_reduced,
-    make_reach_problem,
     pairwise_range,
     path_oracle,
     polar_falsifier,
@@ -46,9 +46,9 @@ __all__ = [
     "analyze_with_graphs",
     "brammer_positive",
     "build_example",
+    "cross_check",
     "example_names",
     "kalman_reduced",
-    "make_reach_problem",
     "nnls",
     "pairwise_range",
     "path_oracle",

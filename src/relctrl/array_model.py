@@ -184,42 +184,23 @@ def disagreement_basis(q: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BigOperators:
-    """Stacked and reduced operators of an array.
+    """Reduced (disagreement) coordinates of an array.
 
-    Abig / Bbig drive the stacked state; Ared / Bred drive its projection
-    onto disagreement coordinates (D carries the projection and S the
-    retained average direction).
+    D carries the projection of the stacked state onto disagreement
+    coordinates; Bred holds the reduced input blocks D* B.  The stacked
+    dynamics I_q ⊗ A act blockwise and so do the reduced ones, I_{q-1} ⊗ A:
+    a caller applies A to the blocks and never forms either operator.
     """
 
-    q: int
-    n: int
-    p: int
-    Abig: np.ndarray    # (q n, q n)
-    Bbig: np.ndarray    # (q n, p)
-    S: np.ndarray       # (q,)
     D: np.ndarray       # (q, q-1)
-    Ared: np.ndarray    # ((q-1) n, (q-1) n)
-    Bred: np.ndarray    # ((q-1) n, p)
+    Bred: np.ndarray    # (q-1, p, n), Bred[r, s] = sum_i D[i, r] B[i, s]
 
 
 def build_big(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero) -> BigOperators:
-    """Assemble stacked and reduced operators for a validated spec.
+    """The one builder of reduced coordinates, for a validated spec.
 
-    The operators are built from the projection ``require_valid`` returns.
+    The blocks are built from the projection ``require_valid`` returns.
     """
     spec = require_valid(spec, tol_zero)
-    n, q, p = spec.n, spec.q, spec.p
-    A = spec.A
-    Bbig = spec.incidence
-    D = disagreement_basis(q)
-    return BigOperators(
-        q=q,
-        n=n,
-        p=p,
-        Abig=np.kron(np.eye(q), A),
-        Bbig=Bbig,
-        S=np.full(q, 1.0 / np.sqrt(q)),
-        D=D,
-        Ared=np.kron(np.eye(q - 1), A),
-        Bred=np.kron(D.T, np.eye(n)) @ Bbig,
-    )
+    D = disagreement_basis(spec.q)
+    return BigOperators(D=D, Bred=np.einsum("qr,qpn->rpn", D, spec.B))

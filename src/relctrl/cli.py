@@ -25,23 +25,12 @@ from .corpus import build_example
 from .errors import (
     AnalysisError,
     DimensionError,
-    GraphDomainError,
     InvalidArrayError,
     SpecFormatError,
     UnsupportedRenderError,
 )
 from .gengraph import to_dot
-from .oracles import (
-    OracleVerdict,
-    brammer_positive,
-    default_polar_grid,
-    kalman_reduced,
-    make_reach_problem,
-    pairwise_range,
-    path_oracle,
-    polar_falsifier,
-    reach_simulator,
-)
+from .oracles import REACH_HORIZON, REACH_STEPS, cross_check
 from .report import render_json, render_text
 from .specio import load_spec, save_spec
 
@@ -49,6 +38,16 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 EXIT_DISAGREEMENT = 3
+
+
+def _above(bound, cast):
+    """An argparse type: ``cast`` of the text, rejected unless above ``bound``."""
+    def parse(text):
+        value = cast(text)
+        if not value > bound:
+            raise argparse.ArgumentTypeError(f"must be greater than {bound}, got {text}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("path", type=Path)
     po.add_argument("--pair", nargs=2, type=int, action="append", default=[],
                     metavar=("K", "L"))
-    po.add_argument("--horizon", type=float, default=5.0,
-                    help="reach-simulator time horizon (default 5)")
-    po.add_argument("--steps", type=int, default=60,
-                    help="reach-simulator input intervals (default 60)")
+    po.add_argument("--horizon", type=_above(0, float), default=REACH_HORIZON,
+                    help=f"reach-simulator time horizon, > 0 (default {REACH_HORIZON:g})")
+    po.add_argument("--steps", type=_above(1, int), default=REACH_STEPS,
+                    help=f"reach-simulator input intervals, >= 2 (default {REACH_STEPS})")
     po.add_argument("--json", action="store_true")
     add_tolerance_flags(po)
     po.set_defaults(func=cmd_oracle)
@@ -159,95 +158,10 @@ def cmd_examples(args) -> int:
     return EXIT_OK
 
 
-def _bool_word(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def _compared(name: str, label: str, oracle: bool, analysis: bool) -> OracleVerdict:
-    """A decidable oracle's verdict set against the analysis' verdict."""
-    return OracleVerdict(
-        name=name,
-        agrees=oracle == analysis,
-        detail=f"{label} {_bool_word(oracle)}, analysis {_bool_word(analysis)}",
-    )
-
-
-def _run_oracles(spec, tol, pairs, horizon, steps) -> list[OracleVerdict]:
-    report = analyze(spec, pairs=pairs, tolerances=tol)
-    kalman = kalman_reduced(spec, tol.rank, tol.zero)
-    brammer = brammer_positive(spec, tol)
-    verdicts = [
-        _compared("kalman_reduced", "rank test", kalman, report.controllable),
-        _compared("brammer_positive", "cone test", brammer, report.positively_controllable),
-    ]
-
-    if spec.n == 1:
-        try:
-            for kind, expected in (
-                ("connected", report.controllable),
-                ("strong", report.positively_controllable),
-            ):
-                walked = path_oracle(spec.incidence, kind)
-                verdicts.append(_compared(f"path_{kind}", "walk", walked, expected))
-        except GraphDomainError:
-            pass   # inputs are not literal unit edges; inapplicable
-
-    grid = default_polar_grid(spec)
-    for (k, l), pairwise in report.pairwise.items():
-        ranged = pairwise_range(spec, k, l, tol.rank, tol.zero)
-        verdicts.append(_compared(f"pairwise_range_{k}_{l}", "range test", ranged, pairwise))
-
-        positive = report.positive_pairwise[k, l]
-        witness = polar_falsifier(
-            spec, k, l, grid=grid, tol_zero=tol.zero, tol_cone=tol.cone
-        )
-        if witness is None:
-            verdicts.append(
-                OracleVerdict(
-                    name=f"polar_falsifier_{k}_{l}",
-                    agrees=None,
-                    detail=(
-                        f"no witness for the {2 * spec.n} targets +/-(e_{k} - e_{l}) (x) e_i "
-                        f"on horizon {grid[-1]:.4g} (proves nothing)"
-                    ),
-                )
-            )
-        else:
-            verdicts.append(
-                OracleVerdict(
-                    name=f"polar_falsifier_{k}_{l}",
-                    agrees=not positive.yes,
-                    detail=(
-                        "validated witness refutes positive steering; analysis "
-                        f"{_bool_word(positive.yes)}"
-                    ),
-                    witness=witness,
-                )
-            )
-
-        if positive.yes:
-            results = reach_simulator(
-                make_reach_problem(spec, k, l, horizon, steps), tol_zero=tol.zero
-            )
-            worst = max(r.residual for r in results)
-            all_hit = all(r.hit for r in results)
-            verdicts.append(
-                OracleVerdict(
-                    name=f"reach_simulator_{k}_{l}",
-                    agrees=True if all_hit else None,
-                    detail=(
-                        f"worst target residual {worst:.3e} over {len(results)} targets "
-                        "(evidence only)"
-                    ),
-                )
-            )
-    return verdicts
-
-
 def cmd_oracle(args) -> int:
     spec, tol = _load(args)
-    pairs = [tuple(p) for p in args.pair]
-    verdicts = _run_oracles(spec, tol, pairs, args.horizon, args.steps)
+    report = analyze(spec, [tuple(p) for p in args.pair], tol)
+    verdicts = cross_check(spec, report, tol, args.horizon, args.steps)
     if args.json:
         payload = [
             {

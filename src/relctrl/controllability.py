@@ -62,6 +62,18 @@ from .spectral import EigComponent, Spectrum, distinct_eigenvalues
 # graph construction
 
 
+def _krylov(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The stack [X, A X, ..., A^(n-1) X], A applied along X's last axis.
+
+    One einsum per power on the blocks, so I_q ⊗ A is never formed and a
+    block -b maps to exactly the negative of b's image.
+    """
+    powers = [X]
+    for _ in range(A.shape[0] - 1):
+        powers.append(np.einsum("mn,...n->...m", A, powers[-1]))
+    return np.stack(powers)
+
+
 def controllability_matrix(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero) -> GenGraph:
     """Stacked controllability matrix [B, AB, ..., A^(n-1) B] as a graph.
 
@@ -70,11 +82,8 @@ def controllability_matrix(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES
     characteristic polynomial of the node matrix, so n powers already
     span the controllable subspace.
     """
-    powers = [spec.B]
-    for _ in range(spec.n - 1):
-        powers.append(np.einsum("mn,qpn->qpm", spec.A, powers[-1]))
     # (power, q, p, n) -> rows (system, state), columns (power, input)
-    W = np.stack(powers).transpose(1, 3, 0, 2).reshape(spec.q * spec.n, spec.n * spec.p)
+    W = _krylov(spec.A, spec.B).transpose(1, 3, 0, 2).reshape(spec.q * spec.n, spec.n * spec.p)
     return make_graph(spec.q, spec.n, W, tol_zero)
 
 
@@ -204,76 +213,39 @@ def check_assumption_eigen(
     return EigenOverlapCheck(holds=not violated, violated_at=tuple(violated))
 
 
-def _shift_chain_terminal(A: np.ndarray, tol: float) -> int | None:
-    """Terminal state index (0-based) when A is a permuted single shift chain.
-
-    The chain pattern is a 0/1 matrix whose ones form one directed path
-    covering every state; the terminal is the state with no outgoing one.
-    Returns None when A does not match.
-    """
-    n = A.shape[0]
-    R = np.rint(A)
-    if float(np.abs(A - R).max(initial=0.0)) > tol:
-        return None
-    if not np.all((R == 0.0) | (R == 1.0)):
-        return None
-    if np.any(np.diag(R) != 0.0):
-        return None
-    rows, cols = np.nonzero(R)
-    if rows.size != n - 1:
-        return None
-    if n == 1:
-        return 0
-    succ = {}
-    indeg = np.zeros(n, dtype=int)
-    for i, j in zip(rows, cols):
-        if i in succ:
-            return None
-        succ[i] = j
-        indeg[j] += 1
-    if np.any(indeg > 1):
-        return None
-    sources = [i for i in range(n) if indeg[i] == 0 and i in succ]
-    if len(sources) != 1:
-        return None
-    node, seen = sources[0], 1
-    while node in succ:
-        node = succ[node]
-        seen += 1
-        if seen > n:
-            return None
-    return node if seen == n else None
-
-
 def check_assumption_closed_structural(
     spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero
 ) -> bool:
     """Detect the integrator-chain pattern that guarantees a closed reach set.
 
-    True when A is permutation-similar to a single shift chain and every
-    input drives only the terminal state of that chain with +/-1 weights
-    forming a unit incidence matrix.  False means unverified, not false.
+    True when A rounds (within tol_zero) to a 0/1 matrix R with zero
+    diagonal and exactly n - 1 ones, at most one per row and per column,
+    with R^n = 0, which makes R a permuted single shift chain; and every
+    input drives only the chain's terminal state, R's zero row, with one
+    +1 and one -1.  False means unverified, not false.
     """
-    terminal = _shift_chain_terminal(spec.A, tol_zero)
-    if terminal is None:
+    n = spec.n
+    R = np.rint(spec.A)
+    Bi = np.rint(spec.B)
+    if (
+        float(np.abs(spec.A - R).max(initial=0.0)) > tol_zero
+        or float(np.abs(spec.B - Bi).max(initial=0.0)) > tol_zero
+        or not np.all((R == 0.0) | (R == 1.0))
+        or np.any(np.diag(R))
+        or R.sum() != n - 1
+        or R.sum(axis=0).max() > 1
+        or R.sum(axis=1).max() > 1
+        or np.any(np.linalg.matrix_power(R, n))
+    ):
         return False
-    R = np.rint(spec.B)
-    if float(np.abs(spec.B - R).max(initial=0.0)) > tol_zero:
-        return False
-    mask = np.ones(spec.n, dtype=bool)
-    mask[terminal] = False
-    if np.any(R[:, :, mask] != 0.0):
-        return False
-    G = R[:, :, terminal]                          # (q, p)
-    for s in range(spec.p):
-        col = G[:, s]
-        if not (
-            np.sum(col == 1.0) == 1
-            and np.sum(col == -1.0) == 1
-            and np.sum(col == 0.0) == spec.q - 2
-        ):
-            return False
-    return True
+    terminal = ~R.any(axis=1)                      # exactly one zero row
+    G = Bi[:, :, terminal][:, :, 0]                # (q, p)
+    return bool(
+        not np.any(Bi[:, :, ~terminal])
+        and np.all((G == 1.0).sum(axis=0) == 1)
+        and np.all((G == -1.0).sum(axis=0) == 1)
+        and np.all((G == 0.0).sum(axis=0) == spec.q - 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +316,8 @@ def _contracted_labels(spec: ArraySpec, tol_rank: float) -> np.ndarray | None:
     live = ~zero
     i, j = i[live], j[live]
     if i.size:
-        krylov = [spec.B[i, live]]                       # (p', n)
-        for _ in range(spec.n - 1):
-            krylov.append(krylov[-1] @ spec.A.T)
-        K = np.stack(krylov, axis=2)                     # (p', n, n), column k is A^k b
+        # (p', n, n), column k is A^k b
+        K = np.moveaxis(_krylov(spec.A, spec.B[i, live]), 0, 2)
         norms = np.linalg.norm(K, axis=1)                # (p', n)
         top = norms.max()
         if not (np.isfinite(top) and np.all(norms > 10.0 * tol_rank * top)):

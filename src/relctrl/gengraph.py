@@ -43,7 +43,8 @@ component, (k,l)-connectivity a shared label, a single edge column as
 a target lies in the range when its ends share a label, and the range
 has dimension q minus the number of components.  Every other graph, and
 every general target, takes the SVD route.  The oracles in
-``relctrl.oracles`` build and factor their own matrices on purpose: an
+``relctrl.oracles``, which ``cross_check`` sets against a report, build
+their own matrices from the input blocks and factor them on purpose: an
 oracle must not share the step it checks.
 
 Cone questions about a subspace are range questions in disguise.  A

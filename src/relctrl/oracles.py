@@ -12,19 +12,29 @@ through the eigenvalue-indexed graphs:
                       whose residual is a separating functional
     reach_simulator   discretized nonnegative input programs
 
+``cross_check`` is the one pipeline that runs them: it takes a spec and
+the report ``analyze`` made of it and returns one ``OracleVerdict`` per
+oracle that applies, so that ``relctrl oracle`` and the agreement study
+read the same list.  It takes the report as an argument, so this module
+does not import the analysis.
+
 The first four decide their question exactly (at desk scale); the last
-two only gather evidence.  The falsifier is deterministic: by the Moreau
-decomposition, the residual of a target's projection onto the cone of
-input responses sampled on a time grid is the separating functional with
-the largest component along that target.  A validated witness refutes
-positive pairwise controllability on the grid's finite horizon; its
-absence proves nothing.  Reach residuals support a positive verdict but
-cannot overturn one.  Both evidence tools build their input responses
-from n x n exponentials e^{A t} applied to the input blocks.  One kernel,
-``_exponentials``, forms those exponentials for a whole time grid by
-batched Pade-13 scaling and squaring (Higham 2005); the falsifier forms
-its dense grid's exponentials once per call and scans every candidate
-against them.
+two only gather evidence.  Every matrix here is built from the (q, p, n)
+input blocks, applying A blockwise; no I_q ⊗ A is formed.  The two rank
+oracles share one Krylov builder, ``_krylov_matrix``, which is kept apart
+from the analysis' ``controllability_matrix`` on purpose: an oracle must
+not share the step it checks.  The falsifier is deterministic: by the
+Moreau decomposition, the residual of a target's projection onto the
+cone of input responses sampled on a time grid is the separating
+functional with the largest component along that target.  A validated
+witness refutes positive pairwise controllability on the grid's finite
+horizon; its absence proves nothing.  Reach residuals support a positive
+verdict but cannot overturn one.  Both evidence tools build their input
+responses from n x n exponentials e^{A t} applied to the input blocks.
+One kernel, ``_exponentials``, forms those exponentials for a whole time
+grid by batched Pade-13 scaling and squaring (Higham 2005); the
+falsifier forms its dense grid's exponentials once per call and scans
+every candidate against them.
 """
 
 from __future__ import annotations
@@ -40,6 +50,10 @@ from .gengraph import nnls
 from .numutil import check_pair, equilibrated, pair_difference
 from .spectral import distinct_eigenvalues
 
+# The reach simulator's default horizon and number of input intervals.
+REACH_HORIZON = 5.0
+REACH_STEPS = 60
+
 
 @dataclass(frozen=True, eq=False)
 class OracleVerdict:
@@ -49,33 +63,40 @@ class OracleVerdict:
     witness: np.ndarray | None = None
 
 
+def _krylov_matrix(A: np.ndarray, blocks: np.ndarray, tol_rank: float) -> np.ndarray:
+    """Column-equilibrated [X, (I ⊗ A) X, ..., (I ⊗ A)^(n-1) X] of (r, p, n) blocks X.
+
+    Rows are (block, state) and columns (power, input).  Each power
+    applies A to the blocks, so I ⊗ A is never formed.
+    """
+    r, p, n = blocks.shape
+    powers = [blocks]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ A.T)
+    return equilibrated(np.stack(powers).transpose(1, 3, 0, 2).reshape(r * n, n * p), tol_rank)
+
+
 def kalman_reduced(
     spec: ArraySpec,
     tol_rank: float = DEFAULT_TOLERANCES.rank,
     tol_zero: float = DEFAULT_TOLERANCES.zero,
 ) -> bool:
-    """Controllability via the rank of the reduced controllability matrix."""
+    """Controllability via the rank of the reduced controllability matrix.
+
+    The Krylov matrix of the reduced blocks D* B must have full rank
+    (q - 1) n.
+    """
     big = build_big(spec, tol_zero)
-    blocks = []
-    P = big.Bred
-    for _ in range(spec.n):
-        blocks.append(P)
-        P = big.Ared @ P
-    Wr = equilibrated(np.hstack(blocks), tol_rank)
-    if Wr.shape[1] == 0:
-        return (spec.q - 1) * spec.n == 0
-    s = np.linalg.svd(Wr, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > tol_rank * smax)) if smax > 0 else 0
-    return rank == (spec.q - 1) * spec.n
+    s = np.linalg.svd(_krylov_matrix(spec.A, big.Bred, tol_rank), compute_uv=False)
+    return int(np.sum(s > tol_rank * s.max(initial=0.0))) == (spec.q - 1) * spec.n
 
 
 def brammer_positive(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Positive controllability via the classical eigenvector cone test.
 
     On top of plain controllability, for every real eigenvalue the cone
-    of reduced eigenvector components must be the whole space, which is
-    checked by +/- membership of each standard basis vector.
+    of reduced eigenvector components V* (D* B) must be the whole space,
+    which is checked by +/- membership of each standard basis vector.
     """
     if not kalman_reduced(spec, tolerances.rank, tolerances.zero):
         return False
@@ -84,7 +105,7 @@ def brammer_positive(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCE
     for comp in spectrum.components:
         if not comp.is_real:
             continue
-        M = np.kron(np.eye(spec.q - 1), comp.V.T.real) @ big.Bred
+        M = np.einsum("md,rpm->rdp", comp.V.real, big.Bred).reshape(-1, spec.p)
         dim = M.shape[0]
         for idx in range(dim):
             for sign in (1.0, -1.0):
@@ -113,20 +134,13 @@ def pairwise_range(
     here, not through the analysis' graphs, so that the check does not
     share the step it checks.
     """
-    big = build_big(spec, tol_zero)
-    blocks = []
-    P = big.Bbig
-    for _ in range(spec.n):
-        blocks.append(P)
-        P = big.Abig @ P
-    W = equilibrated(np.hstack(blocks), tol_rank)
+    spec = require_valid(spec, tol_zero)
+    W = _krylov_matrix(spec.A, spec.B, tol_rank)
     T = equilibrated(
         np.kron(pair_difference(spec.q, k, l)[:, None], np.eye(spec.n)), tol_rank
     )
-    if W.shape[1] == 0:
-        return T.shape[1] == 0
     U, s, _ = np.linalg.svd(W, full_matrices=False)
-    bound = tol_rank * float(s[0])
+    bound = tol_rank * float(s.max(initial=0.0))
     U = U[:, : int(np.sum(s > bound))]
     outside = T - U @ (U.conj().T @ T)
     return float(np.linalg.norm(outside, 2)) <= bound
@@ -399,53 +413,135 @@ def polar_falsifier(
 
 
 @dataclass(frozen=True, eq=False)
-class ReachProblem:
-    """Discretized positive-reachability probe for one vertex pair."""
-
-    spec: ArraySpec
-    k: int
-    l: int
-    horizon: float
-    steps: int
-    targets: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class TargetResult:
     target: np.ndarray
     residual: float
     hit: bool
 
 
-def make_reach_problem(
-    spec: ArraySpec, k: int, l: int, horizon: float, steps: int
-) -> ReachProblem:
-    """Probe with targets +/-(e_k - e_l) ⊗ b over the standard basis."""
-    if horizon <= 0 or steps < 2:
+def _check_reach_grid(horizon: float, steps: int) -> None:
+    if not (horizon > 0 and steps >= 2):
         raise GraphDomainError("reach problem needs a positive horizon and at least 2 steps")
-    targets = _pair_targets(pair_difference(spec.q, k, l), spec.n)
-    return ReachProblem(
-        spec=spec, k=k, l=l, horizon=float(horizon), steps=int(steps), targets=tuple(targets)
-    )
 
 
 def reach_simulator(
-    prob: ReachProblem, tol_zero: float = DEFAULT_TOLERANCES.zero
+    spec: ArraySpec,
+    k: int,
+    l: int,
+    horizon: float,
+    steps: int,
+    tol_zero: float = DEFAULT_TOLERANCES.zero,
 ) -> list[TargetResult]:
-    """Distance of each target to the discretized positive reach cone.
+    """Distance of each target +/-(e_k - e_l) ⊗ e_i to the discretized positive reach cone.
 
-    Inputs are piecewise constant and nonnegative on the step grid; each
-    target's best approximation is a nonnegative least-squares program
-    over all step/input weights.  A residual of at most 1e-6 is a hit:
-    evidence for positive reachability of the target, never proof, and
-    a large residual may only reflect the discretization.
+    Inputs are piecewise constant and nonnegative on ``steps`` intervals
+    of the horizon; each target's best approximation is a nonnegative
+    least-squares program over all step/input weights.  A residual of at
+    most 1e-6 is a hit: evidence for positive reachability of the
+    target, never proof, and a large residual may only reflect the
+    discretization.  A horizon that is not positive, or fewer than 2
+    steps, raises ``GraphDomainError``.
     """
-    spec = require_valid(prob.spec, tol_zero)
-    dt = prob.horizon / prob.steps
-    times = prob.horizon - dt * np.arange(prob.steps)
+    _check_reach_grid(horizon, steps)
+    targets = _pair_targets(pair_difference(spec.q, k, l), spec.n)
+    spec = require_valid(spec, tol_zero)
+    dt = horizon / steps
+    times = horizon - dt * np.arange(steps)
     C = _input_responses(spec, times).T * dt
     out = []
-    for target in prob.targets:
+    for target in targets:
         _, residual = nnls(C, target)
         out.append(TargetResult(target=target, residual=residual, hit=residual <= 1e-6))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the one cross-check pipeline
+
+
+def _bool_word(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _compared(name: str, label: str, oracle: bool, analysis: bool) -> OracleVerdict:
+    """A decidable oracle's verdict set against the analysis' verdict."""
+    return OracleVerdict(
+        name=name,
+        agrees=oracle == analysis,
+        detail=f"{label} {_bool_word(oracle)}, analysis {_bool_word(analysis)}",
+    )
+
+
+def cross_check(
+    spec: ArraySpec, report, tolerances: Tolerances, horizon: float, steps: int
+) -> list[OracleVerdict]:
+    """Run every oracle that applies to spec and set it against report.
+
+    ``report`` is what ``analyze(spec, pairs, tolerances)`` returned; the
+    pairwise oracles run at its pairs.  In order: the Kalman rank and
+    Brammer cone tests; on n = 1 arrays whose inputs are literal unit
+    edges, the walks of ``path_oracle``; then per pair the range test,
+    the polar falsifier on ``default_polar_grid`` (built once) and, for a
+    positive pairwise verdict, the reach simulator on ``steps`` intervals
+    of ``horizon``.  A decidable oracle agrees when it gives the
+    analysis' answer; the falsifier is inconclusive (``agrees`` None)
+    without a witness and the reach simulator unless every target is
+    hit.  A horizon that is not positive, or fewer than 2 steps, raises
+    ``GraphDomainError`` whatever the verdicts.
+    """
+    _check_reach_grid(horizon, steps)
+    tol = tolerances
+    verdicts = [
+        _compared(
+            "kalman_reduced", "rank test",
+            kalman_reduced(spec, tol.rank, tol.zero), report.controllable,
+        ),
+        _compared(
+            "brammer_positive", "cone test",
+            brammer_positive(spec, tol), report.positively_controllable,
+        ),
+    ]
+
+    if spec.n == 1:
+        try:
+            for kind, expected in (
+                ("connected", report.controllable),
+                ("strong", report.positively_controllable),
+            ):
+                walked = path_oracle(spec.incidence, kind)
+                verdicts.append(_compared(f"path_{kind}", "walk", walked, expected))
+        except GraphDomainError:
+            pass   # inputs are not literal unit edges; inapplicable
+
+    grid = default_polar_grid(spec)
+    for (k, l), pairwise in report.pairwise.items():
+        ranged = pairwise_range(spec, k, l, tol.rank, tol.zero)
+        verdicts.append(_compared(f"pairwise_range_{k}_{l}", "range test", ranged, pairwise))
+
+        positive = report.positive_pairwise[k, l]
+        witness = polar_falsifier(
+            spec, k, l, grid=grid, tol_zero=tol.zero, tol_cone=tol.cone
+        )
+        if witness is None:
+            agrees, detail = None, (
+                f"no witness for the {2 * spec.n} targets +/-(e_{k} - e_{l}) (x) e_i "
+                f"on horizon {grid[-1]:.4g} (proves nothing)"
+            )
+        else:
+            agrees, detail = not positive.yes, (
+                f"validated witness refutes positive steering; analysis {_bool_word(positive.yes)}"
+            )
+        verdicts.append(OracleVerdict(f"polar_falsifier_{k}_{l}", agrees, detail, witness))
+
+        if positive.yes:
+            results = reach_simulator(spec, k, l, horizon, steps, tol.zero)
+            worst = max(r.residual for r in results)
+            verdicts.append(
+                OracleVerdict(
+                    f"reach_simulator_{k}_{l}",
+                    True if all(r.hit for r in results) else None,
+                    f"worst target residual {worst:.3e} over {len(results)} targets "
+                    "(evidence only)",
+                )
+            )
+    return verdicts

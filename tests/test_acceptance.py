@@ -14,7 +14,6 @@ from relctrl import (
     brammer_positive,
     build_example,
     kalman_reduced,
-    make_reach_problem,
     pairwise_range,
     path_oracle,
     polar_falsifier,
@@ -207,7 +206,7 @@ def test_criterion_7_positive_pairwise_end_to_end():
             assert not verdict.conditional
 
     for spec, horizon, steps in ((ring, 2.0, 20), (chain, 5.0, 60)):
-        results = reach_simulator(make_reach_problem(spec, 1, 2, horizon, steps))
+        results = reach_simulator(spec, 1, 2, horizon, steps)
         assert all(r.residual <= 1e-6 for r in results), spec.name
 
     assert polar_falsifier(ring, 1, 2) is None

@@ -69,19 +69,25 @@ def test_disagreement_basis_completes_identity(q):
     assert np.array_equal(D, disagreement_basis(q))
 
 
+def _stacked(blocks):
+    # (r, p, n) blocks as the stacked (r n) x p matrix.
+    r, p, n = blocks.shape
+    return blocks.transpose(0, 2, 1).reshape(r * n, p)
+
+
 def test_build_big_watertanks(watertanks):
     big = build_big(watertanks)
-    np.testing.assert_array_equal(
-        big.Bbig, np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
-    )
-    np.testing.assert_array_equal(big.Abig, np.zeros((3, 3)))
+    incidence = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
+    np.testing.assert_array_equal(watertanks.incidence, incidence)
+    assert big.Bred.shape == (2, 2, 1)
+    np.testing.assert_allclose(_stacked(big.Bred), big.D.T @ incidence, atol=1e-15)
 
 
 def test_build_big_two_systems_reduced_column():
     spec = ArraySpec.from_incidence([[0.0]], [[1.0], [-1.0]])
     big = build_big(spec)
     # D for q=2 is (1,-1)/sqrt(2), so the reduced input is sqrt(2).
-    np.testing.assert_allclose(big.Bred, [[np.sqrt(2.0)]], atol=1e-14)
+    np.testing.assert_allclose(big.Bred, [[[np.sqrt(2.0)]]], atol=1e-14)
 
 
 def test_build_big_refuses_invalid():
@@ -110,19 +116,24 @@ def test_average_direction_annihilated():
     for _ in range(100):
         spec = random_array_spec(rng)
         big = build_big(spec)
-        S_n = np.kron(big.S[:, None], np.eye(spec.n))
-        assert np.abs(S_n.T @ big.Bbig).max() <= 1e-12
+        S_n = np.kron(np.full((spec.q, 1), 1.0 / np.sqrt(spec.q)), np.eye(spec.n))
+        assert np.abs(S_n.T @ spec.incidence).max() <= 1e-12
+        # D D* + S S* = I, so the reduced blocks keep all of B.
+        Dn = np.kron(big.D, np.eye(spec.n))
+        np.testing.assert_allclose(Dn @ _stacked(big.Bred), spec.incidence, atol=1e-12)
 
 
 def test_reduction_commutes_with_dynamics():
+    # Dense stacked and reduced operators, built here as references only.
     rng = np.random.default_rng(8)
     for _ in range(100):
         spec = random_array_spec(rng)
         big = build_big(spec)
         Dn = np.kron(big.D.T, np.eye(spec.n))
-        left = Dn @ big.Abig @ big.Bbig
-        right = big.Ared @ big.Bred
+        left = Dn @ np.kron(np.eye(spec.q), spec.A) @ spec.incidence
+        right = np.kron(np.eye(spec.q - 1), spec.A) @ _stacked(big.Bred)
         np.testing.assert_allclose(left, right, atol=1e-10)
+        np.testing.assert_allclose(_stacked(big.Bred @ spec.A.T), right, atol=1e-10)
 
 
 def _with_sum_error(spec, eps=1e-7):
@@ -141,7 +152,8 @@ def test_zero_sum_projection_removes_accepted_sum_error(watertanks):
     assert np.abs(projected.B.sum(axis=0)).max() <= 1e-15
     assert np.abs(projected.B - watertanks.B).max() <= 1e-7
     big = build_big(noisy, tol_zero=1e-6)
-    assert np.abs(big.Bbig.reshape(noisy.q, noisy.n, noisy.p).sum(axis=0)).max() <= 1e-15
+    restored = np.einsum("qr,rpn->qpn", big.D, big.Bred)
+    np.testing.assert_allclose(restored, projected.B, rtol=0, atol=1e-15)
 
 
 def test_verdicts_ignore_accepted_sum_error(watertanks, oscillators_a):

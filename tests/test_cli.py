@@ -3,8 +3,10 @@ import json
 import numpy as np
 from jsonschema import validate as schema_validate
 
-from relctrl import DEFAULT_TOLERANCES, REPORT_SCHEMA, example_names
+from relctrl import DEFAULT_TOLERANCES, REPORT_SCHEMA, analyze, cross_check, example_names
+from relctrl.array_model import require_valid
 from relctrl.cli import main
+from relctrl.oracles import REACH_HORIZON, REACH_STEPS
 from relctrl.specio import load_spec, save_spec
 
 
@@ -418,18 +420,18 @@ def test_usage_errors_exit_with_the_input_code(tmp_path, capsys):
 
 
 def test_oracle_runs_each_pair_once(tmp_path, capsys, monkeypatch):
-    import relctrl.cli as cli_module
+    import relctrl.oracles as oracles_module
 
     path = write_example(tmp_path, "watertanks")
     capsys.readouterr()
     grids = []
-    original = cli_module.default_polar_grid
+    original = oracles_module.default_polar_grid
 
     def counting(spec):
         grids.append(1)
         return original(spec)
 
-    monkeypatch.setattr(cli_module, "default_polar_grid", counting)
+    monkeypatch.setattr(oracles_module, "default_polar_grid", counting)
     assert main(["oracle", str(path), "--pair", "1", "2", "--json"]) == 0
     once = capsys.readouterr().out
     assert main(["oracle", str(path), "--pair", "1", "2", "--pair", "1", "2", "--json"]) == 0
@@ -438,6 +440,42 @@ def test_oracle_runs_each_pair_once(tmp_path, capsys, monkeypatch):
     assert main(["oracle", str(path), "--pair", "1", "2", "--pair", "2", "3"]) == 0
     assert len(grids) == 1
     capsys.readouterr()
+
+
+def test_oracle_rejects_reach_flags_outside_input(tmp_path, capsys):
+    # The reach flags are input, so they are rejected before any verdict:
+    # the same exit 1 whether or not a requested pair is positive.
+    for name in ("watertanks-ring", "watertanks"):
+        path = write_example(tmp_path, name)
+        capsys.readouterr()
+        for flags in (["--steps", "1"], ["--horizon", "0"], ["--horizon", "-1"]):
+            for pair in ([], ["--pair", "1", "2"]):
+                assert main(["oracle", str(path), *flags, *pair]) == 1, (name, flags, pair)
+                out, err = capsys.readouterr()
+                assert out == "" and "error:" in err
+
+
+def test_oracle_json_is_the_cross_check_list(tmp_path, capsys):
+    # relctrl oracle adds nothing to cross_check but the rendering.
+    pairs = [(1, 2), (2, 3)]
+    for name in example_names():
+        path = write_example(tmp_path, name)
+        capsys.readouterr()
+        code = main(["oracle", str(path), "--json", "--pair", "1", "2", "--pair", "2", "3"])
+        doc = json.loads(capsys.readouterr().out)
+        spec, file_tol = load_spec(path)
+        tol = file_tol or DEFAULT_TOLERANCES
+        spec = require_valid(spec, tol.zero)
+        verdicts = cross_check(spec, analyze(spec, pairs, tol), tol, REACH_HORIZON, REACH_STEPS)
+        assert code == (3 if any(v.agrees is False for v in verdicts) else 0)
+        assert [(e["name"], e["agrees"], e["detail"]) for e in doc] == [
+            (v.name, v.agrees, v.detail) for v in verdicts
+        ]
+        for entry, v in zip(doc, verdicts):
+            if v.witness is None:
+                assert entry["witness"] is None
+            else:
+                np.testing.assert_allclose(entry["witness"], v.witness, rtol=0, atol=1e-12)
 
 
 def test_oracle_no_witness_detail_names_targets_and_horizon(tmp_path, capsys):
@@ -452,11 +490,11 @@ def test_oracle_no_witness_detail_names_targets_and_horizon(tmp_path, capsys):
 
 
 def test_oracle_disagreement_exit_code(tmp_path, capsys, monkeypatch):
-    import relctrl.cli as cli_module
+    import relctrl.oracles as oracles_module
 
     path = write_example(tmp_path, "watertanks")
     monkeypatch.setattr(
-        cli_module, "kalman_reduced", lambda spec, tol_rank, tol_zero: False
+        oracles_module, "kalman_reduced", lambda spec, tol_rank, tol_zero: False
     )
     assert main(["oracle", str(path)]) == 3
     out = capsys.readouterr().out

@@ -5,9 +5,7 @@ from scipy.linalg import block_diag
 import relctrl.controllability as controllability_module
 import relctrl.gengraph as gengraph_module
 from relctrl import ArraySpec, analyze
-from relctrl.array_model import build_big
 from relctrl.controllability import (
-    _shift_chain_terminal,
     check_assumption_closed_structural,
     check_assumption_eigen,
     controllability_matrix,
@@ -48,15 +46,16 @@ def test_controllability_matrix_chain_ring_rank(chain_ring):
 
 
 def test_controllability_matrix_matches_stacked_operator():
-    # Applying A blockwise equals powers of the stacked I_q ⊗ A.
+    # Applying A blockwise equals powers of the stacked I_q ⊗ A, built
+    # densely here as the reference.
     rng = np.random.default_rng(5)
     for _ in range(10):
         spec = random_array_spec(rng)
-        big = build_big(spec)
-        blocks, P = [], big.Bbig
+        Abig = np.kron(np.eye(spec.q), spec.A)
+        blocks, P = [], spec.incidence
         for _ in range(spec.n):
             blocks.append(P)
-            P = big.Abig @ P
+            P = Abig @ P
         np.testing.assert_allclose(
             controllability_matrix(spec).M, np.hstack(blocks), rtol=1e-12, atol=1e-12
         )
@@ -512,9 +511,8 @@ def test_closed_structural_permuted_chain():
     J = np.diag(np.ones(2), 1)          # 3-state chain, terminal state 3
     perm = np.eye(3)[[2, 0, 1]]
     A = perm @ J @ perm.T
-    terminal = _shift_chain_terminal(A, 1e-9)
-    e_term = np.zeros(3)
-    e_term[terminal] = 1.0
+    e_term = perm[:, 2]                 # the relabeled terminal state
+    assert not np.any(e_term @ A)       # is A's zero row
     G = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
     incidence = np.kron(G, e_term[:, None])
     spec = ArraySpec.from_incidence(A, incidence)
@@ -534,6 +532,32 @@ def test_closed_structural_non_unit_weights():
     A = [[0.0]]
     spec = ArraySpec.from_incidence(A, [[2.0], [-2.0], [0.0]])
     assert not check_assumption_closed_structural(spec)
+
+
+def _tapped_at(A, state):
+    # Unit-edge inputs 1 -> 2 -> 3 entering at one state of every system.
+    G = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
+    return ArraySpec.from_incidence(A, np.kron(G, np.eye(len(A))[:, [state]]))
+
+
+def test_closed_structural_rejects_two_cycle_beside_isolated_state():
+    # n - 1 ones, at most one per row and column, but 1 <-> 2 is a cycle.
+    A = np.zeros((3, 3))
+    A[0, 1] = A[1, 0] = 1.0
+    for state in range(3):
+        assert not check_assumption_closed_structural(_tapped_at(A, state))
+
+
+def test_closed_structural_rejects_branching():
+    # Nilpotent with n - 1 ones, but column 3 holds two of them.
+    A = np.zeros((3, 3))
+    A[0, 2] = A[1, 2] = 1.0
+    for state in range(3):
+        assert not check_assumption_closed_structural(_tapped_at(A, state))
+    A = np.zeros((3, 3))
+    A[2, 0] = A[2, 1] = 1.0            # and here row 3 does
+    for state in range(3):
+        assert not check_assumption_closed_structural(_tapped_at(A, state))
 
 
 # ---------------------------------------------------------------------------

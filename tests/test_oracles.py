@@ -4,13 +4,14 @@ from scipy.linalg import expm
 
 import relctrl.oracles
 from relctrl import (
+    DEFAULT_TOLERANCES,
     ArraySpec,
     analyze,
     brammer_positive,
     build_example,
+    cross_check,
     example_names,
     kalman_reduced,
-    make_reach_problem,
     pairwise_range,
     path_oracle,
     polar_falsifier,
@@ -74,7 +75,7 @@ def test_oracles_reject_invalid_pairs(watertanks, pair):
     with pytest.raises(DimensionError):
         polar_falsifier(watertanks, *pair)
     with pytest.raises(DimensionError):
-        make_reach_problem(watertanks, *pair, horizon=1.0, steps=10)
+        reach_simulator(watertanks, *pair, horizon=1.0, steps=10)
     with pytest.raises(DimensionError):
         path_oracle(WT, "kl", *pair)
 
@@ -395,8 +396,7 @@ def test_falsifier_never_refutes_positive_verdicts():
 
 
 def test_reach_ring_hits_targets(watertanks_ring):
-    prob = make_reach_problem(watertanks_ring, 1, 2, horizon=2.0, steps=20)
-    results = reach_simulator(prob)
+    results = reach_simulator(watertanks_ring, 1, 2, horizon=2.0, steps=20)
     assert len(results) == 2
     assert all(r.hit for r in results)
     assert max(r.residual for r in results) <= 1e-6
@@ -406,8 +406,7 @@ def test_reach_two_pump_target_unreachable(watertanks):
     # e_2 - e_1 lies outside the input cone and the tank dynamics are
     # time-invariant, so no step count helps.
     for steps in (2, 25, 100):
-        prob = make_reach_problem(watertanks, 1, 2, horizon=2.0, steps=steps)
-        results = reach_simulator(prob)
+        results = reach_simulator(watertanks, 1, 2, horizon=2.0, steps=steps)
         target_back = next(r for r in results if r.target[1] > 0)
         assert target_back.residual >= 0.1
 
@@ -418,8 +417,7 @@ def test_reach_oscillators_completes_at_cli_defaults(oscillators_a):
     from relctrl.cli import build_parser
 
     args = build_parser().parse_args(["oracle", "spec.json"])
-    prob = make_reach_problem(oscillators_a, 1, 2, args.horizon, args.steps)
-    results = reach_simulator(prob)
+    results = reach_simulator(oscillators_a, 1, 2, args.horizon, args.steps)
     assert len(results) == 2 * oscillators_a.n
     assert all(np.isfinite(r.residual) for r in results)
 
@@ -428,14 +426,23 @@ def test_reach_accepts_noise_within_tol_zero(watertanks_ring):
     B = np.array(watertanks_ring.B)
     B[0, 0, 0] += 1e-7                  # column-sum error of 1e-7
     spec = ArraySpec(n=1, q=3, p=3, A=watertanks_ring.A, B=B)
-    prob = make_reach_problem(spec, 1, 2, horizon=2.0, steps=20)
     with pytest.raises(InvalidArrayError):
-        reach_simulator(prob)
-    assert all(r.hit for r in reach_simulator(prob, tol_zero=1e-6))
+        reach_simulator(spec, 1, 2, horizon=2.0, steps=20)
+    assert all(r.hit for r in reach_simulator(spec, 1, 2, 2.0, 20, tol_zero=1e-6))
+
+
+def test_cross_check_rejects_reach_grid_whatever_the_verdict(watertanks, watertanks_ring):
+    # watertanks has no positive pair, so the reach simulator never runs on
+    # it; the grid is rejected all the same.
+    for spec in (watertanks, watertanks_ring):
+        report = analyze(spec, [(1, 2)])
+        for horizon, steps in ((0.0, 60), (5.0, 1)):
+            with pytest.raises(GraphDomainError):
+                cross_check(spec, report, DEFAULT_TOLERANCES, horizon, steps)
 
 
 def test_reach_problem_validation(watertanks):
     with pytest.raises(GraphDomainError):
-        make_reach_problem(watertanks, 1, 2, horizon=0.0, steps=10)
+        reach_simulator(watertanks, 1, 2, horizon=0.0, steps=10)
     with pytest.raises(GraphDomainError):
-        make_reach_problem(watertanks, 1, 2, horizon=1.0, steps=1)
+        reach_simulator(watertanks, 1, 2, horizon=1.0, steps=1)

@@ -20,9 +20,9 @@ PUBLIC = [
     "analyze_with_graphs",
     "brammer_positive",
     "build_example",
+    "cross_check",
     "example_names",
     "kalman_reduced",
-    "make_reach_problem",
     "nnls",
     "pairwise_range",
     "path_oracle",
@@ -47,7 +47,7 @@ RETIRED = {
         "Feasibility", "cone_member", "detect_scalar_edges", "is_connected",
         "lineality_space", "make_graph", "range_contains", "to_dot",
     ],
-    "oracles": ["OracleVerdict", "ReachProblem"],
+    "oracles": ["OracleVerdict"],
     "spectral": [
         "EigComponent", "distinct_eigenvalues", "eigenvector_basis", "generalized_basis",
         "restriction",
@@ -56,13 +56,14 @@ RETIRED = {
 
 # Names deleted outright: each restated a field of analyze's report or a
 # one-line call of kl_connected_pairs, cone_contains_subspace and
-# lineality_generators.
+# lineality_generators, or (oracles) wrapped reach_simulator's arguments.
 DELETED = {
     "controllability": [
         "IndexRecursionTrace", "is_controllable", "is_pairwise_controllable",
         "is_positive_pairwise_controllable", "is_positively_controllable",
     ],
     "gengraph": ["is_kl_connected", "is_strongly_connected", "is_strongly_kl_connected"],
+    "oracles": ["ReachProblem", "make_reach_problem"],
 }
 
 

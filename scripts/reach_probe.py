@@ -15,6 +15,7 @@ import argparse
 from pathlib import Path
 
 from relctrl import DEFAULT_TOLERANCES, analyze, polar_falsifier, reach_simulator
+from relctrl.cli import _above
 from relctrl.oracles import REACH_HORIZON, REACH_STEPS, default_polar_grid
 from relctrl.specio import load_spec
 
@@ -24,8 +25,9 @@ def main() -> int:
     parser.add_argument("path", type=Path)
     parser.add_argument("k", type=int)
     parser.add_argument("l", type=int)
-    parser.add_argument("--horizon", type=float, default=REACH_HORIZON)
-    parser.add_argument("--steps", type=int, default=REACH_STEPS)
+    # The bounds of ``relctrl oracle``, checked before any analysis runs.
+    parser.add_argument("--horizon", type=_above(0, float), default=REACH_HORIZON)
+    parser.add_argument("--steps", type=_above(1, int), default=REACH_STEPS)
     args = parser.parse_args()
 
     spec, tol = load_spec(args.path)

@@ -84,7 +84,7 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str        # "dimension" or "column-sum"
+    kind: str        # "dimension", "non-finite" or "column-sum"
     location: str
     magnitude: float
 
@@ -96,10 +96,11 @@ class ValidationReport:
 
 
 def validate_array(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero) -> ValidationReport:
-    """Check dimensional consistency and the relative-actuation constraint.
+    """Check dimensions, finiteness and the relative-actuation constraint.
 
-    Every input column whose per-system injection vectors do not sum to
-    (numerically) zero is reported, as is every dimension mismatch.  Pure
+    Every dimension mismatch is reported, then a NaN or infinite entry of
+    A or B (the first of each, 1-based), then every input column whose
+    per-system injection vectors do not sum to (numerically) zero.  Pure
     function; never raises on bad content.
     """
     violations: list[Violation] = []
@@ -117,6 +118,12 @@ def validate_array(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero) -
         bad("dimension", f"A has shape {spec.A.shape}, expected {(spec.n, spec.n)}")
     if spec.B.shape != (spec.q, spec.p, spec.n):
         bad("dimension", f"B has shape {spec.B.shape}, expected {(spec.q, spec.p, spec.n)}")
+
+    for name, M in (("A", spec.A), ("B", spec.B)):
+        bad_entries = np.argwhere(~np.isfinite(M))
+        if bad_entries.size:
+            first = tuple(bad_entries[0])
+            bad("non-finite", f"{name}[{','.join(str(k + 1) for k in first)}]", M[first])
 
     if not violations:
         colsums = spec.B.sum(axis=0)          # (p, n)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+
+from .errors import SpecFormatError
 
 
 @dataclass(frozen=True)
@@ -16,12 +19,23 @@ class Tolerances:
         radius)``.
     zero: absolute threshold for structural zeros (input column sums,
         edge-factorization residuals).
+
+    Every entry must be finite and positive, whether it comes from a spec
+    file, a command-line flag or a caller; SpecFormatError otherwise.
     """
 
     rank: float = 1e-9
     cone: float = 1e-8
     eig: float = 1e-8
     zero: float = 1e-9
+
+    def __post_init__(self):
+        for entry in fields(self):
+            value = getattr(self, entry.name)
+            if not (math.isfinite(value) and value > 0):
+                raise SpecFormatError(
+                    f"tolerance {entry.name!r} must be a finite positive number, got {value!r}"
+                )
 
     def override(self, **kwargs) -> "Tolerances":
         """Copy with the non-None entries of kwargs replaced."""

@@ -19,16 +19,13 @@ graphs built from the array:
 Both controllability and pairwise controllability admit a second, whole
 controllability-matrix characterization; the two are computed side by
 side and any numerical disagreement raises instead of guessing.  That
-check uses no spectrum.  It first contracts the matrix W (see
-``w_matrix_verdict``): an input that touches only systems i and j, with
-blocks b and -b, contributes (e_i - e_j) ⊗ A^k b, so when its Krylov
-matrix [b, Ab, ..., A^(n-1) b] has full rank, range(W) contains all of
-(e_i - e_j) ⊗ R^n.  When every nonzero input contracts, and the Krylov
-column norms and conditioning pass the guards of ``_contracted_labels``
-under which the SVD rule provably agrees, range(W) is exactly the span
-of those blocks: W is connected when the inputs join all systems into
-one component, and (k,l)-connected when k and l share one.  Otherwise W
-is built and judged whole like any other graph.
+check uses no spectrum.  An input that touches only systems i and j,
+with blocks b and -b, contributes the columns (e_i - e_j) ⊗ A^k b to the
+matrix W, so when every nonzero input does, W is a graph of edge
+bundles, one Krylov matrix [b, Ab, ..., A^(n-1) b] per input, and the
+edge-bundle rule of ``relctrl.gengraph.edge_components`` decides it
+without forming it (``w_matrix_verdict``).  Otherwise W is built and
+judged whole like any other graph.
 
 ``analyze`` is the one pipeline: it validates the array, computes the
 spectrum, builds each graph family once and reads all four verdicts off
@@ -48,13 +45,14 @@ from .gengraph import (
     GenGraph,
     blocks_in_range,
     cone_contains_subspace,
+    edge_components,
     is_connected,
     kl_connected_pairs,
     lineality_dim,
     lineality_generators,
     make_graph,
 )
-from .numutil import check_pair, component_labels, edge_ends
+from .numutil import check_pair, edge_ends
 from .spectral import EigComponent, Spectrum, distinct_eigenvalues
 
 
@@ -282,65 +280,25 @@ class WMatrixVerdict:
     kl_connected: dict[tuple[int, int], bool]
 
 
-def _contracted_labels(spec: ArraySpec, tol_rank: float) -> np.ndarray | None:
-    """Component labels of range(W) by contraction, or None.
-
-    Every input with a nonzero block must touch exactly two systems i, j,
-    with blocks b and -b.  W then holds the columns (e_i - e_j) ⊗ A^k b,
-    and two guards make the SVD rule of ``relctrl.gengraph`` give the
-    component verdicts on it:
-
-    * every Krylov column A^k b of every such input has a norm more than
-      ten times ``tol_rank`` times the largest, so the drop cut of
-      ``equilibrated`` keeps every column of W, with a decade to spare;
-    * with K_s the column-equilibrated Krylov matrix [b, Ab, ...,
-      A^(n-1) b] of input s, min_s sigma_min(K_s) sqrt(2)/q >
-      10 tol_rank sqrt(maxdeg n), maxdeg being the largest number of
-      inputs at one system.
-
-    The equilibrated W W* lies between sigma_min^2 (L/2 ⊗ I) and
-    n (L/2 ⊗ I), L the Laplacian of the input edges, whose largest
-    eigenvalue is at most 2 maxdeg and whose smallest nonzero one is at
-    least 4/q^2 (Mohar 1991).  So the largest singular value is at most
-    sqrt(maxdeg n), every nonzero one exceeds ten times the rank cutoff,
-    and range(W) is exactly the span of the (e_i - e_j) ⊗ R^n; a pair
-    split between components leaves a residual of at least 1/sqrt(q).
-    The singular values of all K_s come from one batched call on a
-    (p, n, n) stack.  The labels are those of ``component_labels`` over
-    the (i, j) of the inputs.
-    """
-    columns = spec.B.transpose(0, 2, 1).reshape(spec.q * spec.n, spec.p)
-    i, j, edge, zero = edge_ends(columns, spec.n)
-    if not np.all(edge | zero):
-        return None
-    live = ~zero
-    i, j = i[live], j[live]
-    if i.size:
-        # (p', n, n), column k is A^k b
-        K = np.moveaxis(_krylov(spec.A, spec.B[i, live]), 0, 2)
-        norms = np.linalg.norm(K, axis=1)                # (p', n)
-        top = norms.max()
-        if not (np.isfinite(top) and np.all(norms > 10.0 * tol_rank * top)):
-            return None
-        s = np.linalg.svd(K / norms[:, None, :], compute_uv=False)
-        maxdeg = np.bincount(np.concatenate([i, j]), minlength=spec.q).max()
-        if s[:, -1].min() * np.sqrt(2.0) / spec.q <= 10.0 * tol_rank * np.sqrt(maxdeg * spec.n):
-            return None
-    return component_labels(spec.q, zip(i.tolist(), j.tolist()))
-
-
 def w_matrix_verdict(
     spec: ArraySpec, pairs: list[tuple[int, int]], tol: Tolerances
 ) -> WMatrixVerdict:
     """Connectivity of the controllability matrix W, at every pair.
 
-    By contraction when every nonzero input contracts and passes its
-    guards (``_contracted_labels``): connected is one component, a pair
-    is connected when it shares one.  Otherwise W is built whole
+    When every nonzero input is an edge (``edge_ends``), input s between
+    systems i and j, with blocks b and -b, adds the columns
+    (e_i - e_j) ⊗ A^k b to W: its Krylov matrix [b, Ab, ..., A^(n-1) b]
+    is one bundle of the edge-bundle rule (``edge_components``), and
+    when the rule answers W is never formed.  Otherwise W is built whole
     (``controllability_matrix``) and judged by ``is_connected`` and
     ``kl_connected_pairs``.
     """
-    labels = _contracted_labels(spec, tol.rank)
+    i, j, edge, zero = edge_ends(spec.incidence, spec.n)
+    labels = None
+    if np.all(edge | zero):
+        # (inputs, n, n), column k is A^k b
+        K = np.moveaxis(_krylov(spec.A, spec.B[i[edge], edge]), 0, 2)
+        labels = edge_components(spec.q, i[edge], j[edge], K, tol.rank)
     if labels is not None:
         return WMatrixVerdict(
             connected=not labels.any(),

@@ -14,7 +14,8 @@ class InvalidArrayError(AnalysisError):
 
 
 class SpecFormatError(AnalysisError):
-    """A spec file or mapping does not match the documented JSON layout."""
+    """A spec file or mapping does not match the documented JSON layout,
+    or a tolerance is not a finite positive number."""
 
 
 class IllConditionedSpectrumError(AnalysisError):

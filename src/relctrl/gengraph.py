@@ -24,25 +24,17 @@ and l of N*, so ``kl_connected_pairs`` answers every requested pair of a
 graph with one array operation on those blocks, under the same bound.
 
 Most graphs are edge graphs, and for them the rule is a component
-lookup (the edge route).  A graph qualifies when its blocksize is 1 and
-every column either lies below the drop cut of ``equilibrated``
-(``tol_rank`` times the largest column norm) or is exactly w (e_i - e_j),
-w real or complex, with no column norm within a decade of that cut.
-Equilibrated, its columns are then unit incidence columns, so its range
-is {x : x sums to zero on every component} and N spans the component
-indicators.  The SVD rule gives the same verdicts under the guard
-10 tol_rank max(1, sqrt(maxdeg)) q < 1, maxdeg being the largest vertex
-degree: the singular values are sqrt(lambda/2) over the Laplacian's
-eigenvalues lambda, so smax <= sqrt(maxdeg) and, since
-lambda_2 >= 4 / (q diam) (Mohar 1991), every nonzero one is at least
-sqrt(2)/q, far above the cutoff; and a pair split between components
-leaves a residual of at least 1/sqrt(q), far above the bound, while a
-pair inside one leaves none.  The components come from one union–find
-per graph and tolerance (``_edge_labels``).  Connectivity is then one
-component, (k,l)-connectivity a shared label, a single edge column as
-a target lies in the range when its ends share a label, and the range
-has dimension q minus the number of components.  Every other graph, and
-every general target, takes the SVD route.  The oracles in
+lookup (the edge route).  A graph qualifies when every column above the
+drop cut of ``equilibrated`` is exactly (e_i - e_j) ⊗ w, at any
+blocksize, and the columns of each vertex pair pass the one edge-bundle
+rule, ``edge_components``, which carries the proof that the SVD rule
+then gives the component verdicts.  The components come from one
+union–find per graph and tolerance (``_edge_labels``).  Connectivity is
+then one component, (k,l)-connectivity a shared label, a block of edge
+columns lies in the range when the ends of each kept column share a
+label, and the range has dimension blocksize times (q minus the number
+of components).  Every other graph, and every general target, takes the
+SVD route.  The oracles in
 ``relctrl.oracles``, which ``cross_check`` sets against a report, build
 their own matrices from the input blocks and factor them on purpose: an
 oracle must not share the step it checks.
@@ -63,6 +55,7 @@ turn factored once.  Single vector memberships go through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,29 +256,101 @@ def _range_complement(G: GenGraph, tol_rank: float) -> tuple[np.ndarray, float]:
     return memo
 
 
-def _edge_labels(G: GenGraph, tol_rank: float) -> np.ndarray | None:
-    """Component labels of an edge graph, or None; once per tolerance.
+def edge_components(
+    q: int, i: np.ndarray, j: np.ndarray, K: np.ndarray, tol_rank: float
+) -> np.ndarray | None:
+    """Component labels of a graph given as edge bundles, or None.
 
-    None unless G qualifies for the edge route (see the module
-    docstring): blocksize 1, every column exactly an edge or below the
-    drop cut of ``equilibrated``, no column norm within a decade of that
-    cut, and 10 tol_rank max(1, sqrt(maxdeg)) q < 1.  The labels are those
-    of ``component_labels`` over the edges above the cut.
+    Bundle g holds the columns (e_i - e_j) ⊗ K[g, :, c] of a matrix M with
+    q row blocks of size b = K.shape[1], i = i[g] and j = j[g]; zero
+    columns pad the bundles.  A bundle with i = j holds columns that are
+    not edges, weighted by their norms over sqrt(2); they must fall below
+    the drop cut.  Only the weights' directions and the ratios of their
+    norms matter.  The labels (``component_labels`` over the bundles that
+    keep a column) give the verdicts of the SVD rule of
+    ``blocks_in_range`` on M, by this proof.
+
+    The drop cut of ``equilibrated`` keeps the columns above tol_rank
+    times the largest norm, and none may lie within a decade of it.  Let
+    U_g be bundle g's kept columns at unit norm (c_g of them), sigma the
+    least of 1 and every sigma_b(U_g), and d the largest number of kept
+    columns at a vertex.  The equilibrated M M* is the sum over bundles
+    of (e_i - e_j)(e_i - e_j)^T/2 ⊗ U_g U_g*, with sigma^2 I <= U_g U_g*
+    <= c_g I, so smax <= sqrt(d); when sigma > 0 the range is the x whose
+    blocks sum to zero on every component, of dimension b (q - #comps);
+    and as the Laplacian's nonzero eigenvalues are >= 4/q^2 (Mohar 1991),
+    every nonzero singular value is >= sqrt(2) sigma / q.  The guard
+
+        sqrt(2) sigma / q > 10 tol_rank sqrt(max(1, d))
+
+    puts all of them above ten times the cutoff tol_rank smax.  A unit
+    target column (e_k - e_l) ⊗ u / sqrt(2) then leaves no residual when k
+    and l share a component and one of norm >= sqrt(2/q) otherwise, far
+    above the bound tol_rank max(1, smax).  At b = 1 every sigma_1(U_g) =
+    sqrt(c_g) >= 1, so no factorization is needed.
+    """
+    norms = np.linalg.norm(K, axis=1)                    # (bundles, width)
+    cut = tol_rank * norms.max(initial=0.0)
+    if not math.isfinite(cut) or ((norms > cut / 10.0) & (norms < 10.0 * cut)).any():
+        return None
+    kept = norms > cut
+    live = kept.any(axis=1)
+    if (live & (i == j)).any():
+        return None
+    count = kept.sum(axis=1)
+    d = (np.bincount(i, count, q) + np.bincount(j, count, q)).max(initial=0)
+    sigma, b = 1.0, K.shape[1]
+    if b > 1 and live.any():
+        U = np.where(kept[:, None], K / np.where(kept, norms, 1.0)[:, None], 0.0)[live]
+        s = np.linalg.svd(U, compute_uv=False)
+        sigma = s[:, b - 1].min() if s.shape[1] == b else 0.0
+    if not np.sqrt(2.0) * min(1.0, sigma) / q > 10.0 * tol_rank * np.sqrt(max(1.0, d)):
+        return None
+    return component_labels(q, zip(i[live].tolist(), j[live].tolist()))
+
+
+def _edge_labels(G: GenGraph, tol_rank: float) -> np.ndarray | None:
+    """``edge_components`` of G's columns, or None; once per tolerance.
+
+    A column that is not an exact edge (``edge_ends``) is a loop.  At
+    blocksize 1 each column is a bundle weighted by its norm, as a scalar
+    weight's phase leaves the range alone; otherwise the columns are
+    grouped by vertex pair, weighted by their block at i.
     """
     if tol_rank in G._edges:
         return G._edges[tol_rank]
-    labels = None
-    if G.blocksize == 1:
-        norms = np.linalg.norm(G.M, axis=0)
-        cut = tol_rank * norms.max(initial=0.0)
-        kept = norms > cut
-        if not np.any(kept & (norms < 10.0 * cut) | ~kept & (norms > cut / 10.0)):
-            i, j, edge, _ = edge_ends(G.M[:, kept], 1)
-            maxdeg = np.bincount(np.concatenate([i, j]), minlength=G.q).max()
-            if edge.all() and 10.0 * tol_rank * max(1.0, np.sqrt(maxdeg)) * G.q < 1.0:
-                labels = component_labels(G.q, zip(i.tolist(), j.tolist()))
+    q, b = G.q, G.blocksize
+    i, j, edge, _ = edge_ends(G.M, b)
+    j = np.where(edge, j, i)
+    norms = np.linalg.norm(G.M, axis=0)
+    if b == 1:
+        K = norms[:, None, None]
+    else:
+        pairs, bundle = np.unique(i * q + j, return_inverse=True)
+        order = np.argsort(bundle, kind="stable")
+        sizes = np.bincount(bundle)
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        W = G.M.reshape(q, b, -1)[i, :, np.arange(i.size)]          # (c, b)
+        W[~edge] = 0.0
+        W[~edge, 0] = norms[~edge] / np.sqrt(2.0)
+        K = np.zeros((pairs.size, b, sizes.max(initial=0)), dtype=G.M.dtype)
+        K[bundle, :, slot] = W
+        i, j = np.divmod(pairs, q)
+    labels = edge_components(q, i, j, K, tol_rank)
     G._edges[tol_rank] = labels
     return labels
+
+
+def _block_cut(G: GenGraph, T: np.ndarray, width: int, tol_rank: float):
+    """Column norms of T, one row per block, and the drop cut of each block."""
+    if T.ndim != 2 or T.shape[0] != G.M.shape[0]:
+        raise DimensionError(f"target has {T.shape[0]} rows, expected {G.M.shape[0]}")
+    c = T.shape[1]
+    if width < 1 or c % width:
+        raise DimensionError(f"{c} target columns do not split into blocks of {width}")
+    norms = np.linalg.norm(T, axis=0).reshape(c // width, width)
+    return norms, norms > tol_rank * norms.max(axis=1, initial=0.0)[:, None]
 
 
 def blocks_in_range(
@@ -305,30 +370,26 @@ def blocks_in_range(
     singular value of the equilibrated graph.  All blocks are judged in
     one stack.
 
-    On an edge graph (``_edge_labels``), single-column blocks that are
-    each exactly an edge or zero take the edge route: a zero column lies
-    in the range, and an edge does when its ends share a component.
+    On an edge graph (``_edge_labels``), a target whose columns are each
+    exactly an edge or zero takes the edge route: a block lies in the
+    range when every column its drop cut keeps has its ends in one
+    component (see ``edge_components``).
     """
     T = np.atleast_2d(np.asarray(T))
-    if width == 1 and T.ndim == 2 and T.shape[0] == G.M.shape[0]:
-        labels = _edge_labels(G, tol_rank)
-        if labels is not None:
-            i, j, edge, zero = edge_ends(T, 1)
-            if np.all(edge | zero):
-                return (zero | (labels[i] == labels[j])).tolist()
+    _, keep = _block_cut(G, T, width, tol_rank)
+    labels = _edge_labels(G, tol_rank)
+    if labels is not None:
+        i, j, edge, zero = edge_ends(T, G.blocksize)
+        if np.all(edge | zero):
+            return np.all(~keep | (labels[i] == labels[j]).reshape(keep.shape), axis=1).tolist()
     return _blocks_by_svd(G, T, width, tol_rank)
 
 
 def _blocks_by_svd(G: GenGraph, T: np.ndarray, width: int, tol_rank: float) -> list[bool]:
     """The SVD route of ``blocks_in_range``, on a target already 2-d."""
-    if T.ndim != 2 or T.shape[0] != G.M.shape[0]:
-        raise DimensionError(f"target has {T.shape[0]} rows, expected {G.M.shape[0]}")
+    norms, keep = _block_cut(G, T, width, tol_rank)
     m, c = T.shape
-    if width < 1 or c % width:
-        raise DimensionError(f"{c} target columns do not split into blocks of {width}")
     count = c // width
-    norms = np.linalg.norm(T, axis=0).reshape(count, width)
-    keep = norms > tol_rank * norms.max(axis=1, initial=0.0)[:, None]
     Tn = np.where(keep, T.reshape(m, count, width) / np.where(keep, norms, 1.0), 0.0)
     Nh, smax = _range_complement(G, tol_rank)
     X = (Nh @ Tn.reshape(m, c)).reshape(Nh.shape[0], count, width).transpose(1, 0, 2)
@@ -536,13 +597,13 @@ def lineality_dim(G: GenGraph, tol_cone: float, tol_rank: float) -> int:
 
     That basis completes the rows of the generator graph's range
     complement N*, which are orthonormal, so its dimension is the row
-    count of G.M less that of N*.  On the edge route N* has one row per
-    component of the generator graph.
+    count of G.M less that of N*.  On the edge route N* has blocksize
+    rows per component of the generator graph.
     """
     H = lineality_generators(G, tol_cone).graph
     labels = _edge_labels(H, tol_rank)
     if labels is not None:
-        return H.q - int(np.count_nonzero(labels == np.arange(H.q)))
+        return H.blocksize * (H.q - int(np.count_nonzero(labels == np.arange(H.q))))
     return H.M.shape[0] - _range_complement(H, tol_rank)[0].shape[0]
 
 

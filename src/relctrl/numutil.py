@@ -60,11 +60,11 @@ def edge_ends(
     nonzero in exactly those two blocks and they are negatives of each
     other, and zero whether it has no nonzero block.
 
-    At tol_zero = 0 both tests are exact, which the edge route of
-    ``relctrl.gengraph`` needs: its proof that the SVD rule gives the same
-    verdicts holds for exact incidence columns only.  A positive tol_zero
-    serves the drawing of computed graphs, whose two blocks may be
-    negatives only to rounding: a block is zero when its norm, and two
+    At tol_zero = 0 both tests are exact, which the edge-bundle rule
+    needs: its proof (``relctrl.gengraph.edge_components``) holds for
+    exact edge columns only.  A positive tol_zero serves the drawing of
+    computed graphs, whose two blocks may be negatives only to
+    rounding: a block is zero when its norm, and two
     blocks are negatives when the norm of their sum, is at most
     tol_zero * max(1, ||column||).
     """
@@ -93,21 +93,23 @@ def component_labels(size: int, edges) -> np.ndarray:
     Union–find with path halving over the (i, j) pairs of edges.  Every
     vertex is labelled by the smallest vertex of its component, so the
     labels do not depend on the order of the edges, and a root is the one
-    vertex of its component labelled by itself.
+    vertex of its component labelled by itself.  A root is linked below
+    the smaller root, so no vertex has a parent above it, and one pass in
+    increasing order then resolves every vertex to its root.
     """
     parent = list(range(size))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    return np.array([find(a) for a in range(size)], dtype=np.intp)
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
+    for a in range(size):
+        parent[a] = parent[parent[a]]
+    return np.array(parent, dtype=np.intp)
 
 
 def check_pair(q: int, k: int, l: int) -> None:

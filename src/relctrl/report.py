@@ -11,68 +11,41 @@ from .controllability import AnalysisReport, EigGraphVerdict
 
 REPORT_VERSION = 1
 
+
+def _closed(properties: dict) -> dict:
+    """A schema object that requires exactly these properties."""
+    return {
+        "type": "object",
+        "required": list(properties),
+        "additionalProperties": False,
+        "properties": properties,
+    }
+
+
+_INTEGERS = {"type": "array", "items": {"type": "integer"}}
+_COMPLEX = {"$ref": "#/$defs/complex"}
+
 # jsonschema document for the JSON rendering below; kept alongside the
 # renderer so the two cannot drift apart silently.
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": [
-        "report_version",
-        "name",
-        "n",
-        "q",
-        "p",
-        "tolerances",
-        "validation",
-        "spectrum",
-        "graphs",
-        "controllability_matrix",
-        "index_recursion",
-        "verdicts",
-        "assumptions",
-        "caveats",
-    ],
-    "additionalProperties": False,
-    "properties": {
+    **_closed({
         "report_version": {"const": REPORT_VERSION},
         "name": {"type": "string"},
         "n": {"type": "integer", "minimum": 1},
         "q": {"type": "integer", "minimum": 2},
         "p": {"type": "integer", "minimum": 1},
-        "tolerances": {
-            "type": "object",
-            "required": ["rank", "cone", "eig", "zero"],
-            "additionalProperties": False,
-            "properties": {
-                "rank": {"type": "number"},
-                "cone": {"type": "number"},
-                "eig": {"type": "number"},
-                "zero": {"type": "number"},
-            },
-        },
-        "validation": {
-            "type": "object",
-            "required": ["ok", "violations"],
-            "additionalProperties": False,
-            "properties": {
-                "ok": {"type": "boolean"},
-                "violations": {"type": "array"},
-            },
-        },
+        "tolerances": _closed({key: {"type": "number"} for key in ("rank", "cone", "eig", "zero")}),
+        "validation": _closed({"ok": {"type": "boolean"}, "violations": {"type": "array"}}),
         "spectrum": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["kappa", "mu", "alg_mult", "geo_mult", "is_real"],
-                "additionalProperties": False,
-                "properties": {
-                    "kappa": {"type": "integer"},
-                    "mu": {"$ref": "#/$defs/complex"},
-                    "alg_mult": {"type": "integer"},
-                    "geo_mult": {"type": "integer"},
-                    "is_real": {"type": "boolean"},
-                },
-            },
+            "items": _closed({
+                "kappa": {"type": "integer"},
+                "mu": _COMPLEX,
+                "alg_mult": {"type": "integer"},
+                "geo_mult": {"type": "integer"},
+                "is_real": {"type": "boolean"},
+            }),
         },
         "graphs": {
             "type": "array",
@@ -82,7 +55,7 @@ REPORT_SCHEMA = {
                 "additionalProperties": False,
                 "properties": {
                     "kappa": {"type": "integer"},
-                    "mu": {"$ref": "#/$defs/complex"},
+                    "mu": _COMPLEX,
                     "kind": {"enum": ["V", "W", "Q"]},
                     "connected": {"type": ["boolean", "null"]},
                     "strongly_connected": {"type": ["boolean", "null"]},
@@ -92,84 +65,37 @@ REPORT_SCHEMA = {
                 },
             },
         },
-        "controllability_matrix": {
-            "type": "object",
-            "required": ["connected", "kl_connected"],
-            "additionalProperties": False,
-            "properties": {
-                "connected": {"type": "boolean"},
-                "kl_connected": {"type": "object"},
-            },
-        },
+        "controllability_matrix": _closed(
+            {"connected": {"type": "boolean"}, "kl_connected": {"type": "object"}}
+        ),
         "index_recursion": {
             "type": "array",
-            "items": {
+            "items": _closed({
+                "kappa": {"type": "integer"},
+                "mu": _COMPLEX,
+                "index_set": _INTEGERS,
+                "removed": _INTEGERS,
+                "lineality_dim": {"type": ["integer", "null"]},
+            }),
+        },
+        "verdicts": _closed({
+            "controllable": {"type": "boolean"},
+            "positively_controllable": {"type": "boolean"},
+            "pairwise": {"type": "object"},
+            "positive_pairwise": {
                 "type": "object",
-                "required": ["kappa", "mu", "index_set", "removed", "lineality_dim"],
-                "additionalProperties": False,
-                "properties": {
-                    "kappa": {"type": "integer"},
-                    "mu": {"$ref": "#/$defs/complex"},
-                    "index_set": {"type": "array", "items": {"type": "integer"}},
-                    "removed": {"type": "array", "items": {"type": "integer"}},
-                    "lineality_dim": {"type": ["integer", "null"]},
-                },
+                "additionalProperties": _closed(
+                    {"yes": {"type": "boolean"}, "conditional": {"type": "boolean"}}
+                ),
             },
-        },
-        "verdicts": {
-            "type": "object",
-            "required": [
-                "controllable",
-                "positively_controllable",
-                "pairwise",
-                "positive_pairwise",
-            ],
-            "additionalProperties": False,
-            "properties": {
-                "controllable": {"type": "boolean"},
-                "positively_controllable": {"type": "boolean"},
-                "pairwise": {"type": "object"},
-                "positive_pairwise": {
-                    "type": "object",
-                    "additionalProperties": {
-                        "type": "object",
-                        "required": ["yes", "conditional"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "yes": {"type": "boolean"},
-                            "conditional": {"type": "boolean"},
-                        },
-                    },
-                },
-            },
-        },
-        "assumptions": {
-            "type": "object",
-            "required": ["eigen_overlap", "reach_closure"],
-            "additionalProperties": False,
-            "properties": {
-                "eigen_overlap": {
-                    "type": "object",
-                    "required": ["holds", "violated_at"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "holds": {"type": "boolean"},
-                        "violated_at": {"type": "array", "items": {"type": "integer"}},
-                    },
-                },
-                "reach_closure": {"enum": ["structurally_verified", "unverified"]},
-            },
-        },
+        }),
+        "assumptions": _closed({
+            "eigen_overlap": _closed({"holds": {"type": "boolean"}, "violated_at": _INTEGERS}),
+            "reach_closure": {"enum": ["structurally_verified", "unverified"]},
+        }),
         "caveats": {"type": "array", "items": {"type": "string"}},
-    },
-    "$defs": {
-        "complex": {
-            "type": "object",
-            "required": ["re", "im"],
-            "additionalProperties": False,
-            "properties": {"re": {"type": "number"}, "im": {"type": "number"}},
-        }
-    },
+    }),
+    "$defs": {"complex": _closed({"re": {"type": "number"}, "im": {"type": "number"}})},
 }
 
 

@@ -105,8 +105,8 @@ def spec_from_dict(data: dict) -> tuple[ArraySpec, Tolerances | None]:
             raise SpecFormatError("tolerances must be an object")
         _require_keys(tmap, _TOL_KEYS, "tolerances")
         for key, value in tmap.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-                raise SpecFormatError(f"tolerance {key!r} must be a positive number")
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise SpecFormatError(f"tolerance {key!r} must be a number")
         tolerances = Tolerances().override(**tmap)
 
     return spec, tolerances

@@ -531,3 +531,56 @@ def test_oracle_tol_eig_reaches_brammer_spectrum(tmp_path, capsys, monkeypatch):
     assert main(["oracle", str(path), "--tol-eig", "1e-6"]) == 0
     assert seen == [1e-6]
     capsys.readouterr()
+
+
+def _edited_watertanks(tmp_path, capsys, edit):
+    path = write_example(tmp_path, "watertanks")
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))   # writes NaN and Infinity as JSON allows
+    return path
+
+
+def _assert_input_error(argv, capsys, *words):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err and "Traceback" not in err
+    assert all(word in err for word in words), err
+
+
+def test_analyze_rejects_a_nan_tolerance_in_the_file(tmp_path, capsys):
+    path = _edited_watertanks(tmp_path, capsys, lambda d: d.update(tolerances={"rank": np.nan}))
+    _assert_input_error(["analyze", str(path)], capsys, "'rank'", "finite positive")
+
+
+def test_analyze_rejects_a_nan_tolerance_flag(tmp_path, capsys):
+    path = _edited_watertanks(tmp_path, capsys, lambda d: None)
+    _assert_input_error(["analyze", str(path), "--tol-rank", "nan"], capsys, "'rank'")
+
+
+def test_analyze_rejects_infinite_input_entries(tmp_path, capsys):
+    def edit(doc):
+        doc["B"]["incidence"][0][0], doc["B"]["incidence"][1][0] = np.inf, -np.inf
+
+    path = _edited_watertanks(tmp_path, capsys, edit)
+    _assert_input_error(["analyze", str(path)], capsys, "non-finite at B[1,1,1]")
+
+
+def test_analyze_rejects_nan_dynamics(tmp_path, capsys):
+    def edit(doc):
+        doc["A"][0][0] = np.nan
+
+    path = _edited_watertanks(tmp_path, capsys, edit)
+    _assert_input_error(["analyze", str(path)], capsys, "non-finite at A[1,1]")
+
+
+def test_tolerance_flags_must_be_finite_and_positive(tmp_path, capsys):
+    path = _edited_watertanks(tmp_path, capsys, lambda d: None)
+    for value in ("0", "-1", "inf"):
+        _assert_input_error(["analyze", str(path), "--tol-rank", value], capsys, "'rank'")
+
+
+def test_oracle_rejects_a_nan_cone_tolerance(tmp_path, capsys):
+    path = _edited_watertanks(tmp_path, capsys, lambda d: None)
+    _assert_input_error(["oracle", str(path), "--tol-cone", "nan"], capsys, "'cone'")

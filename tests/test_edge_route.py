@@ -1,11 +1,17 @@
-"""The edge route of the range rule and the contraction of the W-matrix check.
+"""The edge-bundle rule, on eigenvalue graphs and on the W-matrix check.
 
-Every verdict the edge route gives must equal the SVD route's on the same
-graph (``range_contains``, ``lineality_space`` and ``_blocks_by_svd``
-always take it), and the contraction must equal the SVD route of the
-whole controllability matrix.  Graphs the edge route does not cover must
-take the SVD route, which the ``_complements`` memo shows.
+``gengraph.edge_components`` decides every edge graph, at any blocksize,
+and the controllability matrix W from the Krylov matrices of its inputs;
+its docstring carries the proof that the SVD rule gives the same
+verdicts.  Every verdict the edge route gives must equal the SVD route's
+on the same graph (``range_contains``, ``lineality_space`` and
+``_blocks_by_svd`` always take it), and the W check must equal the SVD
+route of the whole matrix.  Graphs the rule does not cover must take the
+SVD route, which the ``_complements`` memo shows; a W check it does not
+answer builds W, which a spy on ``controllability_matrix`` shows.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -15,7 +21,6 @@ from relctrl import ArraySpec, analyze, kalman_reduced, pairwise_range
 from relctrl.array_model import disagreement_basis, require_valid
 from relctrl.config import DEFAULT_TOLERANCES
 from relctrl.controllability import (
-    _contracted_labels,
     analyze_with_graphs,
     controllability_matrix,
     w_matrix_verdict,
@@ -129,21 +134,42 @@ def _assert_w_matrix_matches_svd_route(spec, pairs):
     return verdict
 
 
+@contextlib.contextmanager
+def _w_builds():
+    """The calls of ``controllability_matrix`` the analysis makes inside the block."""
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return controllability_matrix(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controllability_module, "controllability_matrix", spy)
+        yield built
+
+
+def _w_rule_answers(spec) -> bool:
+    """Whether the edge-bundle rule answers the W check, W never formed."""
+    with _w_builds() as built:
+        w_matrix_verdict(require_valid(spec, TOL.zero), [], TOL)
+    return not built
+
+
 def test_edge_route_matches_svd_route_on_the_corpus():
-    graphs = edge = contracted = 0
-    for spec in _corpus():
-        pairs = all_pairs(spec.q)
-        report, families = analyze_with_graphs(spec, pairs)
-        for G in families["V"] + families["W"] + families["Q"]:
-            graphs += 1
-            edge += _assert_routes_agree(G, pairs)
-        verdict = _assert_w_matrix_matches_svd_route(spec, pairs)
-        assert verdict == report.w_matrix
-        contracted += _contracted_labels(spec, TOL.rank) is not None
-    # Every random, ring, path and damped graph here is an edge graph of
-    # blocksize 1 except the Jordan-block graphs of the n = 2 chains.
-    assert graphs > 3500 and edge > 0.98 * graphs
-    assert contracted == len(_corpus())
+    graphs = edge = 0
+    with _w_builds() as built:
+        for spec in _corpus():
+            pairs = all_pairs(spec.q)
+            report, families = analyze_with_graphs(spec, pairs)
+            for G in families["V"] + families["W"] + families["Q"]:
+                graphs += 1
+                edge += _assert_routes_agree(G, pairs)
+            assert _assert_w_matrix_matches_svd_route(spec, pairs) == report.w_matrix
+    # Every random, ring, path and damped graph here is an edge graph, the
+    # Jordan-block graphs of the n = 2 chains (blocksize 2) included, and
+    # the rule answers every W check without forming W.
+    assert graphs == edge == 3873
+    assert built == []
 
 
 def test_component_labels_name_the_smallest_vertex():
@@ -190,15 +216,74 @@ def test_a_hyperedge_takes_the_svd_route():
     assert _takes_svd_route(make_graph(4, 1, M))
 
 
-def test_a_blocksize_two_graph_takes_the_svd_route():
-    assert _takes_svd_route(make_graph(4, 2, np.kron(_path_incidence(4), np.eye(2))))
+def test_blocksize_two_graphs_match_the_svd_route():
+    # A path of 4 without its middle edge, each edge in both directions,
+    # so that the lineality space is the whole range, of dimension
+    # 2 (4 - 2) = 4.  With weights I_2 every bundle spans R^2 and the
+    # edge route answers; with weights (1, 0) it does not span R^2.
+    incidence = _path_incidence(4)[:, [0, 2]]
+    pairs = all_pairs(4)
+    both_ways = np.hstack([incidence, -incidence])
+    spanning = make_graph(4, 2, np.kron(both_ways, np.eye(2)))
+    assert _assert_routes_agree(spanning, pairs)
+    assert lineality_dim(spanning, TOL.cone, TOL.rank) == 4
+    flat = make_graph(4, 2, np.kron(both_ways, [[1.0], [0.0]]))
+    assert not _assert_routes_agree(flat, pairs)
+    assert lineality_dim(flat, TOL.cone, TOL.rank) == 2
+    # Blocks of two edge columns: inside one component, across two, one
+    # across but below its block's drop cut, and one zero.
+    e = np.eye(4)
+    T = np.kron(
+        np.column_stack([e[0] - e[1], e[2] - e[3], e[0] - e[2], e[0] - e[1],
+                         e[2] - e[3], 1e-10 * (e[1] - e[2]), e[0] - e[1], 0 * e[0]]),
+        [[1.0], [2.0]],
+    )
+    for G in (spanning, flat):
+        assert blocks_in_range(G, T, 2) == _blocks_by_svd(G, T, 2, TOL.rank)
+    assert blocks_in_range(spanning, T, 2) == [True, False, True, True]
+
+
+def _random_bundle_graph(rng, q, b):
+    # Edge columns with random or unit weights, real or complex, some of
+    # them tiny; zero columns; hyperedges, half of them tiny (ignored
+    # below the drop cut); then some columns repeated with opposite sign.
+    dtype = complex if rng.random() < 0.3 else float
+    cols = []
+    for _ in range(int(rng.integers(0, 12))):
+        col = np.zeros((q, b), dtype=dtype)
+        i, j = rng.choice(q, size=2, replace=False)
+        w = rng.standard_normal(b) if rng.random() < 0.7 else np.eye(b)[rng.integers(b)]
+        w = w * (np.exp(1j * rng.random()) if dtype is complex else 1.0)
+        w = w * (1e-13 if rng.random() < 0.15 else 1.0)
+        kind = rng.random()
+        if kind < 0.7:
+            col[i], col[j] = w, -w
+        elif kind < 0.85 and q > 2:
+            k = next(v for v in range(q) if v not in (i, j))
+            col[i], col[j], col[k] = w, -w / 2, -w / 2
+        cols.append(col.reshape(-1))
+    M = np.column_stack(cols) if cols else np.zeros((q * b, 0), dtype=dtype)
+    if rng.random() < 0.3:
+        M = np.hstack([M, -M[:, : M.shape[1] // 2]])
+    # Whole blocks of b columns, for blocks_in_range at width b.
+    return make_graph(q, b, np.hstack([M, np.zeros((q * b, -M.shape[1] % b))]))
+
+
+def test_random_bundle_graphs_match_the_svd_route():
+    rng = np.random.default_rng(5)
+    edge = 0
+    for _ in range(300):
+        q = int(rng.integers(2, 7))
+        edge += _assert_routes_agree(_random_bundle_graph(rng, q, int(rng.integers(2, 4))),
+                                     all_pairs(q))
+    assert edge > 50
 
 
 def test_a_tolerance_that_fails_the_guard_takes_the_svd_route():
-    # Path of 10: maxdeg 2, so the guard needs tol_rank < 1 / (100 sqrt(2)).
+    # Path of 10: maxdeg 2, so the guard needs tol_rank < 1 / 100.
     G = make_graph(10, 1, _path_incidence(10))
-    assert not _takes_svd_route(G, 7e-3)
-    assert _takes_svd_route(G, 7.1e-3)
+    assert not _takes_svd_route(G, 9.9e-3)
+    assert _takes_svd_route(G, 1.01e-2)
 
 
 def test_an_input_with_a_rank_deficient_krylov_matrix_takes_the_svd_route(monkeypatch):
@@ -208,7 +293,7 @@ def test_an_input_with_a_rank_deficient_krylov_matrix_takes_the_svd_route(monkey
     B[0, 0], B[1, 0] = [1.0, 0.0], [-1.0, 0.0]
     B[1, 1], B[2, 1] = [0.0, 1.0], [0.0, -1.0]
     spec = ArraySpec(n=2, q=3, p=2, A=[[0.0, 1.0], [0.0, 0.0]], B=B)
-    assert _contracted_labels(spec, TOL.rank) is None
+    assert not _w_rule_answers(spec)
     built = []
 
     def spy(*args, **kwargs):
@@ -221,42 +306,43 @@ def test_an_input_with_a_rank_deficient_krylov_matrix_takes_the_svd_route(monkey
     assert TOL.rank in W._complements
     assert not report.controllable and not report.w_matrix.connected
     assert report.pairwise == {(1, 2): False, (2, 3): True}
-    # With the velocity pushed as well, both inputs contract.
+    # With the velocity pushed as well, both Krylov matrices span R^2.
     B[0, 0], B[1, 0] = [1.0, 1.0], [-1.0, -1.0]
     spec = ArraySpec(n=2, q=3, p=2, A=[[0.0, 1.0], [0.0, 0.0]], B=B)
-    assert _contracted_labels(spec, TOL.rank).tolist() == [0, 0, 0]
+    assert _w_rule_answers(spec)
+    assert w_matrix_verdict(spec, [], TOL).connected
 
 
 def test_inputs_twelve_decades_apart_give_the_svd_verdict():
-    # The small input lies below the drop cut of W, so W and every V graph
-    # drop it; the contraction must fall back instead of joining systems
-    # 2 and 3 through it.
+    # The small input lies far below the drop cut of W, so W and every V
+    # graph drop it; the rule drops it too instead of joining systems 2
+    # and 3 through it.
     B = np.zeros((3, 2, 1))
     B[:, 0, 0] = [1.0, -1.0, 0.0]
     B[:, 1, 0] = [0.0, 1e-12, -1e-12]
     spec = ArraySpec(n=1, q=3, p=2, A=[[0.5]], B=B)
-    assert _contracted_labels(spec, TOL.rank) is None
+    assert _w_rule_answers(spec)
     _assert_w_matrix_matches_svd_route(spec, all_pairs(3))
     for pair, expected in (((1, 2), True), ((2, 3), False), ((1, 3), False)):
         report = analyze(spec, [pair])
         assert not report.controllable and report.pairwise == {pair: expected}
 
 
-@pytest.mark.parametrize("delta, contracted", [(1e-7, False), (1e-5, True)])
-def test_a_long_path_with_a_poorly_conditioned_krylov_matrix(delta, contracted):
+@pytest.mark.parametrize("delta, answered", [(1e-7, False), (1e-5, True)])
+def test_a_long_path_with_a_poorly_conditioned_krylov_matrix(delta, answered):
     # A = diag(1, 1 + delta), b = (1, 1): sigma_min of the equilibrated
     # Krylov matrix is about delta / (2 sqrt(2)).  On a path of 100 systems
     # the smallest nonzero singular value of W is about that times
     # pi / (sqrt(2) q), which at delta = 1e-7 falls below the rank cutoff,
-    # and the SVD route calls W disconnected.  The contraction must then
-    # fall back; at delta = 1e-5 its guard holds and both say connected.
+    # and the SVD route calls W disconnected.  The rule must then not
+    # answer; at delta = 1e-5 its guard holds and both say connected.
     q = 100
     spec = ArraySpec.from_incidence(
         np.diag([1.0, 1.0 + delta]), np.kron(_path_incidence(q), [[1.0], [1.0]])
     )
-    assert (_contracted_labels(spec, TOL.rank) is not None) == contracted
+    assert _w_rule_answers(spec) == answered
     verdict = _assert_w_matrix_matches_svd_route(spec, [(1, 2), (1, q), (50, 51)])
-    assert verdict.connected == contracted
+    assert verdict.connected == answered
 
 
 def test_a_krylov_column_within_a_decade_of_the_drop_cut_is_not_contracted():
@@ -265,7 +351,7 @@ def test_a_krylov_column_within_a_decade_of_the_drop_cut_is_not_contracted():
     B[0, 0], B[1, 0] = [1.0, 0.0], [-1.0, 0.0]
     for a in (2e-9, 1e-7):
         spec = ArraySpec(n=2, q=2, p=1, A=[[0.0, 0.0], [a, 0.0]], B=B)
-        assert (_contracted_labels(spec, TOL.rank) is None) == (a == 2e-9)
+        assert _w_rule_answers(spec) == (a != 2e-9)
         _assert_w_matrix_matches_svd_route(spec, [(1, 2)])
 
 
@@ -285,7 +371,7 @@ def test_a_hyperedge_input_is_not_contracted():
     B[0, 0], B[1, 0] = [1.0, 1.0], [-1.0, -1.0]
     B[:, 1] = [[1.0, 1.0], [1.0, 1.0], [-2.0, -2.0]]
     spec = ArraySpec(n=2, q=3, p=2, A=[[0.0, 1.0], [0.0, 0.0]], B=B)
-    assert _contracted_labels(spec, TOL.rank) is None
+    assert not _w_rule_answers(spec)
     verdict = w_matrix_verdict(spec, all_pairs(3), TOL)
     assert verdict.connected and kalman_reduced(spec)
     assert all(verdict.kl_connected.values())
@@ -294,10 +380,10 @@ def test_a_hyperedge_input_is_not_contracted():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_w_matrix_verdict_agrees_with_kalman_on_geometric_spectra(n):
     # A = diag(1, 10, ..., 10^(n-1)): the Krylov matrices are scaled
-    # Vandermonde matrices.  The contraction's guard accepts them up to
-    # n = 5; from n = 6 on the SVD route decides.  b_i = 10^(-i (n-1))
+    # Vandermonde matrices.  The rule's guard accepts them up to n = 5;
+    # from n = 6 on the SVD route decides.  b_i = 10^(-i (n-1))
     # gives every power A^k b unit scale.  With b = (1, ..., 1) the powers
-    # would span (n-1)^2 decades; from n = 4 the contraction falls back
+    # would span (n-1)^2 decades; from n = 4 the rule does not answer
     # because some lie within a decade of the drop cut, and from n = 5
     # both kalman_reduced and W drop the low ones.
     A = np.diag(10.0 ** np.arange(n))
@@ -312,4 +398,4 @@ def test_w_matrix_verdict_agrees_with_kalman_on_geometric_spectra(n):
         assert list(verdict.kl_connected.values()) == [
             pairwise_range(spec, k, l) for k, l in pairs
         ]
-        assert (_contracted_labels(spec, TOL.rank) is not None) == (n <= 5)
+        assert _w_rule_answers(spec) == (n <= 5)

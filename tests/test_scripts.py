@@ -63,6 +63,16 @@ def test_reach_probe_honours_the_spec_files_tolerances(tmp_path, capsys):
     assert "falsifier: no witness" in done.stdout
 
 
+def test_reach_probe_rejects_reach_flags_before_the_analysis(tmp_path, capsys):
+    path = tmp_path / "watertanks.json"
+    assert main(["examples", "watertanks", "--out", str(path)]) == 0
+    capsys.readouterr()
+    for flag, value in (("--steps", 1), ("--horizon", 0), ("--horizon", -1)):
+        done = run_script("reach_probe.py", path, 1, 2, flag, value)
+        assert done.returncode != 0 and done.stdout == ""
+        assert "Traceback" not in done.stderr and flag in done.stderr
+
+
 def test_report_digest_prints_one_sha1_per_output():
     done = run_script("report_digest.py")
     assert done.returncode == 0, done.stderr

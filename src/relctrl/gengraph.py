@@ -51,6 +51,15 @@ index recursion keeps and the lineality space then reduce to range
 questions against that generator graph, whose range complement is in
 turn factored once.  Single vector memberships go through
 ``cone_member``.
+
+Every cone program of the package, the oracles' included, is one call
+of ``nnls``.  It solves a wide program (more than twice as many columns
+as rows, as the oracles' sampled input responses are) on a small
+working set of columns that grows by the most violating ones, and
+returns only answers that pass a first-order optimality certificate
+over every column, falling back to bounded-variable least squares when
+the compiled active-set solver stops short.  Since the projection onto
+a convex cone is unique, the residual does not depend on the route.
 """
 
 from __future__ import annotations
@@ -167,28 +176,59 @@ def make_graph(
     return GenGraph(q=q, blocksize=blocksize, M=M, is_real=not np.iscomplexobj(M))
 
 
-def nnls(M: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> tuple[np.ndarray, float]:
-    """Nonnegative least squares by the compiled Lawson–Hanson method.
+# The constant of the optimality certificate of ``nnls``, relative to
+# 1 + ||v||.  It is fixed, not a tolerance a caller sets, and lies two
+# decades below the default cone tolerance, which judges residuals on the
+# same scale.
+_KKT = 1e-10
 
-    Minimizes ``||M a - v||`` over ``a >= 0`` and returns ``(a, residual)``
-    using ``scipy.optimize.nnls``, the classical active-set algorithm of
-    Lawson and Hanson (*Solving Least Squares Problems*, 1974/1995).  The
-    program runs on unit-norm columns, which leaves the cone unchanged and
-    keeps columns of very different magnitude (powers of the dynamics)
-    from skewing the active-set choices; the weights are mapped back at
-    the end and zero columns keep weight zero.  The residual is recomputed
-    as ``||v - M a||`` from the returned weights and the original columns,
-    so it is the distance the weights actually achieve; the solver's
-    own norm belongs to the scaled problem and is not relied on (it has
-    been stale on duplicate-column instances).
+
+def nnls(M: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> tuple[np.ndarray, float]:
+    """Nonnegative least squares, solved on a working set and certified.
+
+    Minimizes ``||M a - v||`` over ``a >= 0`` and returns ``(a, residual)``.
+    The program runs on the unit-norm columns U = M / ||M||, which leaves
+    the cone unchanged and keeps columns of very different magnitude
+    (powers of the dynamics) from skewing the active-set choices; the
+    weights y are mapped back at the end and zero columns keep weight
+    zero.  The residual is recomputed as ``||v - M a||`` from the returned
+    weights and the original columns, so it is the distance they achieve.
+
+    Every answer carries the first-order certificate of optimality, over
+    all columns: with r = v - U y and g = U* r,
+
+        g_j <= kappa for every j,  |g_j| <= kappa wherever y_j > 0,
+
+    kappa = ``_KKT`` (1 + ||v||).  The program is convex, so at kappa = 0
+    these (KKT) conditions characterize its optimum, and as the
+    projection onto a cone is unique, every route to it gives the same
+    residual: the distance to the cone.
+
+    Each solve is the compiled Lawson–Hanson active-set method
+    (``scipy.optimize.nnls``; Lawson and Hanson, *Solving Least Squares
+    Problems*, 1974/1995), whose cost grows with the columns it is given.
+    A program with c <= 2m columns (m rows; every peel program) is solved
+    on all of them at once: one solve and one gradient product.  A wider
+    program (the oracles' sampled input responses) starts from the 2m
+    columns with the largest U* v; each round solves on the working set,
+    forms g over every column and stops when the certificate holds.
+    Otherwise the next set is the round's support plus at most m of the
+    most violating columns outside the set.  Each round must lower the
+    residual strictly, so no set repeats.  When a round does not, or
+    every violating column is already in the set (the compiled solver
+    stopped short of its optimum, as it can on exactly opposite
+    columns), the whole program is solved once more by bounded-variable
+    least squares (``scipy.optimize.lsq_linear(method="bvls")``).  An
+    answer that still fails the certificate raises NumericalFailureError
+    naming its gradient: no unchecked answer is returned.
 
     ``scipy.optimize`` is imported here, at the first program, and not
     when the package loads: the import takes about 0.45 s and 40 MB,
     most of a cold ``import relctrl``, and an array without a real
     eigenvalue is decided by rank tests alone.
 
-    Raises NumericalFailureError past ``max_iter`` iterations, by default
-    ``50 * n_columns``.
+    ``max_iter`` caps every solve, by default ``50 * n_columns``; the
+    compiled solver raises NumericalFailureError past it.
     """
     from scipy.optimize import nnls as scipy_nnls
 
@@ -204,14 +244,61 @@ def nnls(M: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> tuple[np.
         max_iter = 50 * c
     colnorms = np.linalg.norm(M, axis=0)
     scaling = np.where(colnorms > 0.0, colnorms, 1.0)
-    try:
-        x, _ = scipy_nnls(M / scaling, v, maxiter=max_iter)
-    except RuntimeError as exc:
-        raise NumericalFailureError(
-            f"nonnegative least squares exceeded {max_iter} iterations"
-        ) from exc
+    U = M / scaling
+    kappa = _KKT * (1.0 + float(np.linalg.norm(v)))
+    whole = c <= 2 * m
+    S = np.arange(c) if whole else np.sort(np.argpartition(U.T @ v, c - 2 * m)[c - 2 * m :])
+    best = math.inf
+    while True:
+        US = U if whole else U[:, S]
+        try:
+            y, _ = scipy_nnls(US, v, maxiter=max_iter)
+        except RuntimeError as exc:
+            raise NumericalFailureError(
+                f"nonnegative least squares exceeded {max_iter} iterations"
+            ) from exc
+        r = v - US @ y
+        g = U.T @ r
+        support = S[y > 0.0]
+        if _breach(g, support) <= kappa:
+            x = np.zeros(c)
+            x[S] = y
+            break
+        outside = np.ones(c, dtype=bool)
+        outside[S] = False
+        violators = np.flatnonzero(outside & (g > kappa))
+        residual = float(np.linalg.norm(r))
+        if violators.size == 0 or not residual < best:
+            x = _bvls(U, v, kappa, max_iter)
+            break
+        best = residual
+        if violators.size > m:
+            violators = violators[np.argpartition(-g[violators], m)[:m]]
+        chosen = np.zeros(c, dtype=bool)
+        chosen[support] = True
+        chosen[violators] = True
+        S = np.flatnonzero(chosen)
     x = x / scaling
     return x, float(np.linalg.norm(v - M @ x))
+
+
+def _breach(g: np.ndarray, support: np.ndarray) -> float:
+    """How far gradient g breaks the certificate: max of g, and of -g on the support."""
+    return max(float(g.max()), float(-g[support].min(initial=0.0)))
+
+
+def _bvls(U: np.ndarray, v: np.ndarray, kappa: float, max_iter: int) -> np.ndarray:
+    """The certified weights of one bounded-variable least-squares solve."""
+    from scipy.optimize import lsq_linear
+
+    x = lsq_linear(U, v, bounds=(0.0, np.inf), method="bvls", max_iter=max_iter).x
+    worst = _breach(U.T @ (v - U @ x), np.flatnonzero(x > 0.0))
+    if worst > kappa:
+        raise NumericalFailureError(
+            f"nonnegative least squares found no optimum: gradient {worst:.3e} "
+            f"exceeds {kappa:.3e}"
+        )
+    return x
 
 
 def cone_member(
@@ -486,7 +573,7 @@ def lineality_generators(
     of the cone, so every column that pushes harder is dropped and the
     peel repeats; dropping non-generators leaves the generators unchanged.
     When no column clears its cut, or some push is below minus its cut
-    (r is not polar: the program stopped short of its optimum), one
+    (r is polar only up to the certificate of ``nnls``), one
     ``cone_member(-g_i)`` program per remaining column decides.  Every
     round drops a column or ends the peel, so at most c rounds run.
 
@@ -518,10 +605,9 @@ def lineality_generators(
         push = -(r @ H.M) / norms[S]
         cut = tau * feas.residual
         drop = push > cut
-        # The drop rule needs r in the polar cone, which only an optimal
-        # program guarantees; the compiled solver can stall short of the
-        # optimum on degenerate columns (exactly opposite pairs), leaving
-        # some push negative.
+        # The drop rule needs r in the polar cone.  nnls certifies its
+        # answers only up to its own constant, so a push may still sit
+        # below minus its cut when the residual is tiny.
         if not drop.any() or np.any(push < -cut):
             rows = [cone_member(H, -g, tol_cone) for g in H.M.T]
             marginal |= any(f.marginal for f in rows)

@@ -32,14 +32,22 @@ horizon; its absence proves nothing.  Reach residuals support a positive
 verdict but cannot overturn one.  Both evidence tools build their input
 responses from n x n exponentials e^{A t} applied to the input blocks.
 One kernel, ``_exponentials``, forms those exponentials for a whole time
-grid by batched Pade-13 scaling and squaring (Higham 2005); the
-falsifier forms its dense grid's exponentials once per call and scans
-every candidate against them.
+grid by batched Pade-13 scaling and squaring (Higham 2005).  A batch
+holds about 2**13 matrix entries (``_batch``): 2048 times at n = 2, 128
+at n = 8, so that small matrices are not computed a few at a time and
+large ones stay in cache; each time's exponential is computed on its
+own, so the stack is the same to the bit at any batch size.  The
+falsifier's stacks depend only on A, B and the grid, so ``cross_check``
+builds one ``ResponseStack`` per array: the coarse responses once, and
+the dense grid's exponentials at most once, at the first candidate of
+any pair that reaches the dense check.  ``cross_check`` likewise runs
+the Kalman test once, on one set of reduced blocks that the Brammer cone
+test then reuses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,6 +84,13 @@ def _krylov_matrix(A: np.ndarray, blocks: np.ndarray, tol_rank: float) -> np.nda
     return equilibrated(np.stack(powers).transpose(1, 3, 0, 2).reshape(r * n, n * p), tol_rank)
 
 
+def _reduced_rank_full(A: np.ndarray, Bred: np.ndarray, tol_rank: float) -> bool:
+    """The Kalman test on reduced input blocks: full rank (q - 1) n."""
+    r, _, n = Bred.shape
+    s = np.linalg.svd(_krylov_matrix(A, Bred, tol_rank), compute_uv=False)
+    return int(np.sum(s > tol_rank * s.max(initial=0.0))) == r * n
+
+
 def kalman_reduced(
     spec: ArraySpec,
     tol_rank: float = DEFAULT_TOLERANCES.rank,
@@ -86,26 +101,16 @@ def kalman_reduced(
     The Krylov matrix of the reduced blocks D* B must have full rank
     (q - 1) n.
     """
-    big = build_big(spec, tol_zero)
-    s = np.linalg.svd(_krylov_matrix(spec.A, big.Bred, tol_rank), compute_uv=False)
-    return int(np.sum(s > tol_rank * s.max(initial=0.0))) == (spec.q - 1) * spec.n
+    return _reduced_rank_full(spec.A, build_big(spec, tol_zero).Bred, tol_rank)
 
 
-def brammer_positive(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """Positive controllability via the classical eigenvector cone test.
-
-    On top of plain controllability, for every real eigenvalue the cone
-    of reduced eigenvector components V* (D* B) must be the whole space,
-    which is checked by +/- membership of each standard basis vector.
-    """
-    if not kalman_reduced(spec, tolerances.rank, tolerances.zero):
-        return False
-    big = build_big(spec, tolerances.zero)
+def _eigenvector_cones_whole(spec: ArraySpec, Bred: np.ndarray, tolerances: Tolerances) -> bool:
+    """The cone half of the Brammer test, on reduced input blocks."""
     spectrum = distinct_eigenvalues(spec.A, tolerances.eig)
     for comp in spectrum.components:
         if not comp.is_real:
             continue
-        M = np.einsum("md,rpm->rdp", comp.V.real, big.Bred).reshape(-1, spec.p)
+        M = np.einsum("md,rpm->rdp", comp.V.real, Bred).reshape(-1, spec.p)
         dim = M.shape[0]
         for idx in range(dim):
             for sign in (1.0, -1.0):
@@ -115,6 +120,20 @@ def brammer_positive(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCE
                 if resid > tolerances.cone * 2.0:
                     return False
     return True
+
+
+def brammer_positive(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    """Positive controllability via the classical eigenvector cone test.
+
+    On top of plain controllability (the Kalman test), for every real
+    eigenvalue the cone of reduced eigenvector components V* (D* B) must
+    be the whole space, which is checked by +/- membership of each
+    standard basis vector.
+    """
+    Bred = build_big(spec, tolerances.zero).Bred
+    return _reduced_rank_full(spec.A, Bred, tolerances.rank) and _eigenvector_cones_whole(
+        spec, Bred, tolerances
+    )
 
 
 def pairwise_range(
@@ -226,9 +245,17 @@ def _pair_targets(d: np.ndarray, n: int) -> list[np.ndarray]:
     return targets
 
 
-# Times per batch of the exponential kernel and of the dense scan: a batch
-# keeps a few 128 n^2 float temporaries.
-_CHUNK = 128
+# Matrix entries per batch of the exponential kernel and of the dense
+# scan: a batch of 2**13 // n^2 times keeps its temporaries (a dozen
+# arrays of that many entries) in cache, while small matrices still come
+# in batches large enough to amortize numpy's per-call cost.
+_BATCH_ENTRIES = 2**13
+
+
+def _batch(n: int) -> int:
+    """Times per batch for n x n matrices: 2048 at n = 2, 128 at n = 8."""
+    return max(1, _BATCH_ENTRIES // (n * n))
+
 
 # Pade-13 coefficients b_0..b_13, divided by b_0 so that t = 0 solves
 # I x = I exactly, and the largest 1-norm theta_13 at which the
@@ -249,8 +276,9 @@ def _exponentials(A: np.ndarray, times: np.ndarray) -> np.ndarray:
     gets its own squaring count s = max(0, ceil(log2(||A||_1 |t| /
     theta_13))); the scaled matrices' U and V come from batched products
     and one batched solve, and then each is squared s times.  The work is
-    done _CHUNK times at a time into one preallocated output.  t = 0 gives
-    exactly the identity.
+    done ``_batch(n)`` times at a time into one preallocated output.  Every
+    product and solve acts on one time's matrices alone, so the stack is
+    bitwise the same at any batch size.  t = 0 gives exactly the identity.
     """
     A = np.asarray(A, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -259,8 +287,9 @@ def _exponentials(A: np.ndarray, times: np.ndarray) -> np.ndarray:
     ident = np.eye(n)
     norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
     out = np.empty((times.size, n, n))
-    for start in range(0, times.size, _CHUNK):
-        t = times[start : start + _CHUNK]
+    size = _batch(n)
+    for start in range(0, times.size, size):
+        t = times[start : start + size]
         s = np.ceil(np.log2(np.maximum(norm * np.abs(t) / _THETA13, 1.0))).astype(int)
         X = A * (t / 2.0**s)[:, None, None]
         X2 = X @ X
@@ -337,24 +366,57 @@ def _stays_nonpositive(
     """max over the stack E = e^{A t} and inputs of b_s* e^{A* t} eta <= slack.
 
     B holds the (q, p, n) input blocks.  Only the products with eta are
-    formed, _CHUNK times at a time, and the scan stops at the first
+    formed, ``_batch(n)`` times at a time, and the scan stops at the first
     violation.
     """
     q, _, n = B.shape
     # G[s, j, m] = sum_i B[i, s, m] eta_i[j], so that b_s* exp(A* t) eta
     # is the sum of exp(A t)[j, m] G[s, j, m].
     G = np.einsum("qpm,qj->pjm", B, eta.reshape(q, n))
-    for start in range(0, len(E), _CHUNK):
-        if float(np.einsum("tjm,pjm->tp", E[start : start + _CHUNK], G).max()) > slack:
+    size = _batch(n)
+    for start in range(0, len(E), size):
+        if float(np.einsum("tjm,pjm->tp", E[start : start + size], G).max()) > slack:
             return False
     return True
+
+
+@dataclass(eq=False)
+class ResponseStack:
+    """One array's falsifier stacks on one grid, shared by all its pairs.
+
+    P holds the input responses on the grid (``_input_responses``) and
+    slack the falsifier's tolerance 1e-7 (1 + max |P|); both depend only
+    on A, B and the grid.  ``dense`` forms the exponentials of the ten
+    times denser check grid at its first call and keeps them, so that
+    every candidate of every pair scans one stack.
+    """
+
+    spec: ArraySpec
+    grid: np.ndarray
+    P: np.ndarray
+    slack: float
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def dense(self) -> np.ndarray:
+        if self._dense is None:
+            times = _chebyshev_grid(float(self.grid.max()), 10 * self.grid.size)
+            self._dense = _exponentials(self.spec.A, times)
+        return self._dense
+
+
+def _response_stack(spec: ArraySpec, grid: np.ndarray | None, tol_zero: float) -> ResponseStack:
+    """The falsifier's stacks for spec on grid, by default ``default_polar_grid``."""
+    spec = require_valid(spec, tol_zero)
+    grid = np.asarray(default_polar_grid(spec) if grid is None else grid, dtype=float)
+    P = _input_responses(spec, grid)
+    return ResponseStack(spec, grid, P, 1e-7 * (1.0 + float(np.abs(P).max(initial=0.0))))
 
 
 def polar_falsifier(
     spec: ArraySpec,
     k: int,
     l: int,
-    grid: np.ndarray | None = None,
+    grid: np.ndarray | ResponseStack | None = None,
     tol_zero: float = DEFAULT_TOLERANCES.zero,
     tol_cone: float = DEFAULT_TOLERANCES.cone,
 ) -> np.ndarray | None:
@@ -376,34 +438,30 @@ def polar_falsifier(
     v-component.  A candidate must keep P eta within the slack
     1e-7 (1 + max |P|), have gain ||(e_k - e_l)* eta|| >= 0.1 and stay
     within the slack on a ten times denser grid; the first one that does
-    is returned.  The dense grid's exponentials are formed once, at the
-    first candidate that gets there.
+    is returned.
 
-    The grid defaults to ``default_polar_grid``.  A witness is evidence
-    only for the finite horizon it was checked on: a response that turns
+    The grid defaults to ``default_polar_grid``.  grid may also be a
+    ``ResponseStack`` built for spec, as ``cross_check`` passes one to
+    every pair of an array: its coarse stack is then not formed again,
+    and its dense-grid exponentials are formed once, at the first
+    candidate of any pair that gets there.  A witness is evidence only
+    for the finite horizon it was checked on: a response that turns
     positive later would reach the target after all.  Returns the witness
     or None; the absence of a witness proves nothing.
     """
-    spec = require_valid(spec, tol_zero)
+    stack = grid if isinstance(grid, ResponseStack) else _response_stack(spec, grid, tol_zero)
+    spec, P = stack.spec, stack.P
     d = pair_difference(spec.q, k, l)
-    if grid is None:
-        grid = default_polar_grid(spec)
-    grid = np.asarray(grid, dtype=float)
-    P = _input_responses(spec, grid)
-    slack = 1e-7 * (1.0 + float(np.abs(P).max(initial=0.0)))
-    dense = None
     for target in _pair_targets(d, spec.n):
         x, residual = nnls(P.T, target)
         if residual <= tol_cone * (1.0 + float(np.linalg.norm(target))):
             continue
         eta = (target - P.T @ x) / residual
-        if float(np.max(P @ eta, initial=0.0)) > slack:
+        if float(np.max(P @ eta, initial=0.0)) > stack.slack:
             continue
         if float(np.linalg.norm(d @ eta.reshape(spec.q, spec.n))) < 0.1:
             continue
-        if dense is None:
-            dense = _exponentials(spec.A, _chebyshev_grid(float(grid.max()), 10 * grid.size))
-        if _stays_nonpositive(dense, spec.B, eta, slack):
+        if _stays_nonpositive(stack.dense(), spec.B, eta, stack.slack):
             return eta
     return None
 
@@ -479,26 +537,28 @@ def cross_check(
 
     ``report`` is what ``analyze(spec, pairs, tolerances)`` returned; the
     pairwise oracles run at its pairs.  In order: the Kalman rank and
-    Brammer cone tests; on n = 1 arrays whose inputs are literal unit
-    edges, the walks of ``path_oracle``; then per pair the range test,
-    the polar falsifier on ``default_polar_grid`` (built once) and, for a
-    positive pairwise verdict, the reach simulator on ``steps`` intervals
-    of ``horizon``.  A decidable oracle agrees when it gives the
-    analysis' answer; the falsifier is inconclusive (``agrees`` None)
-    without a witness and the reach simulator unless every target is
-    hit.  A horizon that is not positive, or fewer than 2 steps, raises
-    ``GraphDomainError`` whatever the verdicts.
+    Brammer cone tests, which share one Kalman verdict and one set of
+    reduced blocks; on n = 1 arrays whose inputs are literal unit edges,
+    the walks of ``path_oracle``; then per pair the range test, the polar
+    falsifier on the array's one ``ResponseStack`` over
+    ``default_polar_grid`` and, for a positive pairwise verdict, the
+    reach simulator on ``steps`` intervals of ``horizon``.  A decidable
+    oracle agrees when it gives the analysis' answer; the falsifier is
+    inconclusive (``agrees`` None) without a witness and the reach
+    simulator unless every target is hit.  A horizon that is not
+    positive, or fewer than 2 steps, raises ``GraphDomainError`` whatever
+    the verdicts.
     """
     _check_reach_grid(horizon, steps)
     tol = tolerances
+    Bred = build_big(spec, tol.zero).Bred
+    controllable = _reduced_rank_full(spec.A, Bred, tol.rank)
     verdicts = [
-        _compared(
-            "kalman_reduced", "rank test",
-            kalman_reduced(spec, tol.rank, tol.zero), report.controllable,
-        ),
+        _compared("kalman_reduced", "rank test", controllable, report.controllable),
         _compared(
             "brammer_positive", "cone test",
-            brammer_positive(spec, tol), report.positively_controllable,
+            controllable and _eigenvector_cones_whole(spec, Bred, tol),
+            report.positively_controllable,
         ),
     ]
 
@@ -513,19 +573,19 @@ def cross_check(
         except GraphDomainError:
             pass   # inputs are not literal unit edges; inapplicable
 
-    grid = default_polar_grid(spec)
+    stack = _response_stack(spec, None, tol.zero) if report.pairwise else None
     for (k, l), pairwise in report.pairwise.items():
         ranged = pairwise_range(spec, k, l, tol.rank, tol.zero)
         verdicts.append(_compared(f"pairwise_range_{k}_{l}", "range test", ranged, pairwise))
 
         positive = report.positive_pairwise[k, l]
         witness = polar_falsifier(
-            spec, k, l, grid=grid, tol_zero=tol.zero, tol_cone=tol.cone
+            spec, k, l, grid=stack, tol_zero=tol.zero, tol_cone=tol.cone
         )
         if witness is None:
             agrees, detail = None, (
                 f"no witness for the {2 * spec.n} targets +/-(e_{k} - e_{l}) (x) e_i "
-                f"on horizon {grid[-1]:.4g} (proves nothing)"
+                f"on horizon {stack.grid[-1]:.4g} (proves nothing)"
             )
         else:
             agrees, detail = not positive.yes, (

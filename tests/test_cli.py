@@ -442,6 +442,26 @@ def test_oracle_runs_each_pair_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_oracle_runs_the_kalman_test_and_build_big_once(tmp_path, capsys, monkeypatch):
+    # cross_check hands the one Kalman verdict and the reduced blocks it
+    # was computed on to the Brammer cone test.
+    import relctrl.oracles as oracles_module
+
+    path = write_example(tmp_path, "watertanks")
+    counts = {"_reduced_rank_full": 0, "build_big": 0}
+    for name in counts:
+        original = getattr(oracles_module, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(oracles_module, name, counting)
+    assert main(["oracle", str(path), "--pair", "1", "2"]) == 0
+    assert counts == {"_reduced_rank_full": 1, "build_big": 1}
+    capsys.readouterr()
+
+
 def test_oracle_rejects_reach_flags_outside_input(tmp_path, capsys):
     # The reach flags are input, so they are rejected before any verdict:
     # the same exit 1 whether or not a requested pair is positive.
@@ -494,7 +514,7 @@ def test_oracle_disagreement_exit_code(tmp_path, capsys, monkeypatch):
 
     path = write_example(tmp_path, "watertanks")
     monkeypatch.setattr(
-        oracles_module, "kalman_reduced", lambda spec, tol_rank, tol_zero: False
+        oracles_module, "_reduced_rank_full", lambda A, Bred, tol_rank: False
     )
     assert main(["oracle", str(path)]) == 3
     out = capsys.readouterr().out

@@ -570,6 +570,95 @@ def test_nnls_solutions_are_optimal():
         assert ours_r <= ref_r + 1e-9 * scale
 
 
+def _certificate_breach(M, v, x):
+    # max over j of g_j, and of |g_j| where x_j > 0, with g the gradient
+    # of the unit-column program, over the certificate's kappa.
+    norms = np.linalg.norm(M, axis=0)
+    U = M / np.where(norms > 0.0, norms, 1.0)
+    g = U.T @ (v - M @ x)
+    worst = np.where(x > 0.0, np.abs(g), g).max(initial=0.0)
+    return worst / (gengraph_module._KKT * (1.0 + np.linalg.norm(v)))
+
+
+@st.composite
+def wide_programs(draw):
+    # Wide programs as the oracles pose them, with planted exact duplicates
+    # and exactly opposite columns, and targets inside and outside the cone.
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    m = draw(st.integers(1, 12))
+    c = draw(st.integers(2 * m + 1, 2000))
+    M = rng.standard_normal((m, c))
+    planted = rng.choice(c, size=(2, c // 4), replace=False)
+    M[:, planted[1]] = M[:, planted[0]] * rng.choice([-1.0, 1.0], size=c // 4)
+    if draw(st.booleans()):
+        v = M @ (rng.uniform(0.0, 1.0, c) * (rng.random(c) < 0.02))
+    else:
+        v = rng.standard_normal(m)
+    return M, v
+
+
+@settings(max_examples=50)
+@given(drawn=wide_programs())
+def test_nnls_wide_programs_match_bvls(drawn):
+    from scipy.optimize import lsq_linear
+
+    M, v = drawn
+    x, residual = nnls(M, v)
+    assert x.min() >= 0.0
+    assert _certificate_breach(M, v, x) <= 1.0
+    ref = lsq_linear(M, v, bounds=(0.0, np.inf), method="bvls")
+    assert abs(residual - np.linalg.norm(M @ ref.x - v)) <= 1e-12 * (1.0 + np.linalg.norm(v))
+
+
+def _stalled_peel_program():
+    # The first peel program of the q = 5 graph below: the compiled solver
+    # alone stops at residual 1.2943 with a gradient entry of +0.092.
+    edges = [(1, 3), (2, 5), (5, 1), (2, 4), (3, 1), (1, 5), (4, 1), (4, 2)]
+    M = np.zeros((5, len(edges)))
+    for s, (i, j) in enumerate(edges):
+        M[i - 1, s], M[j - 1, s] = 1.0, -1.0
+    return M, -(M / np.linalg.norm(M, axis=0)).sum(axis=1)
+
+
+def test_nnls_certifies_the_stalled_peel_program():
+    M, v = _stalled_peel_program()
+    x, residual = nnls(M, v)
+    assert residual == pytest.approx(1.2909944487358056, abs=1e-12)
+    assert _certificate_breach(M, v, x) <= 1.0
+    # One cone_member call decides at the true distance: with the bound
+    # between the optimum 1.2910 and the stalled 1.2943, v is a member.
+    tol_cone = 1.2925 / (1.0 + np.linalg.norm(v))
+    feas = cone_member(make_graph(5, 1, M), v, tol_cone)
+    assert feas.member and feas.residual == pytest.approx(residual, abs=1e-12)
+
+
+def test_nnls_falls_back_to_bvls_when_the_solver_stalls(monkeypatch):
+    import scipy.optimize
+
+    M, v = WT, np.array([1.0, 0.0, -1.0])
+    fallbacks = []
+    bvls = scipy.optimize.lsq_linear
+
+    def counting(*args, **kwargs):
+        fallbacks.append(1)
+        return bvls(*args, **kwargs)
+
+    # A compiled solver that returns zero weights on every program.
+    monkeypatch.setattr(scipy.optimize, "nnls", lambda A, b, maxiter: (np.zeros(A.shape[1]), 0.0))
+    monkeypatch.setattr(scipy.optimize, "lsq_linear", counting)
+    x, residual = nnls(M, v)
+    assert len(fallbacks) == 1
+    assert residual == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
+
+    class Stalled:
+        x = np.zeros(2)
+
+    monkeypatch.setattr(scipy.optimize, "lsq_linear", lambda *args, **kwargs: Stalled)
+    with pytest.raises(NumericalFailureError, match="gradient"):
+        nnls(M, v)
+
+
 def test_nnls_zero_target():
     x, resid = nnls(WT, np.zeros(3))
     np.testing.assert_array_equal(x, np.zeros(2))
@@ -687,12 +776,9 @@ def test_lineality_generators_are_the_cycle_edges(data):
 def test_lineality_peel_survives_a_stalled_program():
     # The first peel program on this graph stops short of its optimum in
     # the compiled solver (the opposite pair 2 -> 4, 4 -> 2 leaves a
-    # positive gradient of 0.09), so its residual is not polar; the peel
-    # must not drop the cycle edges it appears to push.
-    edges = [(1, 3), (2, 5), (5, 1), (2, 4), (3, 1), (1, 5), (4, 1), (4, 2)]
-    M = np.zeros((5, len(edges)))
-    for s, (i, j) in enumerate(edges):
-        M[i - 1, s], M[j - 1, s] = 1.0, -1.0
+    # positive gradient of 0.09), which nnls's certificate catches; the
+    # peel must not drop the cycle edges.
+    M, _ = _stalled_peel_program()
     lin = lineality_generators(make_graph(5, 1, M))
     assert set(lin.columns) == _cycle_edges(M) == {0, 2, 3, 4, 5, 7}
 

@@ -21,7 +21,7 @@ from relctrl.corpus import random_array_spec
 from relctrl.errors import DimensionError, GraphDomainError, InvalidArrayError
 from relctrl.numutil import pair_difference
 from relctrl.oracles import (
-    _CHUNK,
+    _batch,
     _chebyshev_grid,
     _exponentials,
     _input_responses,
@@ -242,7 +242,7 @@ def test_exponentials_at_time_zero_are_exactly_the_identity():
 
 def test_exponentials_on_a_grid_off_the_chunk_size():
     A = np.random.default_rng(3).standard_normal((4, 4))
-    times = np.linspace(0.0, 3.0, 2 * _CHUNK + 37)
+    times = np.linspace(0.0, 3.0, 2 * _batch(4) + 37)
     _assert_matches_expm(A, times)
     assert _exponentials(A, times[:0]).shape == (0, 4, 4)
 
@@ -273,10 +273,7 @@ def test_falsifier_witness_holds_on_dense_grid():
     assert {("oscillators-b", (1, 2)), ("counterexample-23", (2, 3))} <= witnessed
 
 
-def test_falsifier_forms_the_dense_exponentials_once(oscillators_a, monkeypatch):
-    # On (1,2) many candidates pass the coarse grid and reach the dense
-    # check (17 at the time of writing); all of them scan one stack.
-    dense_size = 10 * default_polar_grid(oscillators_a).size
+def _count_exponentials(monkeypatch):
     calls = []
     real = relctrl.oracles._exponentials
 
@@ -285,6 +282,14 @@ def test_falsifier_forms_the_dense_exponentials_once(oscillators_a, monkeypatch)
         return real(A, times)
 
     monkeypatch.setattr(relctrl.oracles, "_exponentials", counting)
+    return calls
+
+
+def test_falsifier_forms_the_dense_exponentials_once(oscillators_a, monkeypatch):
+    # On (1,2) many candidates pass the coarse grid and reach the dense
+    # check (17 at the time of writing); all of them scan one stack.
+    coarse = default_polar_grid(oscillators_a).size
+    calls = _count_exponentials(monkeypatch)
     checked = []
     real_scan = relctrl.oracles._stays_nonpositive
 
@@ -295,8 +300,20 @@ def test_falsifier_forms_the_dense_exponentials_once(oscillators_a, monkeypatch)
     monkeypatch.setattr(relctrl.oracles, "_stays_nonpositive", scan)
     assert polar_falsifier(oscillators_a, 1, 2) is None
     assert len(checked) > 1
-    assert calls.count(dense_size) <= 1
+    assert calls.count(10 * coarse) <= 1
     assert len(calls) <= 2
+
+    # cross_check forms them once per array: every pair shares the coarse
+    # stack and the dense-grid exponentials, and the only other stacks
+    # are the reach simulator's, one per positive pair.
+    report = analyze(oscillators_a, pairs=all_pairs(oscillators_a.q))
+    calls.clear()
+    verdicts = cross_check(oscillators_a, report, DEFAULT_TOLERANCES, 5.0, 60)
+    reach = sum(v.name.startswith("reach_simulator") for v in verdicts)
+    assert calls.count(coarse) == 1
+    assert calls.count(10 * coarse) == 1
+    assert calls.count(60) == reach
+    assert len(calls) == 2 + reach
 
 
 def test_falsifier_counts_a_target_reached_within_the_cone_rule(watertanks, counterexample):
@@ -319,14 +336,31 @@ def test_falsifier_is_deterministic(oscillators_b):
 
 def test_dense_check_scans_every_chunk():
     # Input response of eta is -cos(w t): it turns positive at t = 0.9,
-    # inside the third chunk of 128 times of this 300-point grid.
+    # inside the last of three batches of this grid.
     w = 0.5 * np.pi / 0.9
     spec = ArraySpec(n=2, q=2, p=1, A=[[0.0, w], [-w, 0.0]],
                      B=[[[1.0, 0.0]], [[-1.0, 0.0]]])
     eta = np.array([-1.0, 0.0, 0.0, 0.0])
-    E = _exponentials(spec.A, np.linspace(0.0, 1.0, 300))
+    size = _batch(2)
+    times = np.concatenate([np.linspace(0.0, 0.85, 2 * size), np.linspace(0.86, 1.0, 37)])
+    E = _exponentials(spec.A, times)
     assert not _stays_nonpositive(E, spec.B, eta, 1e-7)
-    assert _stays_nonpositive(E[:260], spec.B, eta, 1e-7)
+    assert _stays_nonpositive(E[: 2 * size + 10], spec.B, eta, 1e-7)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+def test_exponentials_are_bitwise_the_same_at_any_batch_size(n, monkeypatch):
+    # Each time's exponential is computed on its own, so the batch rule
+    # (2**13 entries) and the old fixed 128 times give the same bits, on a
+    # grid whose length is a multiple of neither batch.
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    times = np.concatenate([[0.0], rng.uniform(0.0, 12.0, 2 * _batch(n) + 129)])
+    stacks = []
+    for entries in (relctrl.oracles._BATCH_ENTRIES, 128 * n * n, 7 * n * n):
+        monkeypatch.setattr(relctrl.oracles, "_BATCH_ENTRIES", entries)
+        stacks.append(_exponentials(A, times))
+    assert all(np.array_equal(stacks[0], other) for other in stacks[1:])
 
 
 def test_polar_horizon_rule():

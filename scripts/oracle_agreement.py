@@ -4,11 +4,12 @@
 Draws seeded random arrays (unit-edge inputs with random injection
 vectors, relctrl.corpus.random_array_spec), analyzes each at every
 vertex pair, runs relctrl.cross_check on the report (the same oracles
-as ``relctrl oracle``, the polar falsifier on every pair included) and
-reports the outcome counts.  A decidable oracle that disagrees, or a
-falsifier witness against a positive pairwise verdict, is a bug and
-exits nonzero.  A negative verdict without a witness is not: the
-falsifier's silence proves nothing.
+as ``relctrl oracle``, the polar falsifier on every pair and the reach
+evidence on every positive one included) and reports the outcome
+counts.  A decidable oracle that disagrees, or a falsifier witness
+against a positive pairwise verdict, is a bug and exits nonzero.  A
+negative verdict without a witness is not: the falsifier's silence
+proves nothing, and neither does a positive one without reach evidence.
 
 Usage:
     python scripts/oracle_agreement.py [--specs N] [--seed S]
@@ -21,7 +22,6 @@ import numpy as np
 
 from relctrl import DEFAULT_TOLERANCES, analyze, cross_check
 from relctrl.corpus import random_array_spec
-from relctrl.oracles import REACH_HORIZON, REACH_STEPS
 
 
 def main() -> int:
@@ -32,7 +32,7 @@ def main() -> int:
 
     rng = np.random.default_rng(args.seed)
     counts = {"controllable": 0, "positive": 0, "pairs": 0, "pairs_yes": 0,
-              "positive_pairs": 0, "witnessed": 0}
+              "positive_pairs": 0, "reached": 0, "witnessed": 0}
     disagreements = 0
     started = time.perf_counter()
     for index in range(args.specs):
@@ -44,12 +44,15 @@ def main() -> int:
             if k != l
         ]
         report = analyze(spec, pairs=pairs)
-        verdicts = cross_check(spec, report, DEFAULT_TOLERANCES, REACH_HORIZON, REACH_STEPS)
+        verdicts = cross_check(spec, report, DEFAULT_TOLERANCES)
         for v in verdicts:
             if v.agrees is False:
                 disagreements += 1
                 print(f"DISAGREEMENT on spec {index} [{v.name}]: {v.detail}")
         counts["witnessed"] += sum(v.witness is not None for v in verdicts)
+        counts["reached"] += sum(
+            v.agrees is True for v in verdicts if v.name.startswith("reach_simulator")
+        )
         counts["controllable"] += report.controllable
         counts["positive"] += report.positively_controllable
         counts["pairs"] += len(pairs)
@@ -63,6 +66,7 @@ def main() -> int:
         f"{counts['controllable']} controllable, {counts['positive']} positively controllable, "
         f"{counts['pairs_yes']}/{counts['pairs']} pairwise-controllable pairs, "
         f"{counts['positive_pairs']} positively pairwise-controllable, "
+        f"reach evidence for {counts['reached']}/{counts['positive_pairs']} positive ones, "
         f"falsifier witnesses for {counts['witnessed']}/{negative} negative ones, "
         f"{disagreements} disagreements"
     )

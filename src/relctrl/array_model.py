@@ -77,10 +77,6 @@ class ArraySpec:
         """The stacked (q*n) x p input matrix."""
         return self.B.transpose(0, 2, 1).reshape(self.q * self.n, self.p)
 
-    def column(self, sigma: int) -> np.ndarray:
-        """Stacked injection vector of input sigma (1-based), length q*n."""
-        return self.incidence[:, sigma - 1]
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -3,10 +3,16 @@
 Usage:
     relctrl analyze spec.json [--pair K L ...] [--json] [--dot DIR] [--tol-* X]
     relctrl examples NAME [--out PATH]
-    relctrl oracle spec.json [--pair K L ...] [--horizon T] [--steps M] [--json]
+    relctrl oracle spec.json [--pair K L ...] [--json] [--tol-* X]
 
 Vertex and input indices are 1-based everywhere.  Exit codes: 0 success,
 1 usage, parse or validation error, 2 numerical failure, 3 oracle disagreement.
+
+``oracle`` runs ``relctrl.oracles.cross_check`` on the report of
+``analyze``.  Its falsifier and reach evidence read one cone of input
+responses sampled on a grid chosen from the spectrum, so the command
+takes no grid options; the ``--tol-*`` flags reach every oracle, the
+reach hit rule (``--tol-cone``) included.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .errors import (
     UnsupportedRenderError,
 )
 from .gengraph import to_dot
-from .oracles import REACH_HORIZON, REACH_STEPS, cross_check
+from .oracles import cross_check
 from .report import render_json, render_text
 from .specio import load_spec, save_spec
 
@@ -38,16 +44,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 EXIT_DISAGREEMENT = 3
-
-
-def _above(bound, cast):
-    """An argparse type: ``cast`` of the text, rejected unless above ``bound``."""
-    def parse(text):
-        value = cast(text)
-        if not value > bound:
-            raise argparse.ArgumentTypeError(f"must be greater than {bound}, got {text}")
-        return value
-    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,10 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("path", type=Path)
     po.add_argument("--pair", nargs=2, type=int, action="append", default=[],
                     metavar=("K", "L"))
-    po.add_argument("--horizon", type=_above(0, float), default=REACH_HORIZON,
-                    help=f"reach-simulator time horizon, > 0 (default {REACH_HORIZON:g})")
-    po.add_argument("--steps", type=_above(1, int), default=REACH_STEPS,
-                    help=f"reach-simulator input intervals, >= 2 (default {REACH_STEPS})")
     po.add_argument("--json", action="store_true")
     add_tolerance_flags(po)
     po.set_defaults(func=cmd_oracle)
@@ -161,7 +153,7 @@ def cmd_examples(args) -> int:
 def cmd_oracle(args) -> int:
     spec, tol = _load(args)
     report = analyze(spec, [tuple(p) for p in args.pair], tol)
-    verdicts = cross_check(spec, report, tol, args.horizon, args.steps)
+    verdicts = cross_check(spec, report, tol)
     if args.json:
         payload = [
             {

@@ -10,7 +10,8 @@ through the eigenvalue-indexed graphs:
     path_oracle       breadth-first search over literal graph edges
     polar_falsifier   one nonnegative least-squares program per target,
                       whose residual is a separating functional
-    reach_simulator   discretized nonnegative input programs
+    reach_simulator   the same programs' residuals, read as distances
+                      to the sampled reach cone
 
 ``cross_check`` is the one pipeline that runs them: it takes a spec and
 the report ``analyze`` made of it and returns one ``OracleVerdict`` per
@@ -23,26 +24,26 @@ two only gather evidence.  Every matrix here is built from the (q, p, n)
 input blocks, applying A blockwise; no I_q ⊗ A is formed.  The two rank
 oracles share one Krylov builder, ``_krylov_matrix``, which is kept apart
 from the analysis' ``controllability_matrix`` on purpose: an oracle must
-not share the step it checks.  The falsifier is deterministic: by the
-Moreau decomposition, the residual of a target's projection onto the
-cone of input responses sampled on a time grid is the separating
-functional with the largest component along that target.  A validated
-witness refutes positive pairwise controllability on the grid's finite
-horizon; its absence proves nothing.  Reach residuals support a positive
-verdict but cannot overturn one.  Both evidence tools build their input
-responses from n x n exponentials e^{A t} applied to the input blocks.
-One kernel, ``_exponentials``, forms those exponentials for a whole time
-grid by batched Pade-13 scaling and squaring (Higham 2005).  A batch
-holds about 2**13 matrix entries (``_batch``): 2048 times at n = 2, 128
-at n = 8, so that small matrices are not computed a few at a time and
-large ones stay in cache; each time's exponential is computed on its
-own, so the stack is the same to the bit at any batch size.  The
-falsifier's stacks depend only on A, B and the grid, so ``cross_check``
-builds one ``ResponseStack`` per array: the coarse responses once, and
-the dense grid's exponentials at most once, at the first candidate of
-any pair that reaches the dense check.  ``cross_check`` likewise runs
-the Kalman test once, on one set of reduced blocks that the Brammer cone
-test then reuses.
+not share the step it checks.
+
+The two evidence tools ask one question: how far is each target
++/-(e_k - e_l) ⊗ e_i from the cone of input responses e^{A t} b_s
+sampled on the grid ``default_polar_grid``?  One ``ResponseStack`` per
+array holds the responses and solves each target's nonnegative
+least-squares program once.  By the Moreau decomposition the residual
+of a projection is the separating functional with the largest component
+along its target: a validated witness refutes positive pairwise
+controllability on the grid's finite horizon, and its absence proves
+nothing.  The reach simulator reads the same residuals as distances to
+the sampled reach cone: they support a positive verdict but cannot
+overturn one.  One kernel, ``_exponentials``, forms the exponentials of
+a whole grid by batched Pade-13 scaling and squaring (Higham 2005), in
+batches of about 2**13 matrix entries (``_batch``: 2048 times at n = 2,
+128 at n = 8); each time's exponential is computed on its own, so the
+stack is the same to the bit at any batch size.  ``cross_check`` hands
+the one stack to both tools, forms the dense check grid's exponentials
+at most once, and runs the Kalman test once, on reduced blocks that the
+Brammer cone test then reuses.
 """
 
 from __future__ import annotations
@@ -57,11 +58,6 @@ from .errors import GraphDomainError
 from .gengraph import nnls
 from .numutil import check_pair, equilibrated, pair_difference
 from .spectral import distinct_eigenvalues
-
-# The reach simulator's default horizon and number of input intervals.
-REACH_HORIZON = 5.0
-REACH_STEPS = 60
-
 
 @dataclass(frozen=True, eq=False)
 class OracleVerdict:
@@ -382,20 +378,32 @@ def _stays_nonpositive(
 
 @dataclass(eq=False)
 class ResponseStack:
-    """One array's falsifier stacks on one grid, shared by all its pairs.
+    """One array's input-response stacks on one grid, shared by all its pairs.
 
     P holds the input responses on the grid (``_input_responses``) and
     slack the falsifier's tolerance 1e-7 (1 + max |P|); both depend only
-    on A, B and the grid.  ``dense`` forms the exponentials of the ten
-    times denser check grid at its first call and keeps them, so that
-    every candidate of every pair scans one stack.
+    on A, B and the grid.  ``projection`` solves a target's nonnegative
+    least-squares program on P at its first call and keeps the answer,
+    so that the falsifier and the reach simulator, and the pairs (k,l)
+    and (l,k), which share their targets, read one program.  ``dense``
+    forms the exponentials of the ten times denser check grid at its
+    first call and keeps them, so that every candidate of every pair
+    scans one stack.
     """
 
     spec: ArraySpec
     grid: np.ndarray
     P: np.ndarray
     slack: float
+    _projections: dict = field(default_factory=dict, init=False, repr=False)
     _dense: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def projection(self, target: np.ndarray) -> tuple[np.ndarray, float]:
+        """(x, ||P* x - target||) of min ||P* x - target|| over x >= 0."""
+        key = (target + 0.0).tobytes()   # + 0.0 maps -0.0 to 0.0
+        if key not in self._projections:
+            self._projections[key] = nnls(self.P.T, target)
+        return self._projections[key]
 
     def dense(self) -> np.ndarray:
         if self._dense is None:
@@ -404,12 +412,21 @@ class ResponseStack:
         return self._dense
 
 
-def _response_stack(spec: ArraySpec, grid: np.ndarray | None, tol_zero: float) -> ResponseStack:
-    """The falsifier's stacks for spec on grid, by default ``default_polar_grid``."""
+def _response_stack(
+    spec: ArraySpec, grid: np.ndarray | ResponseStack | None, tol_zero: float
+) -> ResponseStack:
+    """grid itself if it is a stack, else spec's stack on grid or ``default_polar_grid``."""
+    if isinstance(grid, ResponseStack):
+        return grid
     spec = require_valid(spec, tol_zero)
     grid = np.asarray(default_polar_grid(spec) if grid is None else grid, dtype=float)
     P = _input_responses(spec, grid)
     return ResponseStack(spec, grid, P, 1e-7 * (1.0 + float(np.abs(P).max(initial=0.0))))
+
+
+def _reached(residual: float, target: np.ndarray, tol_cone: float) -> bool:
+    """The package's cone rule: a residual at most tol_cone (1 + ||target||)."""
+    return residual <= tol_cone * (1.0 + float(np.linalg.norm(target)))
 
 
 def polar_falsifier(
@@ -442,19 +459,20 @@ def polar_falsifier(
 
     The grid defaults to ``default_polar_grid``.  grid may also be a
     ``ResponseStack`` built for spec, as ``cross_check`` passes one to
-    every pair of an array: its coarse stack is then not formed again,
-    and its dense-grid exponentials are formed once, at the first
-    candidate of any pair that gets there.  A witness is evidence only
-    for the finite horizon it was checked on: a response that turns
-    positive later would reach the target after all.  Returns the witness
-    or None; the absence of a witness proves nothing.
+    every pair of an array: its coarse stack and the programs it has
+    already solved are then not formed again, and its dense-grid
+    exponentials are formed once, at the first candidate of any pair that
+    gets there.  A witness is evidence only for the finite horizon it was
+    checked on: a response that turns positive later would reach the
+    target after all.  Returns the witness or None; the absence of a
+    witness proves nothing.
     """
-    stack = grid if isinstance(grid, ResponseStack) else _response_stack(spec, grid, tol_zero)
+    stack = _response_stack(spec, grid, tol_zero)
     spec, P = stack.spec, stack.P
     d = pair_difference(spec.q, k, l)
     for target in _pair_targets(d, spec.n):
-        x, residual = nnls(P.T, target)
-        if residual <= tol_cone * (1.0 + float(np.linalg.norm(target))):
+        x, residual = stack.projection(target)
+        if _reached(residual, target, tol_cone):
             continue
         eta = (target - P.T @ x) / residual
         if float(np.max(P @ eta, initial=0.0)) > stack.slack:
@@ -477,39 +495,31 @@ class TargetResult:
     hit: bool
 
 
-def _check_reach_grid(horizon: float, steps: int) -> None:
-    if not (horizon > 0 and steps >= 2):
-        raise GraphDomainError("reach problem needs a positive horizon and at least 2 steps")
-
-
 def reach_simulator(
     spec: ArraySpec,
     k: int,
     l: int,
-    horizon: float,
-    steps: int,
+    grid: np.ndarray | ResponseStack | None = None,
     tol_zero: float = DEFAULT_TOLERANCES.zero,
+    tol_cone: float = DEFAULT_TOLERANCES.cone,
 ) -> list[TargetResult]:
-    """Distance of each target +/-(e_k - e_l) ⊗ e_i to the discretized positive reach cone.
+    """Distance of each target +/-(e_k - e_l) ⊗ e_i to the sampled positive reach cone.
 
-    Inputs are piecewise constant and nonnegative on ``steps`` intervals
-    of the horizon; each target's best approximation is a nonnegative
-    least-squares program over all step/input weights.  A residual of at
-    most 1e-6 is a hit: evidence for positive reachability of the
-    target, never proof, and a large residual may only reflect the
-    discretization.  A horizon that is not positive, or fewer than 2
-    steps, raises ``GraphDomainError``.
+    The cone is spanned by the input responses e^{A t} b_s at the times of
+    the grid, the falsifier's grid and stack (``grid`` as in
+    ``polar_falsifier``): nonnegative inputs on the horizon reach the
+    closure of that cone as the grid refines.  Each residual is the
+    falsifier's own program, read from the stack when it was solved
+    there.  A target is a hit when the falsifier would call it reached,
+    by the cone rule ``tol_cone * (1 + ||v||)``: evidence for positive
+    reachability of the target, never proof, and a large residual may
+    only reflect the finite grid.
     """
-    _check_reach_grid(horizon, steps)
-    targets = _pair_targets(pair_difference(spec.q, k, l), spec.n)
-    spec = require_valid(spec, tol_zero)
-    dt = horizon / steps
-    times = horizon - dt * np.arange(steps)
-    C = _input_responses(spec, times).T * dt
+    stack = _response_stack(spec, grid, tol_zero)
     out = []
-    for target in targets:
-        _, residual = nnls(C, target)
-        out.append(TargetResult(target=target, residual=residual, hit=residual <= 1e-6))
+    for target in _pair_targets(pair_difference(stack.spec.q, k, l), stack.spec.n):
+        _, residual = stack.projection(target)
+        out.append(TargetResult(target, residual, _reached(residual, target, tol_cone)))
     return out
 
 
@@ -530,9 +540,7 @@ def _compared(name: str, label: str, oracle: bool, analysis: bool) -> OracleVerd
     )
 
 
-def cross_check(
-    spec: ArraySpec, report, tolerances: Tolerances, horizon: float, steps: int
-) -> list[OracleVerdict]:
+def cross_check(spec: ArraySpec, report, tolerances: Tolerances) -> list[OracleVerdict]:
     """Run every oracle that applies to spec and set it against report.
 
     ``report`` is what ``analyze(spec, pairs, tolerances)`` returned; the
@@ -540,16 +548,12 @@ def cross_check(
     Brammer cone tests, which share one Kalman verdict and one set of
     reduced blocks; on n = 1 arrays whose inputs are literal unit edges,
     the walks of ``path_oracle``; then per pair the range test, the polar
-    falsifier on the array's one ``ResponseStack`` over
-    ``default_polar_grid`` and, for a positive pairwise verdict, the
-    reach simulator on ``steps`` intervals of ``horizon``.  A decidable
-    oracle agrees when it gives the analysis' answer; the falsifier is
-    inconclusive (``agrees`` None) without a witness and the reach
-    simulator unless every target is hit.  A horizon that is not
-    positive, or fewer than 2 steps, raises ``GraphDomainError`` whatever
-    the verdicts.
+    falsifier and, for a positive pairwise verdict, the reach simulator,
+    both on the array's one ``ResponseStack`` over ``default_polar_grid``.
+    A decidable oracle agrees when it gives the analysis' answer; the
+    falsifier is inconclusive (``agrees`` None) without a witness and the
+    reach simulator unless every target is hit.
     """
-    _check_reach_grid(horizon, steps)
     tol = tolerances
     Bred = build_big(spec, tol.zero).Bred
     controllable = _reduced_rank_full(spec.A, Bred, tol.rank)
@@ -594,14 +598,16 @@ def cross_check(
         verdicts.append(OracleVerdict(f"polar_falsifier_{k}_{l}", agrees, detail, witness))
 
         if positive.yes:
-            results = reach_simulator(spec, k, l, horizon, steps, tol.zero)
+            results = reach_simulator(
+                spec, k, l, grid=stack, tol_zero=tol.zero, tol_cone=tol.cone
+            )
             worst = max(r.residual for r in results)
             verdicts.append(
                 OracleVerdict(
                     f"reach_simulator_{k}_{l}",
                     True if all(r.hit for r in results) else None,
                     f"worst target residual {worst:.3e} over {len(results)} targets "
-                    "(evidence only)",
+                    f"on horizon {stack.grid[-1]:.4g} (evidence only)",
                 )
             )
     return verdicts

@@ -1,12 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 from jsonschema import validate as schema_validate
 
 from relctrl import DEFAULT_TOLERANCES, REPORT_SCHEMA, analyze, cross_check, example_names
 from relctrl.array_model import require_valid
 from relctrl.cli import main
-from relctrl.oracles import REACH_HORIZON, REACH_STEPS
 from relctrl.specio import load_spec, save_spec
 
 
@@ -159,6 +159,46 @@ def test_analyze_rejects_unknown_key(tmp_path, capsys):
     assert "extra" in capsys.readouterr().err
 
 
+_GOOD = {"n": 1, "q": 2, "p": 1, "A": [[0.0]], "B": {"incidence": [[1.0], [-1.0]]}}
+
+
+def _without(key):
+    doc = dict(_GOOD)
+    del doc[key]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (dict(_GOOD, n=True), "n must be an integer"),
+        (dict(_GOOD, A=[[0.0], [0.0, 1.0]]), "A is not a rectangular numeric array"),
+        (dict(_GOOD, A=[[[0.0]]]), "A must be a two-dimensional array"),
+        ([_GOOD], "spec document must be a JSON object"),
+        (_without("B"), "missing required key 'B'"),
+        (dict(_GOOD, name=3), "name must be a string"),
+        (dict(_GOOD, A=[[0.0, 0.0]]), "A has shape (1, 2), expected (1, 1)"),
+        (dict(_GOOD, B=[[1.0], [-1.0]]), "B must be an object"),
+        (dict(_GOOD, B={"incidence": [[1.0, 0.0], [-1.0, 0.0]]}),
+         "B.incidence has shape (2, 2), expected (2, 1)"),
+        (dict(_GOOD, B={"blocks": [[[1.0]], [[-1.0, 0.0]]]}), "B.blocks is not rectangular"),
+        (dict(_GOOD, B={"blocks": [[[1.0]], [[-1.0]], [[0.0]]]}),
+         "B.blocks has shape (3, 1, 1), expected (2, 1, 1)"),
+        (dict(_GOOD, tolerances=[1e-9]), "tolerances must be an object"),
+        (dict(_GOOD, tolerances={"rank": "1e-9"}), "tolerance 'rank' must be a number"),
+    ],
+    ids=[
+        "bool-n", "ragged-A", "3d-A", "non-object-document", "missing-B", "non-string-name",
+        "A-shape", "non-object-B", "incidence-shape", "ragged-blocks", "blocks-shape",
+        "non-object-tolerances", "string-tolerance",
+    ],
+)
+def test_analyze_rejects_a_malformed_spec_file(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    _assert_input_error(["analyze", str(path)], capsys, message)
+
+
 def test_analyze_rejects_garbage(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -224,22 +264,37 @@ def test_oracle_counterexample_pairwise(tmp_path, capsys):
 
 def test_oracle_ring_reach_and_falsifier(tmp_path, capsys):
     path = write_example(tmp_path, "watertanks-ring")
-    assert main(
-        [
-            "oracle",
-            str(path),
-            "--pair",
-            "1",
-            "2",
-            "--horizon",
-            "2",
-            "--steps",
-            "20",
-        ]
-    ) == 0
+    assert main(["oracle", str(path), "--pair", "1", "2"]) == 0
     out = capsys.readouterr().out
     assert "no witness" in out
-    assert "reach_simulator_1_2" in out
+    reach = next(line for line in out.splitlines() if line.startswith("reach_simulator_1_2"))
+    assert reach.split()[1] == "ok"
+
+
+def test_oracle_honours_the_spec_files_tolerances(tmp_path, capsys):
+    # A column-sum error of 1e-7 that the file's zero tolerance accepts
+    # must reach the falsifier and the reach evidence, not only the verdict.
+    path = write_example(tmp_path, "watertanks-ring")
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    doc["B"]["incidence"][0][0] += 1e-7
+    doc["tolerances"] = {"zero": 1e-6}
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", str(path), "--pair", "1", "2", "--json"]) == 0
+    verdicts = {v["name"]: v for v in json.loads(capsys.readouterr().out)}
+    assert verdicts["polar_falsifier_1_2"]["witness"] is None
+    assert verdicts["reach_simulator_1_2"]["agrees"] is True
+
+
+def test_oracle_tol_cone_reaches_the_reach_hit_rule(tmp_path, capsys):
+    # On oscillators-a (1,2) 3 of 20 targets lie within the default cone
+    # rule; the worst residual, 0.88, lies within 0.5 (1 + sqrt(2)).
+    path = write_example(tmp_path, "oscillators-a")
+    capsys.readouterr()
+    for flags, agrees in (([], None), (["--tol-cone", "0.5"], True)):
+        assert main(["oracle", str(path), "--pair", "1", "2", "--json", *flags]) == 0
+        verdicts = {v["name"]: v for v in json.loads(capsys.readouterr().out)}
+        assert verdicts["reach_simulator_1_2"]["agrees"] is agrees, flags
 
 
 def test_oracle_json_output(tmp_path, capsys):
@@ -403,20 +458,25 @@ def test_oracle_byte_stable_with_seed(tmp_path, capsys):
 
 def test_usage_errors_exit_with_the_input_code(tmp_path, capsys):
     # argparse alone would exit 2, the code of a numerical failure.  The
-    # retired --samples and --seed are unknown flags now.
-    path = write_example(tmp_path, "oscillators-b")
-    capsys.readouterr()
-    for argv in (
-        ["oracle", str(path), "--samples", "7"],
-        ["oracle", str(path), "--seed", "3"],
-        ["oracle"],
-        ["analyze", str(path), "--pair", "1"],
-    ):
-        assert main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and "error:" in err
+    # retired --samples, --seed, --horizon and --steps are unknown flags
+    # now, rejected before any verdict whether or not a pair is positive.
+    for name in ("oscillators-b", "watertanks-ring"):
+        path = write_example(tmp_path, name)
+        capsys.readouterr()
+        for argv in (
+            ["oracle", str(path), "--samples", "7"],
+            ["oracle", str(path), "--seed", "3"],
+            ["oracle", str(path), "--horizon", "5"],
+            ["oracle", str(path), "--steps", "60", "--pair", "1", "2"],
+            ["oracle"],
+            ["analyze", str(path), "--pair", "1"],
+        ):
+            assert main(argv) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == "" and "error:" in err
     assert main(["oracle", "--help"]) == 0
-    assert "--horizon" in capsys.readouterr().out
+    usage = capsys.readouterr().out
+    assert "--tol-cone" in usage and "--horizon" not in usage and "--steps" not in usage
 
 
 def test_oracle_runs_each_pair_once(tmp_path, capsys, monkeypatch):
@@ -462,19 +522,6 @@ def test_oracle_runs_the_kalman_test_and_build_big_once(tmp_path, capsys, monkey
     capsys.readouterr()
 
 
-def test_oracle_rejects_reach_flags_outside_input(tmp_path, capsys):
-    # The reach flags are input, so they are rejected before any verdict:
-    # the same exit 1 whether or not a requested pair is positive.
-    for name in ("watertanks-ring", "watertanks"):
-        path = write_example(tmp_path, name)
-        capsys.readouterr()
-        for flags in (["--steps", "1"], ["--horizon", "0"], ["--horizon", "-1"]):
-            for pair in ([], ["--pair", "1", "2"]):
-                assert main(["oracle", str(path), *flags, *pair]) == 1, (name, flags, pair)
-                out, err = capsys.readouterr()
-                assert out == "" and "error:" in err
-
-
 def test_oracle_json_is_the_cross_check_list(tmp_path, capsys):
     # relctrl oracle adds nothing to cross_check but the rendering.
     pairs = [(1, 2), (2, 3)]
@@ -486,7 +533,7 @@ def test_oracle_json_is_the_cross_check_list(tmp_path, capsys):
         spec, file_tol = load_spec(path)
         tol = file_tol or DEFAULT_TOLERANCES
         spec = require_valid(spec, tol.zero)
-        verdicts = cross_check(spec, analyze(spec, pairs, tol), tol, REACH_HORIZON, REACH_STEPS)
+        verdicts = cross_check(spec, analyze(spec, pairs, tol), tol)
         assert code == (3 if any(v.agrees is False for v in verdicts) else 0)
         assert [(e["name"], e["agrees"], e["detail"]) for e in doc] == [
             (v.name, v.agrees, v.detail) for v in verdicts

@@ -4,8 +4,10 @@ from scipy.linalg import block_diag
 
 import relctrl.controllability as controllability_module
 import relctrl.gengraph as gengraph_module
-from relctrl import ArraySpec, analyze
+from relctrl import ArraySpec, Tolerances, analyze, build_example, render_text
 from relctrl.controllability import (
+    EIGEN_CAVEAT,
+    MARGINAL_CAVEAT,
     check_assumption_closed_structural,
     check_assumption_eigen,
     controllability_matrix,
@@ -491,6 +493,26 @@ def test_eigen_overlap_violated_by_pair_chain():
     violated = [spectrum.components[k - 1].mu for k in check.violated_at]
     assert all(mu.imag != 0 for mu in violated)
     assert len(check.violated_at) == 2
+
+
+def test_report_flags_a_violated_eigen_overlap():
+    # A = diag(0, J), J the real Jordan block of +-i with a length-2 chain,
+    # on a three-system path whose inputs drive every state.
+    R = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    J = np.block([[R, np.eye(2)], [np.zeros((2, 2)), R]])
+    B = np.kron([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]], np.ones((5, 1)))
+    report = analyze(ArraySpec.from_incidence(block_diag([[0.0]], J), B))
+    assert EIGEN_CAVEAT in report.caveats
+    assert "  eigen overlap: violated at k=2,3" in render_text(report).splitlines()
+
+
+def test_report_flags_a_marginal_cone_test():
+    # At tol_cone = 0.03 a watertanks cone residual falls within a decade
+    # of the threshold.
+    report = analyze(build_example("watertanks"), tolerances=Tolerances(cone=0.03))
+    assert MARGINAL_CAVEAT in report.caveats
+    assert any(row.marginal for row in report.rows("V"))
+    assert MARGINAL_CAVEAT not in analyze(build_example("watertanks")).caveats
 
 
 def test_closed_structural_watertanks(watertanks):

@@ -75,7 +75,7 @@ def test_oracles_reject_invalid_pairs(watertanks, pair):
     with pytest.raises(DimensionError):
         polar_falsifier(watertanks, *pair)
     with pytest.raises(DimensionError):
-        reach_simulator(watertanks, *pair, horizon=1.0, steps=10)
+        reach_simulator(watertanks, *pair)
     with pytest.raises(DimensionError):
         path_oracle(WT, "kl", *pair)
 
@@ -303,17 +303,34 @@ def test_falsifier_forms_the_dense_exponentials_once(oscillators_a, monkeypatch)
     assert calls.count(10 * coarse) <= 1
     assert len(calls) <= 2
 
-    # cross_check forms them once per array: every pair shares the coarse
-    # stack and the dense-grid exponentials, and the only other stacks
-    # are the reach simulator's, one per positive pair.
+    # cross_check forms exactly two stacks per array, the coarse and the
+    # dense one: every pair shares them, and the reach simulator, which
+    # runs on all six positive pairs here, reads the same coarse stack.
     report = analyze(oscillators_a, pairs=all_pairs(oscillators_a.q))
     calls.clear()
-    verdicts = cross_check(oscillators_a, report, DEFAULT_TOLERANCES, 5.0, 60)
-    reach = sum(v.name.startswith("reach_simulator") for v in verdicts)
-    assert calls.count(coarse) == 1
-    assert calls.count(10 * coarse) == 1
-    assert calls.count(60) == reach
-    assert len(calls) == 2 + reach
+    verdicts = cross_check(oscillators_a, report, DEFAULT_TOLERANCES)
+    assert sum(v.name.startswith("reach_simulator") for v in verdicts) == 6
+    assert calls == [coarse, 10 * coarse]
+
+
+def test_reach_reads_the_falsifiers_programs(watertanks_ring, monkeypatch):
+    # One nonnegative least-squares program per target and stack: the
+    # reach simulator solves none after the falsifier, and the pair (2,1)
+    # shares its targets, and so its programs, with (1,2).
+    programs = []
+    real = relctrl.oracles.nnls
+
+    def counting(M, v):
+        programs.append(v)
+        return real(M, v)
+
+    monkeypatch.setattr(relctrl.oracles, "nnls", counting)
+    report = analyze(watertanks_ring, pairs=[(1, 2), (2, 1)])
+    verdicts = {v.name: v for v in cross_check(watertanks_ring, report, DEFAULT_TOLERANCES)}
+    assert verdicts["reach_simulator_1_2"].agrees and verdicts["reach_simulator_2_1"].agrees
+    # Besides the Brammer cone test's programs, on reduced coordinates,
+    # the stack runs the two of the pair, +/-(e_1 - e_2).
+    assert sum(v.size == watertanks_ring.q for v in programs) == 2
 
 
 def test_falsifier_counts_a_target_reached_within_the_cone_rule(watertanks, counterexample):
@@ -430,7 +447,7 @@ def test_falsifier_never_refutes_positive_verdicts():
 
 
 def test_reach_ring_hits_targets(watertanks_ring):
-    results = reach_simulator(watertanks_ring, 1, 2, horizon=2.0, steps=20)
+    results = reach_simulator(watertanks_ring, 1, 2)
     assert len(results) == 2
     assert all(r.hit for r in results)
     assert max(r.residual for r in results) <= 1e-6
@@ -438,22 +455,33 @@ def test_reach_ring_hits_targets(watertanks_ring):
 
 def test_reach_two_pump_target_unreachable(watertanks):
     # e_2 - e_1 lies outside the input cone and the tank dynamics are
-    # time-invariant, so no step count helps.
-    for steps in (2, 25, 100):
-        results = reach_simulator(watertanks, 1, 2, horizon=2.0, steps=steps)
+    # time-invariant, so no grid helps.
+    for grid in (None, _chebyshev_grid(2.0, 2), _chebyshev_grid(2.0, 25),
+                 _chebyshev_grid(2.0, 100)):
+        results = reach_simulator(watertanks, 1, 2, grid)
         target_back = next(r for r in results if r.target[1] > 0)
-        assert target_back.residual >= 0.1
+        assert target_back.residual >= 0.1 and not target_back.hit
 
 
-def test_reach_oscillators_completes_at_cli_defaults(oscillators_a):
+def test_reach_hits_follow_the_cone_rule(watertanks):
+    # A hit is a residual at most tol_cone (1 + ||v||), the rule by which
+    # the falsifier calls a target reached: ||v|| = sqrt(2) here.
+    back = next(r for r in reach_simulator(watertanks, 1, 2) if r.target[1] > 0)
+    assert back.residual == pytest.approx(np.sqrt(1.5))
+    rule = back.residual / (1.0 + np.sqrt(2.0))
+    assert not reach_simulator(watertanks, 1, 2, tol_cone=0.99 * rule)[1].hit
+    assert reach_simulator(watertanks, 1, 2, tol_cone=1.01 * rule)[1].hit
+
+
+def test_reach_oscillators_completes_at_cli_defaults(oscillators_a, oscillators_b):
     # Degenerate programs: an active-set loop that cycles on them hits its
-    # iteration cap and raises instead of returning residuals.
-    from relctrl.cli import build_parser
-
-    args = build_parser().parse_args(["oracle", "spec.json"])
-    results = reach_simulator(oscillators_a, 1, 2, args.horizon, args.steps)
+    # iteration cap and raises instead of returning residuals.  On the
+    # grid relctrl oracle uses, which covers one period of the slowest
+    # rotation, every target of oscillators-b (2,3) is hit.
+    results = reach_simulator(oscillators_a, 1, 2)
     assert len(results) == 2 * oscillators_a.n
     assert all(np.isfinite(r.residual) for r in results)
+    assert all(r.hit for r in reach_simulator(oscillators_b, 2, 3))
 
 
 def test_reach_accepts_noise_within_tol_zero(watertanks_ring):
@@ -461,22 +489,5 @@ def test_reach_accepts_noise_within_tol_zero(watertanks_ring):
     B[0, 0, 0] += 1e-7                  # column-sum error of 1e-7
     spec = ArraySpec(n=1, q=3, p=3, A=watertanks_ring.A, B=B)
     with pytest.raises(InvalidArrayError):
-        reach_simulator(spec, 1, 2, horizon=2.0, steps=20)
-    assert all(r.hit for r in reach_simulator(spec, 1, 2, 2.0, 20, tol_zero=1e-6))
-
-
-def test_cross_check_rejects_reach_grid_whatever_the_verdict(watertanks, watertanks_ring):
-    # watertanks has no positive pair, so the reach simulator never runs on
-    # it; the grid is rejected all the same.
-    for spec in (watertanks, watertanks_ring):
-        report = analyze(spec, [(1, 2)])
-        for horizon, steps in ((0.0, 60), (5.0, 1)):
-            with pytest.raises(GraphDomainError):
-                cross_check(spec, report, DEFAULT_TOLERANCES, horizon, steps)
-
-
-def test_reach_problem_validation(watertanks):
-    with pytest.raises(GraphDomainError):
-        reach_simulator(watertanks, 1, 2, horizon=0.0, steps=10)
-    with pytest.raises(GraphDomainError):
-        reach_simulator(watertanks, 1, 2, horizon=1.0, steps=1)
+        reach_simulator(spec, 1, 2)
+    assert all(r.hit for r in reach_simulator(spec, 1, 2, tol_zero=1e-6))

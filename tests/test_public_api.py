@@ -56,14 +56,15 @@ RETIRED = {
 
 # Names deleted outright: each restated a field of analyze's report or a
 # one-line call of kl_connected_pairs, cone_contains_subspace and
-# lineality_generators, or (oracles) wrapped reach_simulator's arguments.
+# lineality_generators, or (oracles) set or wrapped the reach simulator's
+# own time grid, which is now the falsifier's.
 DELETED = {
     "controllability": [
         "IndexRecursionTrace", "is_controllable", "is_pairwise_controllable",
         "is_positive_pairwise_controllable", "is_positively_controllable",
     ],
     "gengraph": ["is_kl_connected", "is_strongly_connected", "is_strongly_kl_connected"],
-    "oracles": ["ReachProblem", "make_reach_problem"],
+    "oracles": ["REACH_HORIZON", "REACH_STEPS", "ReachProblem", "make_reach_problem"],
 }
 
 

@@ -458,16 +458,13 @@ def test_oracle_byte_stable_with_seed(tmp_path, capsys):
 
 def test_usage_errors_exit_with_the_input_code(tmp_path, capsys):
     # argparse alone would exit 2, the code of a numerical failure.  The
-    # retired --samples, --seed, --horizon and --steps are unknown flags
-    # now, rejected before any verdict whether or not a pair is positive.
+    # retired --samples and --seed are unknown flags now.
     for name in ("oscillators-b", "watertanks-ring"):
         path = write_example(tmp_path, name)
         capsys.readouterr()
         for argv in (
             ["oracle", str(path), "--samples", "7"],
             ["oracle", str(path), "--seed", "3"],
-            ["oracle", str(path), "--horizon", "5"],
-            ["oracle", str(path), "--steps", "60", "--pair", "1", "2"],
             ["oracle"],
             ["analyze", str(path), "--pair", "1"],
         ):
@@ -477,6 +474,19 @@ def test_usage_errors_exit_with_the_input_code(tmp_path, capsys):
     assert main(["oracle", "--help"]) == 0
     usage = capsys.readouterr().out
     assert "--tol-cone" in usage and "--horizon" not in usage and "--steps" not in usage
+
+
+def test_oracle_rejects_reach_flags_outside_input(tmp_path, capsys):
+    # The retired reach flags are unknown input, so they are rejected before
+    # any verdict: the same exit 1 whether or not a requested pair is positive.
+    for name in ("watertanks-ring", "watertanks"):
+        path = write_example(tmp_path, name)
+        capsys.readouterr()
+        for flags in (["--steps", "1"], ["--horizon", "0"], ["--horizon", "-1"]):
+            for pair in ([], ["--pair", "1", "2"]):
+                assert main(["oracle", str(path), *flags, *pair]) == 1, (name, flags, pair)
+                out, err = capsys.readouterr()
+                assert out == "" and "error:" in err
 
 
 def test_oracle_runs_each_pair_once(tmp_path, capsys, monkeypatch):

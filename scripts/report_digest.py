@@ -17,8 +17,9 @@ The corpus is fixed, so the script takes no options:
                       at the file's tolerances;
     random-600/*      the same for 600 ``random_array_spec`` arrays drawn
                       from numpy's default_rng(20261018);
-    oracle            ``relctrl oracle --json --pair 1 2 --pair 2 3`` on
-                      the six examples, exit codes included.
+    oracle            ``relctrl oracle --json`` with every ordered pair
+                      (``--pair K L`` each) on the six examples, exit
+                      codes included.
 
 An analysis that raises contributes its error type and message instead
 of a report.  The whole run takes a few seconds.
@@ -71,12 +72,12 @@ def _digest_oracles() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name in example_names():
             path = Path(tmp) / f"{name}.json"
-            save_spec(build_example(name), path)
+            spec = build_example(name)
+            save_spec(spec, path)
+            pairs = [arg for k, l in _all_pairs(spec.q) for arg in ("--pair", str(k), str(l))]
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = relctrl_main(
-                    ["oracle", str(path), "--json", "--pair", "1", "2", "--pair", "2", "3"]
-                )
+                code = relctrl_main(["oracle", str(path), "--json", *pairs])
             digest.update(f"{name} exit {code}\n{out.getvalue()}".encode())
     print(f"{digest.hexdigest()}  oracle")
 

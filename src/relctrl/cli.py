@@ -6,7 +6,7 @@ Usage:
     relctrl oracle spec.json [--pair K L ...] [--json] [--tol-* X]
 
 Vertex and input indices are 1-based everywhere.  Exit codes: 0 success,
-1 usage, parse or validation error, 2 numerical failure, 3 oracle disagreement.
+1 usage, parse, validation or file error, 2 numerical failure, 3 oracle disagreement.
 
 ``oracle`` runs ``relctrl.oracles.cross_check`` on the report of
 ``analyze``.  Its falsifier and reach evidence read one cone of input
@@ -187,7 +187,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (SpecFormatError, DimensionError, FileNotFoundError) as exc:
+    except (SpecFormatError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AnalysisError as exc:

@@ -23,21 +23,22 @@ not even the product: its residual is the difference of column blocks k
 and l of N*, so ``kl_connected_pairs`` answers every requested pair of a
 graph with one array operation on those blocks, under the same bound.
 
-Most graphs are edge graphs, and for them the rule is a component
-lookup (the edge route).  A graph qualifies when every column above the
-drop cut of ``equilibrated`` is exactly (e_i - e_j) ⊗ w, at any
-blocksize, and the columns of each vertex pair pass the one edge-bundle
-rule, ``edge_components``, which carries the proof that the SVD rule
-then gives the component verdicts.  The components come from one
-union–find per graph and tolerance (``_edge_labels``).  Connectivity is
-then one component, (k,l)-connectivity a shared label, a block of edge
-columns lies in the range when the ends of each kept column share a
-label, and the range has dimension blocksize times (q minus the number
-of components).  Every other graph, and every general target, takes the
-SVD route.  The oracles in
-``relctrl.oracles``, which ``cross_check`` sets against a report, build
-their own matrices from the input blocks and factor them on purpose: an
-oracle must not share the step it checks.
+Most graphs are edge graphs, and for them the rule is a component lookup
+(the edge route).  A graph qualifies when every column above the drop
+cut of ``equilibrated`` is exactly (e_i - e_j) ⊗ w, at any blocksize,
+and the columns of each vertex pair pass the one edge-bundle rule,
+``edge_components``, which carries the proof that the SVD rule then
+gives the component verdicts.  The components come from one union–find
+per graph and tolerance (``_edge_labels``).  Connectivity is then one
+component, (k,l)-connectivity a shared label, a block of edge columns
+lies in the range when the ends of each kept column share a label, and
+the range has dimension blocksize times (q minus the number of
+components); off the route it is the rows less those of N*
+(``_range_dim``).  Every other graph, and every general target, takes
+the SVD route.  The oracles in ``relctrl.oracles``, which
+``cross_check`` sets against a report, build their own matrices from the
+input blocks and factor them on purpose: an oracle must not share the
+step it checks.
 
 Cone questions about a subspace are range questions in disguise.  A
 cone contains a subspace L exactly when its lineality space (the largest
@@ -69,7 +70,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array_model import disagreement_basis
 from .config import DEFAULT_TOLERANCES
 from .errors import (
     DimensionError,
@@ -649,16 +649,25 @@ def cone_contains_subspace(
     return ok, (not ok) and lin.marginal
 
 
-def is_connected(G: GenGraph, tol_rank: float = DEFAULT_TOLERANCES.rank) -> bool:
-    """range(G) contains every disagreement direction.
+def _range_dim(G: GenGraph, tol_rank: float) -> int:
+    """The dimension of G's numerical range, from its one factorization.
 
-    On an edge graph: G has one component, every label is vertex 0.
+    blocksize (q - #components) on the edge route, else the rows of G.M
+    less those of the memoized range complement N*.
     """
     labels = _edge_labels(G, tol_rank)
     if labels is not None:
-        return not labels.any()
-    D = disagreement_basis(G.q)
-    return range_contains(G, np.kron(D, np.eye(G.blocksize)), tol_rank)
+        return G.blocksize * (G.q - int(np.count_nonzero(labels == np.arange(G.q))))
+    return G.M.shape[0] - _range_complement(G, tol_rank)[0].shape[0]
+
+
+def is_connected(G: GenGraph, tol_rank: float = DEFAULT_TOLERANCES.rank) -> bool:
+    """range(G) contains every disagreement direction.
+
+    G's columns lie in that space, so they span it exactly when their
+    range has its dimension (q - 1) blocksize (``_range_dim``).
+    """
+    return _range_dim(G, tol_rank) >= (G.q - 1) * G.blocksize
 
 
 def lineality_space(
@@ -682,15 +691,9 @@ def lineality_dim(G: GenGraph, tol_cone: float, tol_rank: float) -> int:
     """The dimension of ``lineality_space``, without forming the basis.
 
     That basis completes the rows of the generator graph's range
-    complement N*, which are orthonormal, so its dimension is the row
-    count of G.M less that of N*.  On the edge route N* has blocksize
-    rows per component of the generator graph.
+    complement, so its dimension is the generator graph's ``_range_dim``.
     """
-    H = lineality_generators(G, tol_cone).graph
-    labels = _edge_labels(H, tol_rank)
-    if labels is not None:
-        return H.blocksize * (H.q - int(np.count_nonzero(labels == np.arange(H.q))))
-    return H.M.shape[0] - _range_complement(H, tol_rank)[0].shape[0]
+    return _range_dim(lineality_generators(G, tol_cone).graph, tol_rank)
 
 
 def detect_scalar_edges(

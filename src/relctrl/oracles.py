@@ -21,10 +21,12 @@ does not import the analysis.
 
 The first four decide their question exactly (at desk scale); the last
 two only gather evidence.  Every matrix here is built from the (q, p, n)
-input blocks, applying A blockwise; no I_q ⊗ A is formed.  The two rank
-oracles share one Krylov builder, ``_krylov_matrix``, which is kept apart
-from the analysis' ``controllability_matrix`` on purpose: an oracle must
-not share the step it checks.
+input blocks, applying A blockwise; no I_q ⊗ A is formed.  The rank
+oracles read one factorization: ``_krylov_complement`` builds the
+reduced Krylov matrix and factors it by one SVD, which answers the
+Kalman test, the rank half of the Brammer test and every pair's range
+test.  It is kept apart from the analysis' ``controllability_matrix`` on
+purpose: an oracle must not share the step it checks.
 
 The two evidence tools ask one question: how far is each target
 +/-(e_k - e_l) ⊗ e_i from the cone of input responses e^{A t} b_s
@@ -42,8 +44,8 @@ batches of about 2**13 matrix entries (``_batch``: 2048 times at n = 2,
 128 at n = 8); each time's exponential is computed on its own, so the
 stack is the same to the bit at any batch size.  ``cross_check`` hands
 the one stack to both tools, forms the dense check grid's exponentials
-at most once, and runs the Kalman test once, on reduced blocks that the
-Brammer cone test then reuses.
+at most once, and factors the reduced Krylov matrix once, on reduced
+blocks that the Brammer cone test then reuses.
 """
 
 from __future__ import annotations
@@ -67,24 +69,42 @@ class OracleVerdict:
     witness: np.ndarray | None = None
 
 
-def _krylov_matrix(A: np.ndarray, blocks: np.ndarray, tol_rank: float) -> np.ndarray:
-    """Column-equilibrated [X, (I ⊗ A) X, ..., (I ⊗ A)^(n-1) X] of (r, p, n) blocks X.
+def _krylov_complement(A: np.ndarray, Bred: np.ndarray, tol_rank: float) -> tuple:
+    """(N*, bound) from one SVD of the reduced Krylov matrix.
 
-    Rows are (block, state) and columns (power, input).  Each power
-    applies A to the blocks, so I ⊗ A is never formed.
+    The matrix [X, (I ⊗ A) X, ..., (I ⊗ A)^(n-1) X] of the reduced input
+    blocks X = D* B (rows (block, state), columns (power, input); A acts
+    on the blocks) is column-equilibrated.  N spans the left singular
+    vectors at or below bound = tol_rank smax, the complement of its
+    numerical range; the array is controllable when N is empty.
     """
-    r, p, n = blocks.shape
-    powers = [blocks]
+    r, p, n = Bred.shape
+    powers = [Bred]
     for _ in range(n - 1):
         powers.append(powers[-1] @ A.T)
-    return equilibrated(np.stack(powers).transpose(1, 3, 0, 2).reshape(r * n, n * p), tol_rank)
+    K = equilibrated(np.stack(powers).transpose(1, 3, 0, 2).reshape(r * n, n * p), tol_rank)
+    U, s, _ = np.linalg.svd(K, full_matrices=K.shape[0] > K.shape[1])
+    bound = tol_rank * float(s.max(initial=0.0))
+    return U[:, int(np.sum(s > bound)) :].conj().T, bound
 
 
-def _reduced_rank_full(A: np.ndarray, Bred: np.ndarray, tol_rank: float) -> bool:
-    """The Kalman test on reduced input blocks: full rank (q - 1) n."""
-    r, _, n = Bred.shape
-    s = np.linalg.svd(_krylov_matrix(A, Bred, tol_rank), compute_uv=False)
-    return int(np.sum(s > tol_rank * s.max(initial=0.0))) == r * n
+def _pairs_in_range(complement: tuple, D: np.ndarray, pairs, n: int) -> list[bool]:
+    """Which 1-based pairs (k, l) have (e_k - e_l) ⊗ I_n in the Krylov range.
+
+    Equilibrated, the target is ((e_k - e_l) ⊗ I_n)/sqrt(2), in reduced
+    coordinates (D*(e_k - e_l) ⊗ I_n)/sqrt(2); it is in range when its
+    projection onto N has spectral norm at most the bound.
+    """
+    Nh, bound = complement
+    q, r = D.shape
+    d = np.array([pair_difference(q, k, l) for k, l in pairs]).reshape(-1, q) @ D
+    # Pairs per stack, so that one stack holds at most 2**18 entries.
+    step = max(1, 2**18 // max(1, Nh.size // r))
+    ok: list[bool] = []
+    for i in range(0, len(d), step):
+        X = np.einsum("ajm,pj->pam", Nh.reshape(-1, r, n), d[i : i + step]) / np.sqrt(2.0)
+        ok += (np.linalg.norm(X, 2, axis=(1, 2)) <= bound).tolist()
+    return ok
 
 
 def kalman_reduced(
@@ -95,9 +115,9 @@ def kalman_reduced(
     """Controllability via the rank of the reduced controllability matrix.
 
     The Krylov matrix of the reduced blocks D* B must have full rank
-    (q - 1) n.
+    (q - 1) n: its range complement is empty.
     """
-    return _reduced_rank_full(spec.A, build_big(spec, tol_zero).Bred, tol_rank)
+    return _krylov_complement(spec.A, build_big(spec, tol_zero).Bred, tol_rank)[0].shape[0] == 0
 
 
 def _eigenvector_cones_whole(spec: ArraySpec, Bred: np.ndarray, tolerances: Tolerances) -> bool:
@@ -113,7 +133,7 @@ def _eigenvector_cones_whole(spec: ArraySpec, Bred: np.ndarray, tolerances: Tole
                 target = np.zeros(dim)
                 target[idx] = sign
                 _, resid = nnls(M, target)
-                if resid > tolerances.cone * 2.0:
+                if not _reached(resid, target, tolerances.cone):
                     return False
     return True
 
@@ -127,8 +147,8 @@ def brammer_positive(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCE
     standard basis vector.
     """
     Bred = build_big(spec, tolerances.zero).Bred
-    return _reduced_rank_full(spec.A, Bred, tolerances.rank) and _eigenvector_cones_whole(
-        spec, Bred, tolerances
+    return _krylov_complement(spec.A, Bred, tolerances.rank)[0].shape[0] == 0 and (
+        _eigenvector_cones_whole(spec, Bred, tolerances)
     )
 
 
@@ -141,24 +161,16 @@ def pairwise_range(
 ) -> bool:
     """Pairwise controllability via a direct controllability-matrix range test.
 
-    The stacked controllability matrix W = [B, (I ⊗ A) B, ...] and the
-    target T = (e_k - e_l) ⊗ I_n are column-equilibrated; T is in range
-    when its projection onto the complement of W's numerical range (the
-    span of the left singular vectors above ``tol_rank * smax``) has
-    spectral norm at most ``tol_rank * smax``.  W is built and factored
-    here, not through the analysis' graphs, so that the check does not
-    share the step it checks.
+    The stacked W = [B, (I ⊗ A) B, ...] is the reduced Krylov matrix in
+    the coordinates D, with the same equilibrated columns and singular
+    values, so the target (e_k - e_l) ⊗ I_n is tested on the latter's
+    range complement (``_pairs_in_range``).  It is built and factored
+    here, not through the analysis' graphs: a check must not share the
+    step it checks.
     """
-    spec = require_valid(spec, tol_zero)
-    W = _krylov_matrix(spec.A, spec.B, tol_rank)
-    T = equilibrated(
-        np.kron(pair_difference(spec.q, k, l)[:, None], np.eye(spec.n)), tol_rank
-    )
-    U, s, _ = np.linalg.svd(W, full_matrices=False)
-    bound = tol_rank * float(s.max(initial=0.0))
-    U = U[:, : int(np.sum(s > bound))]
-    outside = T - U @ (U.conj().T @ T)
-    return float(np.linalg.norm(outside, 2)) <= bound
+    big = build_big(spec, tol_zero)
+    complement = _krylov_complement(spec.A, big.Bred, tol_rank)
+    return _pairs_in_range(complement, big.D, [(k, l)], spec.n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +557,10 @@ def cross_check(spec: ArraySpec, report, tolerances: Tolerances) -> list[OracleV
 
     ``report`` is what ``analyze(spec, pairs, tolerances)`` returned; the
     pairwise oracles run at its pairs.  In order: the Kalman rank and
-    Brammer cone tests, which share one Kalman verdict and one set of
-    reduced blocks; on n = 1 arrays whose inputs are literal unit edges,
-    the walks of ``path_oracle``; then per pair the range test, the polar
+    Brammer cone tests, which share one set of reduced blocks and one
+    factorization of their Krylov matrix; on n = 1 arrays whose inputs
+    are literal unit edges, the walks of ``path_oracle``; then per pair
+    the range test, read from that same factorization, the polar
     falsifier and, for a positive pairwise verdict, the reach simulator,
     both on the array's one ``ResponseStack`` over ``default_polar_grid``.
     A decidable oracle agrees when it gives the analysis' answer; the
@@ -555,13 +568,14 @@ def cross_check(spec: ArraySpec, report, tolerances: Tolerances) -> list[OracleV
     reach simulator unless every target is hit.
     """
     tol = tolerances
-    Bred = build_big(spec, tol.zero).Bred
-    controllable = _reduced_rank_full(spec.A, Bred, tol.rank)
+    big = build_big(spec, tol.zero)
+    complement = _krylov_complement(spec.A, big.Bred, tol.rank)
+    controllable = complement[0].shape[0] == 0
     verdicts = [
         _compared("kalman_reduced", "rank test", controllable, report.controllable),
         _compared(
             "brammer_positive", "cone test",
-            controllable and _eigenvector_cones_whole(spec, Bred, tol),
+            controllable and _eigenvector_cones_whole(spec, big.Bred, tol),
             report.positively_controllable,
         ),
     ]
@@ -578,8 +592,8 @@ def cross_check(spec: ArraySpec, report, tolerances: Tolerances) -> list[OracleV
             pass   # inputs are not literal unit edges; inapplicable
 
     stack = _response_stack(spec, None, tol.zero) if report.pairwise else None
-    for (k, l), pairwise in report.pairwise.items():
-        ranged = pairwise_range(spec, k, l, tol.rank, tol.zero)
+    in_range = _pairs_in_range(complement, big.D, list(report.pairwise), spec.n)
+    for ((k, l), pairwise), ranged in zip(report.pairwise.items(), in_range):
         verdicts.append(_compared(f"pairwise_range_{k}_{l}", "range test", ranged, pairwise))
 
         positive = report.positive_pairwise[k, l]

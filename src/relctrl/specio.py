@@ -113,9 +113,10 @@ def spec_from_dict(data: dict) -> tuple[ArraySpec, Tolerances | None]:
 
 
 def load_spec(path: str | Path) -> tuple[ArraySpec, Tolerances | None]:
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"not valid JSON: {exc}") from None
     return spec_from_dict(data)

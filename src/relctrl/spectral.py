@@ -8,6 +8,10 @@ Lambda = A_k - conj(mu) I.  Components are listed in a fixed total order:
 real parts descending, a real eigenvalue ahead of non-real ones sharing
 its real part, then |Im| ascending with the positive-imaginary member of
 each conjugate pair first.
+
+Each matrix is factored once: ||A||_2 once per array, and A* - mu I
+once per computed eigenvalue (``_component``); a conjugate partner is
+not factored at all.
 """
 
 from __future__ import annotations
@@ -83,65 +87,6 @@ def _shifted(A: np.ndarray, mu: complex) -> np.ndarray:
     return A.T.astype(complex) - complex(mu) * np.eye(n)
 
 
-def _eigen_floor(A: np.ndarray, mu: complex, tol_rank: float | None) -> float:
-    # A clustered eigenvalue carries an absolute error of about
-    # tol_rank * scale(A), and so do the singular values of A* - mu I that
-    # should vanish; a purely relative cutoff would miss them whenever A
-    # is close to mu I.
-    if tol_rank is None:
-        return 0.0
-    smax = float(np.linalg.norm(A, 2)) if A.size else 0.0
-    return tol_rank * (1.0 + smax + abs(mu))
-
-
-def eigenvector_basis(A: np.ndarray, mu: complex, tol_rank: float | None = None) -> np.ndarray:
-    """Orthonormal eigenvector basis of A* at mu; real when mu is real."""
-    A = np.asarray(A, dtype=float)
-    M = _shifted(A, mu)
-    V = null_basis(M, tol_rank, abs_floor=_eigen_floor(A, mu, tol_rank))
-    if V.shape[1] == 0:
-        raise InconsistentSpectrumError(
-            f"numerically empty eigenspace at mu={mu}; not an eigenvalue at this tolerance"
-        )
-    return V
-
-
-def generalized_basis(
-    A: np.ndarray, mu: complex, n_k: int, tol_rank: float | None = None
-) -> np.ndarray:
-    """Orthonormal basis of the order-n_k generalized eigenspace of A* at mu.
-
-    Grows the null space of (A* - mu I)^r for r = 1..n_k until its
-    dimension reaches the algebraic multiplicity.  Powers are renormalized
-    between multiplications so the rank threshold stays meaningful.
-    """
-    A = np.asarray(A, dtype=float)
-    M1 = _shifted(A, mu)
-    floor = _eigen_floor(A, mu, tol_rank)
-    growth = max(1.0, float(np.linalg.norm(M1, 2)))
-    P = None
-    accumulated = 1.0
-    for r in range(1, n_k + 1):
-        P = M1 if P is None else P @ M1
-        scale = float(np.linalg.norm(P))
-        if scale > 0:
-            P = P / scale
-            accumulated *= scale
-        # The eigenvalue error propagates through r-1 further factors of
-        # M1, and the normalization rescales it by the accumulated factor.
-        floor_r = floor * growth ** (r - 1) / accumulated
-        U = null_basis(P, tol_rank, abs_floor=floor_r)
-        if U.shape[1] == n_k:
-            return U
-        if U.shape[1] > n_k:
-            raise InconsistentSpectrumError(
-                f"generalized eigenspace at mu={mu} exceeds algebraic multiplicity {n_k}"
-            )
-    raise InconsistentSpectrumError(
-        f"generalized eigenspace at mu={mu} never reached dimension {n_k}"
-    )
-
-
 def restriction(A: np.ndarray, U: np.ndarray, mu: complex) -> tuple[np.ndarray, np.ndarray]:
     """Restriction A_k of the dynamics to range(U) and its nilpotent part.
 
@@ -172,9 +117,45 @@ def restriction(A: np.ndarray, U: np.ndarray, mu: complex) -> tuple[np.ndarray, 
     return A_k, Lambda
 
 
-def _component(A, mu, n_k, is_real, tol_rank) -> EigComponent:
-    V = eigenvector_basis(A, mu, tol_rank)
-    U = generalized_basis(A, mu, n_k, tol_rank)
+def _component(A, mu, n_k, is_real, tol_rank, norm_A) -> EigComponent:
+    """The component of A* at mu, from one SVD of M = A* - mu I.
+
+    V holds the right singular vectors at or below the absolute floor
+    tol_rank (1 + ||A||_2 + |mu|): a clustered eigenvalue, and with it
+    every singular value of M that should vanish, carries an error of
+    about that size, which a relative cutoff would miss whenever A is
+    close to mu I.  U = V when the geometric multiplicity is n_k, the
+    algebraic one; otherwise U is the null space of M^r for the least
+    r <= n_k where its dimension reaches n_k.  Powers are renormalized
+    between products, and the floor follows the eigenvalue error through
+    r - 1 further factors of M, rescaled by the accumulated normalization.
+    """
+    M = _shifted(A, mu)
+    _, s, vh = np.linalg.svd(M)
+    floor = tol_rank * (1.0 + norm_A + abs(mu))
+    V = vh[int(np.sum(s > floor)) :].conj().T
+    if V.shape[1] == 0:
+        raise InconsistentSpectrumError(
+            f"numerically empty eigenspace at mu={mu}; not an eigenvalue at this tolerance"
+        )
+    U = V
+    if V.shape[1] < n_k:
+        growth = max(1.0, float(s[0]))
+        # M is nonzero here: M = 0 would leave V the whole space.
+        accumulated = float(np.linalg.norm(M))
+        P = M / accumulated
+        for r in range(2, n_k + 1):
+            P = P @ M
+            scale = float(np.linalg.norm(P))
+            if scale > 0:
+                P = P / scale
+                accumulated *= scale
+            U = null_basis(P, tol_rank, abs_floor=floor * growth ** (r - 1) / accumulated)
+            if U.shape[1] >= n_k:
+                break
+    if U.shape[1] != n_k:
+        kind = "exceeds algebraic multiplicity" if U.shape[1] > n_k else "never reached dimension"
+        raise InconsistentSpectrumError(f"generalized eigenspace at mu={mu} {kind} {n_k}")
     A_k, Lambda = restriction(A, U, mu)
     return EigComponent(
         mu=complex(mu),
@@ -297,7 +278,7 @@ def distinct_eigenvalues(A: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig)
         if not e["real"] and e["mu"].imag < 0:
             components.append(_conjugate_component(components[-1]))
         else:
-            components.append(_component(A, e["mu"], e["n_k"], e["real"], tol_rank))
+            components.append(_component(A, e["mu"], e["n_k"], e["real"], tol_rank, smax))
 
     total = sum(c.alg_mult for c in components)
     if total != n:

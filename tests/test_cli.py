@@ -471,6 +471,20 @@ def test_usage_errors_exit_with_the_input_code(tmp_path, capsys):
             assert main(argv) == 1, argv
             out, err = capsys.readouterr()
             assert out == "" and "error:" in err
+    # A directory where a file belongs, and a spec that is not UTF-8, are
+    # input errors too: one error line, no traceback.
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"name": "caf\xe9"}')
+    for argv in (
+        ["analyze", str(tmp_path)],
+        ["oracle", str(tmp_path)],
+        ["analyze", str(latin)],
+        ["oracle", str(latin)],
+        ["examples", "watertanks", "--out", str(tmp_path)],
+    ):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "Traceback" not in err, argv
     assert main(["oracle", "--help"]) == 0
     usage = capsys.readouterr().out
     assert "--tol-cone" in usage and "--horizon" not in usage and "--steps" not in usage
@@ -513,12 +527,13 @@ def test_oracle_runs_each_pair_once(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_runs_the_kalman_test_and_build_big_once(tmp_path, capsys, monkeypatch):
-    # cross_check hands the one Kalman verdict and the reduced blocks it
-    # was computed on to the Brammer cone test.
+    # cross_check factors the reduced Krylov matrix once, for the Kalman
+    # verdict and every pair's range test, and hands the reduced blocks it
+    # was built from to the Brammer cone test.
     import relctrl.oracles as oracles_module
 
     path = write_example(tmp_path, "watertanks")
-    counts = {"_reduced_rank_full": 0, "build_big": 0}
+    counts = {"_krylov_complement": 0, "build_big": 0}
     for name in counts:
         original = getattr(oracles_module, name)
 
@@ -527,8 +542,8 @@ def test_oracle_runs_the_kalman_test_and_build_big_once(tmp_path, capsys, monkey
             return _original(*args)
 
         monkeypatch.setattr(oracles_module, name, counting)
-    assert main(["oracle", str(path), "--pair", "1", "2"]) == 0
-    assert counts == {"_reduced_rank_full": 1, "build_big": 1}
+    assert main(["oracle", str(path), "--pair", "1", "2", "--pair", "2", "3"]) == 0
+    assert counts == {"_krylov_complement": 1, "build_big": 1}
     capsys.readouterr()
 
 
@@ -569,9 +584,11 @@ def test_oracle_no_witness_detail_names_targets_and_horizon(tmp_path, capsys):
 def test_oracle_disagreement_exit_code(tmp_path, capsys, monkeypatch):
     import relctrl.oracles as oracles_module
 
+    # A factorization that leaves one direction outside the range: the
+    # Kalman test says not controllable, the analysis controllable.
     path = write_example(tmp_path, "watertanks")
     monkeypatch.setattr(
-        oracles_module, "_reduced_rank_full", lambda A, Bred, tol_rank: False
+        oracles_module, "_krylov_complement", lambda A, Bred, tol_rank: (np.eye(1, 2), 1.0)
     )
     assert main(["oracle", str(path)]) == 3
     out = capsys.readouterr().out

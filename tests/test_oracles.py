@@ -17,21 +17,25 @@ from relctrl import (
     polar_falsifier,
     reach_simulator,
 )
+from relctrl.array_model import build_big, require_valid
 from relctrl.corpus import random_array_spec
 from relctrl.errors import DimensionError, GraphDomainError, InvalidArrayError
-from relctrl.numutil import pair_difference
+from relctrl.numutil import equilibrated, pair_difference
 from relctrl.oracles import (
     _batch,
     _chebyshev_grid,
     _exponentials,
     _input_responses,
+    _krylov_complement,
     _pair_targets,
+    _pairs_in_range,
     _stays_nonpositive,
     default_polar_grid,
     polar_horizon,
 )
 
 from conftest import all_pairs
+from test_edge_route import _corpus, _damped_array
 
 WT = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
 TRIANGLE = np.array([[1.0, 0.0, -1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
@@ -85,7 +89,7 @@ def test_pairwise_range_controllable_array(watertanks_ring):
         assert pairwise_range(watertanks_ring, k, l)
 
 
-def test_pairwise_range_sees_residual_beside_small_kept_direction():
+def _residual_beside_small_kept_direction():
     # Input columns e and e + 1e-8 n (singular values 1.4 and 7e-9, kept at
     # the default cutoff 1.4e-9); the target e_1 - e_2 is n + 1e-3 m up to
     # scale, so it leaves a residual of ~1e-3 outside the range.  Comparing
@@ -95,9 +99,62 @@ def test_pairwise_range_sees_residual_beside_small_kept_direction():
     m = np.array([1.0, 1.0, -2.0, 0.0]) / np.sqrt(6.0)
     e = np.array([1.0, 1.0, 1.0, -3.0]) / np.sqrt(12.0)
     n = (t - 1e-3 * m) / np.linalg.norm(t - 1e-3 * m)
-    spec = ArraySpec.from_incidence([[0.0]], np.stack([e, e + 1e-8 * n], axis=1))
+    return ArraySpec.from_incidence([[0.0]], np.stack([e, e + 1e-8 * n], axis=1))
+
+
+def test_pairwise_range_sees_residual_beside_small_kept_direction():
+    spec = _residual_beside_small_kept_direction()
     assert not pairwise_range(spec, 1, 2)
     assert not analyze(spec, [(1, 2)]).pairwise[1, 2]
+
+
+def _q_block_pairwise_range(spec, pairs, tol_rank=DEFAULT_TOLERANCES.rank):
+    """The q-block range test: the full W, the kron target and W's own SVD.
+
+    W = [B, (I ⊗ A) B, ...] of the q input blocks and the target
+    (e_k - e_l) ⊗ I_n are column-equilibrated, and the target is in range
+    when its projection onto the complement of W's numerical range has
+    spectral norm at most tol_rank smax.  The reference for the reduced
+    route of ``pairwise_range``.
+    """
+    spec = require_valid(spec, DEFAULT_TOLERANCES.zero)
+    powers = [spec.B]
+    for _ in range(spec.n - 1):
+        powers.append(powers[-1] @ spec.A.T)
+    W = equilibrated(
+        np.stack(powers).transpose(1, 3, 0, 2).reshape(spec.q * spec.n, -1), tol_rank
+    )
+    U, s, _ = np.linalg.svd(W, full_matrices=False)
+    bound = tol_rank * float(s.max(initial=0.0))
+    U = U[:, : int(np.sum(s > bound))]
+    verdicts = []
+    for k, l in pairs:
+        T = equilibrated(np.kron(pair_difference(spec.q, k, l)[:, None], np.eye(spec.n)), tol_rank)
+        verdicts.append(float(np.linalg.norm(T - U @ (U.conj().T @ T), 2)) <= bound)
+    return verdicts
+
+
+def test_pairwise_range_matches_the_q_block_route():
+    # Every ordered pair of the examples, of the edge-route corpus, of the
+    # array whose residual sits beside a small kept direction, and of a
+    # 40-system array in 20 or more pieces, whose 1,560 pairs are judged in
+    # two stacks.  The reduced route is read as cross_check reads it, one
+    # factorization for all pairs; pairwise_range itself is checked on the
+    # examples.
+    specs = [build_example(name) for name in example_names()]
+    for spec in specs:
+        pairs = all_pairs(spec.q)
+        assert [pairwise_range(spec, k, l) for k, l in pairs] == _q_block_pairwise_range(
+            spec, pairs
+        ), spec.name
+    specs += _corpus() + [_residual_beside_small_kept_direction()]
+    specs.append(_damped_array(np.random.default_rng(3), 40, 4, 20))
+    for index, spec in enumerate(specs):
+        pairs = all_pairs(spec.q)
+        big = build_big(spec)
+        complement = _krylov_complement(spec.A, big.Bred, DEFAULT_TOLERANCES.rank)
+        reduced = _pairs_in_range(complement, big.D, pairs, spec.n)
+        assert reduced == _q_block_pairwise_range(spec, pairs), index
 
 
 def test_path_oracle_watertanks_graph():

@@ -49,15 +49,15 @@ RETIRED = {
     ],
     "oracles": ["OracleVerdict"],
     "spectral": [
-        "EigComponent", "distinct_eigenvalues", "eigenvector_basis", "generalized_basis",
-        "restriction",
+        "EigComponent", "distinct_eigenvalues", "restriction",
     ],
 }
 
 # Names deleted outright: each restated a field of analyze's report or a
 # one-line call of kl_connected_pairs, cone_contains_subspace and
 # lineality_generators, or (oracles) set or wrapped the reach simulator's
-# own time grid, which is now the falsifier's.
+# own time grid, which is now the falsifier's, or (spectral) factored
+# A* - mu I a second time for the bases that one SVD now gives.
 DELETED = {
     "controllability": [
         "IndexRecursionTrace", "is_controllable", "is_pairwise_controllable",
@@ -65,6 +65,7 @@ DELETED = {
     ],
     "gengraph": ["is_kl_connected", "is_strongly_connected", "is_strongly_kl_connected"],
     "oracles": ["REACH_HORIZON", "REACH_STEPS", "ReachProblem", "make_reach_problem"],
+    "spectral": ["eigenvector_basis", "generalized_basis"],
 }
 
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,12 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
-from relctrl.spectral import (
-    distinct_eigenvalues,
-    eigenvector_basis,
-    generalized_basis,
-    restriction,
-)
+from relctrl import build_example
+from relctrl.config import DEFAULT_TOLERANCES
+from relctrl.spectral import _component, distinct_eigenvalues, restriction
 from relctrl.errors import IllConditionedSpectrumError, InconsistentSpectrumError
 
 from conftest import random_array_spec
@@ -66,8 +64,18 @@ def test_conjugate_components_are_conjugated(oscillators_a):
         np.testing.assert_array_equal(partner.A_k, comp.A_k.conj())
 
 
+def _bases(A, mu, n_k):
+    """V and U of ``_component`` at the tolerances ``distinct_eigenvalues`` hands it."""
+    A = np.asarray(A, dtype=float)
+    norm_A = float(np.linalg.norm(A, 2))
+    radius = float(np.abs(np.linalg.eigvals(A)).max())
+    tol_rank = DEFAULT_TOLERANCES.eig * (1.0 + radius) / (1.0 + norm_A)
+    comp = _component(A, mu, n_k, np.imag(mu) == 0.0, tol_rank, norm_A)
+    return comp.V, comp.U
+
+
 def test_eigenvector_basis_counterexample(counterexample):
-    V = eigenvector_basis(counterexample.A, 0.0)
+    V, _ = _bases(counterexample.A, 0.0, 4)
     assert V.shape == (4, 2)
     target = np.zeros((4, 2))
     target[0, 0] = target[2, 1] = 1.0
@@ -75,33 +83,56 @@ def test_eigenvector_basis_counterexample(counterexample):
 
 
 def test_eigenvector_basis_oscillator_residual(oscillators_a):
-    V = eigenvector_basis(oscillators_a.A, 1j)
+    V, U = _bases(oscillators_a.A, 1j, 1)
     assert V.shape[1] == 1
+    assert U is V
     assert np.linalg.norm(oscillators_a.A.T @ V - 1j * V) <= 1e-9
 
 
 def test_eigenvector_basis_rejects_non_eigenvalue():
     with pytest.raises(InconsistentSpectrumError):
-        eigenvector_basis(np.eye(2), 0.5)
+        _bases(np.eye(2), 0.5, 1)
 
 
 def test_generalized_basis_jordan_chain():
     A = np.array([[0.0, 0.0], [1.0, 0.0]])
-    U = generalized_basis(A, 0.0, 2)
+    V, U = _bases(A, 0.0, 2)
+    assert V.shape == (2, 1)
     assert U.shape == (2, 2)
     np.testing.assert_allclose(U @ U.T, np.eye(2), atol=1e-12)
 
 
 def test_generalized_basis_counterexample_full_space(counterexample):
-    U = generalized_basis(counterexample.A, 0.0, 4)
+    _, U = _bases(counterexample.A, 0.0, 4)
     np.testing.assert_allclose(U @ U.T, np.eye(4), atol=1e-12)
 
 
 def test_generalized_equals_eigenvector_basis_for_simple_eigs(oscillators_a):
     spectrum = distinct_eigenvalues(oscillators_a.A)
     for comp in spectrum.components:
-        # Multiplicity one: U and V span the same line.
-        assert abs(np.abs(comp.U.conj().T @ comp.V)[0, 0] - 1.0) <= 1e-10
+        # Multiplicity one: U is V, not a second factorization of its line.
+        np.testing.assert_array_equal(comp.U, comp.V)
+
+
+def test_one_svd_per_computed_eigenvalue(monkeypatch):
+    # ||A||_2 once per array, then one SVD of A* - mu I per eigenvalue whose
+    # multiplicities are equal; a conjugate partner is not factored.  norm
+    # reaches the SVD through its own module, so both bindings are spied.
+    calls = []
+    original = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", spy)
+    counts = {}
+    for name in ("oscillators-a", "oscillators-b", "watertanks"):
+        calls.clear()
+        distinct_eigenvalues(build_example(name).A)
+        counts[name] = len(calls)
+    assert counts == {"oscillators-a": 6, "oscillators-b": 6, "watertanks": 2}
 
 
 def test_restriction_scalar_component(oscillators_a):
@@ -196,7 +227,7 @@ def test_restriction_rejects_non_invariant_subspace():
 
 
 def test_generalized_basis_dimension_errors():
-    with pytest.raises(InconsistentSpectrumError):
-        generalized_basis(np.eye(2), 1.0, 1)     # eigenspace is 2-dim, exceeds 1
-    with pytest.raises(InconsistentSpectrumError):
-        generalized_basis(np.diag([1.0, 2.0]), 1.0, 2)   # never reaches 2
+    with pytest.raises(InconsistentSpectrumError, match="exceeds"):
+        _bases(np.eye(2), 1.0, 1)     # eigenspace is 2-dim, exceeds 1
+    with pytest.raises(InconsistentSpectrumError, match="never reached"):
+        _bases(np.diag([1.0, 2.0]), 1.0, 2)   # never reaches 2

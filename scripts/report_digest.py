@@ -19,7 +19,12 @@ The corpus is fixed, so the script takes no options:
                       from numpy's default_rng(20261018);
     oracle            ``relctrl oracle --json`` with every ordered pair
                       (``--pair K L`` each) on the six examples, exit
-                      codes included.
+                      codes included;
+    dot               ``to_dot`` of every drawable graph that
+                      ``analyze_with_graphs`` returns for the six
+                      examples and the damped spec, in family (V, W, Q)
+                      and eigenvalue order, as ``relctrl analyze --dot``
+                      draws them.
 
 An analysis that raises contributes its error type and message instead
 of a report.  The whole run takes a few seconds.
@@ -37,10 +42,11 @@ from pathlib import Path
 
 import numpy as np
 
-from relctrl import analyze, build_example, example_names, render_json
+from relctrl import analyze, analyze_with_graphs, build_example, example_names, render_json
 from relctrl.cli import main as relctrl_main
 from relctrl.corpus import random_array_spec
-from relctrl.errors import AnalysisError
+from relctrl.errors import AnalysisError, UnsupportedRenderError
+from relctrl.gengraph import to_dot
 from relctrl.specio import load_spec, save_spec
 
 DAMPED = Path(__file__).resolve().parents[1] / "tests" / "golden" / "damped-q12-n6-spec.json"
@@ -82,12 +88,28 @@ def _digest_oracles() -> None:
     print(f"{digest.hexdigest()}  oracle")
 
 
+def _digest_drawings(cases) -> None:
+    digest = hashlib.sha1()
+    for spec, tolerances in cases:
+        report, graphs = analyze_with_graphs(spec, (), tolerances)
+        for kind, family in graphs.items():
+            for kappa, G in enumerate(family, start=1):
+                try:
+                    text = to_dot(G, tol_zero=report.tolerances.zero)
+                except UnsupportedRenderError:
+                    text = "hyperedge\n"
+                digest.update(f"{spec.name} {kind} k{kappa}\n{text}".encode())
+    print(f"{digest.hexdigest()}  dot")
+
+
 def main() -> int:
-    _digest_reports("examples", [(build_example(name), None) for name in example_names()])
+    examples = [(build_example(name), None) for name in example_names()]
+    _digest_reports("examples", examples)
     _digest_reports("damped-q12-n6", [load_spec(DAMPED)])
     rng = np.random.default_rng(20261018)
     _digest_reports("random-600", [(random_array_spec(rng), None) for _ in range(600)])
     _digest_oracles()
+    _digest_drawings(examples + [load_spec(DAMPED)])
     return 0
 
 

@@ -1,20 +1,18 @@
 """The four controllability analyses of a relatively actuated array.
 
 Each analysis reduces to connectivity of eigenvalue-indexed generalized
-graphs built from the array:
+graphs, all cut from one swept graph per eigenvalue (``w_graphs``):
 
-    V-graph   per-system eigenvector components of the input columns;
-              connectivity of all of them decides controllability, strong
-              connectivity at real eigenvalues adds one-way (nonnegative
-              input) controllability.
-    W-graph   generalized-eigenspace components swept by powers of the
-              restricted dynamics; pairwise connectivity of all of them
+    W-graph   the swept graph; pairwise connectivity of all of them
               decides pairwise controllability.
-    Q-graph   like the W-graph but swept by the nilpotent part only and
-              restricted to a shrinking input index set; strong pairwise
-              connectivity at real eigenvalues (plain at non-real ones)
-              decides positive pairwise controllability, under two
-              assumptions that are checked and reported.
+    V-graph   eigenvector components of the inputs (the swept graph at a
+              simple eigenvalue); connectivity of all of them decides
+              controllability, strong connectivity at real eigenvalues
+              adds one-way (nonnegative input) controllability.
+    Q-graph   the swept graph's columns for a shrinking input index set;
+              strong pairwise connectivity at real eigenvalues (plain at
+              non-real ones) decides positive pairwise controllability,
+              under two assumptions that are checked and reported.
 
 Both controllability and pairwise controllability admit a second, whole
 controllability-matrix characterization; the two are computed side by
@@ -28,8 +26,8 @@ without forming it (``w_matrix_verdict``).  Otherwise W is built and
 judged whole like any other graph.
 
 ``analyze`` is the one pipeline: it validates the array, computes the
-spectrum, builds each graph family once and reads all four verdicts off
-it; ``analyze_with_graphs`` also hands back the graphs, for drawing.
+spectrum, builds each graph once and reads all four verdicts off them;
+``analyze_with_graphs`` also hands back the graphs, for drawing.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ from .errors import InternalConsistencyError
 from .gengraph import (
     GenGraph,
     blocks_in_range,
+    column_graph,
     cone_contains_subspace,
     edge_components,
     is_connected,
@@ -53,7 +52,7 @@ from .gengraph import (
     make_graph,
 )
 from .numutil import check_pair, edge_ends
-from .spectral import EigComponent, Spectrum, distinct_eigenvalues
+from .spectral import Spectrum, distinct_eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -90,43 +89,44 @@ def _component_blocks(spec: ArraySpec, basis: np.ndarray) -> np.ndarray:
     return np.einsum("dn,qpn->qdp", basis.conj().T, spec.B)
 
 
-def v_graphs(
-    spec: ArraySpec, spectrum: Spectrum, tol_zero: float = DEFAULT_TOLERANCES.zero
-) -> list[GenGraph]:
-    """One eigenvector-component graph per distinct eigenvalue."""
-    graphs = []
-    for comp in spectrum.components:
-        M = _component_blocks(spec, comp.V).reshape(spec.q * comp.geo_mult, spec.p)
-        graphs.append(make_graph(spec.q, comp.geo_mult, M, tol_zero))
-    return graphs
-
-
-def _power_swept_graph(
-    spec: ArraySpec,
-    comp: EigComponent,
-    sweep: np.ndarray,
-    sigmas: list[int],
-    tol_zero: float,
-) -> GenGraph:
-    """Graph with columns [I_q ⊗ sweep^r] b_sigma, sigma-major then power."""
-    nk = comp.alg_mult
-    blocks = _component_blocks(spec, comp.U)[:, :, sigmas]    # (q, nk, len(sigmas))
-    powers = [np.eye(nk, dtype=sweep.dtype)]
-    for _ in range(nk - 1):
-        powers.append(powers[-1] @ sweep)
-    # Entry (system i, row a), column (sigma, power r): (sweep^r b_sigma,i)_a.
-    M = np.einsum("qcs,rac->qasr", blocks, np.stack(powers))
-    return make_graph(spec.q, nk, M.reshape(spec.q * nk, -1), tol_zero)
-
-
 def w_graphs(
     spec: ArraySpec, spectrum: Spectrum, tol_zero: float = DEFAULT_TOLERANCES.zero
 ) -> list[GenGraph]:
-    """Per-eigenvalue controllability graphs swept by the restriction."""
-    return [
-        _power_swept_graph(spec, comp, comp.A_k, list(range(spec.p)), tol_zero)
-        for comp in spectrum.components
-    ]
+    """One swept graph per distinct eigenvalue: columns (I_q ⊗ Lambda^r) U* b_s.
+
+    Input-major, r < alg_mult.  As A_k = Lambda + conj(mu) I, a sweep by
+    A_k spans the same Krylov subspaces, and the W rows ask range
+    questions only.
+    """
+    graphs = []
+    for comp in spectrum.components:
+        nk = comp.alg_mult
+        powers = [np.eye(nk, dtype=comp.Lambda.dtype)]
+        for _ in range(nk - 1):
+            powers.append(powers[-1] @ comp.Lambda)
+        # Entry (system i, row a), column (input s, power r): (Lambda^r U* b_s,i)_a.
+        M = np.einsum("qcs,rac->qasr", _component_blocks(spec, comp.U), np.stack(powers))
+        graphs.append(make_graph(spec.q, nk, M.reshape(spec.q * nk, -1), tol_zero))
+    return graphs
+
+
+def v_graphs(
+    spec: ArraySpec,
+    spectrum: Spectrum,
+    swept: list[GenGraph],
+    tol_zero: float = DEFAULT_TOLERANCES.zero,
+) -> list[GenGraph]:
+    """One eigenvector-component graph per distinct eigenvalue.
+
+    At a simple eigenvalue U is V and there is one power: the graph is the swept one.
+    """
+    graphs = []
+    for comp, G in zip(spectrum.components, swept):
+        if comp.alg_mult > 1:
+            M = _component_blocks(spec, comp.V).reshape(spec.q * comp.geo_mult, spec.p)
+            G = make_graph(spec.q, comp.geo_mult, M, tol_zero)
+        graphs.append(G)
+    return graphs
 
 
 @dataclass(frozen=True)
@@ -141,24 +141,25 @@ class IndexStep:
 
 
 def q_graphs_and_index_sets(
-    spec: ArraySpec,
+    swept: list[GenGraph],
     spectrum: Spectrum,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[list[GenGraph], tuple[IndexStep, ...]]:
-    """Nilpotent-swept graphs over the shrinking input index sets.
+    """The swept graphs over the shrinking input index sets.
 
     Starting from all inputs, each real eigenvalue discards the inputs
     whose swept columns leave the lineality space of the current graph
     cone; non-real eigenvalues discard nothing.  An input stays when its
     block of swept columns lies in the range of the cone's lineality
-    generators, by the rule of ``blocks_in_range``.  The graphs returned
-    are restricted to the index set active at their eigenvalue.
+    generators, by the rule of ``blocks_in_range``.  Each graph is the
+    swept graph's columns for the inputs active at its eigenvalue.
     """
     graphs: list[GenGraph] = []
     steps: list[IndexStep] = []
-    active = list(range(spec.p))
-    for kappa, comp in enumerate(spectrum.components):
-        G = _power_swept_graph(spec, comp, comp.Lambda, active, tolerances.zero)
+    active = list(range(swept[0].n_columns // spectrum.components[0].alg_mult))
+    for kappa, (comp, W) in enumerate(zip(spectrum.components, swept)):
+        nk = comp.alg_mult
+        G = column_graph(W, [s * nk + r for s in active for r in range(nk)])
         graphs.append(G)
         removed, dim = [], None
         if comp.is_real:
@@ -167,7 +168,7 @@ def q_graphs_and_index_sets(
             # zero columns, which the peel never lists, and columns within
             # tol_rank of the space that tol_cone rejects.
             lin = lineality_generators(G, tolerances.cone).graph
-            kept = blocks_in_range(lin, G.M, comp.alg_mult, tolerances.rank)
+            kept = blocks_in_range(lin, G.M, nk, tolerances.rank)
             removed = [s for s, ok in zip(active, kept) if not ok]
             dim = lineality_dim(G, tolerances.cone, tolerances.rank)
         steps.append(
@@ -433,9 +434,9 @@ def analyze_with_graphs(
             "marginal": lin.marginal and not all(strong.values()),
         }
 
-    vgs = v_graphs(spec, spectrum, tol.zero)
-    v_rows = _rows("V", spectrum, vgs, v_fill)
     wgs = w_graphs(spec, spectrum, tol.zero)
+    vgs = v_graphs(spec, spectrum, wgs, tol.zero)
+    v_rows = _rows("V", spectrum, vgs, v_fill)
     w_rows = _rows("W", spectrum, wgs, lambda G, comp: {"kl_connected": kl_flags(G)})
 
     # Both graph characterizations are checked against the whole
@@ -460,7 +461,7 @@ def analyze_with_graphs(
         if comp.is_real
     )
 
-    qgs, trace = q_graphs_and_index_sets(spec, spectrum, tol)
+    qgs, trace = q_graphs_and_index_sets(wgs, spectrum, tol)
     q_rows = _rows("Q", spectrum, qgs, q_fill)
     eigen = check_assumption_eigen(spectrum, tol.eig)
     closed = check_assumption_closed_structural(spec, tol.zero)

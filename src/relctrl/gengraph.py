@@ -544,8 +544,10 @@ def kl_connected_pairs(
     return ok
 
 
-def _column_graph(G: GenGraph, columns: np.ndarray) -> GenGraph:
-    """The graph of some of G's columns; they are edges of G already."""
+def column_graph(G: GenGraph, columns) -> GenGraph:
+    """G's columns at the given indices; G itself, memos and all, when that is every column."""
+    if np.array_equal(columns, np.arange(G.n_columns)):
+        return G
     M = G.M[:, columns]
     M.setflags(write=False)
     return GenGraph(q=G.q, blocksize=G.blocksize, M=M, is_real=G.is_real)
@@ -592,7 +594,7 @@ def lineality_generators(
     tau = tol_cone * (1.0 + norms[S]) / norms[S]
     marginal = False
     while S.size:
-        H = _column_graph(G, S)
+        H = column_graph(G, S)
         v = -(H.M / norms[S]).sum(axis=1)
         # The program runs through cone_member, but its verdict is taken
         # against the unit-column bound, not against tol_cone (1 + ||v||).
@@ -615,11 +617,7 @@ def lineality_generators(
             break
         marginal |= bool(np.any(drop & (push <= 10.0 * cut)))
         S, tau = S[~drop], tau[~drop]
-    memo = Lineality(
-        columns=tuple(int(i) for i in S),
-        graph=_column_graph(G, S),
-        marginal=marginal,
-    )
+    memo = Lineality(columns=tuple(S.tolist()), graph=column_graph(G, S), marginal=marginal)
     G._linealities[tol_cone] = memo
     return memo
 

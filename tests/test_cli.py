@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from jsonschema import validate as schema_validate
 
-from relctrl import DEFAULT_TOLERANCES, REPORT_SCHEMA, analyze, cross_check, example_names
+from relctrl import (
+    DEFAULT_TOLERANCES,
+    REPORT_SCHEMA,
+    ArraySpec,
+    analyze,
+    cross_check,
+    example_names,
+)
 from relctrl.array_model import require_valid
 from relctrl.cli import main
 from relctrl.specio import load_spec, save_spec
@@ -374,6 +381,22 @@ def test_analyze_dot_builds_each_graph_family_once(tmp_path, capsys, monkeypatch
     assert main(argv) == 0
     assert calls == dict.fromkeys(calls, 1)
     assert any((tmp_path / "dots").iterdir())
+
+
+def test_analyze_dot_skips_the_graphs_with_a_hyperedge(tmp_path, capsys):
+    # Input 2 touches three systems in state 1 only: the graphs at its
+    # eigenvalue (k = 1) hold a hyperedge and have no drawing; at k = 2 its
+    # column is zero, and every graph is drawn.
+    B = np.zeros((3, 2, 2))
+    B[0, 0], B[1, 0] = 1.0, -1.0
+    B[:, 1, 0] = [1.0, 1.0, -2.0]
+    spec = ArraySpec(n=2, q=3, p=2, A=np.diag([-1.0, -2.0]), B=B, name="hyper")
+    path = tmp_path / "hyper.json"
+    save_spec(spec, path)
+    assert main(["analyze", str(path), "--dot", str(tmp_path / "dots")]) == 0
+    names = sorted(p.name for p in (tmp_path / "dots").iterdir())
+    assert names == ["hyper_q_k2.dot", "hyper_v_k2.dot", "hyper_w_k2.dot"]
+    assert "controllable: NO" in capsys.readouterr().out
 
 
 def test_roundtrip_examples_reproduce_verdicts(tmp_path, capsys):

@@ -1,3 +1,8 @@
+import re
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -5,9 +10,11 @@ from scipy.linalg import block_diag
 import relctrl.controllability as controllability_module
 import relctrl.gengraph as gengraph_module
 from relctrl import ArraySpec, Tolerances, analyze, build_example, render_text
+from relctrl.cli import main
 from relctrl.controllability import (
     EIGEN_CAVEAT,
     MARGINAL_CAVEAT,
+    analyze_with_graphs,
     check_assumption_closed_structural,
     check_assumption_eigen,
     controllability_matrix,
@@ -15,16 +22,30 @@ from relctrl.controllability import (
     v_graphs,
     w_graphs,
 )
-from relctrl.errors import DimensionError, InvalidArrayError
+from relctrl.errors import DimensionError, InternalConsistencyError, InvalidArrayError
 from relctrl.gengraph import (
+    column_graph,
+    is_connected,
     kl_connected_pairs,
     lineality_generators,
     lineality_space,
     range_contains,
 )
+from relctrl.numutil import pair_difference
+from relctrl.specio import load_spec, save_spec
 from relctrl.spectral import distinct_eigenvalues
 
 from conftest import all_pairs, random_array_spec
+
+
+def _v_graphs(spec):
+    spectrum = distinct_eigenvalues(spec.A)
+    return v_graphs(spec, spectrum, w_graphs(spec, spectrum))
+
+
+def _q_graphs(spec):
+    spectrum = distinct_eigenvalues(spec.A)
+    return q_graphs_and_index_sets(w_graphs(spec, spectrum), spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -68,28 +89,22 @@ def test_controllability_matrix_matches_stacked_operator():
 
 
 def test_v_graph_watertanks_is_input_matrix(watertanks):
-    spectrum = distinct_eigenvalues(watertanks.A)
-    (G,) = v_graphs(watertanks, spectrum)
+    (G,) = _v_graphs(watertanks)
     np.testing.assert_array_equal(G.M, watertanks.incidence)
 
 
 def test_v_graphs_oscillators_scalar_edges(oscillators_a, oscillators_b):
     from relctrl.gengraph import detect_scalar_edges
 
-    spectrum = distinct_eigenvalues(oscillators_a.A)
-    counts_a = [len(detect_scalar_edges(G)) for G in v_graphs(oscillators_a, spectrum)]
+    counts_a = [len(detect_scalar_edges(G)) for G in _v_graphs(oscillators_a)]
     assert counts_a == [3, 3, 2, 2, 2, 2, 2, 2, 3, 3]
-    spectrum_b = distinct_eigenvalues(oscillators_b.A)
-    counts_b = [len(detect_scalar_edges(G)) for G in v_graphs(oscillators_b, spectrum_b)]
+    counts_b = [len(detect_scalar_edges(G)) for G in _v_graphs(oscillators_b)]
     assert counts_b == [3, 3, 2, 2, 1, 1, 2, 2, 3, 3]
 
 
 def test_v_graph_oscillator_b_disconnected_at_middle_pair(oscillators_b):
-    from relctrl.gengraph import is_connected
-
-    spectrum = distinct_eigenvalues(oscillators_b.A)
-    connected = [is_connected(G) for G in v_graphs(oscillators_b, spectrum)]
-    mus = [c.mu for c in spectrum.components]
+    connected = [is_connected(G) for G in _v_graphs(oscillators_b)]
+    mus = [c.mu for c in distinct_eigenvalues(oscillators_b.A).components]
     for flag, mu in zip(connected, mus):
         expected = abs(abs(mu.imag) - np.sqrt(0.5)) > 1e-9
         assert flag == expected
@@ -106,7 +121,7 @@ def test_oscillator_b_disconnected_cell_renders_with_missing_vertex(oscillators_
         for i, c in enumerate(spectrum.components)
         if abs(c.mu.imag - np.sqrt(0.5)) <= 1e-9
     )
-    G = v_graphs(oscillators_b, spectrum)[kappa]
+    G = _v_graphs(oscillators_b)[kappa]
     text = to_dot(G)
     arcs = [line for line in text.splitlines() if "->" in line]
     assert len(arcs) == 1
@@ -151,8 +166,7 @@ def test_zero_input_not_controllable():
 
 def test_counterexample_pairwise(counterexample):
     assert not analyze(counterexample, [(2, 3)]).pairwise[2, 3]
-    spectrum = distinct_eigenvalues(counterexample.A)
-    (vg,) = v_graphs(counterexample, spectrum)
+    (vg,) = _v_graphs(counterexample)
     assert kl_connected_pairs(vg, [(2, 3)]) == [True]
 
 
@@ -241,37 +255,41 @@ def test_analyze_svd_count_does_not_grow_with_pairs(monkeypatch):
 )
 def test_analyze_range_contains_count_does_not_grow_with_pairs(A, monkeypatch):
     # Every requested pair of a graph is read off its range complement in
-    # one array operation, plain pairs and (at the real eigenvalue)
-    # strong pairs alike; range_contains answers only the connectivity
-    # questions, one per graph.
+    # one array operation, plain pairs and (at the real eigenvalue) strong
+    # pairs alike, so each complement is factored once, however many pairs
+    # are asked about.  The last input touches three systems, which keeps
+    # every graph and the W check off the edge route; the factorizations
+    # are the misses of the graphs' complement memos.
     rng = np.random.default_rng(5)
     q, p, n = 12, 18, len(A)
-    B = np.zeros((q, p, n))
+    B = np.zeros((q, p + 1, n))
     for s in range(p):
         i, j = rng.choice(q, size=2, replace=False)
         B[i, s] = rng.standard_normal(n)
         B[j, s] = -B[i, s]
-    spec = ArraySpec(n=n, q=q, p=p, A=A, B=B)
-    range_contains = gengraph_module.range_contains
-    calls = []
+    B[:3, p] = np.outer([1.0, 1.0, -2.0], rng.standard_normal(n))
+    spec = ArraySpec(n=n, q=q, p=p + 1, A=A, B=B)
+    complement = gengraph_module._range_complement
+    misses = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return range_contains(*args, **kwargs)
+    def counting(G, tol_rank):
+        if tol_rank not in G._complements:
+            misses.append(1)
+        return complement(G, tol_rank)
 
-    monkeypatch.setattr(gengraph_module, "range_contains", counting)
+    monkeypatch.setattr(gengraph_module, "_range_complement", counting)
     counts = []
     for n_pairs in (2, 60):
-        calls.clear()
+        misses.clear()
         analyze(spec, pairs=all_pairs(q)[:n_pairs])
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        counts.append(len(misses))
+    assert 0 < counts[0] == counts[1]
 
 
 def test_analyze_nnls_count_is_one_per_real_graph(monkeypatch):
-    # Directed ring of 32 integrators: one real eigenvalue, so one V-graph
-    # and one Q-graph need cone answers.  Each is peeled once, however
-    # many pairs are asked about.
+    # Directed ring of 32 integrators: one real eigenvalue, simple, so its
+    # V and Q graphs are one graph, which needs cone answers.  It is peeled
+    # once, however many pairs are asked about.
     q = 32
     G = np.zeros((q, q))
     for s in range(q):
@@ -292,8 +310,85 @@ def test_analyze_nnls_count_is_one_per_real_graph(monkeypatch):
         assert report.positively_controllable
         assert all(v.yes for v in report.positive_pairwise.values())
         counts.append(len(calls))
-    real_graphs = 2 * sum(comp.is_real for comp in report.spectrum.components)
-    assert counts[0] == counts[1] <= real_graphs
+    real = sum(comp.is_real for comp in report.spectrum.components)
+    assert counts[0] == counts[1] <= real
+
+
+def test_one_graph_serves_v_w_and_q_at_every_simple_eigenvalue():
+    damped = load_spec(Path(__file__).resolve().parent / "golden" / "damped-q12-n6-spec.json")
+    for spec, tolerances in ((build_example("watertanks-ring"), None), damped):
+        report, graphs = analyze_with_graphs(spec, (), tolerances)
+        assert all(comp.alg_mult == 1 for comp in report.spectrum.components)
+        for V, W, Q in zip(graphs["V"], graphs["W"], graphs["Q"]):
+            assert V is W is Q
+
+
+EXAMPLE_GRAPH_BUILDS = {
+    "watertanks": 1,
+    "watertanks-ring": 1,
+    "oscillators-a": 11,
+    "oscillators-b": 11,
+    "counterexample-23": 3,
+    "integrator-chain-ring": 2,
+}
+
+
+def test_analyze_builds_one_graph_per_eigenvalue(monkeypatch):
+    # One swept graph per eigenvalue, a V graph more at each repeated
+    # eigenvalue, and the whole W matrix where the edge-bundle rule
+    # declines (the oscillators, whose inputs all span one Krylov space,
+    # and the counterexample).
+    built, whole = [], []
+    make_graph = controllability_module.make_graph
+    matrix = controllability_module.controllability_matrix
+
+    def building(*args, **kwargs):
+        built.append(1)
+        return make_graph(*args, **kwargs)
+
+    def matrix_building(*args, **kwargs):
+        whole.append(1)
+        return matrix(*args, **kwargs)
+
+    monkeypatch.setattr(controllability_module, "make_graph", building)
+    monkeypatch.setattr(controllability_module, "controllability_matrix", matrix_building)
+    counts = {}
+    for name in EXAMPLE_GRAPH_BUILDS:
+        built.clear()
+        whole.clear()
+        components = analyze(build_example(name), all_pairs(3)).spectrum.components
+        repeated = sum(comp.alg_mult > 1 for comp in components)
+        assert len(built) == len(components) + repeated + len(whole)
+        counts[name] = len(built)
+    assert counts == EXAMPLE_GRAPH_BUILDS
+
+
+@pytest.mark.parametrize("flip", ["connected", "pair"])
+def test_a_disagreeing_w_matrix_check_raises(flip, watertanks_ring, monkeypatch, tmp_path, capsys):
+    # The per-eigenvalue verdicts and the W check are provably equal, so a
+    # disagreement raises, and relctrl analyze reports one numerical
+    # failure instead of a verdict.
+    verdict = controllability_module.w_matrix_verdict
+
+    def flipped(*args):
+        w = verdict(*args)
+        if flip == "connected":
+            return replace(w, connected=not w.connected)
+        return replace(w, kl_connected={**w.kl_connected, (1, 2): not w.kl_connected[1, 2]})
+
+    monkeypatch.setattr(controllability_module, "w_matrix_verdict", flipped)
+    message = {
+        "connected": "per-eigenvalue connectivity and controllability-matrix connectivity",
+        "pair": "per-eigenvalue and controllability-matrix (1, 2)-connectivity",
+    }[flip]
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        analyze(watertanks_ring, [(1, 2), (2, 3)])
+    path = tmp_path / "ring.json"
+    save_spec(watertanks_ring, path)
+    assert main(["analyze", str(path), "--pair", "1", "2", "--pair", "2", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"numerical failure: {message} disagree"]
 
 
 def test_index_recursion_keeps_inputs_inside_lineality():
@@ -308,7 +403,7 @@ def test_index_recursion_keeps_inputs_inside_lineality():
         ]
     )
     spec = ArraySpec.from_incidence([[0.0]], G)
-    _, trace = q_graphs_and_index_sets(spec, distinct_eigenvalues(spec.A))
+    _, trace = _q_graphs(spec)
     (step,) = trace
     assert step.index_set == (1, 2, 3, 4)
     assert step.removed == (4,)
@@ -335,7 +430,7 @@ def test_index_recursion_keeps_the_inputs_range_contains_keeps():
     kept = removed = blocks = 0
     for spec in specs:
         spectrum = distinct_eigenvalues(spec.A)
-        graphs, trace = q_graphs_and_index_sets(spec, spectrum)
+        graphs, trace = q_graphs_and_index_sets(w_graphs(spec, spectrum), spectrum)
         for G, step, comp in zip(graphs, trace, spectrum.components):
             if not comp.is_real:
                 continue
@@ -366,7 +461,7 @@ def test_pair_validation(watertanks):
 
 def test_w_graphs_scalar_components_are_scaled_v_graphs(oscillators_a):
     spectrum = distinct_eigenvalues(oscillators_a.A)
-    vgs = v_graphs(oscillators_a, spectrum)
+    vgs = v_graphs(oscillators_a, spectrum, w_graphs(oscillators_a, spectrum))
     wgs = w_graphs(oscillators_a, spectrum)
     for vg, wg in zip(vgs, wgs):
         assert wg.M.shape == vg.M.shape
@@ -399,9 +494,14 @@ def power_swept_reference(spec, comp, sweep, sigmas):
     return np.stack(cols, axis=1) if cols else np.zeros((spec.q * comp.alg_mult, 0))
 
 
-def test_power_swept_graph_matches_the_loop_reference(chain_ring, oscillators_a):
+def _swept_columns(nk, sigmas):
+    return [s * nk + r for s in sigmas for r in range(nk)]
+
+
+def test_w_graphs_match_the_loop_reference(chain_ring, oscillators_a):
     # A Jordan block of size 3 next to a damped rotation: real and
-    # non-real components, with nilpotent parts of order 3 and 1.
+    # non-real components, with nilpotent parts of order 3 and 1.  The
+    # columns of some inputs are the Q graph's (column_graph).
     rng = np.random.default_rng(3)
     A = block_diag([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]], [[-0.2, 1.0], [-1.0, -0.2]])
     B = np.zeros((4, 5, 5))
@@ -411,14 +511,116 @@ def test_power_swept_graph_matches_the_loop_reference(chain_ring, oscillators_a)
         B[j, s] = -B[i, s]
     jordan = ArraySpec(n=5, q=4, p=5, A=A, B=B)
     for spec in (chain_ring, oscillators_a, jordan):
-        for comp in distinct_eigenvalues(spec.A).components:
-            for sweep in (comp.A_k, comp.Lambda):
-                for sigmas in (list(range(spec.p)), [spec.p - 1, 0], []):
-                    got = controllability_module._power_swept_graph(spec, comp, sweep, sigmas, 1e-9)
-                    want = power_swept_reference(spec, comp, sweep, sigmas)
-                    assert got.M.shape == want.shape
-                    scale = 1.0 + float(np.abs(want).max(initial=0.0))
-                    np.testing.assert_allclose(got.M, want, rtol=0, atol=1e-13 * scale)
+        spectrum = distinct_eigenvalues(spec.A)
+        for comp, W in zip(spectrum.components, w_graphs(spec, spectrum, 1e-9)):
+            for sigmas in (list(range(spec.p)), [spec.p - 1, 0], []):
+                got = column_graph(W, _swept_columns(comp.alg_mult, sigmas))
+                want = power_swept_reference(spec, comp, comp.Lambda, sigmas)
+                assert got.M.shape == want.shape
+                scale = 1.0 + float(np.abs(want).max(initial=0.0))
+                np.testing.assert_allclose(got.M, want, rtol=0, atol=1e-13 * scale)
+
+
+def _jordan_beside_rotation(rng) -> ArraySpec:
+    # A Jordan block of size 2-4 at a real mu != 0, where A_k and Lambda
+    # differ, beside a damped rotation; sparse edge inputs, so that some
+    # graphs are disconnected.
+    m = int(rng.integers(2, 5))
+    mu = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0))
+    a, w = rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0)
+    A = block_diag(mu * np.eye(m) + np.eye(m, k=1), [[a, w], [-w, a]])
+    n, q, p = m + 2, int(rng.integers(3, 7)), int(rng.integers(1, 6))
+    B = np.zeros((q, p, n))
+    for s in range(p):
+        i, j = rng.choice(q, size=2, replace=False)
+        B[i, s] = rng.standard_normal(n) * (rng.random(n) < 0.6)
+        B[j, s] = -B[i, s]
+    return ArraySpec(n=n, q=q, p=p, A=A, B=B, name="jordan-rotation")
+
+
+def _w_verdicts(G, pairs):
+    return is_connected(G), kl_connected_pairs(G, pairs)
+
+
+def _restriction_swept_verdicts(spec, comp, pairs):
+    """The verdicts of the graph swept by A_k instead of Lambda."""
+    M = power_swept_reference(spec, comp, comp.A_k, range(spec.p))
+    return _w_verdicts(gengraph_module.make_graph(spec.q, comp.alg_mult, M), pairs)
+
+
+def _exact_rank(M) -> int:
+    rows = [[Fraction(float(x)) for x in row] for row in M]
+    rank = 0
+    for c in range(M.shape[1]):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] / rows[rank][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _exact_jordan_verdicts(spec, m, pairs):
+    """The verdicts at the Jordan block of ``_jordan_beside_rotation``, exactly.
+
+    Its generalized eigenspace is spanned by the first m states, where the
+    restriction is mu I + N, N the upper shift.  So the graph's columns are
+    N^r applied to the first m entries of each input block: the float
+    entries themselves, ranked in rational arithmetic.
+    """
+    N = np.eye(m, k=1)
+    M = np.stack(
+        [
+            (spec.B[:, s, :m] @ np.linalg.matrix_power(N, r).T).ravel()
+            for s in range(spec.p)
+            for r in range(m)
+        ],
+        axis=1,
+    )
+    rank = _exact_rank(M)
+    targets = [np.kron(pair_difference(spec.q, k, l)[:, None], np.eye(m)) for k, l in pairs]
+    return rank == (spec.q - 1) * m, [_exact_rank(np.hstack([M, T])) == rank for T in targets]
+
+
+def test_w_verdicts_do_not_depend_on_the_sweep_at_jordan_blocks():
+    # Lambda = A_k - conj(mu) I sweeps the same Krylov subspaces as A_k,
+    # so every W verdict must be the same, at mu != 0 too.  Where they
+    # differ, the powers of A_k, all close to mu^r b, have left a direction
+    # within reach of the rank cutoff, and exact arithmetic sides with
+    # Lambda.
+    rng = np.random.default_rng(20261018)
+    connected, differ = [], 0
+    for _ in range(200):
+        spec = _jordan_beside_rotation(rng)
+        spectrum = distinct_eigenvalues(spec.A)
+        pairs = all_pairs(spec.q)
+        for comp, W in zip(spectrum.components, w_graphs(spec, spectrum)):
+            verdicts = _w_verdicts(W, pairs)
+            connected.append(verdicts[0])
+            if verdicts != _restriction_swept_verdicts(spec, comp, pairs):
+                assert comp.alg_mult > 1
+                assert verdicts == _exact_jordan_verdicts(spec, comp.alg_mult, pairs)
+                differ += 1
+    assert len(connected) == 600 and 0 < sum(connected) < 600
+    assert differ <= 2
+
+
+def test_w_verdicts_do_not_depend_on_the_sweep_on_the_edge_route_corpus():
+    from test_edge_route import _corpus
+
+    connected = []
+    for spec in _corpus():
+        spectrum = distinct_eigenvalues(spec.A)
+        pairs = all_pairs(spec.q)
+        for comp, W in zip(spectrum.components, w_graphs(spec, spectrum)):
+            verdicts = _w_verdicts(W, pairs)
+            assert verdicts == _restriction_swept_verdicts(spec, comp, pairs)
+            connected.append(verdicts[0])
+    assert 0 < sum(connected) < len(connected)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +628,7 @@ def test_power_swept_graph_matches_the_loop_reference(chain_ring, oscillators_a)
 
 
 def test_index_recursion_watertanks(watertanks):
-    spectrum = distinct_eigenvalues(watertanks.A)
-    _, trace = q_graphs_and_index_sets(watertanks, spectrum)
+    _, trace = _q_graphs(watertanks)
     (step,) = trace
     assert step.index_set == (1, 2)
     assert step.removed == (1, 2)
@@ -435,8 +636,7 @@ def test_index_recursion_watertanks(watertanks):
 
 
 def test_index_recursion_ring(watertanks_ring):
-    spectrum = distinct_eigenvalues(watertanks_ring.A)
-    _, trace = q_graphs_and_index_sets(watertanks_ring, spectrum)
+    _, trace = _q_graphs(watertanks_ring)
     (step,) = trace
     assert step.index_set == (1, 2, 3)
     assert step.removed == ()
@@ -444,8 +644,7 @@ def test_index_recursion_ring(watertanks_ring):
 
 
 def test_index_recursion_oscillators(oscillators_a):
-    spectrum = distinct_eigenvalues(oscillators_a.A)
-    _, trace = q_graphs_and_index_sets(oscillators_a, spectrum)
+    _, trace = _q_graphs(oscillators_a)
     for step in trace:
         assert step.index_set == (1, 2, 3)
         assert step.removed == ()
@@ -456,8 +655,7 @@ def test_index_recursion_monotone_on_random_specs():
     rng = np.random.default_rng(21)
     for _ in range(40):
         spec = random_array_spec(rng)
-        spectrum = distinct_eigenvalues(spec.A)
-        _, trace = q_graphs_and_index_sets(spec, spectrum)
+        _, trace = _q_graphs(spec)
         previous = None
         for step in trace:
             if previous is not None:
@@ -513,6 +711,15 @@ def test_report_flags_a_marginal_cone_test():
     assert MARGINAL_CAVEAT in report.caveats
     assert any(row.marginal for row in report.rows("V"))
     assert MARGINAL_CAVEAT not in analyze(build_example("watertanks")).caveats
+
+
+def test_render_text_stars_a_marginal_q_row():
+    # The watertanks graph is its own Q graph, so the marginal peel of its
+    # V row reaches the Q row, whose strong (1,2) flag is negative.
+    for tolerances, flag in ((Tolerances(cone=0.03), "NO*"), (None, "NO")):
+        report = analyze(build_example("watertanks"), [(1, 2)], tolerances)
+        (line,) = [line for line in render_text(report).splitlines() if line.startswith("  1 ")]
+        assert line.split()[-1] == flag
 
 
 def test_closed_structural_watertanks(watertanks):

@@ -24,7 +24,14 @@ The corpus is fixed, so the script takes no options:
                       ``analyze_with_graphs`` returns for the six
                       examples and the damped spec, in family (V, W, Q)
                       and eigenvalue order, as ``relctrl analyze --dot``
-                      draws them.
+                      draws them;
+    tolerances        ``render_json`` with every ordered pair and ``to_dot``
+                      of every drawable graph, for the six examples, the
+                      damped spec and an array of two inputs 1e-6 apart
+                      in direction, each under two fixed ``Tolerances``
+                      (one with every entry moved off its default, one
+                      with rank 1e-3 alone), so that a tolerance that
+                      stops reaching a code path shows.
 
 An analysis that raises contributes its error type and message instead
 of a report.  The whole run takes a few seconds.
@@ -42,7 +49,15 @@ from pathlib import Path
 
 import numpy as np
 
-from relctrl import analyze, analyze_with_graphs, build_example, example_names, render_json
+from relctrl import (
+    ArraySpec,
+    Tolerances,
+    analyze,
+    analyze_with_graphs,
+    build_example,
+    example_names,
+    render_json,
+)
 from relctrl.cli import main as relctrl_main
 from relctrl.corpus import random_array_spec
 from relctrl.errors import AnalysisError, UnsupportedRenderError
@@ -50,17 +65,43 @@ from relctrl.gengraph import to_dot
 from relctrl.specio import load_spec, save_spec
 
 DAMPED = Path(__file__).resolve().parents[1] / "tests" / "golden" / "damped-q12-n6-spec.json"
+TOLERANCE_SETS = (Tolerances(rank=1e-7, cone=1e-6, eig=1e-9, zero=1e-8), Tolerances(rank=1e-3))
 
 
 def _all_pairs(q):
     return [(k, l) for k in range(1, q + 1) for l in range(1, q + 1) if k != l]
 
 
+def _leaning_inputs():
+    # Inputs e1 - e2 and e1 - e2 + 1e-6 (1, 1, -2): controllable at rank
+    # tolerance 1e-9, not at 1e-3.
+    e = np.array([1.0, -1.0, 0.0])
+    G = np.column_stack([e, e + 1e-6 * np.array([1.0, 1.0, -2.0])])
+    return ArraySpec.from_incidence([[0.0]], G, name="leaning-inputs")
+
+
+def _error_bytes(exc) -> bytes:
+    return f"error: {type(exc).__name__}: {exc}\n".encode()
+
+
 def _report_bytes(spec, pairs, tolerances=None) -> bytes:
     try:
         return render_json(analyze(spec, pairs, tolerances)).encode()
     except AnalysisError as exc:
-        return f"error: {type(exc).__name__}: {exc}\n".encode()
+        return _error_bytes(exc)
+
+
+def _drawing_bytes(report, graphs) -> bytes:
+    """``to_dot`` of every graph, family and eigenvalue order; ``hyperedge`` if not drawable."""
+    out = []
+    for kind, family in graphs.items():
+        for kappa, G in enumerate(family, start=1):
+            try:
+                text = to_dot(G)
+            except UnsupportedRenderError:
+                text = "hyperedge\n"
+            out.append(f"{report.name} {kind} k{kappa}\n{text}")
+    return "".join(out).encode()
 
 
 def _digest_reports(label, cases) -> None:
@@ -91,15 +132,22 @@ def _digest_oracles() -> None:
 def _digest_drawings(cases) -> None:
     digest = hashlib.sha1()
     for spec, tolerances in cases:
-        report, graphs = analyze_with_graphs(spec, (), tolerances)
-        for kind, family in graphs.items():
-            for kappa, G in enumerate(family, start=1):
-                try:
-                    text = to_dot(G, tol_zero=report.tolerances.zero)
-                except UnsupportedRenderError:
-                    text = "hyperedge\n"
-                digest.update(f"{spec.name} {kind} k{kappa}\n{text}".encode())
+        digest.update(_drawing_bytes(*analyze_with_graphs(spec, (), tolerances)))
     print(f"{digest.hexdigest()}  dot")
+
+
+def _digest_tolerances(specs) -> None:
+    digest = hashlib.sha1()
+    for tolerances in TOLERANCE_SETS:
+        for spec in specs:
+            try:
+                report, graphs = analyze_with_graphs(spec, _all_pairs(spec.q), tolerances)
+            except AnalysisError as exc:
+                digest.update(_error_bytes(exc))
+                continue
+            digest.update(render_json(report).encode())
+            digest.update(_drawing_bytes(report, graphs))
+    print(f"{digest.hexdigest()}  tolerances")
 
 
 def main() -> int:
@@ -110,6 +158,7 @@ def main() -> int:
     _digest_reports("random-600", [(random_array_spec(rng), None) for _ in range(600)])
     _digest_oracles()
     _digest_drawings(examples + [load_spec(DAMPED)])
+    _digest_tolerances([spec for spec, _ in examples] + [load_spec(DAMPED)[0], _leaning_inputs()])
     return 0
 
 

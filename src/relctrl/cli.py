@@ -123,7 +123,7 @@ def _write_dot_files(report, graphs, directory: Path) -> None:
     for kind, family in graphs.items():
         for kappa, G in enumerate(family, start=1):
             try:
-                text = to_dot(G, tol_zero=report.tolerances.zero)
+                text = to_dot(G)
             except UnsupportedRenderError:
                 continue   # a hyperedge column has no drawing
             (directory / f"{stem}_{kind.lower()}_k{kappa}.dot").write_text(text)

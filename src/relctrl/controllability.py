@@ -71,8 +71,8 @@ def _krylov(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.stack(powers)
 
 
-def controllability_matrix(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero) -> GenGraph:
-    """Stacked controllability matrix [B, AB, ..., A^(n-1) B] as a graph.
+def controllability_matrix(spec: ArraySpec, tol: Tolerances = DEFAULT_TOLERANCES) -> GenGraph:
+    """Stacked controllability matrix [B, AB, ..., A^(n-1) B] as a graph under tol.
 
     The stacked dynamics are I_q ⊗ A, so each power is applied to the
     (q, p, n) input blocks directly.  They satisfy the degree-n
@@ -81,7 +81,7 @@ def controllability_matrix(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES
     """
     # (power, q, p, n) -> rows (system, state), columns (power, input)
     W = _krylov(spec.A, spec.B).transpose(1, 3, 0, 2).reshape(spec.q * spec.n, spec.n * spec.p)
-    return make_graph(spec.q, spec.n, W, tol_zero)
+    return make_graph(spec.q, spec.n, W, tol)
 
 
 def _component_blocks(spec: ArraySpec, basis: np.ndarray) -> np.ndarray:
@@ -90,13 +90,13 @@ def _component_blocks(spec: ArraySpec, basis: np.ndarray) -> np.ndarray:
 
 
 def w_graphs(
-    spec: ArraySpec, spectrum: Spectrum, tol_zero: float = DEFAULT_TOLERANCES.zero
+    spec: ArraySpec, spectrum: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> list[GenGraph]:
     """One swept graph per distinct eigenvalue: columns (I_q ⊗ Lambda^r) U* b_s.
 
-    Input-major, r < alg_mult.  As A_k = Lambda + conj(mu) I, a sweep by
-    A_k spans the same Krylov subspaces, and the W rows ask range
-    questions only.
+    Input-major, r < alg_mult, each graph under tol.  As
+    A_k = Lambda + conj(mu) I, a sweep by A_k spans the same Krylov
+    subspaces, and the W rows ask range questions only.
     """
     graphs = []
     for comp in spectrum.components:
@@ -106,17 +106,12 @@ def w_graphs(
             powers.append(powers[-1] @ comp.Lambda)
         # Entry (system i, row a), column (input s, power r): (Lambda^r U* b_s,i)_a.
         M = np.einsum("qcs,rac->qasr", _component_blocks(spec, comp.U), np.stack(powers))
-        graphs.append(make_graph(spec.q, nk, M.reshape(spec.q * nk, -1), tol_zero))
+        graphs.append(make_graph(spec.q, nk, M.reshape(spec.q * nk, -1), tol))
     return graphs
 
 
-def v_graphs(
-    spec: ArraySpec,
-    spectrum: Spectrum,
-    swept: list[GenGraph],
-    tol_zero: float = DEFAULT_TOLERANCES.zero,
-) -> list[GenGraph]:
-    """One eigenvector-component graph per distinct eigenvalue.
+def v_graphs(spec: ArraySpec, spectrum: Spectrum, swept: list[GenGraph]) -> list[GenGraph]:
+    """One eigenvector-component graph per distinct eigenvalue, under swept's tolerances.
 
     At a simple eigenvalue U is V and there is one power: the graph is the swept one.
     """
@@ -124,7 +119,7 @@ def v_graphs(
     for comp, G in zip(spectrum.components, swept):
         if comp.alg_mult > 1:
             M = _component_blocks(spec, comp.V).reshape(spec.q * comp.geo_mult, spec.p)
-            G = make_graph(spec.q, comp.geo_mult, M, tol_zero)
+            G = make_graph(spec.q, comp.geo_mult, M, G.tol)
         graphs.append(G)
     return graphs
 
@@ -141,9 +136,7 @@ class IndexStep:
 
 
 def q_graphs_and_index_sets(
-    swept: list[GenGraph],
-    spectrum: Spectrum,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    swept: list[GenGraph], spectrum: Spectrum
 ) -> tuple[list[GenGraph], tuple[IndexStep, ...]]:
     """The swept graphs over the shrinking input index sets.
 
@@ -152,7 +145,8 @@ def q_graphs_and_index_sets(
     cone; non-real eigenvalues discard nothing.  An input stays when its
     block of swept columns lies in the range of the cone's lineality
     generators, by the rule of ``blocks_in_range``.  Each graph is the
-    swept graph's columns for the inputs active at its eigenvalue.
+    swept graph's columns for the inputs active at its eigenvalue, under
+    its tolerances.
     """
     graphs: list[GenGraph] = []
     steps: list[IndexStep] = []
@@ -166,11 +160,10 @@ def q_graphs_and_index_sets(
             # In exact arithmetic a column lies in the lineality space
             # exactly when it is a generator.  The range rule also keeps
             # zero columns, which the peel never lists, and columns within
-            # tol_rank of the space that tol_cone rejects.
-            lin = lineality_generators(G, tolerances.cone).graph
-            kept = blocks_in_range(lin, G.M, nk, tolerances.rank)
+            # tol.rank of the space that tol.cone rejects.
+            kept = blocks_in_range(lineality_generators(G).graph, G.M, nk)
             removed = [s for s, ok in zip(active, kept) if not ok]
-            dim = lineality_dim(G, tolerances.cone, tolerances.rank)
+            dim = lineality_dim(G)
         steps.append(
             IndexStep(
                 kappa=kappa + 1,
@@ -305,10 +298,9 @@ def w_matrix_verdict(
             connected=not labels.any(),
             kl_connected={(k, l): bool(labels[k - 1] == labels[l - 1]) for k, l in pairs},
         )
-    W = controllability_matrix(spec, tol.zero)
+    W = controllability_matrix(spec, tol)
     return WMatrixVerdict(
-        connected=is_connected(W, tol.rank),
-        kl_connected=dict(zip(pairs, kl_connected_pairs(W, pairs, tol.rank))),
+        connected=is_connected(W), kl_connected=dict(zip(pairs, kl_connected_pairs(W, pairs)))
     )
 
 
@@ -414,12 +406,12 @@ def analyze_with_graphs(
     pairlist = _normalize_pairs(spec, pairs)
 
     def kl_flags(G):
-        return dict(zip(pairlist, kl_connected_pairs(G, pairlist, tol.rank)))
+        return dict(zip(pairlist, kl_connected_pairs(G, pairlist)))
 
     def v_fill(G, comp):
-        flags = {"connected": is_connected(G, tol.rank), "kl_connected": kl_flags(G)}
+        flags = {"connected": is_connected(G), "kl_connected": kl_flags(G)}
         if comp.is_real:
-            ok, marginal = cone_contains_subspace(G, None, tol.cone, tol.rank)
+            ok, marginal = cone_contains_subspace(G)
             flags.update(strongly_connected=ok, marginal=marginal)
         return flags
 
@@ -427,15 +419,15 @@ def analyze_with_graphs(
         if not comp.is_real:
             return {"kl_connected": kl_flags(G)}
         # The rule of cone_contains_subspace, for every pair at once.
-        lin = lineality_generators(G, tol.cone)
+        lin = lineality_generators(G)
         strong = kl_flags(lin.graph)
         return {
             "strongly_kl_connected": strong,
             "marginal": lin.marginal and not all(strong.values()),
         }
 
-    wgs = w_graphs(spec, spectrum, tol.zero)
-    vgs = v_graphs(spec, spectrum, wgs, tol.zero)
+    wgs = w_graphs(spec, spectrum, tol)
+    vgs = v_graphs(spec, spectrum, wgs)
     v_rows = _rows("V", spectrum, vgs, v_fill)
     w_rows = _rows("W", spectrum, wgs, lambda G, comp: {"kl_connected": kl_flags(G)})
 
@@ -461,7 +453,7 @@ def analyze_with_graphs(
         if comp.is_real
     )
 
-    qgs, trace = q_graphs_and_index_sets(wgs, spectrum, tol)
+    qgs, trace = q_graphs_and_index_sets(wgs, spectrum)
     q_rows = _rows("Q", spectrum, qgs, q_fill)
     eigen = check_assumption_eigen(spectrum, tol.eig)
     closed = check_assumption_closed_structural(spec, tol.zero)

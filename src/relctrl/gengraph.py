@@ -11,13 +11,15 @@ strong (one-way) counterparts to cone inclusions:
     strongly connected     cone(M) contains all disagreement directions
     strongly (k,l)-conn.   cone(M) contains range((e_k - e_l) ⊗ I_n)
 
-Every range question has one rule, ``blocks_in_range``.  The first
-range query on a graph factors its column-equilibrated matrix once and
-keeps an orthonormal basis N of the complement of its numerical range
-(the left singular vectors beyond the cutoff ``tol_rank * smax``).  A
+A graph carries the ``Tolerances`` it was built under (``G.tol``), and
+every predicate below judges it by them.  Every range question has one
+rule, ``blocks_in_range``.  The first range query on a graph factors its
+column-equilibrated matrix once and keeps an orthonormal basis N of the
+complement of its numerical range (the left singular vectors beyond the
+cutoff ``tol.rank * smax``).  A
 target, cut into column blocks, is equilibrated block by block and
 projected onto N; a block lies in the range when its residual has
-spectral norm at most ``tol_rank * max(smax, 1)``.  ``range_contains`` is
+spectral norm at most ``tol.rank * max(smax, 1)``.  ``range_contains`` is
 the one-block case and always takes this SVD route.  A vertex pair needs
 not even the product: its residual is the difference of column blocks k
 and l of N*, so ``kl_connected_pairs`` answers every requested pair of a
@@ -29,7 +31,7 @@ cut of ``equilibrated`` is exactly (e_i - e_j) ⊗ w, at any blocksize,
 and the columns of each vertex pair pass the one edge-bundle rule,
 ``edge_components``, which carries the proof that the SVD rule then
 gives the component verdicts.  The components come from one union–find
-per graph and tolerance (``_edge_labels``).  Connectivity is then one
+per graph (``_edge_labels``).  Connectivity is then one
 component, (k,l)-connectivity a shared label, a block of edge columns
 lies in the range when the ends of each kept column share a label, and
 the range has dimension blocksize times (q minus the number of
@@ -46,7 +48,7 @@ subspace inside it) contains L, because L = -L.  The lineality space of
 cone(M) is spanned by its generators, the columns g_i with -g_i in
 cone(M).  ``lineality_generators`` finds them for a real graph with a few
 nonnegative least-squares programs (a peel, described there) and keeps
-them on the graph per cone tolerance, as a graph of their own; strong
+them on the graph, as a graph of their own; strong
 connectivity, every strongly (k,l)-connected pair, the inputs the
 index recursion keeps and the lineality space then reduce to range
 questions against that generator graph, whose range complement is in
@@ -70,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     DimensionError,
     GraphDomainError,
@@ -84,25 +86,19 @@ from .numutil import check_pair, component_labels, edge_ends, equilibrated, null
 class GenGraph:
     """A (q*blocksize) x c matrix whose columns are generalized edges.
 
-    The matrix is never modified after construction, which lets
-    range_contains keep its range complement per rank tolerance, the edge
-    route its component labels per rank tolerance and
-    lineality_generators its generators per cone tolerance.
+    tol holds the tolerances every predicate judges the graph by.  Neither
+    the matrix nor tol changes after construction, which lets the graph
+    keep, once per graph, its range complement (``_range_complement``),
+    its edge-route component labels (``_edge_labels``) and its lineality
+    generators (``lineality_generators``) in _memo, keyed by those names.
     """
 
     q: int
     blocksize: int
     M: np.ndarray
     is_real: bool
-    _complements: dict[float, tuple[np.ndarray, float]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    _edges: dict[float, np.ndarray | None] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    _linealities: dict[float, "Lineality"] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    tol: Tolerances
+    _memo: dict[str, object] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_columns(self) -> int:
@@ -146,13 +142,13 @@ def make_graph(
     q: int,
     blocksize: int,
     M: np.ndarray,
-    tol_zero: float = DEFAULT_TOLERANCES.zero,
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> GenGraph:
-    """Wrap a matrix as a generalized graph, checking the class membership.
+    """Wrap a matrix as a generalized graph, judged under tol.
 
-    Every column must have (numerically) zero block sum; otherwise it is
-    not orthogonal to the synchronization directions and the connectivity
-    predicates below would be meaningless.
+    Every column must have zero block sum, within tol.zero; otherwise it
+    is not orthogonal to the synchronization directions and the
+    connectivity predicates below would be meaningless.
     """
     M = np.atleast_2d(np.asarray(M))
     if M.shape[0] != q * blocksize:
@@ -165,15 +161,15 @@ def make_graph(
         blocksums = M.reshape(q, blocksize, -1).sum(axis=0)   # (blocksize, c)
         sums = np.linalg.norm(blocksums, axis=0)
         colnorms = np.linalg.norm(M, axis=0)
-        worst = np.argmax(sums - tol_zero * (1.0 + colnorms))
-        if sums[worst] > tol_zero * (1.0 + colnorms[worst]):
+        worst = np.argmax(sums - tol.zero * (1.0 + colnorms))
+        if sums[worst] > tol.zero * (1.0 + colnorms[worst]):
             raise GraphDomainError(
                 f"column {worst + 1} has block sum {sums[worst]:.3e}; "
                 "not a generalized-graph matrix"
             )
     M = M.view()
     M.setflags(write=False)
-    return GenGraph(q=q, blocksize=blocksize, M=M, is_real=not np.iscomplexobj(M))
+    return GenGraph(q=q, blocksize=blocksize, M=M, is_real=not np.iscomplexobj(M), tol=tol)
 
 
 # The constant of the optimality certificate of ``nnls``, relative to
@@ -301,15 +297,13 @@ def _bvls(U: np.ndarray, v: np.ndarray, kappa: float, max_iter: int) -> np.ndarr
     return x
 
 
-def cone_member(
-    G: GenGraph, v: np.ndarray, tol_cone: float = DEFAULT_TOLERANCES.cone
-) -> Feasibility:
-    """Decide membership of v in the cone spanned by the graph columns."""
+def cone_member(G: GenGraph, v: np.ndarray) -> Feasibility:
+    """Decide membership of v in the cone of the graph columns, within G.tol.cone (1 + ||v||)."""
     if not G.is_real:
         raise GraphDomainError("cone membership is defined for real graphs only")
     v = np.asarray(v, dtype=float).ravel()
     alpha, residual = nnls(G.M, v)
-    bound = tol_cone * (1.0 + float(np.linalg.norm(v)))
+    bound = G.tol.cone * (1.0 + float(np.linalg.norm(v)))
     member = residual <= bound
     return Feasibility(
         member=member,
@@ -319,27 +313,27 @@ def cone_member(
     )
 
 
-def _range_complement(G: GenGraph, tol_rank: float) -> tuple[np.ndarray, float]:
-    """(N*, smax) for the numerical range of G, computed once per tolerance.
+def _range_complement(G: GenGraph) -> tuple[np.ndarray, float]:
+    """(N*, smax) for the numerical range of G, computed once per graph.
 
     The columns are equilibrated with the drop rule of ``equilibrated``
     and factored by one SVD (full U when the matrix is tall, so that the
     directions beyond its column count are included).  N is the
     orthonormal basis of left singular vectors whose singular values do
-    not exceed ``tol_rank * smax``; its adjoint is kept, ready to project.
+    not exceed ``tol.rank * smax``; its adjoint is kept, ready to project.
     """
-    memo = G._complements.get(tol_rank)
+    memo = G._memo.get("complement")
     if memo is None:
-        Gn = equilibrated(G.M, tol_rank)
+        Gn = equilibrated(G.M, G.tol.rank)
         m, c = Gn.shape
         if c == 0:
             memo = (np.eye(m), 0.0)
         else:
             U, s, _ = np.linalg.svd(Gn, full_matrices=m > c)
             smax = float(s[0])
-            N = U[:, int(np.sum(s > tol_rank * smax)):]
+            N = U[:, int(np.sum(s > G.tol.rank * smax)):]
             memo = (N.conj().T, smax)
-        G._complements[tol_rank] = memo
+        G._memo["complement"] = memo
     return memo
 
 
@@ -396,16 +390,16 @@ def edge_components(
     return component_labels(q, zip(i[live].tolist(), j[live].tolist()))
 
 
-def _edge_labels(G: GenGraph, tol_rank: float) -> np.ndarray | None:
-    """``edge_components`` of G's columns, or None; once per tolerance.
+def _edge_labels(G: GenGraph) -> np.ndarray | None:
+    """``edge_components`` of G's columns, or None; once per graph.
 
     A column that is not an exact edge (``edge_ends``) is a loop.  At
     blocksize 1 each column is a bundle weighted by its norm, as a scalar
     weight's phase leaves the range alone; otherwise the columns are
     grouped by vertex pair, weighted by their block at i.
     """
-    if tol_rank in G._edges:
-        return G._edges[tol_rank]
+    if "edges" in G._memo:
+        return G._memo["edges"]
     q, b = G.q, G.blocksize
     i, j, edge, _ = edge_ends(G.M, b)
     j = np.where(edge, j, i)
@@ -424,12 +418,11 @@ def _edge_labels(G: GenGraph, tol_rank: float) -> np.ndarray | None:
         K = np.zeros((pairs.size, b, sizes.max(initial=0)), dtype=G.M.dtype)
         K[bundle, :, slot] = W
         i, j = np.divmod(pairs, q)
-    labels = edge_components(q, i, j, K, tol_rank)
-    G._edges[tol_rank] = labels
+    labels = G._memo["edges"] = edge_components(q, i, j, K, G.tol.rank)
     return labels
 
 
-def _block_cut(G: GenGraph, T: np.ndarray, width: int, tol_rank: float):
+def _block_cut(G: GenGraph, T: np.ndarray, width: int):
     """Column norms of T, one row per block, and the drop cut of each block."""
     if T.ndim != 2 or T.shape[0] != G.M.shape[0]:
         raise DimensionError(f"target has {T.shape[0]} rows, expected {G.M.shape[0]}")
@@ -437,23 +430,21 @@ def _block_cut(G: GenGraph, T: np.ndarray, width: int, tol_rank: float):
     if width < 1 or c % width:
         raise DimensionError(f"{c} target columns do not split into blocks of {width}")
     norms = np.linalg.norm(T, axis=0).reshape(c // width, width)
-    return norms, norms > tol_rank * norms.max(axis=1, initial=0.0)[:, None]
+    return norms, norms > G.tol.rank * norms.max(axis=1, initial=0.0)[:, None]
 
 
-def blocks_in_range(
-    G: GenGraph, T: np.ndarray, width: int, tol_rank: float = DEFAULT_TOLERANCES.rank
-) -> list[bool]:
+def blocks_in_range(G: GenGraph, T: np.ndarray, width: int) -> list[bool]:
     """Which consecutive width-column blocks of T lie in range(G).
 
     Block j is T[:, j*width : (j+1)*width].  Each block is equilibrated on
     its own, by the drop rule of ``equilibrated``: its columns are scaled
-    to unit norm and those below ``tol_rank`` times its largest column
+    to unit norm and those below ``G.tol.rank`` times its largest column
     norm are zeroed, so that columns spanning many magnitudes (powers of
     the dynamics) do not drown small directions, and noise is not
-    inflated into them.  The graph side is factored once per tolerance
+    inflated into them.  The graph side is factored once per graph
     (see ``_range_complement``); a block lies in the range when its
     equilibrated columns leave a spectral-norm residual of at most
-    ``tol_rank * max(smax, 1)`` outside it, smax being the largest
+    ``tol.rank * max(smax, 1)`` outside it, smax being the largest
     singular value of the equilibrated graph.  All blocks are judged in
     one stack.
 
@@ -463,29 +454,27 @@ def blocks_in_range(
     component (see ``edge_components``).
     """
     T = np.atleast_2d(np.asarray(T))
-    _, keep = _block_cut(G, T, width, tol_rank)
-    labels = _edge_labels(G, tol_rank)
+    _, keep = _block_cut(G, T, width)
+    labels = _edge_labels(G)
     if labels is not None:
         i, j, edge, zero = edge_ends(T, G.blocksize)
         if np.all(edge | zero):
             return np.all(~keep | (labels[i] == labels[j]).reshape(keep.shape), axis=1).tolist()
-    return _blocks_by_svd(G, T, width, tol_rank)
+    return _blocks_by_svd(G, T, width)
 
 
-def _blocks_by_svd(G: GenGraph, T: np.ndarray, width: int, tol_rank: float) -> list[bool]:
+def _blocks_by_svd(G: GenGraph, T: np.ndarray, width: int) -> list[bool]:
     """The SVD route of ``blocks_in_range``, on a target already 2-d."""
-    norms, keep = _block_cut(G, T, width, tol_rank)
+    norms, keep = _block_cut(G, T, width)
     m, c = T.shape
     count = c // width
     Tn = np.where(keep, T.reshape(m, count, width) / np.where(keep, norms, 1.0), 0.0)
-    Nh, smax = _range_complement(G, tol_rank)
+    Nh, smax = _range_complement(G)
     X = (Nh @ Tn.reshape(m, c)).reshape(Nh.shape[0], count, width).transpose(1, 0, 2)
-    return _within_bound(X, tol_rank * max(smax, 1.0)).tolist()
+    return _within_bound(X, G.tol.rank * max(smax, 1.0)).tolist()
 
 
-def range_contains(
-    G: GenGraph, T: np.ndarray, tol_rank: float = DEFAULT_TOLERANCES.rank
-) -> bool:
+def range_contains(G: GenGraph, T: np.ndarray) -> bool:
     """True when range(G) contains range(T): ``blocks_in_range`` on one block.
 
     It always takes the SVD route, on edge graphs too, so it is the
@@ -494,7 +483,7 @@ def range_contains(
     share the step it checks.
     """
     T = np.atleast_2d(np.asarray(T))
-    return all(_blocks_by_svd(G, T, max(1, T.shape[1]), tol_rank))
+    return all(_blocks_by_svd(G, T, max(1, T.shape[1])))
 
 
 def _within_bound(X: np.ndarray, bound: float) -> np.ndarray:
@@ -509,9 +498,7 @@ def _within_bound(X: np.ndarray, bound: float) -> np.ndarray:
     return ok
 
 
-def kl_connected_pairs(
-    G: GenGraph, pairs, tol_rank: float = DEFAULT_TOLERANCES.rank
-) -> list[bool]:
+def kl_connected_pairs(G: GenGraph, pairs) -> list[bool]:
     """(k,l)-connectivity of every requested 1-based pair, in one batch.
 
     Each verdict equals ``range_contains(G, (e_k - e_l) ⊗ I)``.  The
@@ -529,14 +516,14 @@ def kl_connected_pairs(
     if not pairs:
         return []
     k, l = (np.asarray(pairs) - 1).T
-    labels = _edge_labels(G, tol_rank)
+    labels = _edge_labels(G)
     if labels is not None:
         return (labels[k] == labels[l]).tolist()
-    Nh, smax = _range_complement(G, tol_rank)
+    Nh, smax = _range_complement(G)
     blocks = Nh.reshape(-1, G.q, G.blocksize)
     # Pairs per stack, so that one stack holds at most 2**18 entries.
     step = max(1, 2**18 // max(1, Nh.size // G.q))
-    bound = tol_rank * max(smax, 1.0)
+    bound = G.tol.rank * max(smax, 1.0)
     ok: list[bool] = []
     for i in range(0, len(pairs), step):
         X = (blocks[:, k[i : i + step]] - blocks[:, l[i : i + step]]) / np.sqrt(2.0)
@@ -545,24 +532,22 @@ def kl_connected_pairs(
 
 
 def column_graph(G: GenGraph, columns) -> GenGraph:
-    """G's columns at the given indices; G itself, memos and all, when that is every column."""
+    """G's columns at the given indices under G.tol; G itself, memos and all, if every column."""
     if np.array_equal(columns, np.arange(G.n_columns)):
         return G
     M = G.M[:, columns]
     M.setflags(write=False)
-    return GenGraph(q=G.q, blocksize=G.blocksize, M=M, is_real=G.is_real)
+    return GenGraph(q=G.q, blocksize=G.blocksize, M=M, is_real=G.is_real, tol=G.tol)
 
 
-def lineality_generators(
-    G: GenGraph, tol_cone: float = DEFAULT_TOLERANCES.cone
-) -> Lineality:
-    """The generators of the lineality space of cone(G), once per tolerance.
+def lineality_generators(G: GenGraph) -> Lineality:
+    """The generators of the lineality space of cone(G), once per graph.
 
     Column g_i is a generator when -g_i lies in cone(G), by the rule of
     ``cone_member``: its distance to the cone is at most
-    tol_cone (1 + ||g_i||).  Distances to a cone scale with the vector, so
+    tol.cone (1 + ||g_i||).  Distances to a cone scale with the vector, so
     for the unit-norm column u_i = g_i / ||g_i|| this reads
-    dist(-u_i, cone) <= tau_i = tol_cone (1 + ||g_i||) / ||g_i||, and
+    dist(-u_i, cone) <= tau_i = tol.cone (1 + ||g_i||) / ||g_i||, and
     every step of the peel applies the rule in that form.
 
     The peel keeps a set S of candidate columns, at first the nonzero
@@ -586,19 +571,19 @@ def lineality_generators(
     """
     if not G.is_real:
         raise GraphDomainError("lineality generators are defined for real graphs only")
-    memo = G._linealities.get(tol_cone)
+    memo = G._memo.get("lineality")
     if memo is not None:
         return memo
     norms = np.linalg.norm(G.M, axis=0)
     S = np.flatnonzero(norms > 0.0)
-    tau = tol_cone * (1.0 + norms[S]) / norms[S]
+    tau = G.tol.cone * (1.0 + norms[S]) / norms[S]
     marginal = False
     while S.size:
         H = column_graph(G, S)
         v = -(H.M / norms[S]).sum(axis=1)
         # The program runs through cone_member, but its verdict is taken
-        # against the unit-column bound, not against tol_cone (1 + ||v||).
-        feas = cone_member(H, v, tol_cone)
+        # against the unit-column bound, not against tol.cone (1 + ||v||).
+        feas = cone_member(H, v)
         bound = float(tau.min())
         if feas.residual <= bound:
             break
@@ -611,23 +596,19 @@ def lineality_generators(
         # answers only up to its own constant, so a push may still sit
         # below minus its cut when the residual is tiny.
         if not drop.any() or np.any(push < -cut):
-            rows = [cone_member(H, -g, tol_cone) for g in H.M.T]
+            rows = [cone_member(H, -g) for g in H.M.T]
             marginal |= any(f.marginal for f in rows)
             S = S[[f.member for f in rows]]
             break
         marginal |= bool(np.any(drop & (push <= 10.0 * cut)))
         S, tau = S[~drop], tau[~drop]
-    memo = Lineality(columns=tuple(S.tolist()), graph=column_graph(G, S), marginal=marginal)
-    G._linealities[tol_cone] = memo
+    memo = G._memo["lineality"] = Lineality(
+        columns=tuple(S.tolist()), graph=column_graph(G, S), marginal=marginal
+    )
     return memo
 
 
-def cone_contains_subspace(
-    G: GenGraph,
-    T: np.ndarray | None = None,
-    tol_cone: float = DEFAULT_TOLERANCES.cone,
-    tol_rank: float = DEFAULT_TOLERANCES.rank,
-) -> tuple[bool, bool]:
+def cone_contains_subspace(G: GenGraph, T: np.ndarray | None = None) -> tuple[bool, bool]:
     """Test cone(G) ⊇ range(T) as range(T) ⊆ span of the lineality generators.
 
     Returns (verdict, marginal).  The generators come from the graph's
@@ -639,64 +620,55 @@ def cone_contains_subspace(
     rejection: a generator set decided the other way could only have
     grown, and with it the verdict.
     """
-    lin = lineality_generators(G, tol_cone)
-    if T is None:
-        ok = is_connected(lin.graph, tol_rank)
-    else:
-        ok = range_contains(lin.graph, T, tol_rank)
+    lin = lineality_generators(G)
+    ok = is_connected(lin.graph) if T is None else range_contains(lin.graph, T)
     return ok, (not ok) and lin.marginal
 
 
-def _range_dim(G: GenGraph, tol_rank: float) -> int:
+def _range_dim(G: GenGraph) -> int:
     """The dimension of G's numerical range, from its one factorization.
 
     blocksize (q - #components) on the edge route, else the rows of G.M
     less those of the memoized range complement N*.
     """
-    labels = _edge_labels(G, tol_rank)
+    labels = _edge_labels(G)
     if labels is not None:
         return G.blocksize * (G.q - int(np.count_nonzero(labels == np.arange(G.q))))
-    return G.M.shape[0] - _range_complement(G, tol_rank)[0].shape[0]
+    return G.M.shape[0] - _range_complement(G)[0].shape[0]
 
 
-def is_connected(G: GenGraph, tol_rank: float = DEFAULT_TOLERANCES.rank) -> bool:
+def is_connected(G: GenGraph) -> bool:
     """range(G) contains every disagreement direction.
 
     G's columns lie in that space, so they span it exactly when their
     range has its dimension (q - 1) blocksize (``_range_dim``).
     """
-    return _range_dim(G, tol_rank) >= (G.q - 1) * G.blocksize
+    return _range_dim(G) >= (G.q - 1) * G.blocksize
 
 
-def lineality_space(
-    G: GenGraph,
-    tol_cone: float = DEFAULT_TOLERANCES.cone,
-    tol_rank: float = DEFAULT_TOLERANCES.rank,
-) -> np.ndarray:
+def lineality_space(G: GenGraph) -> np.ndarray:
     """Largest subspace contained in cone(G), as orthonormal columns.
 
     For a finitely generated cone this is the span of the lineality
-    generators (``lineality_generators``, one memoized peel per graph and
-    cone tolerance): the orthogonal complement of the generator graph's
+    generators (``lineality_generators``, one memoized peel per graph):
+    the orthogonal complement of the generator graph's
     memoized range complement, so that its dimension is the numerical
     rank by which ``blocks_in_range`` judges that span.
     """
-    Nh, _ = _range_complement(lineality_generators(G, tol_cone).graph, tol_rank)
+    Nh, _ = _range_complement(lineality_generators(G).graph)
     return null_basis(Nh)
 
 
-def lineality_dim(G: GenGraph, tol_cone: float, tol_rank: float) -> int:
+def lineality_dim(G: GenGraph) -> int:
     """The dimension of ``lineality_space``, without forming the basis.
 
     That basis completes the rows of the generator graph's range
     complement, so its dimension is the generator graph's ``_range_dim``.
     """
-    return _range_dim(lineality_generators(G, tol_cone).graph, tol_rank)
+    return _range_dim(lineality_generators(G).graph)
 
 
-def detect_scalar_edges(
-    G: GenGraph, tol_zero: float = DEFAULT_TOLERANCES.zero
-) -> list[tuple[int, int, np.ndarray]] | None:
+def detect_scalar_edges(G: GenGraph) -> list[tuple[int, int, np.ndarray]] | None:
     """Factor every nonzero column as (e_i - e_j) ⊗ w and list (i, j, w).
 
     Vertices are 1-based.  Zero columns carry no edge and are skipped so
@@ -704,10 +676,10 @@ def detect_scalar_edges(
     still render.  Returns None when some nonzero column touches more
     than two vertices or its two blocks are not negatives; such a column
     is a hyperedge and the graph has no drawing here.  Blocks are judged
-    by ``edge_ends`` at tol_zero: a block is zero, and two blocks are
-    negatives, within tol_zero * max(1, ||column||).
+    by ``edge_ends`` at G.tol.zero: a block is zero, and two blocks are
+    negatives, within tol.zero * max(1, ||column||).
     """
-    i, j, edge, zero = edge_ends(G.M, G.blocksize, tol_zero)
+    i, j, edge, zero = edge_ends(G.M, G.blocksize, G.tol.zero)
     if not np.all(edge | zero):
         return None
     blocks = G.M.reshape(G.q, G.blocksize, -1)
@@ -740,30 +712,22 @@ def _fmt_weight(w: np.ndarray) -> str:
     return "(" + ", ".join(one(x) for x in w) + ")"
 
 
-def to_dot(
-    G: GenGraph,
-    labels: list[str] | None = None,
-    tol_zero: float = DEFAULT_TOLERANCES.zero,
-) -> str:
+def to_dot(G: GenGraph) -> str:
     """Render a scalar-edge graph as Graphviz digraph text.
 
-    One arc per edge that ``detect_scalar_edges`` finds at tol_zero,
-    weights annotated to 4 significant digits; output is byte-stable for
-    identical inputs.
+    Vertices are 1..q, one arc per edge that ``detect_scalar_edges``
+    finds, weights annotated to 4 significant digits; output is
+    byte-stable for identical inputs.
     """
-    edges = detect_scalar_edges(G, tol_zero)
+    edges = detect_scalar_edges(G)
     if edges is None:
         raise UnsupportedRenderError(
             "graph has a hyperedge column; only scalar-edge graphs can be drawn"
         )
-    if labels is None:
-        labels = [str(i + 1) for i in range(G.q)]
-    if len(labels) != G.q:
-        raise DimensionError(f"{len(labels)} labels for {G.q} vertices")
     lines = ["digraph {"]
-    for name in labels:
+    for name in range(1, G.q + 1):
         lines.append(f'  "{name}";')
     for i, j, w in edges:
-        lines.append(f'  "{labels[i - 1]}" -> "{labels[j - 1]}" [label="{_fmt_weight(w)}"];')
+        lines.append(f'  "{i}" -> "{j}" [label="{_fmt_weight(w)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from relctrl import (
+    Tolerances,
     analyze,
     brammer_positive,
     build_example,
@@ -163,7 +164,7 @@ def _random_cone(rng):
     for idx in np.flatnonzero(rng.random(count) < 0.4):
         cols.append(-cols[idx])
     M = np.stack(cols, axis=1)
-    return make_graph(q, n, M, tol_zero=1e-8)
+    return make_graph(q, n, M, Tolerances(zero=1e-8))
 
 
 def test_criterion_6_lineality_correctness():

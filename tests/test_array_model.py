@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +15,22 @@ from relctrl.array_model import (
 from relctrl.errors import DimensionError, InvalidArrayError
 
 from conftest import random_array_spec
+
+
+@pytest.mark.parametrize(
+    "n, q, p, A, B, where",
+    [
+        (0, 2, 1, np.zeros((0, 0)), np.zeros((2, 1, 0)), "n=0 must be positive"),
+        (1, 2, 0, [[0.0]], np.zeros((2, 0, 1)), "p=0 must be positive"),
+        (1, 2, 1, np.zeros((2, 2)), [[[1.0]], [[-1.0]]], "A has shape (2, 2)"),
+        (1, 2, 1, [[0.0]], np.zeros((2, 2, 1)), "B has shape (2, 2, 1)"),
+    ],
+    ids=["n", "p", "A-shape", "B-shape"],
+)
+def test_analyze_rejects_a_hand_built_spec_of_inconsistent_dimensions(n, q, p, A, B, where):
+    spec = ArraySpec(n=n, q=q, p=p, A=A, B=B)
+    with pytest.raises(InvalidArrayError, match=re.escape(f"first: dimension at {where}")):
+        analyze(spec)
 
 
 def test_watertanks_spec_validates(watertanks):

@@ -628,6 +628,16 @@ def test_save_and_load_roundtrip(tmp_path, watertanks):
     assert loaded.name == watertanks.name
 
 
+def test_save_and_load_roundtrip_without_a_name(tmp_path, watertanks):
+    path = tmp_path / "unnamed.json"
+    save_spec(ArraySpec(n=1, q=3, p=2, A=watertanks.A, B=watertanks.B), path)
+    assert "name" not in json.loads(path.read_text())
+    loaded, _ = load_spec(path)
+    assert loaded.name == ""
+    np.testing.assert_array_equal(loaded.incidence, watertanks.incidence)
+    np.testing.assert_array_equal(loaded.A, watertanks.A)
+
+
 def test_oracle_tol_eig_reaches_brammer_spectrum(tmp_path, capsys, monkeypatch):
     import relctrl.oracles as oracles_module
 

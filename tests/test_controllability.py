@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +10,7 @@ from scipy.linalg import block_diag
 
 import relctrl.controllability as controllability_module
 import relctrl.gengraph as gengraph_module
-from relctrl import ArraySpec, Tolerances, analyze, build_example, render_text
+from relctrl import DEFAULT_TOLERANCES, ArraySpec, Tolerances, analyze, build_example, render_text
 from relctrl.cli import main
 from relctrl.controllability import (
     EIGEN_CAVEAT,
@@ -272,10 +273,10 @@ def test_analyze_range_contains_count_does_not_grow_with_pairs(A, monkeypatch):
     complement = gengraph_module._range_complement
     misses = []
 
-    def counting(G, tol_rank):
-        if tol_rank not in G._complements:
+    def counting(G):
+        if "complement" not in G._memo:
             misses.append(1)
-        return complement(G, tol_rank)
+        return complement(G)
 
     monkeypatch.setattr(gengraph_module, "_range_complement", counting)
     counts = []
@@ -512,7 +513,7 @@ def test_w_graphs_match_the_loop_reference(chain_ring, oscillators_a):
     jordan = ArraySpec(n=5, q=4, p=5, A=A, B=B)
     for spec in (chain_ring, oscillators_a, jordan):
         spectrum = distinct_eigenvalues(spec.A)
-        for comp, W in zip(spectrum.components, w_graphs(spec, spectrum, 1e-9)):
+        for comp, W in zip(spectrum.components, w_graphs(spec, spectrum)):
             for sigmas in (list(range(spec.p)), [spec.p - 1, 0], []):
                 got = column_graph(W, _swept_columns(comp.alg_mult, sigmas))
                 want = power_swept_reference(spec, comp, comp.Lambda, sigmas)
@@ -950,3 +951,33 @@ def test_analyze_conjugate_rows_copied(oscillators_a):
         partner = v_rows[kappa - 1]
         assert v_rows[kappa].connected == partner.connected
         assert v_rows[kappa].kl_connected == partner.kl_connected
+
+
+def _leaning_inputs() -> ArraySpec:
+    # Inputs e1 - e2 and e1 - e2 + 1e-6 (1, 1, -2): the second leans out
+    # of the first's direction by about 1e-6, which counts at rank
+    # tolerance 1e-9 and falls below the cutoff at 1e-3.
+    e = np.array([1.0, -1.0, 0.0])
+    G = np.column_stack([e, e + 1e-6 * np.array([1.0, 1.0, -2.0])])
+    return ArraySpec.from_incidence([[0.0]], G, name="leaning-inputs")
+
+
+def test_a_rank_tolerance_reaches_every_graph(tmp_path, capsys):
+    spec = _leaning_inputs()
+    for tol, expected in ((DEFAULT_TOLERANCES, True), (Tolerances(rank=1e-3), False)):
+        report, graphs = analyze_with_graphs(spec, [(1, 3)], tol)
+        assert report.controllable is expected
+        assert report.pairwise == {(1, 3): expected}
+        for G in graphs["V"] + graphs["W"] + graphs["Q"]:
+            assert G.tol is report.tolerances
+            assert set(G._memo) <= {"complement", "edges", "lineality"}
+        for G, comp in zip(graphs["Q"], report.spectrum.components):
+            if comp.is_real:
+                assert lineality_generators(G).graph.tol is report.tolerances
+    path = tmp_path / "leaning.json"
+    save_spec(spec, path)
+    for flags, expected in (([], True), (["--tol-rank", "1e-3"], False)):
+        assert main(["analyze", str(path), "--pair", "1", "3", "--json", *flags]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert verdicts["controllable"] is expected
+        assert verdicts["pairwise"] == {"1-3": expected}

@@ -7,7 +7,7 @@ verdicts.  Every verdict the edge route gives must equal the SVD route's
 on the same graph (``range_contains``, ``lineality_space`` and
 ``_blocks_by_svd`` always take it), and the W check must equal the SVD
 route of the whole matrix.  Graphs the rule does not cover must take the
-SVD route, which the ``_complements`` memo shows; a W check it does not
+SVD route, which the range complement in the graph's memo shows; a W check it does not
 answer builds W, which a spy on ``controllability_matrix`` shows.
 """
 
@@ -19,7 +19,7 @@ import pytest
 import relctrl.controllability as controllability_module
 from relctrl import ArraySpec, analyze, kalman_reduced, pairwise_range
 from relctrl.array_model import disagreement_basis, require_valid
-from relctrl.config import DEFAULT_TOLERANCES
+from relctrl.config import DEFAULT_TOLERANCES, Tolerances
 from relctrl.controllability import (
     analyze_with_graphs,
     controllability_matrix,
@@ -98,7 +98,7 @@ def _corpus():
 
 
 def _svd_connected(G) -> bool:
-    return range_contains(G, np.kron(disagreement_basis(G.q), np.eye(G.blocksize)), TOL.rank)
+    return range_contains(G, np.kron(disagreement_basis(G.q), np.eye(G.blocksize)))
 
 
 def _svd_pairs(G, pairs) -> list[bool]:
@@ -106,28 +106,26 @@ def _svd_pairs(G, pairs) -> list[bool]:
     E = np.column_stack([pair_difference(G.q, k, l) for k, l in pairs])
     b = G.blocksize
     T = np.einsum("qp,mn->qmpn", E, np.eye(b)).reshape(G.q * b, len(pairs) * b)
-    return _blocks_by_svd(G, T, b, TOL.rank)
+    return _blocks_by_svd(G, T, b)
 
 
 def _assert_routes_agree(G, pairs) -> bool:
     """Compare every verdict of G with the SVD route; True if G took the edge route."""
-    assert is_connected(G, TOL.rank) == _svd_connected(G)
-    assert kl_connected_pairs(G, pairs, TOL.rank) == _svd_pairs(G, pairs)
+    assert is_connected(G) == _svd_connected(G)
+    assert kl_connected_pairs(G, pairs) == _svd_pairs(G, pairs)
     if G.is_real:
-        lin = lineality_generators(G, TOL.cone).graph
-        assert is_connected(lin, TOL.rank) == _svd_connected(lin)
-        assert kl_connected_pairs(lin, pairs, TOL.rank) == _svd_pairs(lin, pairs)
+        lin = lineality_generators(G).graph
+        assert is_connected(lin) == _svd_connected(lin)
+        assert kl_connected_pairs(lin, pairs) == _svd_pairs(lin, pairs)
         width = G.blocksize
-        kept = blocks_in_range(lin, G.M, width, TOL.rank)
-        assert kept == _blocks_by_svd(lin, G.M, width, TOL.rank)
-        dim = lineality_space(G, TOL.cone, TOL.rank).shape[1]
-        assert lineality_dim(G, TOL.cone, TOL.rank) == dim
-    return _edge_labels(G, TOL.rank) is not None
+        assert blocks_in_range(lin, G.M, width) == _blocks_by_svd(lin, G.M, width)
+        assert lineality_dim(G) == lineality_space(G).shape[1]
+    return _edge_labels(G) is not None
 
 
 def _assert_w_matrix_matches_svd_route(spec, pairs):
     spec = require_valid(spec, TOL.zero)
-    W = controllability_matrix(spec, TOL.zero)
+    W = controllability_matrix(spec, TOL)
     verdict = w_matrix_verdict(spec, pairs, TOL)
     assert verdict.connected == _svd_connected(W)
     assert list(verdict.kl_connected.values()) == _svd_pairs(W, pairs)
@@ -186,17 +184,17 @@ def _path_incidence(q):
     return np.eye(q, q - 1) - np.eye(q, q - 1, k=-1)
 
 
-def _takes_svd_route(G, tol=TOL.rank) -> bool:
+def _takes_svd_route(G) -> bool:
     # The SVD route leaves the graph's range complement in its memo.
-    is_connected(G, tol)
-    kl_connected_pairs(G, all_pairs(G.q), tol)
-    return tol in G._complements
+    is_connected(G)
+    kl_connected_pairs(G, all_pairs(G.q))
+    return "complement" in G._memo
 
 
 def test_an_edge_graph_takes_the_edge_route():
     G = make_graph(4, 1, _path_incidence(4) * [2.0, -3.0, 1e-12])
     assert not _takes_svd_route(G)
-    assert _edge_labels(G, TOL.rank).tolist() == [0, 0, 0, 3]
+    assert _edge_labels(G).tolist() == [0, 0, 0, 3]
     assert not is_connected(G)
     assert kl_connected_pairs(G, [(1, 3), (3, 4)]) == [True, False]
 
@@ -226,10 +224,10 @@ def test_blocksize_two_graphs_match_the_svd_route():
     both_ways = np.hstack([incidence, -incidence])
     spanning = make_graph(4, 2, np.kron(both_ways, np.eye(2)))
     assert _assert_routes_agree(spanning, pairs)
-    assert lineality_dim(spanning, TOL.cone, TOL.rank) == 4
+    assert lineality_dim(spanning) == 4
     flat = make_graph(4, 2, np.kron(both_ways, [[1.0], [0.0]]))
     assert not _assert_routes_agree(flat, pairs)
-    assert lineality_dim(flat, TOL.cone, TOL.rank) == 2
+    assert lineality_dim(flat) == 2
     # Blocks of two edge columns: inside one component, across two, one
     # across but below its block's drop cut, and one zero.
     e = np.eye(4)
@@ -239,7 +237,7 @@ def test_blocksize_two_graphs_match_the_svd_route():
         [[1.0], [2.0]],
     )
     for G in (spanning, flat):
-        assert blocks_in_range(G, T, 2) == _blocks_by_svd(G, T, 2, TOL.rank)
+        assert blocks_in_range(G, T, 2) == _blocks_by_svd(G, T, 2)
     assert blocks_in_range(spanning, T, 2) == [True, False, True, True]
 
 
@@ -280,10 +278,12 @@ def test_random_bundle_graphs_match_the_svd_route():
 
 
 def test_a_tolerance_that_fails_the_guard_takes_the_svd_route():
-    # Path of 10: maxdeg 2, so the guard needs tol_rank < 1 / 100.
-    G = make_graph(10, 1, _path_incidence(10))
-    assert not _takes_svd_route(G, 9.9e-3)
-    assert _takes_svd_route(G, 1.01e-2)
+    # Path of 10: maxdeg 2, so the guard needs a rank tolerance below 1 / 100.
+    def path(rank):
+        return make_graph(10, 1, _path_incidence(10), Tolerances(rank=rank))
+
+    assert not _takes_svd_route(path(9.9e-3))
+    assert _takes_svd_route(path(1.01e-2))
 
 
 def test_an_input_with_a_rank_deficient_krylov_matrix_takes_the_svd_route(monkeypatch):
@@ -303,7 +303,7 @@ def test_an_input_with_a_rank_deficient_krylov_matrix_takes_the_svd_route(monkey
     monkeypatch.setattr(controllability_module, "controllability_matrix", spy)
     report = analyze(spec, [(1, 2), (2, 3)])
     (W,) = built
-    assert TOL.rank in W._complements
+    assert "complement" in W._memo
     assert not report.controllable and not report.w_matrix.connected
     assert report.pairwise == {(1, 2): False, (2, 3): True}
     # With the velocity pushed as well, both Krylov matrices span R^2.
@@ -357,12 +357,15 @@ def test_a_krylov_column_within_a_decade_of_the_drop_cut_is_not_contracted():
 
 def test_drawing_tolerates_blocks_that_are_negatives_only_to_rounding():
     # edge_ends at tol_zero = 0 asks for exact negatives, which the edge
-    # route needs; detect_scalar_edges judges them within tol_zero.
+    # route needs; detect_scalar_edges judges them within the graph's zero
+    # tolerance.  At 1e-16 the block sum 2.2e-16 of the first column
+    # passes make_graph's cut 1e-16 (1 + ||column||) but not the drawing's
+    # 1e-16 max(1, ||column||).
     M = np.array([[1.0, 0.0], [-(1.0 + 2e-16), 1.0], [0.0, -1.0]])
     G = make_graph(3, 1, M)
-    assert _edge_labels(G, TOL.rank) is None
+    assert _edge_labels(G) is None
     assert [(i, j) for i, j, _ in detect_scalar_edges(G)] == [(1, 2), (2, 3)]
-    assert detect_scalar_edges(G, tol_zero=0.0) is None
+    assert detect_scalar_edges(make_graph(3, 1, M, Tolerances(zero=1e-16))) is None
 
 
 def test_a_hyperedge_input_is_not_contracted():

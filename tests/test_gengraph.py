@@ -1,11 +1,16 @@
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import relctrl.controllability as controllability_module
 import relctrl.gengraph as gengraph_module
 from relctrl import nnls, path_oracle
 from relctrl.array_model import disagreement_basis
+from relctrl.config import DEFAULT_TOLERANCES, Tolerances
 from relctrl.errors import (
     DimensionError,
     GraphDomainError,
@@ -27,7 +32,7 @@ from relctrl.gengraph import (
     range_contains,
     to_dot,
 )
-from relctrl.numutil import equilibrated, pair_difference
+from relctrl.numutil import equilibrated, null_basis, pair_difference
 
 from conftest import all_pairs, random_unit_incidence
 
@@ -51,6 +56,17 @@ def hyperedge_graph():
 def test_make_graph_rejects_bad_column_sums():
     with pytest.raises(GraphDomainError):
         make_graph(2, 1, np.array([[1.0], [1.0]]))
+
+
+def test_make_graph_checks_its_row_count():
+    with pytest.raises(DimensionError, match="3 rows, expected q\\*n = 4"):
+        make_graph(2, 2, WT)
+
+
+def test_null_basis_of_empty_matrices():
+    # No columns: a null space of dimension 0; no rows: all of R^c.
+    assert null_basis(np.zeros((3, 0))).shape == (0, 0)
+    np.testing.assert_array_equal(null_basis(np.zeros((0, 4))), np.eye(4))
 
 
 def test_range_contains_own_column():
@@ -147,16 +163,18 @@ def test_range_contains_matches_reference_rank_rule(drawn):
 @st.composite
 def pair_questions(draw):
     """A graph from generalized_graphs, or a GenGraph around an arbitrary
-    matrix (a wide one has full row rank, so an empty complement), and a
-    rank tolerance; 1.0 makes equilibrated drop every target column."""
+    matrix (a wide one has full row rank, so an empty complement), rebuilt
+    under a rank tolerance, and that tolerance; 1.0 makes equilibrated
+    drop every target column."""
     G, rng = draw(generalized_graphs())
+    M = G.M
     if draw(st.booleans()):
         m = G.q * G.blocksize
         M = rng.standard_normal((m, draw(st.sampled_from([0, m // 2, m, m + 3]))))
         if not G.is_real:
             M = M + 1j * rng.standard_normal(M.shape)
-        G = GenGraph(q=G.q, blocksize=G.blocksize, M=M, is_real=G.is_real)
-    return G, draw(st.sampled_from([1e-9, 1e-3, 0.3, 1.0]))
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.3, 1.0]))
+    return GenGraph(G.q, G.blocksize, M, G.is_real, Tolerances(rank=tol)), tol
 
 
 @settings(max_examples=150)
@@ -165,9 +183,9 @@ def test_kl_connected_pairs_matches_range_contains(drawn):
     G, tol = drawn
     q, b = G.q, G.blocksize
     pairs = all_pairs(q)
-    got = kl_connected_pairs(G, pairs, tol)
+    got = kl_connected_pairs(G, pairs)
     assert all(type(flag) is bool for flag in got)
-    Nh, smax = _range_complement(G, tol)
+    Nh, smax = _range_complement(G)
     bound = tol * max(smax, 1.0)
     decided = 0
     for (k, l), flag in zip(pairs, got):
@@ -180,10 +198,10 @@ def test_kl_connected_pairs_matches_range_contains(drawn):
             norms = (fro, fro / np.sqrt(min(X.shape)), np.linalg.norm(X, 2))
             if any(abs(v / bound - 1.0) < 1e-6 for v in norms):
                 continue
-        assert flag == range_contains(G, T, tol)
+        assert flag == range_contains(G, T)
         decided += 1
     assume(decided > 0)
-    assert kl_connected_pairs(G, [], tol) == []
+    assert kl_connected_pairs(G, []) == []
 
 
 @st.composite
@@ -219,10 +237,10 @@ def block_questions(draw):
 @given(drawn=block_questions())
 def test_blocks_in_range_matches_range_contains_per_block(drawn):
     G, tol, T, width = drawn
-    got = blocks_in_range(G, T, width, tol)
+    got = blocks_in_range(G, T, width)
     assert all(type(flag) is bool for flag in got)
     assert len(got) == T.shape[1] // width
-    Nh, smax = _range_complement(G, tol)
+    Nh, smax = _range_complement(G)
     bound = tol * max(smax, 1.0)
     for j, flag in enumerate(got):
         block = T[:, j * width : (j + 1) * width]
@@ -233,7 +251,7 @@ def test_blocks_in_range_matches_range_contains_per_block(drawn):
             norms = (fro, fro / np.sqrt(min(X.shape)), np.linalg.norm(X, 2))
             if any(abs(v / bound - 1.0) < 1e-6 for v in norms):
                 continue
-        assert flag == range_contains(G, block, tol)
+        assert flag == range_contains(G, block)
 
 
 def test_blocks_in_range_equilibrates_each_block_on_its_own():
@@ -252,8 +270,8 @@ def test_blocks_in_range_on_a_full_rank_graph():
     # A full-row-rank matrix leaves a complement with no rows: every block
     # lies in its range, and none of the stacks is empty of blocks.
     rng = np.random.default_rng(3)
-    G = GenGraph(q=3, blocksize=2, M=rng.standard_normal((6, 9)), is_real=True)
-    assert _range_complement(G, 1e-9)[0].shape == (0, 6)
+    G = GenGraph(3, 2, rng.standard_normal((6, 9)), True, DEFAULT_TOLERANCES)
+    assert _range_complement(G)[0].shape == (0, 6)
     assert blocks_in_range(G, rng.standard_normal((6, 6)), 3) == [True, True]
     assert blocks_in_range(G, np.zeros((6, 0)), 2) == []
     assert lineality_space(triangle_graph()).shape == (3, 2)
@@ -273,13 +291,13 @@ def test_kl_connected_pairs_bounds_the_spectral_norm_of_each_residual():
         t = np.kron(pair_difference(3, 1, 2)[:, None], np.eye(2)) / np.sqrt(2.0)
         n = np.kron(np.array([[1.0], [1.0], [-2.0]]), np.eye(2)) / np.sqrt(6.0)
         lean = np.array([a, c])
-        return make_graph(3, 2, t * np.sqrt(1.0 - lean**2) + n * lean)
+        return make_graph(3, 2, t * np.sqrt(1.0 - lean**2) + n * lean, Tolerances(rank=1e-3))
 
     pairs = [(1, 2), (1, 3), (2, 1)]
     # Frobenius norm 1.13e-3 > 1e-3 >= spectral norm 0.8e-3.
-    assert kl_connected_pairs(graph(8e-4, 8e-4), pairs, 1e-3) == [True, False, True]
+    assert kl_connected_pairs(graph(8e-4, 8e-4), pairs) == [True, False, True]
     # Frobenius norm 1.21e-3 <= sqrt(2) 1e-3, spectral norm 1.1e-3 > 1e-3.
-    assert kl_connected_pairs(graph(5e-4, 1.1e-3), pairs, 1e-3) == [False, False, False]
+    assert kl_connected_pairs(graph(5e-4, 1.1e-3), pairs) == [False, False, False]
 
 
 def test_kl_connected_pairs_over_many_stacks():
@@ -311,23 +329,32 @@ def count_svd_calls(monkeypatch) -> list:
     return calls
 
 
-def test_range_complement_is_memoized_per_tolerance(monkeypatch):
+def _leaning_graph(tol):
     # The second edge leans 1e-6 off the first: its direction counts at
-    # tol_rank 1e-9 and falls below the cutoff at 1e-3.
+    # rank tolerance 1e-9 and falls below the cutoff at 1e-3.
     lean = np.array([1.0, 1.0, -2.0])
-    G = make_graph(3, 1, np.column_stack([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0] + 1e-6 * lean]))
-    T = lean[:, None]
+    M = np.column_stack([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0] + 1e-6 * lean])
+    return make_graph(3, 1, M, tol), lean[:, None]
+
+
+def test_range_complement_is_factored_once_per_graph(monkeypatch):
+    G, T = _leaning_graph(DEFAULT_TOLERANCES)
     calls = count_svd_calls(monkeypatch)
-    assert range_contains(G, T, 1e-9)
-    assert len(calls) == 1
-    assert not range_contains(G, T, 1e-3)
-    assert len(calls) == 2
     for _ in range(3):
-        assert range_contains(G, T, 1e-9)
-        assert not range_contains(G, T, 1e-3)
-        assert is_connected(G, 1e-9)
-        assert kl_connected_pairs(G, [(1, 3)], 1e-3) == [False]
-    assert len(calls) == 2
+        assert range_contains(G, T)
+        assert is_connected(G)
+        assert kl_connected_pairs(G, [(1, 3)]) == [True]
+        assert blocks_in_range(G, np.hstack([T, G.M]), 1) == [True, True, True]
+    assert len(calls) == 1
+
+
+def test_graphs_under_two_rank_tolerances_judge_the_leaning_edge_apart():
+    fine, T = _leaning_graph(Tolerances(rank=1e-9))
+    coarse, _ = _leaning_graph(Tolerances(rank=1e-3))
+    assert range_contains(fine, T) and not range_contains(coarse, T)
+    assert is_connected(fine) and not is_connected(coarse)
+    assert kl_connected_pairs(fine, [(1, 3)]) == [True]
+    assert kl_connected_pairs(coarse, [(1, 3), (1, 2)]) == [False, True]
 
 
 def test_range_contains_bounds_the_spectral_norm_of_the_residual():
@@ -336,18 +363,16 @@ def test_range_contains_bounds_the_spectral_norm_of_the_residual():
     edge = np.array([1.0, -1.0, 0.0, 0.0])
     n1 = np.array([1.0, 1.0, -2.0, 0.0]) / np.sqrt(6.0)
     n2 = np.array([1.0, 1.0, 1.0, -3.0]) / np.sqrt(12.0)
-    G = make_graph(4, 1, edge[:, None])
+    G = make_graph(4, 1, edge[:, None], Tolerances(rank=1e-3))
 
     def leaning(r, n):
         # Unit column whose residual outside span(edge) is exactly r.
         return np.sqrt(1.0 - r * r) * edge / np.sqrt(2.0) + r * n
 
     # Orthogonal residuals: spectral norm 0.8e-3 <= 1e-3 < Frobenius norm.
-    assert range_contains(G, np.column_stack([leaning(8e-4, n1), leaning(8e-4, n2)]), 1e-3)
+    assert range_contains(G, np.column_stack([leaning(8e-4, n1), leaning(8e-4, n2)]))
     # Parallel residuals: spectral norm 0.75e-3 * sqrt(2) > 1e-3.
-    assert not range_contains(
-        G, np.column_stack([leaning(7.5e-4, n1), leaning(7.5e-4, n1)]), 1e-3
-    )
+    assert not range_contains(G, np.column_stack([leaning(7.5e-4, n1), leaning(7.5e-4, n1)]))
 
 
 def test_graph_matrix_is_read_only():
@@ -385,10 +410,10 @@ def test_cone_member_requires_real_graph():
 
 def test_cone_member_marginal_band():
     # A rejection within a decade of the threshold is flagged marginal.
-    G = make_graph(2, 1, np.array([[1.0], [-1.0]]))
+    G = make_graph(2, 1, np.array([[1.0], [-1.0]]), Tolerances(cone=1e-8))
     off = np.array([1.0, 1.0]) / np.sqrt(2.0)     # orthogonal to the cone
     near = np.array([1.0, -1.0]) + 3e-8 * off
-    feas = cone_member(G, near, tol_cone=1e-8)
+    feas = cone_member(G, near)
     assert not feas.member
     assert feas.marginal
     far = np.array([1.0, -1.0]) + 1e-3 * off
@@ -532,6 +557,23 @@ def test_to_dot_rejects_hyperedge():
         to_dot(hyperedge_graph())
 
 
+def test_to_dot_complex_weights_snapshot():
+    # A complex weight keeps its phase (no flip); an imaginary part twelve
+    # orders below the real one is float noise and is dropped.
+    G = make_graph(2, 1, np.array([[1.0 + 2.0j, 3.0 + 1e-15j], [-1.0 - 2.0j, -3.0]]))
+    assert to_dot(G) == (
+        'digraph {\n  "1";\n  "2";\n'
+        '  "1" -> "2" [label="1+2j"];\n  "1" -> "2" [label="3"];\n}\n'
+    )
+
+
+def test_to_dot_vector_weights_snapshot():
+    G = make_graph(3, 2, np.array([[0.0], [0.0], [1.0], [0.25], [-1.0], [-0.25]]))
+    assert to_dot(G) == (
+        'digraph {\n  "1";\n  "2";\n  "3";\n  "2" -> "3" [label="(1, 0.25)"];\n}\n'
+    )
+
+
 def test_nnls_solutions_are_optimal():
     # The program is convex, so feasibility plus the first-order
     # conditions certify global optimality; the reference, a separate
@@ -627,8 +669,8 @@ def test_nnls_certifies_the_stalled_peel_program():
     assert _certificate_breach(M, v, x) <= 1.0
     # One cone_member call decides at the true distance: with the bound
     # between the optimum 1.2910 and the stalled 1.2943, v is a member.
-    tol_cone = 1.2925 / (1.0 + np.linalg.norm(v))
-    feas = cone_member(make_graph(5, 1, M), v, tol_cone)
+    tol = Tolerances(cone=1.2925 / (1.0 + np.linalg.norm(v)))
+    feas = cone_member(make_graph(5, 1, M, tol), v)
     assert feas.member and feas.residual == pytest.approx(residual, abs=1e-12)
 
 
@@ -724,7 +766,7 @@ def _random_cone_graph(rng):
     if rng.random() < 0.3:
         M = np.column_stack([M, np.zeros(q * b)])
     M = M[:, rng.permutation(M.shape[1])] * 10.0 ** rng.uniform(-3.0, 3.0, M.shape[1])
-    return make_graph(q, b, M, tol_zero=1e-8)
+    return make_graph(q, b, M, Tolerances(zero=1e-8))
 
 
 def test_lineality_generators_match_per_column_programs():
@@ -805,7 +847,8 @@ def test_lineality_generators_memoized_and_shared(nnls_calls):
     assert all(kl_connected_pairs(lin.graph, all_pairs(3)))
     assert lineality_generators(G) is lin
     assert len(nnls_calls) == 1
-    lineality_generators(G, tol_cone=1e-6)
+    # The same matrix under another cone tolerance is another graph.
+    lineality_generators(make_graph(3, 1, TRIANGLE, Tolerances(cone=1e-6)))
     assert len(nnls_calls) == 2
 
 
@@ -828,10 +871,10 @@ def test_lineality_peel_falls_back_to_per_column_programs(nnls_calls):
     # At a loose tolerance the two-edge path's residual is rejected but
     # neither push clears its cut tau_i ||r||, so each column gets its own
     # program.
-    G = make_graph(3, 1, WT)
-    assert lineality_generators(G, tol_cone=0.3).columns == ()
+    G = make_graph(3, 1, WT, Tolerances(cone=0.3))
+    assert lineality_generators(G).columns == ()
     assert len(nnls_calls) == 3
-    assert not any(cone_member(G, -g, 0.3).member for g in WT.T)
+    assert not any(cone_member(G, -g).member for g in WT.T)
 
 
 def test_lineality_marginal_near_threshold():
@@ -843,21 +886,21 @@ def test_lineality_marginal_near_threshold():
     T = edge[:, None]
 
     def graph(eps):
-        return make_graph(3, 1, np.column_stack([edge, -edge + eps * tilt]))
+        return make_graph(3, 1, np.column_stack([edge, -edge + eps * tilt]), Tolerances(cone=1e-8))
 
     near = graph(5e-8)
-    lin = lineality_generators(near, tol_cone=1e-8)
+    lin = lineality_generators(near)
     assert lin.columns == ()
     assert lin.marginal
-    assert cone_contains_subspace(near, T, tol_cone=1e-8) == (False, True)
+    assert cone_contains_subspace(near, T) == (False, True)
 
     far = graph(1e-3)
-    assert not lineality_generators(far, tol_cone=1e-8).marginal
-    assert cone_contains_subspace(far, T, tol_cone=1e-8) == (False, False)
+    assert not lineality_generators(far).marginal
+    assert cone_contains_subspace(far, T) == (False, False)
 
     # A positive verdict is never marginal.
     exact = graph(0.0)
-    assert cone_contains_subspace(exact, T, tol_cone=1e-8) == (True, False)
+    assert cone_contains_subspace(exact, T) == (True, False)
 
 
 def test_lineality_peel_scales_its_rule_per_column():
@@ -882,3 +925,26 @@ def test_lineality_requires_real_graph():
         lineality_generators(G)
     with pytest.raises(GraphDomainError):
         cone_contains_subspace(G, np.array([[1.0], [-1.0]]))
+
+
+def test_only_make_graph_and_edge_components_take_a_tolerance():
+    # Every other predicate reads the tolerances the graph carries.
+    def takes_a_tolerance(fn):
+        return any(
+            name.startswith("tol") or "Tolerances" in str(param.annotation)
+            for name, param in inspect.signature(fn).parameters.items()
+        )
+
+    public = [
+        fn for name, fn in vars(gengraph_module).items()
+        if inspect.isfunction(fn) and fn.__module__ == gengraph_module.__name__
+        and not name.startswith("_")
+    ]
+    assert {fn.__name__ for fn in public if takes_a_tolerance(fn)} == {
+        "make_graph", "edge_components"
+    }
+    builders = ("w_graphs", "v_graphs", "q_graphs_and_index_sets", "controllability_matrix")
+    assert {
+        name for name in builders if takes_a_tolerance(getattr(controllability_module, name))
+    } == {"w_graphs", "controllability_matrix"}
+    assert [f.name for f in fields(GenGraph)] == ["q", "blocksize", "M", "is_real", "tol", "_memo"]

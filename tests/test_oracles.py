@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -29,12 +31,15 @@ from relctrl.oracles import (
     _krylov_complement,
     _pair_targets,
     _pairs_in_range,
+    _reached,
+    _response_stack,
     _stays_nonpositive,
     default_polar_grid,
     polar_horizon,
 )
 
 from conftest import all_pairs
+from test_controllability import _jordan_beside_rotation
 from test_edge_route import _corpus, _damped_array
 
 WT = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
@@ -548,3 +553,84 @@ def test_reach_accepts_noise_within_tol_zero(watertanks_ring):
     with pytest.raises(InvalidArrayError):
         reach_simulator(spec, 1, 2)
     assert all(r.hit for r in reach_simulator(spec, 1, 2, tol_zero=1e-6))
+
+
+class _SharedStep(Exception):
+    """Raised by an analysis step that an oracle called."""
+
+
+# The analysis steps an oracle must not call: every graph builder and
+# predicate of gengraph (nnls is the shared cone solver, not a step) and
+# every stage of the analysis pipeline.
+_ANALYSIS_STEPS = {
+    "gengraph": [
+        "make_graph", "edge_components", "_edge_labels", "_range_complement",
+        "lineality_generators", "blocks_in_range", "kl_connected_pairs",
+        "range_contains", "is_connected", "cone_member", "column_graph",
+    ],
+    "controllability": [
+        "analyze", "w_graphs", "v_graphs", "q_graphs_and_index_sets",
+        "w_matrix_verdict", "controllability_matrix",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "spectrum_too",
+    [
+        False,
+        # ROADMAP item 2: brammer_positive reads the analysis' spectrum.
+        pytest.param(True, marks=pytest.mark.xfail(raises=_SharedStep, strict=True)),
+    ],
+    ids=["graphs", "graphs-and-spectrum"],
+)
+def test_the_oracles_do_not_call_the_analysis(spectrum_too, monkeypatch):
+    cases = []
+    for name in example_names():
+        spec = build_example(name)
+        cases.append((spec, analyze(spec, all_pairs(spec.q))))
+
+    def shared(*args, **kwargs):
+        raise _SharedStep
+
+    steps = [(f"relctrl.{module}", name) for module, names in _ANALYSIS_STEPS.items()
+             for name in names]
+    if spectrum_too:
+        steps.append(("relctrl.spectral", "distinct_eigenvalues"))
+    # Every binding of a step, in every relctrl module that imported it.
+    originals = {id(getattr(sys.modules[module], name)) for module, name in steps}
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "relctrl"]:
+        for name, value in list(vars(module).items()):
+            if id(value) in originals:
+                monkeypatch.setattr(module, name, shared)
+    rows = [row for spec, report in cases for row in cross_check(spec, report, DEFAULT_TOLERANCES)]
+    assert len(rows) == 108
+
+
+def test_the_falsifier_skips_a_residual_that_is_not_polar_within_its_slack(monkeypatch):
+    # Draw 241 of the Jordan-block family (n = 4, q = 3): for pair (2,3)
+    # an unreached target leaves a residual whose P eta breaks the slack,
+    # before the target that gives the witness.  The falsifier must pass
+    # over it without the dense-grid check.
+    rng = np.random.default_rng(20261018)
+    for _ in range(242):
+        spec = _jordan_beside_rotation(rng)
+    stack = _response_stack(spec, None, DEFAULT_TOLERANCES.zero)
+    breaks = []
+    for target in _pair_targets(pair_difference(spec.q, 2, 3), spec.n):
+        x, residual = stack.projection(target)
+        if not _reached(residual, target, DEFAULT_TOLERANCES.cone):
+            eta = (target - stack.P.T @ x) / residual
+            breaks.append(float(np.max(stack.P @ eta)) > stack.slack)
+    assert breaks[0] and not all(breaks)
+    checked = []
+    dense_check = relctrl.oracles._stays_nonpositive
+
+    def spy(dense, B, eta, slack):
+        checked.append(float(np.max(stack.P @ eta)))
+        return dense_check(dense, B, eta, slack)
+
+    monkeypatch.setattr(relctrl.oracles, "_stays_nonpositive", spy)
+    witness = polar_falsifier(spec, 2, 3, stack)
+    assert witness is not None
+    assert checked and max(checked) <= stack.slack

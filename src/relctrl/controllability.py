@@ -14,17 +14,6 @@ graphs, all cut from one swept graph per eigenvalue (``w_graphs``):
               non-real ones) decides positive pairwise controllability,
               under two assumptions that are checked and reported.
 
-Both controllability and pairwise controllability admit a second, whole
-controllability-matrix characterization; the two are computed side by
-side and any numerical disagreement raises instead of guessing.  That
-check uses no spectrum.  An input that touches only systems i and j,
-with blocks b and -b, contributes the columns (e_i - e_j) ⊗ A^k b to the
-matrix W, so when every nonzero input does, W is a graph of edge
-bundles, one Krylov matrix [b, Ab, ..., A^(n-1) b] per input, and the
-edge-bundle rule of ``relctrl.gengraph.edge_components`` decides it
-without forming it (``w_matrix_verdict``).  Otherwise W is built and
-judged whole like any other graph.
-
 ``analyze`` is the one pipeline: it validates the array, computes the
 spectrum, builds each graph once and reads all four verdicts off them;
 ``analyze_with_graphs`` also hands back the graphs, for drawing.
@@ -38,20 +27,18 @@ import numpy as np
 
 from .array_model import ArraySpec, require_valid
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import InternalConsistencyError
 from .gengraph import (
     GenGraph,
     blocks_in_range,
     column_graph,
     cone_contains_subspace,
-    edge_components,
     is_connected,
     kl_connected_pairs,
     lineality_dim,
     lineality_generators,
     make_graph,
 )
-from .numutil import check_pair, edge_ends
+from .numutil import check_pair
 from .spectral import Spectrum, distinct_eigenvalues
 
 
@@ -77,7 +64,8 @@ def controllability_matrix(spec: ArraySpec, tol: Tolerances = DEFAULT_TOLERANCES
     The stacked dynamics are I_q ⊗ A, so each power is applied to the
     (q, p, n) input blocks directly.  They satisfy the degree-n
     characteristic polynomial of the node matrix, so n powers already
-    span the controllable subspace.
+    span the controllable subspace.  ``analyze`` does not call it; the
+    Kalman test lives in ``relctrl.oracles``.
     """
     # (power, q, p, n) -> rows (system, state), columns (power, input)
     W = _krylov(spec.A, spec.B).transpose(1, 3, 0, 2).reshape(spec.q * spec.n, spec.n * spec.p)
@@ -268,42 +256,6 @@ class PositivePairVerdict:
     conditional: bool
 
 
-@dataclass(frozen=True)
-class WMatrixVerdict:
-    connected: bool
-    kl_connected: dict[tuple[int, int], bool]
-
-
-def w_matrix_verdict(
-    spec: ArraySpec, pairs: list[tuple[int, int]], tol: Tolerances
-) -> WMatrixVerdict:
-    """Connectivity of the controllability matrix W, at every pair.
-
-    When every nonzero input is an edge (``edge_ends``), input s between
-    systems i and j, with blocks b and -b, adds the columns
-    (e_i - e_j) ⊗ A^k b to W: its Krylov matrix [b, Ab, ..., A^(n-1) b]
-    is one bundle of the edge-bundle rule (``edge_components``), and
-    when the rule answers W is never formed.  Otherwise W is built whole
-    (``controllability_matrix``) and judged by ``is_connected`` and
-    ``kl_connected_pairs``.
-    """
-    i, j, edge, zero = edge_ends(spec.incidence, spec.n)
-    labels = None
-    if np.all(edge | zero):
-        # (inputs, n, n), column k is A^k b
-        K = np.moveaxis(_krylov(spec.A, spec.B[i[edge], edge]), 0, 2)
-        labels = edge_components(spec.q, i[edge], j[edge], K, tol.rank)
-    if labels is not None:
-        return WMatrixVerdict(
-            connected=not labels.any(),
-            kl_connected={(k, l): bool(labels[k - 1] == labels[l - 1]) for k, l in pairs},
-        )
-    W = controllability_matrix(spec, tol)
-    return WMatrixVerdict(
-        connected=is_connected(W), kl_connected=dict(zip(pairs, kl_connected_pairs(W, pairs)))
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class AnalysisReport:
     """Everything the front end renders, in one immutable bundle."""
@@ -315,7 +267,6 @@ class AnalysisReport:
     tolerances: Tolerances
     spectrum: Spectrum
     graph_verdicts: tuple[EigGraphVerdict, ...]
-    w_matrix: WMatrixVerdict
     index_trace: tuple[IndexStep, ...]
     controllable: bool
     positively_controllable: bool
@@ -431,22 +382,8 @@ def analyze_with_graphs(
     v_rows = _rows("V", spectrum, vgs, v_fill)
     w_rows = _rows("W", spectrum, wgs, lambda G, comp: {"kl_connected": kl_flags(G)})
 
-    # Both graph characterizations are checked against the whole
-    # controllability matrix; they are provably equivalent, so a
-    # disagreement raises instead of returning either answer.
-    w_matrix = w_matrix_verdict(spec, pairlist, tol)
     controllable = all(row.connected for row in v_rows)
-    if controllable != w_matrix.connected:
-        raise InternalConsistencyError(
-            "per-eigenvalue connectivity and controllability-matrix connectivity disagree"
-        )
     pairwise = {pair: all(row.kl_connected[pair] for row in w_rows) for pair in pairlist}
-    for pair in pairlist:
-        if pairwise[pair] != w_matrix.kl_connected[pair]:
-            raise InternalConsistencyError(
-                f"per-eigenvalue and controllability-matrix {pair}-connectivity disagree"
-            )
-
     positively = controllable and all(
         row.strongly_connected
         for row, comp in zip(v_rows, spectrum.components)
@@ -485,7 +422,6 @@ def analyze_with_graphs(
         tolerances=tol,
         spectrum=spectrum,
         graph_verdicts=tuple(v_rows + w_rows + q_rows),
-        w_matrix=w_matrix,
         index_trace=trace,
         controllable=controllable,
         positively_controllable=positively,

@@ -48,10 +48,3 @@ class UnsupportedRenderError(AnalysisError):
 class NumericalFailureError(AnalysisError):
     """An iterative solver exceeded its iteration cap."""
 
-
-class InternalConsistencyError(AnalysisError):
-    """Two provably equivalent tests disagreed numerically.
-
-    This signals a tolerance breakdown rather than a property of the
-    input array; neither verdict is returned.
-    """

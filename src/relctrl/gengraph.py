@@ -29,7 +29,7 @@ Most graphs are edge graphs, and for them the rule is a component lookup
 (the edge route).  A graph qualifies when every column above the drop
 cut of ``equilibrated`` is exactly (e_i - e_j) ⊗ w, at any blocksize,
 and the columns of each vertex pair pass the one edge-bundle rule,
-``edge_components``, which carries the proof that the SVD rule then
+``_edge_components``, which carries the proof that the SVD rule then
 gives the component verdicts.  The components come from one union–find
 per graph (``_edge_labels``).  Connectivity is then one
 component, (k,l)-connectivity a shared label, a block of edge columns
@@ -337,7 +337,7 @@ def _range_complement(G: GenGraph) -> tuple[np.ndarray, float]:
     return memo
 
 
-def edge_components(
+def _edge_components(
     q: int, i: np.ndarray, j: np.ndarray, K: np.ndarray, tol_rank: float
 ) -> np.ndarray | None:
     """Component labels of a graph given as edge bundles, or None.
@@ -391,7 +391,7 @@ def edge_components(
 
 
 def _edge_labels(G: GenGraph) -> np.ndarray | None:
-    """``edge_components`` of G's columns, or None; once per graph.
+    """``_edge_components`` of G's columns, or None; once per graph.
 
     A column that is not an exact edge (``edge_ends``) is a loop.  At
     blocksize 1 each column is a bundle weighted by its norm, as a scalar
@@ -418,7 +418,7 @@ def _edge_labels(G: GenGraph) -> np.ndarray | None:
         K = np.zeros((pairs.size, b, sizes.max(initial=0)), dtype=G.M.dtype)
         K[bundle, :, slot] = W
         i, j = np.divmod(pairs, q)
-    labels = G._memo["edges"] = edge_components(q, i, j, K, G.tol.rank)
+    labels = G._memo["edges"] = _edge_components(q, i, j, K, G.tol.rank)
     return labels
 
 
@@ -451,7 +451,7 @@ def blocks_in_range(G: GenGraph, T: np.ndarray, width: int) -> list[bool]:
     On an edge graph (``_edge_labels``), a target whose columns are each
     exactly an edge or zero takes the edge route: a block lies in the
     range when every column its drop cut keeps has its ends in one
-    component (see ``edge_components``).
+    component (see ``_edge_components``).
     """
     T = np.atleast_2d(np.asarray(T))
     _, keep = _block_cut(G, T, width)

@@ -61,7 +61,7 @@ def edge_ends(
     other, and zero whether it has no nonzero block.
 
     At tol_zero = 0 both tests are exact, which the edge-bundle rule
-    needs: its proof (``relctrl.gengraph.edge_components``) holds for
+    needs: its proof (``relctrl.gengraph._edge_components``) holds for
     exact edge columns only.  A positive tol_zero serves the drawing of
     computed graphs, whose two blocks may be negatives only to
     rounding: a block is zero when its norm, and two

@@ -25,8 +25,9 @@ input blocks, applying A blockwise; no I_q ⊗ A is formed.  The rank
 oracles read one factorization: ``_krylov_complement`` builds the
 reduced Krylov matrix and factors it by one SVD, which answers the
 Kalman test, the rank half of the Brammer test and every pair's range
-test.  It is kept apart from the analysis' ``controllability_matrix`` on
-purpose: an oracle must not share the step it checks.
+test.  The analysis forms no controllability matrix: its verdicts come
+from the eigenvalue graphs alone, and an oracle must not share the step
+it checks.
 
 The two evidence tools ask one question: how far is each target
 +/-(e_k - e_l) ⊗ e_i from the cone of input responses e^{A t} b_s

@@ -9,7 +9,7 @@ import numpy as np
 
 from .controllability import AnalysisReport, EigGraphVerdict
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def _closed(properties: dict) -> dict:
@@ -65,9 +65,6 @@ REPORT_SCHEMA = {
                 },
             },
         },
-        "controllability_matrix": _closed(
-            {"connected": {"type": "boolean"}, "kl_connected": {"type": "object"}}
-        ),
         "index_recursion": {
             "type": "array",
             "items": _closed({
@@ -168,10 +165,6 @@ def report_to_dict(report: AnalysisReport) -> dict:
             for i, c in enumerate(report.spectrum.components)
         ],
         "graphs": [_graph_json(v, pairmap) for v in report.graph_verdicts],
-        "controllability_matrix": {
-            "connected": report.w_matrix.connected,
-            "kl_connected": pairmap(report.w_matrix.kl_connected),
-        },
         "index_recursion": [
             {
                 "kappa": step.kappa,

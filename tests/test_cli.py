@@ -96,7 +96,7 @@ def test_analyze_json_schema_and_determinism(tmp_path, capsys):
     assert first == second
     doc = json.loads(first)
     schema_validate(doc, REPORT_SCHEMA)
-    assert doc["report_version"] == 1
+    assert doc["report_version"] == 2
     assert doc["verdicts"]["controllable"] is True
     assert doc["verdicts"]["pairwise"]["1-2"] is True
     assert len(doc["spectrum"]) == 10

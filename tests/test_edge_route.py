@@ -1,30 +1,21 @@
-"""The edge-bundle rule, on eigenvalue graphs and on the W-matrix check.
+"""The edge-bundle rule on eigenvalue graphs.
 
-``gengraph.edge_components`` decides every edge graph, at any blocksize,
-and the controllability matrix W from the Krylov matrices of its inputs;
-its docstring carries the proof that the SVD rule gives the same
-verdicts.  Every verdict the edge route gives must equal the SVD route's
-on the same graph (``range_contains``, ``lineality_space`` and
-``_blocks_by_svd`` always take it), and the W check must equal the SVD
-route of the whole matrix.  Graphs the rule does not cover must take the
-SVD route, which the range complement in the graph's memo shows; a W check it does not
-answer builds W, which a spy on ``controllability_matrix`` shows.
+``gengraph._edge_components`` decides every edge graph, at any
+blocksize; its docstring carries the proof that the SVD rule gives the
+same verdicts.  Every verdict the edge route gives must equal the SVD
+route's on the same graph (``range_contains``, ``lineality_space`` and
+``_blocks_by_svd`` always take it).  Graphs the rule does not cover must
+take the SVD route, which the range complement in the graph's memo
+shows.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
 
-import relctrl.controllability as controllability_module
-from relctrl import ArraySpec, analyze, kalman_reduced, pairwise_range
-from relctrl.array_model import disagreement_basis, require_valid
+from relctrl import ArraySpec, analyze
+from relctrl.array_model import build_big, disagreement_basis
 from relctrl.config import DEFAULT_TOLERANCES, Tolerances
-from relctrl.controllability import (
-    analyze_with_graphs,
-    controllability_matrix,
-    w_matrix_verdict,
-)
+from relctrl.controllability import analyze_with_graphs
 from relctrl.gengraph import (
     _blocks_by_svd,
     _edge_labels,
@@ -39,6 +30,7 @@ from relctrl.gengraph import (
     range_contains,
 )
 from relctrl.numutil import component_labels, pair_difference
+from relctrl.oracles import _krylov_complement, _pairs_in_range
 
 from conftest import all_pairs, random_array_spec
 
@@ -123,51 +115,27 @@ def _assert_routes_agree(G, pairs) -> bool:
     return _edge_labels(G) is not None
 
 
-def _assert_w_matrix_matches_svd_route(spec, pairs):
-    spec = require_valid(spec, TOL.zero)
-    W = controllability_matrix(spec, TOL)
-    verdict = w_matrix_verdict(spec, pairs, TOL)
-    assert verdict.connected == _svd_connected(W)
-    assert list(verdict.kl_connected.values()) == _svd_pairs(W, pairs)
-    return verdict
-
-
-@contextlib.contextmanager
-def _w_builds():
-    """The calls of ``controllability_matrix`` the analysis makes inside the block."""
-    built = []
-
-    def spy(*args):
-        built.append(args)
-        return controllability_matrix(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(controllability_module, "controllability_matrix", spy)
-        yield built
-
-
-def _w_rule_answers(spec) -> bool:
-    """Whether the edge-bundle rule answers the W check, W never formed."""
-    with _w_builds() as built:
-        w_matrix_verdict(require_valid(spec, TOL.zero), [], TOL)
-    return not built
+def _kalman_verdicts(spec, pairs):
+    """Controllability and every pair's verdict by the Kalman oracle."""
+    big = build_big(spec, TOL.zero)
+    complement = _krylov_complement(spec.A, big.Bred, TOL.rank)
+    return complement[0].shape[0] == 0, _pairs_in_range(complement, big.D, pairs, spec.n)
 
 
 def test_edge_route_matches_svd_route_on_the_corpus():
     graphs = edge = 0
-    with _w_builds() as built:
-        for spec in _corpus():
-            pairs = all_pairs(spec.q)
-            report, families = analyze_with_graphs(spec, pairs)
-            for G in families["V"] + families["W"] + families["Q"]:
-                graphs += 1
-                edge += _assert_routes_agree(G, pairs)
-            assert _assert_w_matrix_matches_svd_route(spec, pairs) == report.w_matrix
+    for spec in _corpus():
+        pairs = all_pairs(spec.q)
+        report, families = analyze_with_graphs(spec, pairs)
+        for G in families["V"] + families["W"] + families["Q"]:
+            graphs += 1
+            edge += _assert_routes_agree(G, pairs)
+        controllable, in_range = _kalman_verdicts(spec, pairs)
+        assert report.controllable == controllable
+        assert list(report.pairwise.values()) == in_range
     # Every random, ring, path and damped graph here is an edge graph, the
-    # Jordan-block graphs of the n = 2 chains (blocksize 2) included, and
-    # the rule answers every W check without forming W.
+    # Jordan-block graphs of the n = 2 chains (blocksize 2) included.
     assert graphs == edge == 3873
-    assert built == []
 
 
 def test_component_labels_name_the_smallest_vertex():
@@ -286,73 +254,42 @@ def test_a_tolerance_that_fails_the_guard_takes_the_svd_route():
     assert _takes_svd_route(path(1.01e-2))
 
 
-def test_an_input_with_a_rank_deficient_krylov_matrix_takes_the_svd_route(monkeypatch):
+def test_an_input_with_a_rank_deficient_krylov_matrix_takes_the_svd_route():
     # Double integrators; input 1 pushes the position only, so A b = 0 and
-    # the pair it joins is not (1,2)-controllable.
+    # the pair it joins is not (1,2)-controllable.  Its block of the swept
+    # graph at the Jordan block, (b, Lambda b), has rank one.
     B = np.zeros((3, 2, 2))
     B[0, 0], B[1, 0] = [1.0, 0.0], [-1.0, 0.0]
     B[1, 1], B[2, 1] = [0.0, 1.0], [0.0, -1.0]
     spec = ArraySpec(n=2, q=3, p=2, A=[[0.0, 1.0], [0.0, 0.0]], B=B)
-    assert not _w_rule_answers(spec)
-    built = []
-
-    def spy(*args, **kwargs):
-        built.append(controllability_matrix(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(controllability_module, "controllability_matrix", spy)
-    report = analyze(spec, [(1, 2), (2, 3)])
-    (W,) = built
-    assert "complement" in W._memo
-    assert not report.controllable and not report.w_matrix.connected
+    report, graphs = analyze_with_graphs(spec, [(1, 2), (2, 3)])
+    (W,) = graphs["W"]
+    assert _takes_svd_route(W)
+    assert not report.controllable
     assert report.pairwise == {(1, 2): False, (2, 3): True}
-    # With the velocity pushed as well, both Krylov matrices span R^2.
+    # With the velocity pushed as well, both blocks span R^2.
     B[0, 0], B[1, 0] = [1.0, 1.0], [-1.0, -1.0]
     spec = ArraySpec(n=2, q=3, p=2, A=[[0.0, 1.0], [0.0, 0.0]], B=B)
-    assert _w_rule_answers(spec)
-    assert w_matrix_verdict(spec, [], TOL).connected
+    report, graphs = analyze_with_graphs(spec, [(1, 2), (2, 3)])
+    (W,) = graphs["W"]
+    assert not _takes_svd_route(W)
+    assert report.controllable
 
 
 def test_inputs_twelve_decades_apart_give_the_svd_verdict():
-    # The small input lies far below the drop cut of W, so W and every V
-    # graph drop it; the rule drops it too instead of joining systems 2
-    # and 3 through it.
+    # The small input lies far below the drop cut of every graph, so each
+    # drops it; the rule drops it too instead of joining systems 2 and 3
+    # through it.
     B = np.zeros((3, 2, 1))
     B[:, 0, 0] = [1.0, -1.0, 0.0]
     B[:, 1, 0] = [0.0, 1e-12, -1e-12]
     spec = ArraySpec(n=1, q=3, p=2, A=[[0.5]], B=B)
-    assert _w_rule_answers(spec)
-    _assert_w_matrix_matches_svd_route(spec, all_pairs(3))
+    _, graphs = analyze_with_graphs(spec, all_pairs(3))
+    for G in graphs["V"] + graphs["W"] + graphs["Q"]:
+        assert _assert_routes_agree(G, all_pairs(3))
     for pair, expected in (((1, 2), True), ((2, 3), False), ((1, 3), False)):
         report = analyze(spec, [pair])
         assert not report.controllable and report.pairwise == {pair: expected}
-
-
-@pytest.mark.parametrize("delta, answered", [(1e-7, False), (1e-5, True)])
-def test_a_long_path_with_a_poorly_conditioned_krylov_matrix(delta, answered):
-    # A = diag(1, 1 + delta), b = (1, 1): sigma_min of the equilibrated
-    # Krylov matrix is about delta / (2 sqrt(2)).  On a path of 100 systems
-    # the smallest nonzero singular value of W is about that times
-    # pi / (sqrt(2) q), which at delta = 1e-7 falls below the rank cutoff,
-    # and the SVD route calls W disconnected.  The rule must then not
-    # answer; at delta = 1e-5 its guard holds and both say connected.
-    q = 100
-    spec = ArraySpec.from_incidence(
-        np.diag([1.0, 1.0 + delta]), np.kron(_path_incidence(q), [[1.0], [1.0]])
-    )
-    assert _w_rule_answers(spec) == answered
-    verdict = _assert_w_matrix_matches_svd_route(spec, [(1, 2), (1, q), (50, 51)])
-    assert verdict.connected == answered
-
-
-def test_a_krylov_column_within_a_decade_of_the_drop_cut_is_not_contracted():
-    # A b is 2e-9 times b: inside the decade above the cut of W.
-    B = np.zeros((2, 1, 2))
-    B[0, 0], B[1, 0] = [1.0, 0.0], [-1.0, 0.0]
-    for a in (2e-9, 1e-7):
-        spec = ArraySpec(n=2, q=2, p=1, A=[[0.0, 0.0], [a, 0.0]], B=B)
-        assert _w_rule_answers(spec) == (a != 2e-9)
-        _assert_w_matrix_matches_svd_route(spec, [(1, 2)])
 
 
 def test_drawing_tolerates_blocks_that_are_negatives_only_to_rounding():
@@ -366,39 +303,3 @@ def test_drawing_tolerates_blocks_that_are_negatives_only_to_rounding():
     assert _edge_labels(G) is None
     assert [(i, j) for i, j, _ in detect_scalar_edges(G)] == [(1, 2), (2, 3)]
     assert detect_scalar_edges(make_graph(3, 1, M, Tolerances(zero=1e-16))) is None
-
-
-def test_a_hyperedge_input_is_not_contracted():
-    # Input 2 pushes system 3 against systems 1 and 2 together.
-    B = np.zeros((3, 2, 2))
-    B[0, 0], B[1, 0] = [1.0, 1.0], [-1.0, -1.0]
-    B[:, 1] = [[1.0, 1.0], [1.0, 1.0], [-2.0, -2.0]]
-    spec = ArraySpec(n=2, q=3, p=2, A=[[0.0, 1.0], [0.0, 0.0]], B=B)
-    assert not _w_rule_answers(spec)
-    verdict = w_matrix_verdict(spec, all_pairs(3), TOL)
-    assert verdict.connected and kalman_reduced(spec)
-    assert all(verdict.kl_connected.values())
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_w_matrix_verdict_agrees_with_kalman_on_geometric_spectra(n):
-    # A = diag(1, 10, ..., 10^(n-1)): the Krylov matrices are scaled
-    # Vandermonde matrices.  The rule's guard accepts them up to n = 5;
-    # from n = 6 on the SVD route decides.  b_i = 10^(-i (n-1))
-    # gives every power A^k b unit scale.  With b = (1, ..., 1) the powers
-    # would span (n-1)^2 decades; from n = 4 the rule does not answer
-    # because some lie within a decade of the drop cut, and from n = 5
-    # both kalman_reduced and W drop the low ones.
-    A = np.diag(10.0 ** np.arange(n))
-    b = 10.0 ** (-np.arange(n) * (n - 1))
-    ring = np.array([[1.0, 0.0, -1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
-    pairs = all_pairs(3)
-    for incidence in (ring, ring[:, :2], ring[:, :1]):
-        spec = ArraySpec(n=n, q=3, p=incidence.shape[1], A=A,
-                         B=np.einsum("qp,n->qpn", incidence, b))
-        verdict = w_matrix_verdict(spec, pairs, TOL)
-        assert verdict.connected == kalman_reduced(spec)
-        assert list(verdict.kl_connected.values()) == [
-            pairwise_range(spec, k, l) for k, l in pairs
-        ]
-        assert _w_rule_answers(spec) == (n <= 5)

@@ -927,7 +927,7 @@ def test_lineality_requires_real_graph():
         cone_contains_subspace(G, np.array([[1.0], [-1.0]]))
 
 
-def test_only_make_graph_and_edge_components_take_a_tolerance():
+def test_only_make_graph_takes_a_tolerance():
     # Every other predicate reads the tolerances the graph carries.
     def takes_a_tolerance(fn):
         return any(
@@ -940,9 +940,7 @@ def test_only_make_graph_and_edge_components_take_a_tolerance():
         if inspect.isfunction(fn) and fn.__module__ == gengraph_module.__name__
         and not name.startswith("_")
     ]
-    assert {fn.__name__ for fn in public if takes_a_tolerance(fn)} == {
-        "make_graph", "edge_components"
-    }
+    assert {fn.__name__ for fn in public if takes_a_tolerance(fn)} == {"make_graph"}
     builders = ("w_graphs", "v_graphs", "q_graphs_and_index_sets", "controllability_matrix")
     assert {
         name for name in builders if takes_a_tolerance(getattr(controllability_module, name))

@@ -13,8 +13,8 @@ a similarity (n = 6, q = 12, p = 18 unit-edge inputs whose edges leave
 three components), drawn by bench/workloads.py's damped_oscillator_array
 from numpy's default_rng(20261045) and kept as a spec file.  Every
 eigenvalue is non-real, so its report pins the complex-graph and
-controllability-matrix pair verdicts at all 132 ordered pairs, which the
-examples barely use.
+pairwise verdicts at all 132 ordered pairs, which the examples barely
+use.
 """
 
 import json
@@ -91,16 +91,20 @@ def test_writer_refuses_what_json_dumps_refuses():
 
 
 def test_a_pair_map_keyed_in_another_order_keeps_its_keys():
-    # report_to_dict formats the requested pairs once and zips them with
-    # every pair map in that order; a map in another order is keyed pair
-    # by pair instead of being mislabelled.
+    # report_to_dict formats the requested pairs once, in the order of
+    # report.pairwise, and zips them with every pair map in that order; a
+    # map in another order is keyed pair by pair instead of being
+    # mislabelled.
     from dataclasses import replace
 
-    from relctrl.controllability import WMatrixVerdict
+    def keyed(d):
+        return [(f"{k}-{l}", v) for (k, l), v in d.items()]
 
     report = analyze(build_example("watertanks-ring"), [(1, 2), (2, 3), (1, 3)])
-    flipped = dict(reversed(list(report.w_matrix.kl_connected.items())))
+    flipped = dict(reversed(list(report.pairwise.items())))
     flipped[(2, 3)] = not flipped[(2, 3)]
-    report = replace(report, w_matrix=WMatrixVerdict(report.w_matrix.connected, flipped))
-    out = report_to_dict(report)["controllability_matrix"]["kl_connected"]
-    assert list(out.items()) == [(f"{k}-{l}", v) for (k, l), v in flipped.items()]
+    doc = report_to_dict(replace(report, pairwise=flipped))
+    assert list(doc["verdicts"]["pairwise"].items()) == keyed(flipped)
+    for row, out in zip(report.graph_verdicts, doc["graphs"]):
+        if row.kl_connected is not None:
+            assert list(out["kl_connected"].items()) == keyed(row.kl_connected)

@@ -564,13 +564,13 @@ class _SharedStep(Exception):
 # every stage of the analysis pipeline.
 _ANALYSIS_STEPS = {
     "gengraph": [
-        "make_graph", "edge_components", "_edge_labels", "_range_complement",
+        "make_graph", "_edge_components", "_edge_labels", "_range_complement",
         "lineality_generators", "blocks_in_range", "kl_connected_pairs",
         "range_contains", "is_connected", "cone_member", "column_graph",
     ],
     "controllability": [
         "analyze", "w_graphs", "v_graphs", "q_graphs_and_index_sets",
-        "w_matrix_verdict", "controllability_matrix",
+        "controllability_matrix",
     ],
 }
 

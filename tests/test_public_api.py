@@ -57,12 +57,16 @@ RETIRED = {
 # one-line call of kl_connected_pairs, cone_contains_subspace and
 # lineality_generators, or (oracles) set or wrapped the reach simulator's
 # own time grid, which is now the falsifier's, or (spectral) factored
-# A* - mu I a second time for the bases that one SVD now gives.
+# A* - mu I a second time for the bases that one SVD now gives.  The
+# whole-matrix W check (controllability) restated the eigenvalue graphs'
+# verdicts, and InternalConsistencyError (errors) was its raise.
 DELETED = {
     "controllability": [
-        "IndexRecursionTrace", "is_controllable", "is_pairwise_controllable",
-        "is_positive_pairwise_controllable", "is_positively_controllable",
+        "IndexRecursionTrace", "WMatrixVerdict", "is_controllable",
+        "is_pairwise_controllable", "is_positive_pairwise_controllable",
+        "is_positively_controllable", "w_matrix_verdict",
     ],
+    "errors": ["InternalConsistencyError"],
     "gengraph": ["is_kl_connected", "is_strongly_connected", "is_strongly_kl_connected"],
     "oracles": ["REACH_HORIZON", "REACH_STEPS", "ReachProblem", "make_reach_problem"],
     "spectral": ["eigenvector_basis", "generalized_basis"],

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from relctrl import DEFAULT_TOLERANCES, analyze, cross_check
+from relctrl import analyze, cross_check
 from relctrl.corpus import random_array_spec
 
 
@@ -44,7 +44,7 @@ def main() -> int:
             if k != l
         ]
         report = analyze(spec, pairs=pairs)
-        verdicts = cross_check(spec, report, DEFAULT_TOLERANCES)
+        verdicts = cross_check(spec, report)
         for v in verdicts:
             if v.agrees is False:
                 disagreements += 1

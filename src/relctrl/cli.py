@@ -153,7 +153,7 @@ def cmd_examples(args) -> int:
 def cmd_oracle(args) -> int:
     spec, tol = _load(args)
     report = analyze(spec, [tuple(p) for p in args.pair], tol)
-    verdicts = cross_check(spec, report, tol)
+    verdicts = cross_check(spec, report)
     if args.json:
         payload = [
             {

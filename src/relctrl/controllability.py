@@ -16,7 +16,9 @@ graphs, all cut from one swept graph per eigenvalue (``w_graphs``):
 
 ``analyze`` is the one pipeline: it validates the array, computes the
 spectrum, builds each graph once and reads all four verdicts off them;
-``analyze_with_graphs`` also hands back the graphs, for drawing.
+``analyze_with_graphs`` also hands back the graphs, for drawing.  Every
+power stack comes from ``numutil.krylov``, which the oracles also use;
+they share such kernels, never a step of this module.
 """
 
 from __future__ import annotations
@@ -33,29 +35,17 @@ from .gengraph import (
     column_graph,
     cone_contains_subspace,
     is_connected,
-    kl_connected_pairs,
+    kl_connected_indices,
     lineality_dim,
     lineality_generators,
     make_graph,
 )
-from .numutil import check_pair
+from .numutil import krylov, pair_indices
 from .spectral import Spectrum, distinct_eigenvalues
 
 
 # ---------------------------------------------------------------------------
 # graph construction
-
-
-def _krylov(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The stack [X, A X, ..., A^(n-1) X], A applied along X's last axis.
-
-    One einsum per power on the blocks, so I_q ⊗ A is never formed and a
-    block -b maps to exactly the negative of b's image.
-    """
-    powers = [X]
-    for _ in range(A.shape[0] - 1):
-        powers.append(np.einsum("mn,...n->...m", A, powers[-1]))
-    return np.stack(powers)
 
 
 def controllability_matrix(spec: ArraySpec, tol: Tolerances = DEFAULT_TOLERANCES) -> GenGraph:
@@ -68,7 +58,7 @@ def controllability_matrix(spec: ArraySpec, tol: Tolerances = DEFAULT_TOLERANCES
     Kalman test lives in ``relctrl.oracles``.
     """
     # (power, q, p, n) -> rows (system, state), columns (power, input)
-    W = _krylov(spec.A, spec.B).transpose(1, 3, 0, 2).reshape(spec.q * spec.n, spec.n * spec.p)
+    W = krylov(spec.A, spec.B, spec.n).transpose(1, 3, 0, 2).reshape(spec.q * spec.n, -1)
     return make_graph(spec.q, spec.n, W, tol)
 
 
@@ -89,11 +79,9 @@ def w_graphs(
     graphs = []
     for comp in spectrum.components:
         nk = comp.alg_mult
-        powers = [np.eye(nk, dtype=comp.Lambda.dtype)]
-        for _ in range(nk - 1):
-            powers.append(powers[-1] @ comp.Lambda)
+        X = _component_blocks(spec, comp.U).transpose(0, 2, 1)
         # Entry (system i, row a), column (input s, power r): (Lambda^r U* b_s,i)_a.
-        M = np.einsum("qcs,rac->qasr", _component_blocks(spec, comp.U), np.stack(powers))
+        M = krylov(comp.Lambda, X, nk).transpose(1, 3, 2, 0)
         graphs.append(make_graph(spec.q, nk, M.reshape(spec.q * nk, -1), tol))
     return graphs
 
@@ -281,15 +269,6 @@ class AnalysisReport:
         return [row for row in self.graph_verdicts if row.graph_kind == kind]
 
 
-def _normalize_pairs(spec: ArraySpec, pairs) -> list[tuple[int, int]]:
-    out: dict[tuple[int, int], None] = {}
-    for k, l in pairs:
-        k, l = int(k), int(l)
-        check_pair(spec.q, k, l)
-        out[k, l] = None
-    return list(out)
-
-
 def _rows(kind: str, spectrum: Spectrum, graphs: list[GenGraph], fill) -> list[EigGraphVerdict]:
     """One verdict row per eigenvalue, its flags given by ``fill(G, comp)``.
 
@@ -354,10 +333,11 @@ def analyze_with_graphs(
     tol = tolerances or DEFAULT_TOLERANCES
     spec = require_valid(spec, tol.zero)
     spectrum = distinct_eigenvalues(spec.A, tol.eig)
-    pairlist = _normalize_pairs(spec, pairs)
+    pairlist = list(dict.fromkeys((int(k), int(l)) for k, l in pairs))
+    k, l = pair_indices(spec.q, pairlist)
 
     def kl_flags(G):
-        return dict(zip(pairlist, kl_connected_pairs(G, pairlist)))
+        return dict(zip(pairlist, kl_connected_indices(G, k, l)))
 
     def v_fill(G, comp):
         flags = {"connected": is_connected(G), "kl_connected": kl_flags(G)}

@@ -14,16 +14,16 @@ strong (one-way) counterparts to cone inclusions:
 A graph carries the ``Tolerances`` it was built under (``G.tol``), and
 every predicate below judges it by them.  Every range question has one
 rule, ``blocks_in_range``.  The first range query on a graph factors its
-column-equilibrated matrix once and keeps an orthonormal basis N of the
-complement of its numerical range (the left singular vectors beyond the
-cutoff ``tol.rank * smax``).  A
-target, cut into column blocks, is equilibrated block by block and
-projected onto N; a block lies in the range when its residual has
-spectral norm at most ``tol.rank * max(smax, 1)``.  ``range_contains`` is
-the one-block case and always takes this SVD route.  A vertex pair needs
-not even the product: its residual is the difference of column blocks k
-and l of N*, so ``kl_connected_pairs`` answers every requested pair of a
-graph with one array operation on those blocks, under the same bound.
+matrix once (``numutil.range_complement``) and keeps the adjoint N* of an
+orthonormal basis of the complement of its numerical range, and the
+bound ``tol.rank * max(smax, 1)``.  A target, cut into column blocks, is
+equilibrated block by block and projected onto N; a block lies in the
+range when its residual has spectral norm at most the bound.
+``range_contains`` is the one-block case and always takes this SVD
+route.  A vertex pair needs not even the product: its residual is the
+difference of column blocks k and l of N*, so ``kl_connected_pairs``
+answers every requested pair of a graph with one array operation on
+those blocks (``numutil.pairs_within``).
 
 Most graphs are edge graphs, and for them the rule is a component lookup
 (the edge route).  A graph qualifies when every column above the drop
@@ -40,7 +40,8 @@ components); off the route it is the rows less those of N*
 the SVD route.  The oracles in ``relctrl.oracles``, which
 ``cross_check`` sets against a report, build their own matrices from the
 input blocks and factor them on purpose: an oracle must not share the
-step it checks.
+step it checks; they share the kernels of ``relctrl.numutil``, never
+a graph or a predicate of this module.
 
 Cone questions about a subspace are range questions in disguise.  A
 cone contains a subspace L exactly when its lineality space (the largest
@@ -79,7 +80,8 @@ from .errors import (
     NumericalFailureError,
     UnsupportedRenderError,
 )
-from .numutil import check_pair, component_labels, edge_ends, equilibrated, null_basis
+from .numutil import component_labels, edge_ends, null_basis, pair_indices, pairs_within
+from .numutil import range_complement, within_bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,27 +316,10 @@ def cone_member(G: GenGraph, v: np.ndarray) -> Feasibility:
 
 
 def _range_complement(G: GenGraph) -> tuple[np.ndarray, float]:
-    """(N*, smax) for the numerical range of G, computed once per graph.
-
-    The columns are equilibrated with the drop rule of ``equilibrated``
-    and factored by one SVD (full U when the matrix is tall, so that the
-    directions beyond its column count are included).  N is the
-    orthonormal basis of left singular vectors whose singular values do
-    not exceed ``tol.rank * smax``; its adjoint is kept, ready to project.
-    """
-    memo = G._memo.get("complement")
-    if memo is None:
-        Gn = equilibrated(G.M, G.tol.rank)
-        m, c = Gn.shape
-        if c == 0:
-            memo = (np.eye(m), 0.0)
-        else:
-            U, s, _ = np.linalg.svd(Gn, full_matrices=m > c)
-            smax = float(s[0])
-            N = U[:, int(np.sum(s > G.tol.rank * smax)):]
-            memo = (N.conj().T, smax)
-        G._memo["complement"] = memo
-    return memo
+    """``range_complement`` of G.M under G.tol.rank, computed once per graph."""
+    if "complement" not in G._memo:
+        G._memo["complement"] = range_complement(G.M, G.tol.rank)
+    return G._memo["complement"]
 
 
 def _edge_components(
@@ -441,12 +426,10 @@ def blocks_in_range(G: GenGraph, T: np.ndarray, width: int) -> list[bool]:
     to unit norm and those below ``G.tol.rank`` times its largest column
     norm are zeroed, so that columns spanning many magnitudes (powers of
     the dynamics) do not drown small directions, and noise is not
-    inflated into them.  The graph side is factored once per graph
-    (see ``_range_complement``); a block lies in the range when its
-    equilibrated columns leave a spectral-norm residual of at most
-    ``tol.rank * max(smax, 1)`` outside it, smax being the largest
-    singular value of the equilibrated graph.  All blocks are judged in
-    one stack.
+    inflated into them.  A block lies in the range when its equilibrated
+    columns leave a residual within the bound of the graph's one
+    factorization (``_range_complement``).  All blocks are judged in one
+    stack.
 
     On an edge graph (``_edge_labels``), a target whose columns are each
     exactly an edge or zero takes the edge route: a block lies in the
@@ -469,66 +452,43 @@ def _blocks_by_svd(G: GenGraph, T: np.ndarray, width: int) -> list[bool]:
     m, c = T.shape
     count = c // width
     Tn = np.where(keep, T.reshape(m, count, width) / np.where(keep, norms, 1.0), 0.0)
-    Nh, smax = _range_complement(G)
+    Nh, bound = _range_complement(G)
     X = (Nh @ Tn.reshape(m, c)).reshape(Nh.shape[0], count, width).transpose(1, 0, 2)
-    return _within_bound(X, G.tol.rank * max(smax, 1.0)).tolist()
+    return within_bound(X, bound).tolist()
 
 
 def range_contains(G: GenGraph, T: np.ndarray) -> bool:
     """True when range(G) contains range(T): ``blocks_in_range`` on one block.
 
     It always takes the SVD route, on edge graphs too, so it is the
-    reference the edge route is checked against.  The oracles build and
-    factor their own matrices instead, so that a cross-check does not
-    share the step it checks.
+    reference the edge route is checked against.
     """
     T = np.atleast_2d(np.asarray(T))
     return all(_blocks_by_svd(G, T, max(1, T.shape[1])))
 
 
-def _within_bound(X: np.ndarray, bound: float) -> np.ndarray:
-    """Which residuals of a (P, r, b) stack have spectral norm <= bound."""
-    # ||X||_2 <= ||X||_F <= sqrt(min(r, b)) ||X||_2 settles all but
-    # near-threshold residuals without a factorization.
-    fro = np.sqrt(np.einsum("prb,prb->p", X.conj(), X).real)
-    ok = fro <= bound
-    mid = ~ok & (fro <= bound * np.sqrt(min(X.shape[1:])))
-    if mid.any():
-        ok[mid] = np.linalg.norm(X[mid], 2, axis=(1, 2)) <= bound
-    return ok
-
-
 def kl_connected_pairs(G: GenGraph, pairs) -> list[bool]:
-    """(k,l)-connectivity of every requested 1-based pair, in one batch.
+    """``kl_connected_indices`` of 1-based vertex pairs, checked by ``pair_indices``."""
+    return kl_connected_indices(G, *pair_indices(G.q, pairs))
 
-    Each verdict equals ``range_contains(G, (e_k - e_l) ⊗ I)``.  The
-    target's columns all have norm sqrt(2), so equilibrated it is
-    ((e_k - e_l) ⊗ I)/sqrt(2), and its residual outside the range is
-    (N*_k - N*_l)/sqrt(2), where N*_k is column block k of the memoized
-    complement.  The residuals of all pairs are gathered into (P, r, b)
-    stacks and judged together by the rule of ``range_contains``.  On an
+
+def kl_connected_indices(G: GenGraph, k: np.ndarray, l: np.ndarray) -> list[bool]:
+    """(k,l)-connectivity of the valid 0-based vertex pairs (k[i], l[i]), in one batch.
+
+    Each verdict equals ``range_contains(G, (e_k - e_l) ⊗ I)``: the
+    residual of the equilibrated target is (N*_k - N*_l)/sqrt(2), where
+    N*_k is column block k of the memoized complement, and
+    ``numutil.pairs_within`` judges all of them in a few stacks.  On an
     edge graph a pair is connected exactly when its ends share a
     component label.
     """
-    pairs = list(pairs)
-    for k, l in pairs:
-        check_pair(G.q, k, l)
-    if not pairs:
+    if not k.size:
         return []
-    k, l = (np.asarray(pairs) - 1).T
     labels = _edge_labels(G)
     if labels is not None:
         return (labels[k] == labels[l]).tolist()
-    Nh, smax = _range_complement(G)
-    blocks = Nh.reshape(-1, G.q, G.blocksize)
-    # Pairs per stack, so that one stack holds at most 2**18 entries.
-    step = max(1, 2**18 // max(1, Nh.size // G.q))
-    bound = G.tol.rank * max(smax, 1.0)
-    ok: list[bool] = []
-    for i in range(0, len(pairs), step):
-        X = (blocks[:, k[i : i + step]] - blocks[:, l[i : i + step]]) / np.sqrt(2.0)
-        ok += _within_bound(X.transpose(1, 0, 2), bound).tolist()
-    return ok
+    Nh, bound = _range_complement(G)
+    return pairs_within(Nh.reshape(-1, G.q, G.blocksize), k, l, bound)
 
 
 def column_graph(G: GenGraph, columns) -> GenGraph:
@@ -608,20 +568,18 @@ def lineality_generators(G: GenGraph) -> Lineality:
     return memo
 
 
-def cone_contains_subspace(G: GenGraph, T: np.ndarray | None = None) -> tuple[bool, bool]:
-    """Test cone(G) ⊇ range(T) as range(T) ⊆ span of the lineality generators.
+def cone_contains_subspace(G: GenGraph) -> tuple[bool, bool]:
+    """Strong connectivity: cone(G) contains the whole disagreement space.
 
-    Returns (verdict, marginal).  The generators come from the graph's
-    memoized peel (``lineality_generators``) and the inclusion is one
-    range query against them: ``range_contains`` for a target T, and
-    ``is_connected`` of the generator graph when T is None, which stands
-    for the whole disagreement space (strong connectivity).  marginal is
-    set on a negative verdict when the peel met a near-threshold
-    rejection: a generator set decided the other way could only have
-    grown, and with it the verdict.
+    Returns (verdict, marginal).  A cone contains that space exactly when
+    the span of its lineality generators does, so the verdict is
+    ``is_connected`` of the generator graph of the memoized peel
+    (``lineality_generators``).  marginal is set on a negative verdict
+    when the peel met a near-threshold rejection: a generator set decided
+    the other way could only have grown, and with it the verdict.
     """
     lin = lineality_generators(G)
-    ok = is_connected(lin.graph) if T is None else range_contains(lin.graph, T)
+    ok = is_connected(lin.graph)
     return ok, (not ok) and lin.marginal
 
 

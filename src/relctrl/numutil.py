@@ -1,4 +1,9 @@
-"""Dense linear-algebra helpers shared by the analysis modules."""
+"""Dense linear-algebra kernels shared by the analysis and the oracles.
+
+Both sides build their power stacks with ``krylov`` and answer range
+questions by the one rule of ``range_complement``, ``within_bound`` and
+``pairs_within``, each on matrices it builds and factors itself.
+"""
 
 from __future__ import annotations
 
@@ -112,16 +117,82 @@ def component_labels(size: int, edges) -> np.ndarray:
     return np.array(parent, dtype=np.intp)
 
 
-def check_pair(q: int, k: int, l: int) -> None:
-    """Raise DimensionError unless k and l are distinct vertices 1..q."""
-    if not (1 <= k <= q and 1 <= l <= q) or k == l:
-        raise DimensionError(f"pair ({k},{l}) invalid for q={q} (1-based, distinct)")
+def krylov(A: np.ndarray, X: np.ndarray, count: int) -> np.ndarray:
+    """The stack [X, A X, ..., A^(count-1) X], A applied along X's last axis.
+
+    One einsum per power on the blocks, so I_q ⊗ A is never formed and a
+    block -b maps to exactly the negative of b's image.
+    """
+    powers = [X]
+    for _ in range(count - 1):
+        powers.append(np.einsum("mn,...n->...m", A, powers[-1]))
+    return np.stack(powers)
+
+
+def range_complement(M: np.ndarray, tol_rank: float) -> tuple[np.ndarray, float]:
+    """(N*, bound): the complement of M's numerical range and the range rule's bound.
+
+    M, equilibrated by the drop rule of ``equilibrated``, is factored by
+    one SVD (full U when tall, to include the directions beyond its column
+    count).  N spans the left singular vectors at or below tol_rank smax.
+    An equilibrated target lies in the range when its residual N* t has
+    spectral norm at most bound = tol_rank max(smax, 1) (``within_bound``).
+    """
+    Mn = equilibrated(M, tol_rank)
+    m, c = Mn.shape
+    if c == 0:
+        return np.eye(m), tol_rank
+    U, s, _ = np.linalg.svd(Mn, full_matrices=m > c)
+    smax = float(s[0])
+    return U[:, int(np.sum(s > tol_rank * smax)) :].conj().T, tol_rank * max(smax, 1.0)
+
+
+def within_bound(X: np.ndarray, bound: float) -> np.ndarray:
+    """Which residuals of a (P, r, b) stack have spectral norm <= bound."""
+    # ||X||_2 <= ||X||_F <= sqrt(min(r, b)) ||X||_2 settles all but
+    # near-threshold residuals without a factorization.
+    fro = np.sqrt(np.einsum("prb,prb->p", X.conj(), X).real)
+    ok = fro <= bound
+    mid = ~ok & (fro <= bound * np.sqrt(min(X.shape[1:])))
+    if mid.any():
+        ok[mid] = np.linalg.norm(X[mid], 2, axis=(1, 2)) <= bound
+    return ok
+
+
+def pairs_within(blocks: np.ndarray, k: np.ndarray, l: np.ndarray, bound: float) -> list[bool]:
+    """Which 0-based pairs (k, l) have (e_k - e_l) ⊗ I_b in range, by ``within_bound``.
+
+    blocks is a complement N* cut into its q column blocks, (rows, q, b).
+    Equilibrated, the target is (e_k - e_l) ⊗ I_b / sqrt(2), so its
+    residual is (blocks_k - blocks_l) / sqrt(2).
+    """
+    # Pairs per stack, so that one stack holds at most 2**18 entries.
+    step = max(1, 2**18 // max(1, blocks.shape[0] * blocks.shape[2]))
+    ok: list[bool] = []
+    for i in range(0, len(k), step):
+        X = (blocks[:, k[i : i + step]] - blocks[:, l[i : i + step]]) / np.sqrt(2.0)
+        ok += within_bound(X.transpose(1, 0, 2), bound).tolist()
+    return ok
+
+
+def pair_indices(q: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (k, l) arrays of 1-based pairs of distinct vertices 1..q.
+
+    DimensionError names the first pair that is not one, an index beyond
+    int64 included (the pairs are read without a dtype, so none overflows).
+    """
+    kl = np.array(list(pairs)).reshape(-1, 2)
+    k, l = kl.T
+    bad = (k < 1) | (k > q) | (l < 1) | (l > q) | (k == l)
+    if bad.any():
+        a, b = kl[bad.argmax()].tolist()
+        raise DimensionError(f"pair ({a},{b}) invalid for q={q} (1-based, distinct)")
+    return (k - 1).astype(np.intp), (l - 1).astype(np.intp)
 
 
 def pair_difference(q: int, k: int, l: int) -> np.ndarray:
     """The vector e_k - e_l in R^q, 1-based indices."""
-    check_pair(q, k, l)
+    k, l = pair_indices(q, [(k, l)])
     e = np.zeros(q)
-    e[k - 1] += 1.0
-    e[l - 1] -= 1.0
+    e[k], e[l] = 1.0, -1.0
     return e

@@ -27,7 +27,9 @@ reduced Krylov matrix and factors it by one SVD, which answers the
 Kalman test, the rank half of the Brammer test and every pair's range
 test.  The analysis forms no controllability matrix: its verdicts come
 from the eigenvalue graphs alone, and an oracle must not share the step
-it checks.
+it checks.  The oracles share the kernels of ``relctrl.numutil``
+(``krylov``, ``range_complement``, ``pairs_within``), as they share
+``nnls``, but no graph builder, predicate or stage of the analysis.
 
 The two evidence tools ask one question: how far is each target
 +/-(e_k - e_l) ⊗ e_i from the cone of input responses e^{A t} b_s
@@ -59,7 +61,7 @@ from .array_model import ArraySpec, build_big, require_valid
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GraphDomainError
 from .gengraph import nnls
-from .numutil import check_pair, equilibrated, pair_difference
+from .numutil import krylov, pair_difference, pair_indices, pairs_within, range_complement
 from .spectral import distinct_eigenvalues
 
 @dataclass(frozen=True, eq=False)
@@ -71,41 +73,28 @@ class OracleVerdict:
 
 
 def _krylov_complement(A: np.ndarray, Bred: np.ndarray, tol_rank: float) -> tuple:
-    """(N*, bound) from one SVD of the reduced Krylov matrix.
+    """(N*, bound): ``range_complement`` of the reduced Krylov matrix.
 
     The matrix [X, (I ⊗ A) X, ..., (I ⊗ A)^(n-1) X] of the reduced input
-    blocks X = D* B (rows (block, state), columns (power, input); A acts
-    on the blocks) is column-equilibrated.  N spans the left singular
-    vectors at or below bound = tol_rank smax, the complement of its
-    numerical range; the array is controllable when N is empty.
+    blocks X = D* B has rows (block, state) and columns (power, input);
+    A acts on the blocks.  The array is controllable when N is empty.
     """
     r, p, n = Bred.shape
-    powers = [Bred]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ A.T)
-    K = equilibrated(np.stack(powers).transpose(1, 3, 0, 2).reshape(r * n, n * p), tol_rank)
-    U, s, _ = np.linalg.svd(K, full_matrices=K.shape[0] > K.shape[1])
-    bound = tol_rank * float(s.max(initial=0.0))
-    return U[:, int(np.sum(s > bound)) :].conj().T, bound
+    K = krylov(A, Bred, n).transpose(1, 3, 0, 2).reshape(r * n, n * p)
+    return range_complement(K, tol_rank)
 
 
 def _pairs_in_range(complement: tuple, D: np.ndarray, pairs, n: int) -> list[bool]:
     """Which 1-based pairs (k, l) have (e_k - e_l) ⊗ I_n in the Krylov range.
 
-    Equilibrated, the target is ((e_k - e_l) ⊗ I_n)/sqrt(2), in reduced
-    coordinates (D*(e_k - e_l) ⊗ I_n)/sqrt(2); it is in range when its
-    projection onto N has spectral norm at most the bound.
+    The target is D*(e_k - e_l) ⊗ I_n in reduced coordinates, so the
+    reduced complement N* is mapped back to the q system blocks,
+    N* (D* ⊗ I_n), and read by the pair test ``pairs_within``.
     """
     Nh, bound = complement
-    q, r = D.shape
-    d = np.array([pair_difference(q, k, l) for k, l in pairs]).reshape(-1, q) @ D
-    # Pairs per stack, so that one stack holds at most 2**18 entries.
-    step = max(1, 2**18 // max(1, Nh.size // r))
-    ok: list[bool] = []
-    for i in range(0, len(d), step):
-        X = np.einsum("ajm,pj->pam", Nh.reshape(-1, r, n), d[i : i + step]) / np.sqrt(2.0)
-        ok += (np.linalg.norm(X, 2, axis=(1, 2)) <= bound).tolist()
-    return ok
+    k, l = pair_indices(D.shape[0], pairs)
+    blocks = np.einsum("acm,jc->ajm", Nh.reshape(-1, D.shape[1], n), D)
+    return pairs_within(blocks, k, l, bound)
 
 
 def kalman_reduced(
@@ -229,7 +218,7 @@ def path_oracle(G: np.ndarray, kind: str, k: int | None = None, l: int | None = 
     if kind in ("kl", "strong_kl"):
         if k is None or l is None:
             raise GraphDomainError(f"pairwise query {kind!r} needs vertices k and l")
-        check_pair(q, k, l)
+        pair_indices(q, [(k, l)])
         a, b = k - 1, l - 1
         if kind == "kl":
             return b in _reachable(q, undirected, a)
@@ -553,13 +542,13 @@ def _compared(name: str, label: str, oracle: bool, analysis: bool) -> OracleVerd
     )
 
 
-def cross_check(spec: ArraySpec, report, tolerances: Tolerances) -> list[OracleVerdict]:
+def cross_check(spec: ArraySpec, report) -> list[OracleVerdict]:
     """Run every oracle that applies to spec and set it against report.
 
     ``report`` is what ``analyze(spec, pairs, tolerances)`` returned; the
-    pairwise oracles run at its pairs.  In order: the Kalman rank and
-    Brammer cone tests, which share one set of reduced blocks and one
-    factorization of their Krylov matrix; on n = 1 arrays whose inputs
+    oracles run under its tolerances, at its pairs.  In order: the Kalman
+    rank and Brammer cone tests, which share one set of reduced blocks and
+    one factorization of their Krylov matrix; on n = 1 arrays whose inputs
     are literal unit edges, the walks of ``path_oracle``; then per pair
     the range test, read from that same factorization, the polar
     falsifier and, for a positive pairwise verdict, the reach simulator,
@@ -568,7 +557,7 @@ def cross_check(spec: ArraySpec, report, tolerances: Tolerances) -> list[OracleV
     falsifier is inconclusive (``agrees`` None) without a witness and the
     reach simulator unless every target is hit.
     """
-    tol = tolerances
+    tol = report.tolerances
     big = build_big(spec, tol.zero)
     complement = _krylov_complement(spec.A, big.Bred, tol.rank)
     controllable = complement[0].shape[0] == 0

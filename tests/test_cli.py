@@ -581,7 +581,7 @@ def test_oracle_json_is_the_cross_check_list(tmp_path, capsys):
         spec, file_tol = load_spec(path)
         tol = file_tol or DEFAULT_TOLERANCES
         spec = require_valid(spec, tol.zero)
-        verdicts = cross_check(spec, analyze(spec, pairs, tol), tol)
+        verdicts = cross_check(spec, analyze(spec, pairs, tol))
         assert code == (3 if any(v.agrees is False for v in verdicts) else 0)
         assert [(e["name"], e["agrees"], e["detail"]) for e in doc] == [
             (v.name, v.agrees, v.detail) for v in verdicts

@@ -76,9 +76,10 @@ def test_pairwise_range_counterexample(counterexample):
     assert pairwise_range(counterexample, 1, 2) == analyze(counterexample, [(1, 2)]).pairwise[1, 2]
 
 
-@pytest.mark.parametrize("pair", [(0, 2), (1, 1), (4, 1)])
+@pytest.mark.parametrize("pair", [(0, 2), (1, 1), (4, 1), (1, 2**70)])
 def test_oracles_reject_invalid_pairs(watertanks, pair):
-    # Index 0 and negative indices must not wrap round to system q.
+    # Index 0 and negative indices must not wrap round to system q, and an
+    # index beyond int64 must not overflow.
     with pytest.raises(DimensionError):
         pairwise_range(watertanks, *pair)
     with pytest.raises(DimensionError):
@@ -370,7 +371,7 @@ def test_falsifier_forms_the_dense_exponentials_once(oscillators_a, monkeypatch)
     # runs on all six positive pairs here, reads the same coarse stack.
     report = analyze(oscillators_a, pairs=all_pairs(oscillators_a.q))
     calls.clear()
-    verdicts = cross_check(oscillators_a, report, DEFAULT_TOLERANCES)
+    verdicts = cross_check(oscillators_a, report)
     assert sum(v.name.startswith("reach_simulator") for v in verdicts) == 6
     assert calls == [coarse, 10 * coarse]
 
@@ -388,7 +389,7 @@ def test_reach_reads_the_falsifiers_programs(watertanks_ring, monkeypatch):
 
     monkeypatch.setattr(relctrl.oracles, "nnls", counting)
     report = analyze(watertanks_ring, pairs=[(1, 2), (2, 1)])
-    verdicts = {v.name: v for v in cross_check(watertanks_ring, report, DEFAULT_TOLERANCES)}
+    verdicts = {v.name: v for v in cross_check(watertanks_ring, report)}
     assert verdicts["reach_simulator_1_2"].agrees and verdicts["reach_simulator_2_1"].agrees
     # Besides the Brammer cone test's programs, on reduced coordinates,
     # the stack runs the two of the pair, +/-(e_1 - e_2).
@@ -603,7 +604,7 @@ def test_the_oracles_do_not_call_the_analysis(spectrum_too, monkeypatch):
         for name, value in list(vars(module).items()):
             if id(value) in originals:
                 monkeypatch.setattr(module, name, shared)
-    rows = [row for spec, report in cases for row in cross_check(spec, report, DEFAULT_TOLERANCES)]
+    rows = [row for spec, report in cases for row in cross_check(spec, report)]
     assert len(rows) == 108
 
 

@@ -31,7 +31,10 @@ The corpus is fixed, so the script takes no options:
                       in direction, each under two fixed ``Tolerances``
                       (one with every entry moved off its default, one
                       with rank 1e-3 alone), so that a tolerance that
-                      stops reaching a code path shows.
+                      stops reaching a code path shows;
+    text              ``render_text``, the default output of ``relctrl
+                      analyze``, for the six examples and the damped
+                      spec, with every ordered pair and with none.
 
 An analysis that raises contributes its error type and message instead
 of a report.  The whole run takes a few seconds.
@@ -57,6 +60,7 @@ from relctrl import (
     build_example,
     example_names,
     render_json,
+    render_text,
 )
 from relctrl.cli import main as relctrl_main
 from relctrl.corpus import random_array_spec
@@ -84,9 +88,9 @@ def _error_bytes(exc) -> bytes:
     return f"error: {type(exc).__name__}: {exc}\n".encode()
 
 
-def _report_bytes(spec, pairs, tolerances=None) -> bytes:
+def _report_bytes(spec, pairs, tolerances=None, render=render_json) -> bytes:
     try:
-        return render_json(analyze(spec, pairs, tolerances)).encode()
+        return render(analyze(spec, pairs, tolerances)).encode()
     except AnalysisError as exc:
         return _error_bytes(exc)
 
@@ -150,6 +154,14 @@ def _digest_tolerances(specs) -> None:
     print(f"{digest.hexdigest()}  tolerances")
 
 
+def _digest_text(cases) -> None:
+    digest = hashlib.sha1()
+    for spec, tolerances in cases:
+        for pairs in (_all_pairs(spec.q), ()):
+            digest.update(_report_bytes(spec, pairs, tolerances, render_text))
+    print(f"{digest.hexdigest()}  text")
+
+
 def main() -> int:
     examples = [(build_example(name), None) for name in example_names()]
     _digest_reports("examples", examples)
@@ -159,6 +171,7 @@ def main() -> int:
     _digest_oracles()
     _digest_drawings(examples + [load_spec(DAMPED)])
     _digest_tolerances([spec for spec, _ in examples] + [load_spec(DAMPED)[0], _leaning_inputs()])
+    _digest_text(examples + [load_spec(DAMPED)])
     return 0
 
 

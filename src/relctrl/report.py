@@ -276,14 +276,8 @@ def render_text(report: AnalysisReport) -> str:
     lines.append("per-eigenvalue graphs:")
     lines.append(header)
 
-    by_kind = {"V": {}, "W": {}, "Q": {}}
-    for v in report.graph_verdicts:
-        by_kind[v.graph_kind][v.kappa] = v
-    for i, comp in enumerate(report.spectrum.components):
-        kappa = i + 1
-        vrow = by_kind["V"][kappa]
-        wrow = by_kind["W"][kappa]
-        qrow = by_kind["Q"][kappa]
+    rows = zip(report.spectrum.components, report.rows("V"), report.rows("W"), report.rows("Q"))
+    for kappa, (comp, vrow, wrow, qrow) in enumerate(rows, start=1):
         line = f"  {kappa:<4d}{format_mu(comp.mu):<{mu_width}s}"
         line += f"{_flag(vrow.connected, 'conn', 'NOT'):<8s}"
         line += f"{_flag(vrow.strongly_connected, 'strong', 'NOT'):<10s}"

@@ -9,6 +9,14 @@ real parts descending, a real eigenvalue ahead of non-real ones sharing
 its real part, then |Im| ascending with the positive-imaginary member of
 each conjugate pair first.
 
+The components come from one matrix of distances between the computed
+eigenvalues: its connected components at the clustering tolerance are
+the clusters, its entries between clusters are the conditioning test,
+and the conjugate pairing needs no search.  LAPACK returns the
+eigenvalues of a real matrix in exact conjugate pairs and conjugation
+keeps every distance, so the non-real clusters come in exact mirror
+pairs of equal size, and the sizes partition n.
+
 Each matrix is factored once: ||A||_2 once per array, and A* - mu I
 once per computed eigenvalue (``_component``); a conjugate partner is
 not factored at all.
@@ -16,7 +24,7 @@ not factored at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,23 +69,6 @@ class Spectrum:
         if comp.is_real:
             return None
         return kappa + 1 if comp.mu.imag > 0 else kappa - 1
-
-
-def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
-    # Components of |v_i - v_j| <= tol; the transitive closure keeps
-    # clusters stable under member ordering.
-    values = np.asarray(values)
-    close = np.triu(np.abs(values[:, None] - values[None, :]) <= tol, 1)
-    rows, cols = np.nonzero(close)
-    labels = component_labels(len(values), zip(rows.tolist(), cols.tolist()))
-    groups: dict[int, list[int]] = {}
-    for i, root in enumerate(labels.tolist()):
-        groups.setdefault(root, []).append(i)
-    return [groups[r] for r in sorted(groups)]
-
-
-def _cluster_gap(values, ca, cb) -> float:
-    return min(abs(values[i] - values[j]) for i in ca for j in cb)
 
 
 def _shifted(A: np.ndarray, mu: complex) -> np.ndarray:
@@ -169,34 +160,27 @@ def _component(A, mu, n_k, is_real, tol_rank, norm_A) -> EigComponent:
     )
 
 
-def _conjugate_component(comp: EigComponent) -> EigComponent:
-    return EigComponent(
-        mu=np.conj(comp.mu),
-        alg_mult=comp.alg_mult,
-        geo_mult=comp.geo_mult,
-        V=comp.V.conj(),
-        U=comp.U.conj(),
-        A_k=comp.A_k.conj(),
-        Lambda=comp.Lambda.conj(),
-        is_real=False,
-    )
-
-
 def distinct_eigenvalues(A: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig) -> Spectrum:
     """Cluster the eigenvalues of A* and assemble the ordered spectrum.
 
-    Eigenvalues are clustered at the tolerance tol_eig (1 + radius), the
-    radius being the largest modulus among them.  Clusters whose
-    imaginary part is below the tolerance are snapped to the real axis;
-    the rest are symmetrized into exact conjugate pairs.
-    Raises IllConditionedSpectrumError when two clusters are separated by
-    less than twice the clustering tolerance, since the grouping would
-    then hinge on the tolerance choice.
+    One pass over the matrix of pairwise distances between the computed
+    eigenvalues: clusters are the connected components of |mu_i - mu_j|
+    <= tol, where tol = tol_eig (1 + radius) and the radius is the
+    largest modulus among them, each cluster labelled by its smallest
+    member and represented by its mean.  A cluster whose mean lies within
+    tol of the real axis is snapped onto it; every other cluster is
+    symmetrized with its mirror cluster into an exact conjugate pair.
+    LAPACK lists the eigenvalues of a real matrix in exact conjugate
+    pairs, the positive-imaginary member first, and conjugation keeps
+    every distance, so the mirror of a cluster is a cluster of the same
+    size.  Raises IllConditionedSpectrumError, quoting the smallest gap
+    between clusters and the tolerance, when two eigenvalues in different
+    clusters lie closer than 2 tol, since the grouping would then hinge
+    on the tolerance choice.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InconsistentSpectrumError(f"A must be square, got shape {A.shape}")
-    n = A.shape[0]
     evals = np.linalg.eigvals(A.T)
     tol = float(tol_eig) * (1.0 + float(np.abs(evals).max(initial=0.0)))
     # Clustered eigenvalues carry an error up to the clustering tolerance,
@@ -206,83 +190,52 @@ def distinct_eigenvalues(A: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig)
     smax = float(np.linalg.norm(A, 2)) if A.size else 0.0
     tol_rank = tol / (1.0 + smax)
 
-    clusters = _cluster(evals, tol)
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            gap = _cluster_gap(evals, clusters[i], clusters[j])
-            if gap < 2.0 * tol:
-                raise IllConditionedSpectrumError(
-                    f"eigenvalue clusters separated by {gap:.3e} with tolerance {tol:.3e}; "
-                    "choose a different eigenvalue tolerance"
-                )
+    dist = np.abs(evals[:, None] - evals[None, :])
+    rows, cols = np.nonzero(np.triu(dist <= tol, 1))
+    labels = component_labels(len(evals), zip(rows.tolist(), cols.tolist()))
+    gap = dist[labels[:, None] != labels[None, :]].min(initial=np.inf)
+    if gap < 2.0 * tol:
+        raise IllConditionedSpectrumError(
+            f"eigenvalue clusters separated by {gap:.3e} with tolerance {tol:.3e}; "
+            "choose a different eigenvalue tolerance"
+        )
 
-    means = [complex(np.mean(evals[c])) for c in clusters]
-    sizes = [len(c) for c in clusters]
-
-    # Snap near-real clusters, then pair the remaining ones into exact
-    # conjugates (A is real, so the pairing must exist).
-    entries: list[dict] = []
-    used = [False] * len(clusters)
-    for i, mu in enumerate(means):
-        if used[i]:
-            continue
+    # (mu, size, is_real) per real cluster and per member of a conjugate
+    # pair, +Im first; the mirror of a cluster whose smallest member is r
+    # holds r + 1, the conjugate LAPACK lists next.
+    entries = []
+    for r in np.flatnonzero(labels == np.arange(len(labels))).tolist():
+        members = evals[labels == r]
+        mu = complex(np.mean(members))
         if abs(mu.imag) <= tol:
-            entries.append({"mu": complex(mu.real), "n_k": sizes[i], "real": True})
-            used[i] = True
-            continue
-        partner = None
-        for j in range(len(clusters)):
-            if j != i and not used[j] and abs(np.conj(mu) - means[j]) <= 2.0 * tol:
-                partner = j
-                break
-        if partner is None or sizes[partner] != sizes[i]:
-            raise InconsistentSpectrumError(
-                f"no conjugate partner for eigenvalue cluster at {mu}"
-            )
-        plus = mu if mu.imag > 0 else means[partner]
-        minus = means[partner] if mu.imag > 0 else mu
-        sym = 0.5 * (plus + np.conj(minus))
-        if abs(sym.real) <= tol:
-            sym = complex(0.0, sym.imag)
-        entries.append({"mu": sym, "n_k": sizes[i], "real": False})
-        entries.append({"mu": np.conj(sym), "n_k": sizes[i], "real": False})
-        used[i] = used[partner] = True
+            entries.append((complex(mu.real), len(members), True))
+        elif mu.imag > 0:
+            minus = complex(np.mean(evals[labels == labels[r + 1]]))
+            sym = 0.5 * (mu + np.conj(minus))
+            if abs(sym.real) <= tol:
+                sym = complex(0.0, sym.imag)
+            entries += [(sym, len(members), False), (np.conj(sym), len(members), False)]
 
     # Real parts that agree up to the tolerance must compare equal, or
     # float noise could place a non-real pair ahead of a coincident real
-    # eigenvalue.  Group them first, then sort on the group.
-    res = [e["mu"].real for e in entries]
-    regroups = _cluster(np.asarray(res, dtype=complex), tol)
-    group_of = {}
-    group_re = {}
-    for g, members in enumerate(regroups):
-        rep = float(np.mean([res[i] for i in members]))
-        for i in members:
-            group_of[i] = g
-            group_re[g] = rep
+    # eigenvalue: rank the chains of real parts within tol of each other.
+    re = np.array([mu.real for mu, _, _ in entries])
+    desc = np.argsort(-re, kind="stable")
+    rank = np.empty(len(re), dtype=int)
+    rank[desc] = np.cumsum(np.diff(re[desc], prepend=re[desc[:1]]) < -tol)
 
-    def order_key(item):
-        idx, e = item
-        mu = e["mu"]
-        return (
-            -group_re[group_of[idx]],
-            0 if e["real"] else 1,
-            abs(mu.imag),
-            0 if mu.imag >= 0 else 1,
-        )
-
-    entries = [e for _, e in sorted(enumerate(entries), key=order_key)]
+    def order_key(i):
+        mu, _, is_real = entries[i]
+        return (rank[i], not is_real, abs(mu.imag), mu.imag < 0)
 
     components: list[EigComponent] = []
-    for e in entries:
-        if not e["real"] and e["mu"].imag < 0:
-            components.append(_conjugate_component(components[-1]))
+    for mu, n_k, is_real in (entries[i] for i in sorted(range(len(entries)), key=order_key)):
+        if not is_real and mu.imag < 0:
+            c = components[-1]
+            components.append(replace(
+                c, mu=np.conj(c.mu), V=c.V.conj(), U=c.U.conj(), A_k=c.A_k.conj(),
+                Lambda=c.Lambda.conj(),
+            ))
         else:
-            components.append(_component(A, e["mu"], e["n_k"], e["real"], tol_rank, smax))
-
-    total = sum(c.alg_mult for c in components)
-    if total != n:
-        raise InconsistentSpectrumError(
-            f"algebraic multiplicities sum to {total}, expected {n}"
-        )
+            components.append(_component(A, mu, n_k, is_real, tol_rank, smax))
     return Spectrum(components=tuple(components))

@@ -202,6 +202,56 @@ def test_eigenvalue_list_invariant_under_state_relabeling(perm, data):
     np.testing.assert_allclose(mus, mus_p, atol=1e-9)
 
 
+# Real parts from one small grid, so that real eigenvalues and rotation
+# pairs coincide in real part; every block is diagonalizable.
+GRID_BLOCK = st.tuples(
+    st.sampled_from([-1.0, -0.5, 0.0, 0.5]), st.sampled_from([0.0, 0.5, 1.0, 2.0])
+)
+
+
+@given(blocks=st.lists(GRID_BLOCK, min_size=1, max_size=5), seed=st.integers(0, 2**31 - 1))
+def test_spectrum_is_paired_and_ordered(blocks, seed):
+    A = block_diag(*[[[re]] if w == 0 else [[re, w], [-w, re]] for re, w in blocks])
+    n = A.shape[0]
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    S = Q @ np.diag(rng.uniform(0.5, 2.0, n)) @ Q.T
+    comps = distinct_eigenvalues(S @ A @ np.linalg.inv(S)).components
+    assert len(comps) == len({(re, sign * w) for re, w in blocks for sign in (1, -1)})
+    assert sum(c.alg_mult for c in comps) == n
+    kappa = 0
+    while kappa < len(comps):
+        comp = comps[kappa]
+        if comp.is_real:
+            assert comp.mu.imag == 0.0
+            kappa += 1
+            continue
+        assert comp.mu.imag > 0
+        partner = comps[kappa + 1]
+        assert not partner.is_real and partner.mu == np.conj(comp.mu)
+        assert (partner.alg_mult, partner.geo_mult) == (comp.alg_mult, comp.geo_mult)
+        for name in ("V", "U", "Lambda"):
+            np.testing.assert_array_equal(getattr(partner, name), getattr(comp, name).conj())
+        kappa += 2
+    re = [c.mu.real for c in comps]
+    assert all(after <= before + 1e-8 for before, after in zip(re, re[1:]))
+    for i, comp in enumerate(comps):
+        if comp.is_real:
+            assert all(
+                j > i for j, other in enumerate(comps)
+                if not other.is_real and abs(other.mu.real - comp.mu.real) <= 1e-8
+            )
+
+
+def test_chained_cluster_is_measured_from_every_member():
+    # At tol_eig 1e-8, 0, 0.9e-8 and 1.8e-8 chain into one cluster: 3.5e-8
+    # lies 1.7e-8 from it, inside twice the tolerance; 4.5e-8 lies outside.
+    with pytest.raises(IllConditionedSpectrumError, match="1.700e-08 with tolerance 1.000e-08"):
+        distinct_eigenvalues(np.diag([0.0, 0.9e-8, 1.8e-8, 3.5e-8]), tol_eig=1e-8)
+    spectrum = distinct_eigenvalues(np.diag([0.0, 0.9e-8, 1.8e-8, 4.5e-8]), tol_eig=1e-8)
+    assert [c.alg_mult for c in spectrum.components] == [1, 3]
+
+
 def test_ambiguous_clusters_rejected():
     A = np.diag([0.0, 1.5e-8])
     with pytest.raises(IllConditionedSpectrumError):

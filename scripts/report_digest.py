@@ -34,7 +34,11 @@ The corpus is fixed, so the script takes no options:
                       stops reaching a code path shows;
     text              ``render_text``, the default output of ``relctrl
                       analyze``, for the six examples and the damped
-                      spec, with every ordered pair and with none.
+                      spec, with every ordered pair and with none;
+    oracle-tolerances the ``oracle`` corpus under each of the two
+                      ``Tolerances`` of ``tolerances``, passed as
+                      ``--tol-*`` flags, so that an oracle scale that
+                      stops following the user shows.
 
 An analysis that raises contributes its error type and message instead
 of a report.  The whole run takes a few seconds.
@@ -118,19 +122,28 @@ def _digest_reports(label, cases) -> None:
     print(f"{bare.hexdigest()}  {label}/no-pairs")
 
 
-def _digest_oracles() -> None:
+def _tolerance_flags(tolerances) -> list[str]:
+    return [
+        arg for name in ("rank", "cone", "eig", "zero")
+        for arg in (f"--tol-{name}", repr(getattr(tolerances, name)))
+    ]
+
+
+def _digest_oracles(label, flag_sets) -> None:
+    """``relctrl oracle --json`` on the six examples, once per set of extra flags."""
     digest = hashlib.sha1()
     with tempfile.TemporaryDirectory() as tmp:
-        for name in example_names():
-            path = Path(tmp) / f"{name}.json"
-            spec = build_example(name)
-            save_spec(spec, path)
-            pairs = [arg for k, l in _all_pairs(spec.q) for arg in ("--pair", str(k), str(l))]
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = relctrl_main(["oracle", str(path), "--json", *pairs])
-            digest.update(f"{name} exit {code}\n{out.getvalue()}".encode())
-    print(f"{digest.hexdigest()}  oracle")
+        for flags in flag_sets:
+            for name in example_names():
+                path = Path(tmp) / f"{name}.json"
+                spec = build_example(name)
+                save_spec(spec, path)
+                pairs = [arg for k, l in _all_pairs(spec.q) for arg in ("--pair", str(k), str(l))]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = relctrl_main(["oracle", str(path), "--json", *pairs, *flags])
+                digest.update(f"{name} exit {code}\n{out.getvalue()}".encode())
+    print(f"{digest.hexdigest()}  {label}")
 
 
 def _digest_drawings(cases) -> None:
@@ -168,10 +181,11 @@ def main() -> int:
     _digest_reports("damped-q12-n6", [load_spec(DAMPED)])
     rng = np.random.default_rng(20261018)
     _digest_reports("random-600", [(random_array_spec(rng), None) for _ in range(600)])
-    _digest_oracles()
+    _digest_oracles("oracle", [[]])
     _digest_drawings(examples + [load_spec(DAMPED)])
     _digest_tolerances([spec for spec, _ in examples] + [load_spec(DAMPED)[0], _leaning_inputs()])
     _digest_text(examples + [load_spec(DAMPED)])
+    _digest_oracles("oracle-tolerances", [_tolerance_flags(t) for t in TOLERANCE_SETS])
     return 0
 
 

@@ -1,4 +1,22 @@
-"""Shared tolerance configuration."""
+"""Shared tolerance configuration: every threshold of the package, named once.
+
+A threshold is a user tolerance times a named scale, or a fixed constant
+below; at ``DEFAULT_TOLERANCES`` each equals its old literal bit for bit.
+
+rank  relative singular-value cutoff of rank and range tests; the edge
+      route keeps column norms and singular values a DECADE clear of it.
+cone  cone-membership bound cone (1 + ||target||), marginal within a
+      DECADE of it; the falsifier's slack DECADE cone (1 + max |P|).
+eig   clustering tolerance tol = eig (1 + spectral radius), kept on the
+      Spectrum for the eigen-overlap check; restriction's invariance
+      bound DECADE eig (1 + ||A||_F); the falsifier's horizon treats
+      rotations and real gaps up to eig (1 + max |lambda|) as zero.
+zero  absolute threshold for structural zeros (input column sums,
+      edge-factorization residuals).
+
+Every entry must be finite and positive, whether it comes from a spec
+file, a command-line flag or a caller; SpecFormatError otherwise.
+"""
 
 from __future__ import annotations
 
@@ -7,22 +25,13 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import SpecFormatError
 
+# A decade: every marginal window and guard band, and each looser derived bound.
+DECADE = 10.0
+
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds used throughout the analysis pipeline.
-
-    rank: relative singular-value cutoff for rank and range tests.
-    cone: residual threshold for cone-membership programs, applied as
-        ``cone * (1 + ||target||)``.
-    eig:  eigenvalue clustering factor, applied as ``eig * (1 + spectral
-        radius)``.
-    zero: absolute threshold for structural zeros (input column sums,
-        edge-factorization residuals).
-
-    Every entry must be finite and positive, whether it comes from a spec
-    file, a command-line flag or a caller; SpecFormatError otherwise.
-    """
+    """Numerical thresholds used throughout the analysis pipeline (see the module)."""
 
     rank: float = 1e-9
     cone: float = 1e-8
@@ -44,3 +53,12 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+# The optimality certificate of ``nnls``, relative to 1 + ||v||: fixed, so
+# that a program's answer does not depend on who asks, and two decades
+# below the default cone tolerance, which judges residuals on that scale.
+KKT = DEFAULT_TOLERANCES.cone / DECADE**2
+
+# The least component a falsifier witness, a unit direction, keeps on the
+# (k,l) difference subspace, so that it is not a rounding residue.
+WITNESS_GAIN = 1.0 / DECADE

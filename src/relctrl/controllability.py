@@ -165,20 +165,20 @@ class EigenOverlapCheck:
     violated_at: tuple[int, ...] = ()   # 1-based component indices
 
 
-def check_assumption_eigen(
-    spectrum: Spectrum, tol_eig: float = DEFAULT_TOLERANCES.eig
-) -> EigenOverlapCheck:
-    """Every non-real eigenvalue overlapping a real one must have zero nilpotent part."""
-    reals = [c.mu.real for c in spectrum.components if c.is_real]
-    violated = []
-    for kappa, comp in enumerate(spectrum.components):
-        if comp.is_real:
-            continue
-        if not any(abs(comp.mu.real - r) <= tol_eig * (1.0 + abs(r)) for r in reals):
-            continue
-        if float(np.linalg.norm(comp.Lambda)) > 1e-8 * (1.0 + float(np.abs(comp.A_k).max())):
-            violated.append(kappa + 1)
-    return EigenOverlapCheck(holds=not violated, violated_at=tuple(violated))
+def check_assumption_eigen(spectrum: Spectrum) -> EigenOverlapCheck:
+    """Every non-real eigenvalue overlapping a real one must carry no Jordan chain.
+
+    Both are the spectrum's own decisions: a real part within spectrum.tol
+    of a real eigenvalue's overlaps, and geo_mult < alg_mult is a chain.
+    """
+    reals = np.array([c.mu.real for c in spectrum.components if c.is_real])
+    violated = tuple(
+        kappa + 1
+        for kappa, c in enumerate(spectrum.components)
+        if not c.is_real and c.geo_mult < c.alg_mult
+        and np.any(np.abs(reals - c.mu.real) <= spectrum.tol)
+    )
+    return EigenOverlapCheck(holds=not violated, violated_at=violated)
 
 
 def check_assumption_closed_structural(
@@ -273,14 +273,13 @@ def _rows(kind: str, spectrum: Spectrum, graphs: list[GenGraph], fill) -> list[E
     """One verdict row per eigenvalue, its flags given by ``fill(G, comp)``.
 
     The graph at a conjugate eigenvalue has the conjugate columns and so
-    the same connectivity; its row copies the partner's row, which comes
-    first, instead of filling in again.
+    the same connectivity; its row copies the partner's row, the one just
+    before it, instead of filling in again.
     """
     rows: list[EigGraphVerdict] = []
     for kappa, (comp, G) in enumerate(zip(spectrum.components, graphs)):
         if not comp.is_real and comp.mu.imag < 0:
-            partner = rows[spectrum.conjugate_partner(kappa)]
-            rows.append(replace(partner, kappa=kappa + 1, mu=comp.mu))
+            rows.append(replace(rows[-1], kappa=kappa + 1, mu=comp.mu))
         else:
             rows.append(EigGraphVerdict(kappa + 1, comp.mu, kind, **fill(G, comp)))
     return rows
@@ -372,7 +371,7 @@ def analyze_with_graphs(
 
     qgs, trace = q_graphs_and_index_sets(wgs, spectrum)
     q_rows = _rows("Q", spectrum, qgs, q_fill)
-    eigen = check_assumption_eigen(spectrum, tol.eig)
+    eigen = check_assumption_eigen(spectrum)
     closed = check_assumption_closed_structural(spec, tol.zero)
     conditional = not (eigen.holds and closed)
     positive_pairwise = {

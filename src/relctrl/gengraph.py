@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DECADE, DEFAULT_TOLERANCES, KKT, Tolerances
 from .errors import (
     DimensionError,
     GraphDomainError,
@@ -174,13 +174,6 @@ def make_graph(
     return GenGraph(q=q, blocksize=blocksize, M=M, is_real=not np.iscomplexobj(M), tol=tol)
 
 
-# The constant of the optimality certificate of ``nnls``, relative to
-# 1 + ||v||.  It is fixed, not a tolerance a caller sets, and lies two
-# decades below the default cone tolerance, which judges residuals on the
-# same scale.
-_KKT = 1e-10
-
-
 def nnls(M: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> tuple[np.ndarray, float]:
     """Nonnegative least squares, solved on a working set and certified.
 
@@ -197,10 +190,11 @@ def nnls(M: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> tuple[np.
 
         g_j <= kappa for every j,  |g_j| <= kappa wherever y_j > 0,
 
-    kappa = ``_KKT`` (1 + ||v||).  The program is convex, so at kappa = 0
-    these (KKT) conditions characterize its optimum, and as the
-    projection onto a cone is unique, every route to it gives the same
-    residual: the distance to the cone.
+    kappa = ``KKT`` (1 + ||v||), with ``config.KKT`` fixed: nnls takes no
+    tolerance.  The program is convex, so at kappa = 0 these (KKT)
+    conditions characterize its optimum, and as the projection onto a
+    cone is unique, every route to it gives the same residual: the
+    distance to the cone.
 
     Each solve is the compiled Lawson–Hanson active-set method
     (``scipy.optimize.nnls``; Lawson and Hanson, *Solving Least Squares
@@ -243,7 +237,7 @@ def nnls(M: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> tuple[np.
     colnorms = np.linalg.norm(M, axis=0)
     scaling = np.where(colnorms > 0.0, colnorms, 1.0)
     U = M / scaling
-    kappa = _KKT * (1.0 + float(np.linalg.norm(v)))
+    kappa = KKT * (1.0 + float(np.linalg.norm(v)))
     whole = c <= 2 * m
     S = np.arange(c) if whole else np.sort(np.argpartition(U.T @ v, c - 2 * m)[c - 2 * m :])
     best = math.inf
@@ -310,7 +304,7 @@ def cone_member(G: GenGraph, v: np.ndarray) -> Feasibility:
     return Feasibility(
         member=member,
         residual=residual,
-        marginal=(not member) and residual <= 10.0 * bound,
+        marginal=(not member) and residual <= DECADE * bound,
         weights=alpha,
     )
 
@@ -357,7 +351,7 @@ def _edge_components(
     """
     norms = np.linalg.norm(K, axis=1)                    # (bundles, width)
     cut = tol_rank * norms.max(initial=0.0)
-    if not math.isfinite(cut) or ((norms > cut / 10.0) & (norms < 10.0 * cut)).any():
+    if not math.isfinite(cut) or ((norms > cut / DECADE) & (norms < DECADE * cut)).any():
         return None
     kept = norms > cut
     live = kept.any(axis=1)
@@ -370,7 +364,7 @@ def _edge_components(
         U = np.where(kept[:, None], K / np.where(kept, norms, 1.0)[:, None], 0.0)[live]
         s = np.linalg.svd(U, compute_uv=False)
         sigma = s[:, b - 1].min() if s.shape[1] == b else 0.0
-    if not np.sqrt(2.0) * min(1.0, sigma) / q > 10.0 * tol_rank * np.sqrt(max(1.0, d)):
+    if not np.sqrt(2.0) * min(1.0, sigma) / q > DECADE * tol_rank * np.sqrt(max(1.0, d)):
         return None
     return component_labels(q, zip(i[live].tolist(), j[live].tolist()))
 
@@ -547,7 +541,7 @@ def lineality_generators(G: GenGraph) -> Lineality:
         bound = float(tau.min())
         if feas.residual <= bound:
             break
-        marginal |= feas.residual <= 10.0 * bound
+        marginal |= feas.residual <= DECADE * bound
         r = v - H.M @ feas.weights
         push = -(r @ H.M) / norms[S]
         cut = tau * feas.residual
@@ -560,7 +554,7 @@ def lineality_generators(G: GenGraph) -> Lineality:
             marginal |= any(f.marginal for f in rows)
             S = S[[f.member for f in rows]]
             break
-        marginal |= bool(np.any(drop & (push <= 10.0 * cut)))
+        marginal |= bool(np.any(drop & (push <= DECADE * cut)))
         S, tau = S[~drop], tau[~drop]
     memo = G._memo["lineality"] = Lineality(
         columns=tuple(S.tolist()), graph=column_graph(G, S), marginal=marginal

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array_model import ArraySpec, build_big, require_valid
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DECADE, DEFAULT_TOLERANCES, WITNESS_GAIN, Tolerances
 from .errors import GraphDomainError
 from .gengraph import nnls
 from .numutil import krylov, pair_difference, pair_indices, pairs_within, range_complement
@@ -334,27 +334,30 @@ def _chebyshev_grid(t_max: float, count: int) -> np.ndarray:
     return 0.5 * t_max * (1.0 - np.cos(np.pi * i / (count - 1)))
 
 
-def polar_horizon(spec: ArraySpec) -> tuple[float, float]:
+def polar_horizon(
+    spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[float, float]:
     """(T, base): the falsifier's horizon and its base 4 / max(1, remax).
 
     A functional that stays nonpositive on a short horizon can turn
     positive later, when a slow rotation or the beat of two close real
     modes comes round.  T therefore also covers one period 2 pi / omega_min
     of the slowest rotation and 8 / gap_min for the closest distinct real
-    parts, capped at 16 base horizons.
+    parts, capped at 16 base horizons.  A frequency or gap up to the
+    spectrum's clustering tolerance eig (1 + max |lambda|) counts as zero.
     """
     evals = np.linalg.eigvals(spec.A)
     base = 4.0 / max(1.0, float(np.max(np.abs(evals.real))))
-    tiny = 1e-8 * (1.0 + float(np.max(np.abs(evals))))
+    tiny = tolerances.eig * (1.0 + float(np.max(np.abs(evals))))
     omega = np.abs(evals.imag)
     gaps = np.diff(np.sort(evals.real))
     horizon = max([base, *(2.0 * np.pi / omega[omega > tiny]), *(8.0 / gaps[gaps > tiny])])
     return min(float(horizon), 16.0 * base), base
 
 
-def default_polar_grid(spec: ArraySpec) -> np.ndarray:
+def default_polar_grid(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Lobatto grid over ``polar_horizon``, 64 points per base horizon."""
-    horizon, base = polar_horizon(spec)
+    horizon, base = polar_horizon(spec, tolerances)
     return _chebyshev_grid(horizon, int(np.ceil(64 * horizon / base - 1e-9)))
 
 
@@ -383,20 +386,20 @@ class ResponseStack:
     """One array's input-response stacks on one grid, shared by all its pairs.
 
     P holds the input responses on the grid (``_input_responses``) and
-    slack the falsifier's tolerance 1e-7 (1 + max |P|); both depend only
-    on A, B and the grid.  ``projection`` solves a target's nonnegative
-    least-squares program on P at its first call and keeps the answer,
-    so that the falsifier and the reach simulator, and the pairs (k,l)
-    and (l,k), which share their targets, read one program.  ``dense``
-    forms the exponentials of the ten times denser check grid at its
-    first call and keeps them, so that every candidate of every pair
-    scans one stack.
+    peak its largest entry in modulus, from which the falsifier scales its
+    slack; both depend only on A, B and the grid.  ``projection``
+    solves a target's nonnegative least-squares program on P at its
+    first call and keeps the answer, so that the falsifier and the reach
+    simulator, and the pairs (k,l) and (l,k), which share their targets,
+    read one program.  ``dense`` forms the exponentials of the ten times
+    denser check grid at its first call and keeps them, so that every
+    candidate of every pair scans one stack.
     """
 
     spec: ArraySpec
     grid: np.ndarray
     P: np.ndarray
-    slack: float
+    peak: float
     _projections: dict = field(default_factory=dict, init=False, repr=False)
     _dense: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -415,15 +418,15 @@ class ResponseStack:
 
 
 def _response_stack(
-    spec: ArraySpec, grid: np.ndarray | ResponseStack | None, tol_zero: float
+    spec: ArraySpec, grid: np.ndarray | ResponseStack | None, tolerances: Tolerances
 ) -> ResponseStack:
     """grid itself if it is a stack, else spec's stack on grid or ``default_polar_grid``."""
     if isinstance(grid, ResponseStack):
         return grid
-    spec = require_valid(spec, tol_zero)
-    grid = np.asarray(default_polar_grid(spec) if grid is None else grid, dtype=float)
+    spec = require_valid(spec, tolerances.zero)
+    grid = np.asarray(default_polar_grid(spec, tolerances) if grid is None else grid, dtype=float)
     P = _input_responses(spec, grid)
-    return ResponseStack(spec, grid, P, 1e-7 * (1.0 + float(np.abs(P).max(initial=0.0))))
+    return ResponseStack(spec, grid, P, float(np.abs(P).max(initial=0.0)))
 
 
 def _reached(residual: float, target: np.ndarray, tol_cone: float) -> bool:
@@ -436,52 +439,51 @@ def polar_falsifier(
     k: int,
     l: int,
     grid: np.ndarray | ResponseStack | None = None,
-    tol_zero: float = DEFAULT_TOLERANCES.zero,
-    tol_cone: float = DEFAULT_TOLERANCES.cone,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray | None:
     """Deterministic separating functional refuting positive (k,l) steering.
 
     A witness is a unit direction eta along which every input's response
-    stays nonpositive over the grid, b_s* exp(A* t) eta <= 0, while eta
-    keeps a component of at least 0.1 on the (k,l) difference subspace;
-    then no nonnegative input moves the array along that component, so
-    some target +/-(e_k - e_l) ⊗ b is out of reach.
+    stays nonpositive over the grid, b_s* exp(A* t) eta <= 0, while its
+    component on the (k,l) difference subspace keeps at least
+    WITNESS_GAIN; no nonnegative input moves the array along it, so some
+    target +/-(e_k - e_l) ⊗ b is out of reach.
 
     For each target v = +/-(e_k - e_l) ⊗ e_i in turn (at most 2n), one
     nonnegative least-squares program min ||P* x - v|| over x >= 0 runs on
     the response stack P of the grid.  A residual at most
-    ``tol_cone * (1 + ||v||)``, the package's cone rule, means the target
-    is reached.  Otherwise, by the Moreau decomposition the residual
+    ``tolerances.cone * (1 + ||v||)``, the package's cone rule, means the
+    target is reached.  Otherwise, by the Moreau decomposition the residual
     r = v - P* x lies in the polar cone, P r <= 0, with v* r = ||r||^2:
     r / ||r|| is the unit separating functional with the largest
     v-component.  A candidate must keep P eta within the slack
-    1e-7 (1 + max |P|), have gain ||(e_k - e_l)* eta|| >= 0.1 and stay
-    within the slack on a ten times denser grid; the first one that does
-    is returned.
+    DECADE tolerances.cone (1 + max |P|), have gain ||(e_k - e_l)* eta||
+    >= WITNESS_GAIN and stay within the slack on a ten times denser grid;
+    the first one that does is returned.
 
     The grid defaults to ``default_polar_grid``.  grid may also be a
     ``ResponseStack`` built for spec, as ``cross_check`` passes one to
     every pair of an array: its coarse stack and the programs it has
-    already solved are then not formed again, and its dense-grid
-    exponentials are formed once, at the first candidate of any pair that
-    gets there.  A witness is evidence only for the finite horizon it was
+    already solved are then not formed again (the cone rule and the slack
+    still follow tolerances), and its dense-grid exponentials are formed
+    once, at the first candidate of any pair that gets there.  A witness is evidence only for the finite horizon it was
     checked on: a response that turns positive later would reach the
     target after all.  Returns the witness or None; the absence of a
     witness proves nothing.
     """
-    stack = _response_stack(spec, grid, tol_zero)
-    spec, P = stack.spec, stack.P
+    stack = _response_stack(spec, grid, tolerances)
+    spec, P, slack = stack.spec, stack.P, DECADE * tolerances.cone * (1.0 + stack.peak)
     d = pair_difference(spec.q, k, l)
     for target in _pair_targets(d, spec.n):
         x, residual = stack.projection(target)
-        if _reached(residual, target, tol_cone):
+        if _reached(residual, target, tolerances.cone):
             continue
         eta = (target - P.T @ x) / residual
-        if float(np.max(P @ eta, initial=0.0)) > stack.slack:
+        if float(np.max(P @ eta, initial=0.0)) > slack:
             continue
-        if float(np.linalg.norm(d @ eta.reshape(spec.q, spec.n))) < 0.1:
+        if float(np.linalg.norm(d @ eta.reshape(spec.q, spec.n))) < WITNESS_GAIN:
             continue
-        if _stays_nonpositive(stack.dense(), spec.B, eta, stack.slack):
+        if _stays_nonpositive(stack.dense(), spec.B, eta, slack):
             return eta
     return None
 
@@ -502,8 +504,7 @@ def reach_simulator(
     k: int,
     l: int,
     grid: np.ndarray | ResponseStack | None = None,
-    tol_zero: float = DEFAULT_TOLERANCES.zero,
-    tol_cone: float = DEFAULT_TOLERANCES.cone,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[TargetResult]:
     """Distance of each target +/-(e_k - e_l) ⊗ e_i to the sampled positive reach cone.
 
@@ -513,15 +514,15 @@ def reach_simulator(
     closure of that cone as the grid refines.  Each residual is the
     falsifier's own program, read from the stack when it was solved
     there.  A target is a hit when the falsifier would call it reached,
-    by the cone rule ``tol_cone * (1 + ||v||)``: evidence for positive
+    by the cone rule ``tolerances.cone * (1 + ||v||)``: evidence for positive
     reachability of the target, never proof, and a large residual may
     only reflect the finite grid.
     """
-    stack = _response_stack(spec, grid, tol_zero)
+    stack = _response_stack(spec, grid, tolerances)
     out = []
     for target in _pair_targets(pair_difference(stack.spec.q, k, l), stack.spec.n):
         _, residual = stack.projection(target)
-        out.append(TargetResult(target, residual, _reached(residual, target, tol_cone)))
+        out.append(TargetResult(target, residual, _reached(residual, target, tolerances.cone)))
     return out
 
 
@@ -581,15 +582,13 @@ def cross_check(spec: ArraySpec, report) -> list[OracleVerdict]:
         except GraphDomainError:
             pass   # inputs are not literal unit edges; inapplicable
 
-    stack = _response_stack(spec, None, tol.zero) if report.pairwise else None
+    stack = _response_stack(spec, None, tol) if report.pairwise else None
     in_range = _pairs_in_range(complement, big.D, list(report.pairwise), spec.n)
     for ((k, l), pairwise), ranged in zip(report.pairwise.items(), in_range):
         verdicts.append(_compared(f"pairwise_range_{k}_{l}", "range test", ranged, pairwise))
 
         positive = report.positive_pairwise[k, l]
-        witness = polar_falsifier(
-            spec, k, l, grid=stack, tol_zero=tol.zero, tol_cone=tol.cone
-        )
+        witness = polar_falsifier(spec, k, l, grid=stack, tolerances=tol)
         if witness is None:
             agrees, detail = None, (
                 f"no witness for the {2 * spec.n} targets +/-(e_{k} - e_{l}) (x) e_i "
@@ -602,9 +601,7 @@ def cross_check(spec: ArraySpec, report) -> list[OracleVerdict]:
         verdicts.append(OracleVerdict(f"polar_falsifier_{k}_{l}", agrees, detail, witness))
 
         if positive.yes:
-            results = reach_simulator(
-                spec, k, l, grid=stack, tol_zero=tol.zero, tol_cone=tol.cone
-            )
+            results = reach_simulator(spec, k, l, grid=stack, tolerances=tol)
             worst = max(r.residual for r in results)
             verdicts.append(
                 OracleVerdict(

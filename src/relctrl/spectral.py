@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import DECADE, DEFAULT_TOLERANCES
 from .errors import (
     IllConditionedSpectrumError,
     InconsistentSpectrumError,
@@ -53,22 +53,12 @@ class EigComponent:
 
 @dataclass(frozen=True)
 class Spectrum:
-    components: tuple[EigComponent, ...]
+    components: tuple[EigComponent, ...]   # ordered, each +Im one before its conjugate
+    tol: float                              # absolute tolerance of the clustering
 
     @property
     def m(self) -> int:
         return len(self.components)
-
-    def conjugate_partner(self, kappa: int) -> int | None:
-        """0-based index of the conjugate component, None for real ones.
-
-        Conjugate pairs are adjacent with the positive-imaginary member
-        first, so the partner is a neighbor.
-        """
-        comp = self.components[kappa]
-        if comp.is_real:
-            return None
-        return kappa + 1 if comp.mu.imag > 0 else kappa - 1
 
 
 def _shifted(A: np.ndarray, mu: complex) -> np.ndarray:
@@ -78,15 +68,17 @@ def _shifted(A: np.ndarray, mu: complex) -> np.ndarray:
     return A.T.astype(complex) - complex(mu) * np.eye(n)
 
 
-def restriction(A: np.ndarray, U: np.ndarray, mu: complex) -> tuple[np.ndarray, np.ndarray]:
+def restriction(
+    A: np.ndarray, U: np.ndarray, mu: complex, tol_eig: float = DEFAULT_TOLERANCES.eig
+) -> tuple[np.ndarray, np.ndarray]:
     """Restriction A_k of the dynamics to range(U) and its nilpotent part.
 
     U must have orthonormal columns spanning an A*-invariant subspace, so
     A_k* = U* A* U and A* U = U A_k* up to a residual of
-    1e-7 (1 + ||A||_F).
+    DECADE tol_eig (1 + ||A||_F).
     """
     A = np.asarray(A, dtype=float)
-    tol_res = 1e-7 * (1.0 + float(np.linalg.norm(A)))
+    tol_res = DECADE * tol_eig * (1.0 + float(np.linalg.norm(A)))
     n_k = U.shape[1]
     Ak_star = U.conj().T @ A.T @ U
     resid = float(np.linalg.norm(A.T @ U - U @ Ak_star))
@@ -108,7 +100,7 @@ def restriction(A: np.ndarray, U: np.ndarray, mu: complex) -> tuple[np.ndarray, 
     return A_k, Lambda
 
 
-def _component(A, mu, n_k, is_real, tol_rank, norm_A) -> EigComponent:
+def _component(A, mu, n_k, is_real, tol_rank, norm_A, tol_eig) -> EigComponent:
     """The component of A* at mu, from one SVD of M = A* - mu I.
 
     V holds the right singular vectors at or below the absolute floor
@@ -147,7 +139,7 @@ def _component(A, mu, n_k, is_real, tol_rank, norm_A) -> EigComponent:
     if U.shape[1] != n_k:
         kind = "exceeds algebraic multiplicity" if U.shape[1] > n_k else "never reached dimension"
         raise InconsistentSpectrumError(f"generalized eigenspace at mu={mu} {kind} {n_k}")
-    A_k, Lambda = restriction(A, U, mu)
+    A_k, Lambda = restriction(A, U, mu, tol_eig)
     return EigComponent(
         mu=complex(mu),
         alg_mult=n_k,
@@ -237,5 +229,5 @@ def distinct_eigenvalues(A: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig)
                 Lambda=c.Lambda.conj(),
             ))
         else:
-            components.append(_component(A, mu, n_k, is_real, tol_rank, smax))
-    return Spectrum(components=tuple(components))
+            components.append(_component(A, mu, n_k, is_real, tol_rank, smax, tol_eig))
+    return Spectrum(components=tuple(components), tol=tol)

@@ -304,6 +304,20 @@ def test_oracle_tol_cone_reaches_the_reach_hit_rule(tmp_path, capsys):
         assert verdicts["reach_simulator_1_2"]["agrees"] is agrees, flags
 
 
+def test_oracle_tol_eig_reaches_the_falsifier_horizon(tmp_path, capsys):
+    # The rotation at frequency 5e-8 lies above the default clustering
+    # tolerance 1e-8 (1 + 5e-8), so the horizon covers its period up to
+    # the cap of 16 base horizons; under 1e-7 it is a zero frequency.
+    A = np.array([[0.0, 5e-8], [-5e-8, 0.0]])
+    B = np.kron([[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 1.0, -1.0], [0.0, 0.0, -1.0, 1.0]], np.eye(2))
+    path = tmp_path / "slow-rotation.json"
+    save_spec(ArraySpec.from_incidence(A, B), path)
+    for flags, horizon in (([], "64"), (["--tol-eig", "1e-7"], "4")):
+        main(["oracle", str(path), "--pair", "1", "2", *flags])
+        out = capsys.readouterr().out
+        assert f"on horizon {horizon} " in out, flags
+
+
 def test_oracle_json_output(tmp_path, capsys):
     path = write_example(tmp_path, "watertanks")
     capsys.readouterr()
@@ -534,9 +548,9 @@ def test_oracle_runs_each_pair_once(tmp_path, capsys, monkeypatch):
     grids = []
     original = oracles_module.default_polar_grid
 
-    def counting(spec):
+    def counting(spec, *args):
         grids.append(1)
-        return original(spec)
+        return original(spec, *args)
 
     monkeypatch.setattr(oracles_module, "default_polar_grid", counting)
     assert main(["oracle", str(path), "--pair", "1", "2", "--json"]) == 0

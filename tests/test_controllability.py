@@ -775,6 +775,45 @@ def test_eigen_overlap_violated_by_pair_chain():
     assert len(check.violated_at) == 2
 
 
+def _overlapping_chain(d, eps):
+    # diag(100, 1, J), J the real 4x4 Jordan block of 1 + d +/- i with
+    # coupling eps: the spectrum clusters at 1e-8 (1 + 100) = 1.01e-6.
+    C = np.array([[1.0 + d, 1.0], [-1.0, 1.0 + d]])
+    J = np.block([[C, eps * np.eye(2)], [np.zeros((2, 2)), C]])
+    return block_diag([[100.0]], [[1.0]], J)
+
+
+def test_eigen_overlap_reads_the_spectrums_grouping():
+    # The pair's real part, 5e-8 off the real eigenvalue 1, lies within
+    # the clustering tolerance, so the spectrum orders it in 1's group;
+    # the check must see the same overlap.
+    spectrum = distinct_eigenvalues(_overlapping_chain(5e-8, 1.0))
+    assert [c.mu.real == 1.0 for c in spectrum.components[1:]] == [True, False, False]
+    check = check_assumption_eigen(spectrum)
+    assert not check.holds and check.violated_at == (3, 4)
+
+
+def test_eigen_overlap_reads_the_spectrums_multiplicities():
+    # A coupling of 1e-7 lies below the spectrum's eigenspace floor, so
+    # it finds two eigenvectors at each of 1 +/- i: no chain to flag.
+    spectrum = distinct_eigenvalues(_overlapping_chain(0.0, 1e-7))
+    assert [(c.alg_mult, c.geo_mult) for c in spectrum.components[2:]] == [(2, 2), (2, 2)]
+    assert check_assumption_eigen(spectrum).holds
+
+
+def test_tol_eig_moves_the_eigen_overlap_verdict_end_to_end(tmp_path, capsys):
+    # At d = 5e-7 the pair overlaps the real eigenvalue 1 under the
+    # default clustering tolerance 1.01e-6, not under 1.01e-7.
+    B = np.kron([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]], np.ones((6, 1)))
+    path = tmp_path / "overlap.json"
+    save_spec(ArraySpec.from_incidence(_overlapping_chain(5e-7, 1.0), B), path)
+    for flags, expected in (([], "violated at k=3,4"), (["--tol-eig", "1e-9"], "holds")):
+        assert main(["analyze", str(path), *flags]) == 0
+        out = capsys.readouterr().out
+        assert f"  eigen overlap: {expected}" in out.splitlines(), flags
+        assert (EIGEN_CAVEAT in out) == (expected != "holds"), flags
+
+
 def test_report_flags_a_violated_eigen_overlap():
     # A = diag(0, J), J the real Jordan block of +-i with a length-2 chain,
     # on a three-system path whose inputs drive every state.

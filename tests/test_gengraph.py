@@ -10,7 +10,7 @@ import relctrl.controllability as controllability_module
 import relctrl.gengraph as gengraph_module
 from relctrl import nnls, path_oracle
 from relctrl.array_model import disagreement_basis
-from relctrl.config import DEFAULT_TOLERANCES, Tolerances
+from relctrl.config import DEFAULT_TOLERANCES, KKT, Tolerances
 from relctrl.errors import (
     DimensionError,
     GraphDomainError,
@@ -617,7 +617,7 @@ def _certificate_breach(M, v, x):
     U = M / np.where(norms > 0.0, norms, 1.0)
     g = U.T @ (v - M @ x)
     worst = np.where(x > 0.0, np.abs(g), g).max(initial=0.0)
-    return worst / (gengraph_module._KKT * (1.0 + np.linalg.norm(v)))
+    return worst / (KKT * (1.0 + np.linalg.norm(v)))
 
 
 @st.composite

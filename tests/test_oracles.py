@@ -8,6 +8,7 @@ import relctrl.oracles
 from relctrl import (
     DEFAULT_TOLERANCES,
     ArraySpec,
+    Tolerances,
     analyze,
     brammer_positive,
     build_example,
@@ -20,6 +21,7 @@ from relctrl import (
     reach_simulator,
 )
 from relctrl.array_model import build_big, require_valid
+from relctrl.config import DECADE
 from relctrl.corpus import random_array_spec
 from relctrl.errors import DimensionError, GraphDomainError, InvalidArrayError
 from relctrl.numutil import equilibrated, pair_difference
@@ -399,12 +401,30 @@ def test_reach_reads_the_falsifiers_programs(watertanks_ring, monkeypatch):
 def test_falsifier_counts_a_target_reached_within_the_cone_rule(watertanks, counterexample):
     # A residual at most tol_cone (1 + ||v||) is a hit, not a candidate.
     assert polar_falsifier(watertanks, 1, 2) is not None
-    assert polar_falsifier(watertanks, 1, 2, tol_cone=1.0) is None
+    assert polar_falsifier(watertanks, 1, 2, tolerances=Tolerances(cone=1.0)) is None
     # On counterexample-23 (2,3) the first target is reached up to rounding;
     # the witness is the second target's own direction.
     targets = _pair_targets(pair_difference(counterexample.q, 2, 3), counterexample.n)
     eta = polar_falsifier(counterexample, 2, 3)
     np.testing.assert_allclose(eta, targets[1] / np.linalg.norm(targets[1]), atol=1e-12)
+
+
+def test_falsifier_slack_follows_its_tolerances_on_a_shared_stack(watertanks, monkeypatch):
+    # The stack is built under the defaults; the falsifier handed it
+    # under another cone tolerance must scan with that tolerance's slack.
+    stack = _response_stack(watertanks, None, DEFAULT_TOLERANCES)
+    slacks = []
+    dense_check = relctrl.oracles._stays_nonpositive
+
+    def spy(dense, B, eta, slack):
+        slacks.append(slack)
+        return dense_check(dense, B, eta, slack)
+
+    monkeypatch.setattr(relctrl.oracles, "_stays_nonpositive", spy)
+    for cone in (DEFAULT_TOLERANCES.cone, 1e-6):
+        slacks.clear()
+        assert polar_falsifier(watertanks, 1, 2, stack, Tolerances(cone=cone)) is not None
+        assert slacks == [DECADE * cone * (1.0 + stack.peak)], cone
 
 
 def test_falsifier_is_deterministic(oscillators_b):
@@ -532,8 +552,8 @@ def test_reach_hits_follow_the_cone_rule(watertanks):
     back = next(r for r in reach_simulator(watertanks, 1, 2) if r.target[1] > 0)
     assert back.residual == pytest.approx(np.sqrt(1.5))
     rule = back.residual / (1.0 + np.sqrt(2.0))
-    assert not reach_simulator(watertanks, 1, 2, tol_cone=0.99 * rule)[1].hit
-    assert reach_simulator(watertanks, 1, 2, tol_cone=1.01 * rule)[1].hit
+    assert not reach_simulator(watertanks, 1, 2, tolerances=Tolerances(cone=0.99 * rule))[1].hit
+    assert reach_simulator(watertanks, 1, 2, tolerances=Tolerances(cone=1.01 * rule))[1].hit
 
 
 def test_reach_oscillators_completes_at_cli_defaults(oscillators_a, oscillators_b):
@@ -553,7 +573,7 @@ def test_reach_accepts_noise_within_tol_zero(watertanks_ring):
     spec = ArraySpec(n=1, q=3, p=3, A=watertanks_ring.A, B=B)
     with pytest.raises(InvalidArrayError):
         reach_simulator(spec, 1, 2)
-    assert all(r.hit for r in reach_simulator(spec, 1, 2, tol_zero=1e-6))
+    assert all(r.hit for r in reach_simulator(spec, 1, 2, tolerances=Tolerances(zero=1e-6)))
 
 
 class _SharedStep(Exception):
@@ -616,13 +636,14 @@ def test_the_falsifier_skips_a_residual_that_is_not_polar_within_its_slack(monke
     rng = np.random.default_rng(20261018)
     for _ in range(242):
         spec = _jordan_beside_rotation(rng)
-    stack = _response_stack(spec, None, DEFAULT_TOLERANCES.zero)
+    stack = _response_stack(spec, None, DEFAULT_TOLERANCES)
+    slack = DECADE * DEFAULT_TOLERANCES.cone * (1.0 + stack.peak)
     breaks = []
     for target in _pair_targets(pair_difference(spec.q, 2, 3), spec.n):
         x, residual = stack.projection(target)
         if not _reached(residual, target, DEFAULT_TOLERANCES.cone):
             eta = (target - stack.P.T @ x) / residual
-            breaks.append(float(np.max(stack.P @ eta)) > stack.slack)
+            breaks.append(float(np.max(stack.P @ eta)) > slack)
     assert breaks[0] and not all(breaks)
     checked = []
     dense_check = relctrl.oracles._stays_nonpositive
@@ -634,4 +655,4 @@ def test_the_falsifier_skips_a_residual_that_is_not_polar_within_its_slack(monke
     monkeypatch.setattr(relctrl.oracles, "_stays_nonpositive", spy)
     witness = polar_falsifier(spec, 2, 3, stack)
     assert witness is not None
-    assert checked and max(checked) <= stack.slack
+    assert checked and max(checked) <= slack

@@ -6,7 +6,7 @@ below; at ``DEFAULT_TOLERANCES`` each equals its old literal bit for bit.
 rank  relative singular-value cutoff of rank and range tests; the edge
       route keeps column norms and singular values a DECADE clear of it.
 cone  cone-membership bound cone (1 + ||target||), marginal within a
-      DECADE of it; the falsifier's slack DECADE cone (1 + max |P|).
+      DECADE of it; the falsifier's slack DECADE min(cone, 1e-8) (1 + max |P|).
 eig   clustering tolerance tol = eig (1 + spectral radius), kept on the
       Spectrum for the eigen-overlap check; restriction's invariance
       bound DECADE eig (1 + ||A||_F); the falsifier's horizon treats
@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import SpecFormatError
 
-# A decade: every marginal window and guard band, and each looser derived bound.
+# A decade: marginal windows, guard bands and bounds a decade looser.
 DECADE = 10.0
 
 
@@ -57,8 +57,8 @@ DEFAULT_TOLERANCES = Tolerances()
 # The optimality certificate of ``nnls``, relative to 1 + ||v||: fixed, so
 # that a program's answer does not depend on who asks, and two decades
 # below the default cone tolerance, which judges residuals on that scale.
-KKT = DEFAULT_TOLERANCES.cone / DECADE**2
+KKT = 1e-10
 
 # The least component a falsifier witness, a unit direction, keeps on the
 # (k,l) difference subspace, so that it is not a rounding residue.
-WITNESS_GAIN = 1.0 / DECADE
+WITNESS_GAIN = 0.1

@@ -361,9 +361,7 @@ def default_polar_grid(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERAN
     return _chebyshev_grid(horizon, int(np.ceil(64 * horizon / base - 1e-9)))
 
 
-def _stays_nonpositive(
-    E: np.ndarray, B: np.ndarray, eta: np.ndarray, slack: float
-) -> bool:
+def _stays_nonpositive(E: np.ndarray, B: np.ndarray, eta: np.ndarray, slack: float) -> bool:
     """max over the stack E = e^{A t} and inputs of b_s* e^{A* t} eta <= slack.
 
     B holds the (q, p, n) input blocks.  Only the products with eta are
@@ -457,7 +455,8 @@ def polar_falsifier(
     r = v - P* x lies in the polar cone, P r <= 0, with v* r = ||r||^2:
     r / ||r|| is the unit separating functional with the largest
     v-component.  A candidate must keep P eta within the slack
-    DECADE tolerances.cone (1 + max |P|), have gain ||(e_k - e_l)* eta||
+    DECADE min(tolerances.cone, DEFAULT_TOLERANCES.cone) (1 + max |P|),
+    which a looser cone rule does not loosen, have gain ||(e_k - e_l)* eta||
     >= WITNESS_GAIN and stay within the slack on a ten times denser grid;
     the first one that does is returned.
 
@@ -465,14 +464,15 @@ def polar_falsifier(
     ``ResponseStack`` built for spec, as ``cross_check`` passes one to
     every pair of an array: its coarse stack and the programs it has
     already solved are then not formed again (the cone rule and the slack
-    still follow tolerances), and its dense-grid exponentials are formed
-    once, at the first candidate of any pair that gets there.  A witness is evidence only for the finite horizon it was
-    checked on: a response that turns positive later would reach the
-    target after all.  Returns the witness or None; the absence of a
-    witness proves nothing.
+    are still read from tolerances), and its dense-grid exponentials are
+    formed once, at the first candidate of any pair that gets there.  A
+    witness is evidence only for the finite horizon it was checked on: a
+    response that turns positive later would reach the target after all.
+    Returns the witness or None; the absence of a witness proves nothing.
     """
     stack = _response_stack(spec, grid, tolerances)
-    spec, P, slack = stack.spec, stack.P, DECADE * tolerances.cone * (1.0 + stack.peak)
+    spec, P = stack.spec, stack.P
+    slack = DECADE * min(tolerances.cone, DEFAULT_TOLERANCES.cone) * (1.0 + stack.peak)
     d = pair_difference(spec.q, k, l)
     for target in _pair_targets(d, spec.n):
         x, residual = stack.projection(target)

@@ -318,6 +318,16 @@ def test_oracle_tol_eig_reaches_the_falsifier_horizon(tmp_path, capsys):
         assert f"on horizon {horizon} " in out, flags
 
 
+def test_a_looser_tol_cone_does_not_loosen_the_falsifier_slack(tmp_path, capsys):
+    # On oscillators-a (1,2) a candidate overshoots zero by 2.46e-6 on the
+    # dense grid: inside a slack grown with the cone rule, so a looser
+    # rule would validate a false witness against a correct analysis.
+    path = write_example(tmp_path, "oscillators-a")
+    for cone in ("1e-7", "1e-6"):
+        assert main(["oracle", str(path), "--pair", "1", "2", "--tol-cone", cone]) == 0, cone
+        assert "validated witness" not in capsys.readouterr().out, cone
+
+
 def test_oracle_json_output(tmp_path, capsys):
     path = write_example(tmp_path, "watertanks")
     capsys.readouterr()

@@ -411,7 +411,8 @@ def test_falsifier_counts_a_target_reached_within_the_cone_rule(watertanks, coun
 
 def test_falsifier_slack_follows_its_tolerances_on_a_shared_stack(watertanks, monkeypatch):
     # The stack is built under the defaults; the falsifier handed it
-    # under another cone tolerance must scan with that tolerance's slack.
+    # under a tighter cone tolerance must scan with that tolerance's
+    # slack, and under a looser one with the default slack.
     stack = _response_stack(watertanks, None, DEFAULT_TOLERANCES)
     slacks = []
     dense_check = relctrl.oracles._stays_nonpositive
@@ -421,10 +422,10 @@ def test_falsifier_slack_follows_its_tolerances_on_a_shared_stack(watertanks, mo
         return dense_check(dense, B, eta, slack)
 
     monkeypatch.setattr(relctrl.oracles, "_stays_nonpositive", spy)
-    for cone in (DEFAULT_TOLERANCES.cone, 1e-6):
+    for cone, scale in ((1e-9, 1e-9), (DEFAULT_TOLERANCES.cone, 1e-8), (1e-6, 1e-8)):
         slacks.clear()
         assert polar_falsifier(watertanks, 1, 2, stack, Tolerances(cone=cone)) is not None
-        assert slacks == [DECADE * cone * (1.0 + stack.peak)], cone
+        assert slacks == [DECADE * scale * (1.0 + stack.peak)], cone
 
 
 def test_falsifier_is_deterministic(oscillators_b):

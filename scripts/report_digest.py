@@ -38,7 +38,14 @@ The corpus is fixed, so the script takes no options:
     oracle-tolerances the ``oracle`` corpus under each of the two
                       ``Tolerances`` of ``tolerances``, passed as
                       ``--tol-*`` flags, so that an oracle scale that
-                      stops following the user shows.
+                      stops following the user shows;
+    graphs            the exact bytes, dtype and shape of every V, W and Q
+                      matrix that ``analyze_with_graphs`` returns (no
+                      pairs) for the six examples, the damped spec and
+                      random-600, at their own tolerances and under each
+                      ``Tolerances`` of ``tolerances``, so that a last-bit
+                      change in a graph, which ``dot``'s four digits
+                      hide, shows.
 
 An analysis that raises contributes its error type and message instead
 of a report.  The whole run takes a few seconds.
@@ -175,17 +182,35 @@ def _digest_text(cases) -> None:
     print(f"{digest.hexdigest()}  text")
 
 
+def _digest_graphs(specs) -> None:
+    digest = hashlib.sha1()
+    for tolerances in (None, *TOLERANCE_SETS):
+        for spec in specs:
+            try:
+                _, graphs = analyze_with_graphs(spec, (), tolerances)
+            except AnalysisError as exc:
+                digest.update(_error_bytes(exc))
+                continue
+            for kind, family in graphs.items():
+                for G in family:
+                    digest.update(f"{kind} {G.M.dtype} {G.M.shape}\n".encode())
+                    digest.update(np.ascontiguousarray(G.M).tobytes())
+    print(f"{digest.hexdigest()}  graphs")
+
+
 def main() -> int:
     examples = [(build_example(name), None) for name in example_names()]
     _digest_reports("examples", examples)
     _digest_reports("damped-q12-n6", [load_spec(DAMPED)])
     rng = np.random.default_rng(20261018)
-    _digest_reports("random-600", [(random_array_spec(rng), None) for _ in range(600)])
+    randoms = [random_array_spec(rng) for _ in range(600)]
+    _digest_reports("random-600", [(spec, None) for spec in randoms])
     _digest_oracles("oracle", [[]])
     _digest_drawings(examples + [load_spec(DAMPED)])
     _digest_tolerances([spec for spec, _ in examples] + [load_spec(DAMPED)[0], _leaning_inputs()])
     _digest_text(examples + [load_spec(DAMPED)])
     _digest_oracles("oracle-tolerances", [_tolerance_flags(t) for t in TOLERANCE_SETS])
+    _digest_graphs([spec for spec, _ in examples] + [load_spec(DAMPED)[0], *randoms])
     return 0
 
 

@@ -14,15 +14,12 @@ from .errors import DimensionError
 EPS = float(np.finfo(float).eps)
 
 
-def null_basis(
-    M: np.ndarray, rel_tol: float | None = None, abs_floor: float = 0.0
-) -> np.ndarray:
+def null_basis(M: np.ndarray, floor: float | None = None) -> np.ndarray:
     """Orthonormal basis (as columns) of null(M); real for real input.
 
-    The singular-value cutoff is rel_tol times the largest singular value,
-    by default max(shape) eps times it.  abs_floor raises the cutoff to an
-    absolute level, for callers whose matrices are only accurate to a
-    known absolute error.
+    The singular values at or below the cutoff span it: floor when given,
+    for callers whose matrices are only accurate to a known absolute
+    error, else max(shape) eps times the largest singular value.
     """
     M = np.atleast_2d(M)
     m, c = M.shape
@@ -31,9 +28,8 @@ def null_basis(
     if m == 0:
         return np.eye(c, dtype=M.dtype)
     _, s, vh = np.linalg.svd(M, full_matrices=True)
-    cutoff = max((max(m, c) * EPS if rel_tol is None else rel_tol) * float(s[0]), abs_floor)
-    r = int(np.sum(s > cutoff))
-    return vh[r:].conj().T
+    cutoff = max(m, c) * EPS * float(s[0]) if floor is None else floor
+    return vh[int(np.sum(s > cutoff)) :].conj().T
 
 
 def equilibrated(M: np.ndarray, drop_rel: float = 0.0) -> np.ndarray:

@@ -334,6 +334,17 @@ def _chebyshev_grid(t_max: float, count: int) -> np.ndarray:
     return 0.5 * t_max * (1.0 - np.cos(np.pi * i / (count - 1)))
 
 
+def _uncapped_horizon(spec: ArraySpec, tolerances: Tolerances) -> tuple[float, float]:
+    """(T, base) of ``polar_horizon`` before the cap."""
+    evals = np.linalg.eigvals(spec.A)
+    base = 4.0 / max(1.0, float(np.max(np.abs(evals.real))))
+    tiny = tolerances.eig * (1.0 + float(np.max(np.abs(evals))))
+    omega = np.abs(evals.imag)
+    gaps = np.diff(np.sort(evals.real))
+    horizon = max([base, *(2.0 * np.pi / omega[omega > tiny]), *(8.0 / gaps[gaps > tiny])])
+    return float(horizon), base
+
+
 def polar_horizon(
     spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[float, float]:
@@ -346,13 +357,8 @@ def polar_horizon(
     parts, capped at 16 base horizons.  A frequency or gap up to the
     spectrum's clustering tolerance eig (1 + max |lambda|) counts as zero.
     """
-    evals = np.linalg.eigvals(spec.A)
-    base = 4.0 / max(1.0, float(np.max(np.abs(evals.real))))
-    tiny = tolerances.eig * (1.0 + float(np.max(np.abs(evals))))
-    omega = np.abs(evals.imag)
-    gaps = np.diff(np.sort(evals.real))
-    horizon = max([base, *(2.0 * np.pi / omega[omega > tiny]), *(8.0 / gaps[gaps > tiny])])
-    return min(float(horizon), 16.0 * base), base
+    horizon, base = _uncapped_horizon(spec, tolerances)
+    return min(horizon, 16.0 * base), base
 
 
 def default_polar_grid(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -555,8 +561,9 @@ def cross_check(spec: ArraySpec, report) -> list[OracleVerdict]:
     falsifier and, for a positive pairwise verdict, the reach simulator,
     both on the array's one ``ResponseStack`` over ``default_polar_grid``.
     A decidable oracle agrees when it gives the analysis' answer; the
-    falsifier is inconclusive (``agrees`` None) without a witness and the
-    reach simulator unless every target is hit.
+    falsifier is inconclusive (``agrees`` None) without a witness, or
+    against a yes when ``polar_horizon``'s cap cut its horizon short, and
+    the reach simulator unless every target is hit.
     """
     tol = report.tolerances
     big = build_big(spec, tol.zero)
@@ -593,6 +600,11 @@ def cross_check(spec: ArraySpec, report) -> list[OracleVerdict]:
             agrees, detail = None, (
                 f"no witness for the {2 * spec.n} targets +/-(e_{k} - e_{l}) (x) e_i "
                 f"on horizon {stack.grid[-1]:.4g} (proves nothing)"
+            )
+        elif positive.yes and (uncapped := _uncapped_horizon(spec, tol)[0]) > stack.grid[-1]:
+            agrees, detail = None, (
+                f"validated witness on horizon {stack.grid[-1]:.4g}, which the cap of 16 base "
+                f"horizons cut short of the slowest period or beat {uncapped:.4g} (proves nothing)"
             )
         else:
             agrees, detail = not positive.yes, (

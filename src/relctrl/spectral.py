@@ -1,13 +1,12 @@
 """Distinct eigenstructure of the transposed system matrix.
 
-For each distinct eigenvalue mu of A* the analysis needs four pieces of
-data: an orthonormal eigenvector basis V, an orthonormal basis U of the
-generalized eigenspace, the restriction A_k of the dynamics to that
-invariant subspace (A* U = U A_k*), and the nilpotent part
-Lambda = A_k - conj(mu) I.  Components are listed in a fixed total order:
-real parts descending, a real eigenvalue ahead of non-real ones sharing
-its real part, then |Im| ascending with the positive-imaginary member of
-each conjugate pair first.
+For each distinct eigenvalue mu of A* the analysis needs an orthonormal
+eigenvector basis V, an orthonormal basis U of the generalized
+eigenspace, and the nilpotent part Lambda* = U* (A* - mu I) U of the
+restriction A_k = Lambda + conj(mu) I (A* U = U A_k*).  Components are
+listed in a fixed total order: real parts descending, a real eigenvalue
+ahead of non-real ones sharing its real part, then |Im| ascending with
+the positive-imaginary member of each conjugate pair first.
 
 The components come from one matrix of distances between the computed
 eigenvalues: its connected components at the clustering tolerance are
@@ -17,9 +16,9 @@ eigenvalues of a real matrix in exact conjugate pairs and conjugation
 keeps every distance, so the non-real clusters come in exact mirror
 pairs of equal size, and the sizes partition n.
 
-Each matrix is factored once: ||A||_2 once per array, and A* - mu I
-once per computed eigenvalue (``_component``); a conjugate partner is
-not factored at all.
+Each matrix is factored once: ||A||_2 once per array, and A* - mu I once
+per computed eigenvalue, and a deflated copy once per further link of its
+Jordan chains (``_component``); a conjugate partner is not factored.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ class EigComponent:
     geo_mult: int
     V: np.ndarray        # n x geo_mult, orthonormal columns
     U: np.ndarray        # n x alg_mult, orthonormal columns
-    A_k: np.ndarray      # alg_mult x alg_mult restriction
-    Lambda: np.ndarray   # nilpotent part of A_k
+    Lambda: np.ndarray   # alg_mult x alg_mult nilpotent part of the restriction
     is_real: bool
 
 
@@ -56,99 +54,77 @@ class Spectrum:
     components: tuple[EigComponent, ...]   # ordered, each +Im one before its conjugate
     tol: float                              # absolute tolerance of the clustering
 
-    @property
-    def m(self) -> int:
-        return len(self.components)
-
 
 def _shifted(A: np.ndarray, mu: complex) -> np.ndarray:
-    n = A.shape[0]
     if np.imag(mu) == 0.0:
-        return A.T - float(np.real(mu)) * np.eye(n)
-    return A.T.astype(complex) - complex(mu) * np.eye(n)
+        return A.T - float(np.real(mu)) * np.eye(len(A))
+    return A.T.astype(complex) - complex(mu) * np.eye(len(A))
 
 
 def restriction(
     A: np.ndarray, U: np.ndarray, mu: complex, tol_eig: float = DEFAULT_TOLERANCES.eig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Restriction A_k of the dynamics to range(U) and its nilpotent part.
+) -> np.ndarray:
+    """The nilpotent part Lambda of the dynamics on range(U).
 
-    U must have orthonormal columns spanning an A*-invariant subspace, so
-    A_k* = U* A* U and A* U = U A_k* up to a residual of
-    DECADE tol_eig (1 + ||A||_F).
+    U must have orthonormal columns spanning an A*-invariant subspace on
+    which M = A* - mu I is nilpotent, so Lambda* = U* M U, and both
+    M U = U Lambda* and Lambda^dim = 0 hold up to DECADE tol_eig
+    (1 + ||A||_F).  Real at a real mu and a real U.
     """
     A = np.asarray(A, dtype=float)
     tol_res = DECADE * tol_eig * (1.0 + float(np.linalg.norm(A)))
-    n_k = U.shape[1]
-    Ak_star = U.conj().T @ A.T @ U
-    resid = float(np.linalg.norm(A.T @ U - U @ Ak_star))
+    MU = _shifted(A, mu) @ U
+    Lambda_star = U.conj().T @ MU
+    resid = float(np.linalg.norm(MU - U @ Lambda_star))
     if resid > tol_res:
         raise InvarianceViolationError(
             f"range(U) is not invariant at mu={mu}: residual {resid:.3e} > {tol_res:.3e}"
         )
-    A_k = Ak_star.conj().T
-    Lambda = A_k - np.conj(mu) * np.eye(n_k, dtype=A_k.dtype)
-    nilp = np.linalg.matrix_power(Lambda, n_k)
-    if float(np.linalg.norm(nilp)) > tol_res:
+    Lambda = Lambda_star.conj().T
+    nilp = float(np.linalg.norm(np.linalg.matrix_power(Lambda, U.shape[1])))
+    if nilp > tol_res:
         raise InvarianceViolationError(
-            f"nilpotent part at mu={mu} fails Lambda^{n_k} = 0: "
-            f"residual {np.linalg.norm(nilp):.3e}"
+            f"nilpotent part at mu={mu} fails Lambda^{U.shape[1]} = 0: residual {nilp:.3e}"
         )
-    if np.imag(mu) == 0.0 and not np.iscomplexobj(U):
-        A_k = A_k.real if np.iscomplexobj(A_k) else A_k
-        Lambda = Lambda.real if np.iscomplexobj(Lambda) else Lambda
-    return A_k, Lambda
+    return Lambda
 
 
-def _component(A, mu, n_k, is_real, tol_rank, norm_A, tol_eig) -> EigComponent:
-    """The component of A* at mu, from one SVD of M = A* - mu I.
+def _component(A, mu, n_k, is_real, floor, tol_eig) -> EigComponent:
+    """The component of A* at mu, from M = A* - mu I alone.
 
-    V holds the right singular vectors at or below the absolute floor
-    tol_rank (1 + ||A||_2 + |mu|): a clustered eigenvalue, and with it
-    every singular value of M that should vanish, carries an error of
-    about that size, which a relative cutoff would miss whenever A is
-    close to mu I.  U = V when the geometric multiplicity is n_k, the
-    algebraic one; otherwise U is the null space of M^r for the least
-    r <= n_k where its dimension reaches n_k.  Powers are renormalized
-    between products, and the floor follows the eigenvalue error through
-    r - 1 further factors of M, rescaled by the accumulated normalization.
+    Every null space is cut at the absolute floor: a clustered eigenvalue,
+    and with it every singular value of M that should vanish, carries an
+    error of about that size, which a relative cutoff would miss whenever
+    A is close to mu I.  V = null(M).  U starts at V and grows by
+    deflation: when range(U) = null(M^j), null(M - U U* M) = null(M^(j+1)),
+    the vectors M maps into range(U), so each step adds the next link of
+    every Jordan chain, and its dimension is the next term of the rank
+    sequence.  U stops at n_k, the algebraic multiplicity, or when a step
+    adds nothing; U = V when the multiplicities agree.
     """
     M = _shifted(A, mu)
-    _, s, vh = np.linalg.svd(M)
-    floor = tol_rank * (1.0 + norm_A + abs(mu))
-    V = vh[int(np.sum(s > floor)) :].conj().T
+    V = U = null_basis(M, floor)
     if V.shape[1] == 0:
         raise InconsistentSpectrumError(
             f"numerically empty eigenspace at mu={mu}; not an eigenvalue at this tolerance"
         )
-    U = V
-    if V.shape[1] < n_k:
-        growth = max(1.0, float(s[0]))
-        # M is nonzero here: M = 0 would leave V the whole space.
-        accumulated = float(np.linalg.norm(M))
-        P = M / accumulated
-        for r in range(2, n_k + 1):
-            P = P @ M
-            scale = float(np.linalg.norm(P))
-            if scale > 0:
-                P = P / scale
-                accumulated *= scale
-            U = null_basis(P, tol_rank, abs_floor=floor * growth ** (r - 1) / accumulated)
-            if U.shape[1] >= n_k:
-                break
-    if U.shape[1] != n_k:
-        kind = "exceeds algebraic multiplicity" if U.shape[1] > n_k else "never reached dimension"
-        raise InconsistentSpectrumError(f"generalized eigenspace at mu={mu} {kind} {n_k}")
-    A_k, Lambda = restriction(A, U, mu, tol_eig)
+    while U.shape[1] < n_k:
+        grown = null_basis(M - U @ (U.conj().T @ M), floor)
+        if grown.shape[1] <= U.shape[1]:
+            break
+        U = grown
+    if U.shape[1] > n_k:
+        raise InconsistentSpectrumError(
+            f"generalized eigenspace at mu={mu} exceeds algebraic multiplicity {n_k}: the "
+            "eigenvalue looks defective and split by rounding; try a coarser eigenvalue tolerance"
+        )
+    if U.shape[1] < n_k:
+        raise InconsistentSpectrumError(
+            f"generalized eigenspace at mu={mu} never reached dimension {n_k}"
+        )
     return EigComponent(
-        mu=complex(mu),
-        alg_mult=n_k,
-        geo_mult=V.shape[1],
-        V=V,
-        U=U,
-        A_k=A_k,
-        Lambda=Lambda,
-        is_real=is_real,
+        mu=complex(mu), alg_mult=n_k, geo_mult=V.shape[1], V=V, U=U,
+        Lambda=restriction(A, U, mu, tol_eig), is_real=is_real,
     )
 
 
@@ -175,12 +151,8 @@ def distinct_eigenvalues(A: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig)
         raise InconsistentSpectrumError(f"A must be square, got shape {A.shape}")
     evals = np.linalg.eigvals(A.T)
     tol = float(tol_eig) * (1.0 + float(np.abs(evals).max(initial=0.0)))
-    # Clustered eigenvalues carry an error up to the clustering tolerance,
-    # so eigenspace extraction must not use a cutoff finer than that: a
-    # null direction of A* - mu I leaves a residual of the order of the
-    # eigenvalue error.
     smax = float(np.linalg.norm(A, 2)) if A.size else 0.0
-    tol_rank = tol / (1.0 + smax)
+    tol_rank = tol / (1.0 + smax)   # the clustering tolerance as ``_component``'s floor
 
     dist = np.abs(evals[:, None] - evals[None, :])
     rows, cols = np.nonzero(np.triu(dist <= tol, 1))
@@ -225,9 +197,9 @@ def distinct_eigenvalues(A: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig)
         if not is_real and mu.imag < 0:
             c = components[-1]
             components.append(replace(
-                c, mu=np.conj(c.mu), V=c.V.conj(), U=c.U.conj(), A_k=c.A_k.conj(),
-                Lambda=c.Lambda.conj(),
+                c, mu=np.conj(c.mu), V=c.V.conj(), U=c.U.conj(), Lambda=c.Lambda.conj()
             ))
         else:
-            components.append(_component(A, mu, n_k, is_real, tol_rank, smax, tol_eig))
+            floor = tol_rank * (1.0 + smax + abs(mu))
+            components.append(_component(A, mu, n_k, is_real, floor, tol_eig))
     return Spectrum(components=tuple(components), tol=tol)

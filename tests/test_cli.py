@@ -318,6 +318,21 @@ def test_oracle_tol_eig_reaches_the_falsifier_horizon(tmp_path, capsys):
         assert f"on horizon {horizon} " in out, flags
 
 
+def test_a_witness_on_a_capped_horizon_does_not_refute_a_yes(tmp_path, capsys):
+    # One-way path inputs on the same slow rotation: the falsifier finds a
+    # witness on horizon 64, the cap of 16 base horizons, far short of the
+    # rotation's period 1.3e8, so it proves nothing against a positive verdict.
+    A = np.array([[0.0, 5e-8], [-5e-8, 0.0]])
+    B = np.kron([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]], np.eye(2))
+    path = tmp_path / "slow-rotation-path.json"
+    save_spec(ArraySpec.from_incidence(A, B), path)
+    capsys.readouterr()
+    assert main(["oracle", str(path), "--pair", "1", "2"]) == 0
+    (row,) = [line for line in capsys.readouterr().out.splitlines() if "polar_falsifier" in line]
+    assert row.split()[1] == "?"
+    assert "validated witness on horizon 64" in row and "cap of 16 base horizons" in row
+
+
 def test_a_looser_tol_cone_does_not_loosen_the_falsifier_slack(tmp_path, capsys):
     # On oscillators-a (1,2) a candidate overshoots zero by 2.46e-6 on the
     # dense grid: inside a slack grown with the cone rule, so a looser

@@ -506,8 +506,9 @@ def _w_verdicts(G, pairs):
 
 
 def _restriction_swept_verdicts(spec, comp, pairs):
-    """The verdicts of the graph swept by A_k instead of Lambda."""
-    M = power_swept_reference(spec, comp, comp.A_k, range(spec.p))
+    """The verdicts of the graph swept by A_k = Lambda + conj(mu) I instead of Lambda."""
+    A_k = comp.Lambda + np.conj(comp.mu) * np.eye(comp.alg_mult)
+    M = power_swept_reference(spec, comp, A_k, range(spec.p))
     return _w_verdicts(gengraph_module.make_graph(spec.q, comp.alg_mult, M), pairs)
 
 

@@ -44,5 +44,5 @@ def test_report_digest_prints_one_sha1_per_output():
         f"{corpus}/{pairs}"
         for corpus in ("examples", "damped-q12-n6", "random-600")
         for pairs in ("all-pairs", "no-pairs")
-    ] + ["oracle", "dot", "tolerances", "text", "oracle-tolerances"]
+    ] + ["oracle", "dot", "tolerances", "text", "oracle-tolerances", "graphs"]
     assert all(len(digest) == 40 and set(digest) <= set("0123456789abcdef") for digest, _ in lines)

@@ -7,12 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
-from relctrl import build_example
+from relctrl import ArraySpec, Tolerances, analyze, build_example
 from relctrl.config import DEFAULT_TOLERANCES
+from relctrl.corpus import TRIANGLE
 from relctrl.spectral import _component, distinct_eigenvalues, restriction
 from relctrl.errors import IllConditionedSpectrumError, InconsistentSpectrumError
 
 from conftest import random_array_spec
+from test_controllability import _exact_rank
 
 OSC_FREQS = sorted(
     [
@@ -36,7 +38,7 @@ def test_scalar_zero_matrix():
 
 def test_oscillator_eigenvalues(oscillators_a):
     spectrum = distinct_eigenvalues(oscillators_a.A)
-    assert spectrum.m == 10
+    assert len(spectrum.components) == 10
     assert all(c.alg_mult == 1 and c.geo_mult == 1 for c in spectrum.components)
     positive = sorted(c.mu.imag for c in spectrum.components if c.mu.imag > 0)
     np.testing.assert_allclose(positive, OSC_FREQS, atol=1e-9)
@@ -61,7 +63,7 @@ def test_conjugate_components_are_conjugated(oscillators_a):
         assert partner.mu == np.conj(comp.mu)
         np.testing.assert_array_equal(partner.V, comp.V.conj())
         np.testing.assert_array_equal(partner.U, comp.U.conj())
-        np.testing.assert_array_equal(partner.A_k, comp.A_k.conj())
+        np.testing.assert_array_equal(partner.Lambda, comp.Lambda.conj())
 
 
 def _bases(A, mu, n_k):
@@ -70,7 +72,8 @@ def _bases(A, mu, n_k):
     norm_A = float(np.linalg.norm(A, 2))
     radius = float(np.abs(np.linalg.eigvals(A)).max())
     tol_rank = DEFAULT_TOLERANCES.eig * (1.0 + radius) / (1.0 + norm_A)
-    comp = _component(A, mu, n_k, np.imag(mu) == 0.0, tol_rank, norm_A, DEFAULT_TOLERANCES.eig)
+    floor = tol_rank * (1.0 + norm_A + abs(mu))
+    comp = _component(A, mu, n_k, np.imag(mu) == 0.0, floor, DEFAULT_TOLERANCES.eig)
     return comp.V, comp.U
 
 
@@ -107,6 +110,46 @@ def test_generalized_basis_counterexample_full_space(counterexample):
     np.testing.assert_allclose(U @ U.T, np.eye(4), atol=1e-12)
 
 
+@pytest.mark.parametrize("chains", [(3, 1), (2, 2), (2, 1, 1), (4, 2), (3, 2)])
+@pytest.mark.parametrize("mu", [2.0, -1.0])
+def test_several_jordan_chains_at_one_eigenvalue(chains, mu):
+    # Integer Jordan chains at mu beside a damped rotation, as they stand
+    # and under a permutation similarity: one cluster at mu whose
+    # multiplicities are the exact dimensions of null(A* - mu I) and
+    # null((A* - mu I)^n), and U spans the generalized eigenspace.
+    J = block_diag(*[mu * np.eye(m) + np.eye(m, k=1) for m in chains], [[-1.0, 2.0], [-2.0, -1.0]])
+    n = J.shape[0]
+    perm = np.random.default_rng(sum(chains)).permutation(n)
+    for A in (J, J[np.ix_(perm, perm)]):
+        M = A.T - mu * np.eye(n)
+        geo = n - _exact_rank(M)
+        alg = n - _exact_rank(np.linalg.matrix_power(M, n))
+        assert (geo, alg) == (len(chains), sum(chains))
+        (comp,) = [c for c in distinct_eigenvalues(A).components if c.is_real]
+        assert comp.mu == mu
+        assert (comp.geo_mult, comp.alg_mult) == (geo, alg)
+        assert np.linalg.norm(np.linalg.matrix_power(M, alg) @ comp.U) <= 1e-12
+
+
+def test_a_defective_eigenvalue_split_by_rounding_names_the_cause():
+    # J_3(0.5) + J_1(0.5) under an orthogonal similarity: rounding splits
+    # the eigenvalue, so a cluster's generalized eigenspace may exceed its
+    # size.  The message says so; a coarser tolerance merges the cluster.
+    J = block_diag(0.5 * np.eye(3) + np.eye(3, k=1), [[0.5]])
+    for seed in range(6):
+        Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))[0]
+        spec = ArraySpec.from_incidence(Q @ J @ Q.T, np.kron(TRIANGLE, Q[:, [2]]))
+        try:
+            analyze(spec)
+        except InconsistentSpectrumError as exc:
+            assert "defective and split by rounding" in str(exc), seed
+            assert "coarser eigenvalue tolerance" in str(exc), seed
+        analyze(spec, tolerances=Tolerances(eig=1e-4))
+        (comp,) = distinct_eigenvalues(spec.A, tol_eig=1e-4).components
+        assert abs(comp.mu - 0.5) <= 1e-4
+        assert (comp.alg_mult, comp.geo_mult) == (4, 2), seed
+
+
 def test_generalized_equals_eigenvector_basis_for_simple_eigs(oscillators_a):
     spectrum = distinct_eigenvalues(oscillators_a.A)
     for comp in spectrum.components:
@@ -116,8 +159,11 @@ def test_generalized_equals_eigenvector_basis_for_simple_eigs(oscillators_a):
 
 def test_one_svd_per_computed_eigenvalue(monkeypatch):
     # ||A||_2 once per array, then one SVD of A* - mu I per eigenvalue whose
-    # multiplicities are equal; a conjugate partner is not factored.  norm
-    # reaches the SVD through its own module, so both bindings are spied.
+    # multiplicities are equal, and one more per deflation step of a
+    # defective one (counterexample-23 and integrator-chain-ring: one
+    # eigenvalue 0 with Jordan chains of length 2); a conjugate partner is
+    # not factored.  norm reaches the SVD through its own module, so both
+    # bindings are spied.
     calls = []
     original = np.linalg.svd
 
@@ -128,32 +174,38 @@ def test_one_svd_per_computed_eigenvalue(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", spy)
     monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", spy)
     counts = {}
-    for name in ("oscillators-a", "oscillators-b", "watertanks"):
+    for name in (
+        "oscillators-a", "oscillators-b", "watertanks", "counterexample-23",
+        "integrator-chain-ring",
+    ):
         calls.clear()
         distinct_eigenvalues(build_example(name).A)
         counts[name] = len(calls)
-    assert counts == {"oscillators-a": 6, "oscillators-b": 6, "watertanks": 2}
+    assert counts == {
+        "oscillators-a": 6, "oscillators-b": 6, "watertanks": 2, "counterexample-23": 3,
+        "integrator-chain-ring": 3,
+    }
 
 
 def test_restriction_scalar_component(oscillators_a):
-    # A* U = U A_k* pins the scalar restriction to conj(mu), which is what
-    # makes the nilpotent part vanish.
+    # A* U = U A_k* pins the scalar restriction A_k = Lambda + conj(mu) to
+    # conj(mu), which is what makes the nilpotent part vanish.
     spectrum = distinct_eigenvalues(oscillators_a.A)
     comp = spectrum.components[0]
-    np.testing.assert_allclose(comp.A_k, [[np.conj(comp.mu)]], atol=1e-12)
+    np.testing.assert_allclose(comp.Lambda + np.conj(comp.mu), [[np.conj(comp.mu)]], atol=1e-12)
     np.testing.assert_allclose(comp.Lambda, [[0.0]], atol=1e-12)
 
 
 def test_restriction_scalar_component_real():
-    A_k, Lam = restriction(np.array([[3.0]]), np.eye(1), 3.0)
-    np.testing.assert_allclose(A_k, [[3.0]], atol=1e-14)
+    Lam = restriction(np.array([[3.0]]), np.eye(1), 3.0)
+    assert not np.iscomplexobj(Lam)
     np.testing.assert_allclose(Lam, [[0.0]], atol=1e-14)
 
 
 def test_restriction_nilpotent_part():
     A = np.array([[0.0, 0.0], [1.0, 0.0]])
-    A_k, Lam = restriction(A, np.eye(2), 0.0)
-    np.testing.assert_allclose(A_k, A, atol=1e-14)
+    Lam = restriction(A, np.eye(2), 0.0)
+    np.testing.assert_allclose(Lam, A, atol=1e-14)
     np.testing.assert_allclose(np.linalg.matrix_power(Lam, 2), np.zeros((2, 2)), atol=1e-14)
 
 
@@ -174,7 +226,7 @@ def test_multiplicities_sum_to_dimension():
 
 
 def test_component_exponential_identity():
-    # exp(A_k* t) must factor as exp(mu t) exp(Lambda* t).
+    # exp(A_k* t) must factor as exp(mu t) exp(Lambda* t), A_k = Lambda + conj(mu) I.
     rng = np.random.default_rng(12)
     mats = [random_array_spec(rng).A for _ in range(20)]
     mats.append(np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -182,10 +234,9 @@ def test_component_exponential_identity():
         spectrum = distinct_eigenvalues(A)
         for comp in spectrum.components:
             for t in (0.1, 1.0):
-                lhs = expm(comp.A_k.conj().T * t)
-                rhs = np.exp(comp.mu * t) * expm(
-                    (comp.A_k - np.conj(comp.mu) * np.eye(comp.alg_mult)).conj().T * t
-                )
+                A_k = comp.Lambda + np.conj(comp.mu) * np.eye(comp.alg_mult)
+                lhs = expm(A_k.conj().T * t)
+                rhs = np.exp(comp.mu * t) * expm(comp.Lambda.conj().T * t)
                 assert np.linalg.norm(lhs - rhs) <= 1e-8
 
 
@@ -196,7 +247,7 @@ def test_eigenvalue_list_invariant_under_state_relabeling(perm, data):
     P = np.eye(6)[list(perm)]
     base = distinct_eigenvalues(A)
     permuted = distinct_eigenvalues(P @ A @ P.T)
-    assert base.m == permuted.m
+    assert len(base.components) == len(permuted.components)
     mus = np.array([c.mu for c in base.components])
     mus_p = np.array([c.mu for c in permuted.components])
     np.testing.assert_allclose(mus, mus_p, atol=1e-9)

@@ -13,11 +13,18 @@ Vertex and input indices are 1-based everywhere.  Exit codes: 0 success,
 responses sampled on a grid chosen from the spectrum, so the command
 takes no grid options; the ``--tol-*`` flags reach every oracle, the
 reach hit rule (``--tol-cone``) included.
+
+``main`` parses with one parser, built at its first call and kept for the
+life of the process, so that a process that calls it many times builds
+the argparse tree once; ``build_parser`` returns a fresh one.  The
+command is looked up by name at each call, so a ``cmd_*`` function
+rebound on this module is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -77,12 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--dot", type=Path, default=None, metavar="DIR",
                     help="write one DOT file per scalar-edge graph")
     add_tolerance_flags(pa)
-    pa.set_defaults(func=cmd_analyze)
 
     pe = sub.add_parser("examples", help="write a bundled example spec file")
     pe.add_argument("name")
     pe.add_argument("--out", type=Path, default=None, metavar="PATH")
-    pe.set_defaults(func=cmd_examples)
 
     po = sub.add_parser("oracle", help="cross-check the analyses with brute-force oracles")
     po.add_argument("path", type=Path)
@@ -90,8 +95,18 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar=("K", "L"))
     po.add_argument("--json", action="store_true")
     add_tolerance_flags(po)
-    po.set_defaults(func=cmd_oracle)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built once per process."""
+    return build_parser()
+
+
+def _command(name: str):
+    """The ``cmd_*`` function of a subcommand, as this module binds it now."""
+    return {"analyze": cmd_analyze, "examples": cmd_examples, "oracle": cmd_oracle}[name]
 
 
 def _tolerances(args, file_tolerances: Tolerances | None) -> Tolerances:
@@ -180,13 +195,13 @@ def cmd_oracle(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error; 2 is the
         # code for a numerical failure here.
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        return _command(args.command)(args)
     except (SpecFormatError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

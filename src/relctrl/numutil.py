@@ -187,8 +187,13 @@ def pair_indices(q: int, pairs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_difference(q: int, k: int, l: int) -> np.ndarray:
-    """The vector e_k - e_l in R^q, 1-based indices."""
-    k, l = pair_indices(q, [(k, l)])
+    """The vector e_k - e_l in R^q, 1-based indices.
+
+    One pair is checked by scalar comparisons, with the DimensionError
+    of ``pair_indices``.
+    """
+    if not (1 <= k <= q and 1 <= l <= q and k != l):
+        raise DimensionError(f"pair ({k},{l}) invalid for q={q} (1-based, distinct)")
     e = np.zeros(q)
-    e[k], e[l] = 1.0, -1.0
+    e[int(k) - 1], e[int(l) - 1] = 1.0, -1.0
     return e

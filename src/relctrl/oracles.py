@@ -46,13 +46,17 @@ a whole grid by batched Pade-13 scaling and squaring (Higham 2005), in
 batches of about 2**13 matrix entries (``_batch``: 2048 times at n = 2,
 128 at n = 8); each time's exponential is computed on its own, so the
 stack is the same to the bit at any batch size.  ``cross_check`` hands
-the one stack to both tools, forms the dense check grid's exponentials
-at most once, and factors the reduced Krylov matrix once, on reduced
-blocks that the Brammer cone test then reuses.
+the one stack to both tools and factors the reduced Krylov matrix once,
+on reduced blocks that the Brammer cone test then reuses.  The stack
+forms the exponentials of the falsifier's dense check grid on demand,
+one batch at a time as a scan first reaches it, and keeps every batch:
+a candidate rejected early forms only the batches it read, and no time
+is formed twice across the candidates and pairs of one array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,6 +331,19 @@ def _input_responses(spec: ArraySpec, times: np.ndarray) -> np.ndarray:
 # polar falsifier
 
 
+# The falsifier's horizon and grids (``polar_horizon``): the base horizon
+# spans BASE_TIME_CONSTANTS time constants of the fastest real part, a
+# beat of two real parts GAP_TIME_CONSTANTS over their gap, and the
+# horizon is capped at HORIZON_CAP base horizons.  The coarse grid has
+# POINTS_PER_BASE points per base horizon, the check grid DENSE_FACTOR
+# times as many.
+BASE_TIME_CONSTANTS = 4
+GAP_TIME_CONSTANTS = 8
+HORIZON_CAP = 16
+POINTS_PER_BASE = 64
+DENSE_FACTOR = 10
+
+
 def _chebyshev_grid(t_max: float, count: int) -> np.ndarray:
     # Lobatto spacing clusters points at both endpoints, where sign
     # changes of the input response are most likely to hide.
@@ -337,11 +354,13 @@ def _chebyshev_grid(t_max: float, count: int) -> np.ndarray:
 def _uncapped_horizon(spec: ArraySpec, tolerances: Tolerances) -> tuple[float, float]:
     """(T, base) of ``polar_horizon`` before the cap."""
     evals = np.linalg.eigvals(spec.A)
-    base = 4.0 / max(1.0, float(np.max(np.abs(evals.real))))
+    base = BASE_TIME_CONSTANTS / max(1.0, float(np.max(np.abs(evals.real))))
     tiny = tolerances.eig * (1.0 + float(np.max(np.abs(evals))))
     omega = np.abs(evals.imag)
     gaps = np.diff(np.sort(evals.real))
-    horizon = max([base, *(2.0 * np.pi / omega[omega > tiny]), *(8.0 / gaps[gaps > tiny])])
+    horizon = max(
+        [base, *(2.0 * np.pi / omega[omega > tiny]), *(GAP_TIME_CONSTANTS / gaps[gaps > tiny])]
+    )
     return float(horizon), base
 
 
@@ -358,29 +377,30 @@ def polar_horizon(
     spectrum's clustering tolerance eig (1 + max |lambda|) counts as zero.
     """
     horizon, base = _uncapped_horizon(spec, tolerances)
-    return min(horizon, 16.0 * base), base
+    return min(horizon, HORIZON_CAP * base), base
 
 
 def default_polar_grid(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Lobatto grid over ``polar_horizon``, 64 points per base horizon."""
     horizon, base = polar_horizon(spec, tolerances)
-    return _chebyshev_grid(horizon, int(np.ceil(64 * horizon / base - 1e-9)))
+    return _chebyshev_grid(horizon, int(np.ceil(POINTS_PER_BASE * horizon / base - 1e-9)))
 
 
-def _stays_nonpositive(E: np.ndarray, B: np.ndarray, eta: np.ndarray, slack: float) -> bool:
-    """max over the stack E = e^{A t} and inputs of b_s* e^{A* t} eta <= slack.
+def _stays_nonpositive(
+    batches: Iterable[np.ndarray], B: np.ndarray, eta: np.ndarray, slack: float
+) -> bool:
+    """max over the stacks E = e^{A t} of batches and inputs of b_s* e^{A* t} eta <= slack.
 
     B holds the (q, p, n) input blocks.  Only the products with eta are
-    formed, ``_batch(n)`` times at a time, and the scan stops at the first
-    violation.
+    formed, one batch at a time, in order; the scan stops at the first
+    violation and asks for no later batch.
     """
     q, _, n = B.shape
     # G[s, j, m] = sum_i B[i, s, m] eta_i[j], so that b_s* exp(A* t) eta
     # is the sum of exp(A t)[j, m] G[s, j, m].
     G = np.einsum("qpm,qj->pjm", B, eta.reshape(q, n))
-    size = _batch(n)
-    for start in range(0, len(E), size):
-        if float(np.einsum("tjm,pjm->tp", E[start : start + size], G).max()) > slack:
+    for E in batches:
+        if float(np.einsum("tjm,pjm->tp", E, G).max()) > slack:
             return False
     return True
 
@@ -395,9 +415,11 @@ class ResponseStack:
     solves a target's nonnegative least-squares program on P at its
     first call and keeps the answer, so that the falsifier and the reach
     simulator, and the pairs (k,l) and (l,k), which share their targets,
-    read one program.  ``dense`` forms the exponentials of the ten times
-    denser check grid at its first call and keeps them, so that every
-    candidate of every pair scans one stack.
+    read one program.  ``dense`` yields the exponentials of the
+    DENSE_FACTOR times denser check grid in batches of ``_batch(n)``
+    times.  A batch is formed when a scan first asks for it and kept, so
+    a scan that stops early forms no later batch, and every candidate of
+    every pair reads the batches formed before it.
     """
 
     spec: ArraySpec
@@ -405,7 +427,7 @@ class ResponseStack:
     P: np.ndarray
     peak: float
     _projections: dict = field(default_factory=dict, init=False, repr=False)
-    _dense: np.ndarray | None = field(default=None, init=False, repr=False)
+    _dense: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
 
     def projection(self, target: np.ndarray) -> tuple[np.ndarray, float]:
         """(x, ||P* x - target||) of min ||P* x - target|| over x >= 0."""
@@ -414,11 +436,13 @@ class ResponseStack:
             self._projections[key] = nnls(self.P.T, target)
         return self._projections[key]
 
-    def dense(self) -> np.ndarray:
-        if self._dense is None:
-            times = _chebyshev_grid(float(self.grid.max()), 10 * self.grid.size)
-            self._dense = _exponentials(self.spec.A, times)
-        return self._dense
+    def dense(self) -> Iterator[np.ndarray]:
+        times = _chebyshev_grid(float(self.grid.max()), DENSE_FACTOR * self.grid.size)
+        size = _batch(self.spec.n)
+        for index, start in enumerate(range(0, times.size, size)):
+            if index == len(self._dense):
+                self._dense.append(_exponentials(self.spec.A, times[start : start + size]))
+            yield self._dense[index]
 
 
 def _response_stack(
@@ -470,10 +494,11 @@ def polar_falsifier(
     ``ResponseStack`` built for spec, as ``cross_check`` passes one to
     every pair of an array: its coarse stack and the programs it has
     already solved are then not formed again (the cone rule and the slack
-    are still read from tolerances), and its dense-grid exponentials are
-    formed once, at the first candidate of any pair that gets there.  A
-    witness is evidence only for the finite horizon it was checked on: a
-    response that turns positive later would reach the target after all.
+    are still read from tolerances), and each batch of its dense-grid
+    exponentials is formed once, by the first scan of any pair that
+    reaches it.  A witness is evidence only for the finite horizon it was
+    checked on: a response that turns positive later would reach the
+    target after all.
     Returns the witness or None; the absence of a witness proves nothing.
     """
     stack = _response_stack(spec, grid, tolerances)
@@ -603,8 +628,9 @@ def cross_check(spec: ArraySpec, report) -> list[OracleVerdict]:
             )
         elif positive.yes and (uncapped := _uncapped_horizon(spec, tol)[0]) > stack.grid[-1]:
             agrees, detail = None, (
-                f"validated witness on horizon {stack.grid[-1]:.4g}, which the cap of 16 base "
-                f"horizons cut short of the slowest period or beat {uncapped:.4g} (proves nothing)"
+                f"validated witness on horizon {stack.grid[-1]:.4g}, which the cap of "
+                f"{HORIZON_CAP} base horizons cut short of the slowest period or beat "
+                f"{uncapped:.4g} (proves nothing)"
             )
         else:
             agrees, detail = not positive.yes, (

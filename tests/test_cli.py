@@ -12,8 +12,9 @@ from relctrl import (
     cross_check,
     example_names,
 )
+import relctrl.cli
 from relctrl.array_model import require_valid
-from relctrl.cli import main
+from relctrl.cli import build_parser, main
 from relctrl.specio import load_spec, save_spec
 
 
@@ -509,13 +510,89 @@ def test_unknown_keys_rejected_in_nested_objects(tmp_path, capsys):
 
 
 def test_oracle_byte_stable_with_seed(tmp_path, capsys):
+    # Two calls in a row in one process, on the one parser and the one
+    # module state, print the same bytes: as text, and as JSON on every
+    # example.
+    for name in example_names():
+        path = write_example(tmp_path, name)
+        capsys.readouterr()
+        for args in (
+            ["oracle", str(path), "--pair", "1", "2"],
+            ["oracle", str(path), "--json", "--pair", "1", "2", "--pair", "2", "3"],
+        ):
+            assert main(args) == 0, args
+            first = capsys.readouterr().out
+            assert main(args) == 0, args
+            assert capsys.readouterr().out == first, args
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     path = write_example(tmp_path, "watertanks")
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    relctrl.cli._parser.cache_clear()
+    monkeypatch.setattr(relctrl.cli, "build_parser", counting)
+    for argv in (["oracle", str(path)], ["analyze", str(path)], ["oracle", str(path), "--pair"]):
+        main(argv)
     capsys.readouterr()
-    args = ["oracle", str(path), "--pair", "1", "2"]
-    assert main(args) == 0
-    first = capsys.readouterr().out
-    assert main(args) == 0
-    assert capsys.readouterr().out == first
+    relctrl.cli._parser.cache_clear()
+    assert built == [1]
+    # build_parser itself still returns a parser of its own to extend.
+    assert build_parser() is not build_parser()
+
+
+def test_successive_main_calls_are_independent(tmp_path, capsys):
+    # Each call on the shared parser parses as a fresh parser would, in
+    # whatever order the calls come: no pair, flag or error carries over.
+    path = str(write_example(tmp_path, "oscillators-b"))
+    calls = [
+        ["oracle", path, "--json", "--pair", "1", "2", "--pair", "2", "3"],
+        ["oracle", path, "--pair", "3"],
+        ["oracle", path, "--json"],
+        ["oracle", path, "--json", "--tol-cone", "1e-6", "--tol-eig", "1e-7", "--pair", "2", "1"],
+        ["analyze", path, "--json", "--pair", "3", "1"],
+        ["analyze", path, "--json"],
+    ]
+    capsys.readouterr()
+    seen = {}
+    for order in (calls, calls[::-1], calls):
+        for argv in order:
+            got = (main(argv), *capsys.readouterr())
+            assert seen.setdefault(tuple(argv), got) == got, argv
+    codes, outs, errs = zip(*(seen[tuple(argv)] for argv in calls))
+    assert codes == (0, 1, 0, 0, 0, 0)
+    assert errs[1].count("error:") == 1 and outs[1] == ""
+    names = [[row["name"] for row in json.loads(out)] for out in outs[2:4]]
+    assert "polar_falsifier_1_2" in outs[0] and "polar_falsifier_2_3" in outs[0]
+    assert not any(name.startswith("polar_falsifier") for name in names[0])
+    assert [name for name in names[1] if name.startswith("polar")] == ["polar_falsifier_2_1"]
+    assert list(json.loads(outs[4])["verdicts"]["pairwise"]) == ["3-1"]
+    assert json.loads(outs[5])["verdicts"]["pairwise"] == {}
+    for argv in calls[:1] + calls[2:]:
+        shared = relctrl.cli._parser().parse_args(argv)
+        assert vars(shared) == vars(build_parser().parse_args(argv)), argv
+    assert relctrl.cli._parser().parse_args(["oracle", path]).pair == []
+
+
+def test_main_runs_the_command_bound_at_call_time(tmp_path, capsys, monkeypatch):
+    # The parser is built before the rebinding; the rebound command runs.
+    path = write_example(tmp_path, "watertanks")
+    assert main(["oracle", str(path)]) == 0
+    capsys.readouterr()
+    ran = []
+
+    def traced(args):
+        ran.append(args.pair)
+        return 7
+
+    monkeypatch.setattr(relctrl.cli, "cmd_oracle", traced)
+    assert main(["oracle", str(path), "--pair", "1", "2"]) == 7
+    assert ran == [[[1, 2]]]
+    assert capsys.readouterr().out == ""
 
 
 def test_usage_errors_exit_with_the_input_code(tmp_path, capsys):

@@ -24,7 +24,7 @@ from relctrl.array_model import build_big, require_valid
 from relctrl.config import DECADE
 from relctrl.corpus import random_array_spec
 from relctrl.errors import DimensionError, GraphDomainError, InvalidArrayError
-from relctrl.numutil import equilibrated, pair_difference
+from relctrl.numutil import equilibrated, pair_difference, pair_indices
 from relctrl.oracles import (
     _batch,
     _chebyshev_grid,
@@ -90,6 +90,20 @@ def test_oracles_reject_invalid_pairs(watertanks, pair):
         reach_simulator(watertanks, *pair)
     with pytest.raises(DimensionError):
         path_oracle(WT, "kl", *pair)
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (1, 1), (4, 1), (1, 2**70), (-1, 2)])
+def test_pair_difference_checks_a_pair_as_pair_indices_does(pair):
+    with pytest.raises(DimensionError) as vectorized:
+        pair_indices(3, [pair])
+    with pytest.raises(DimensionError) as scalar:
+        pair_difference(3, *pair)
+    assert str(scalar.value) == str(vectorized.value)
+
+
+def test_pair_difference_is_e_k_minus_e_l():
+    assert pair_difference(3, 3, 1).tolist() == [-1.0, 0.0, 1.0]
+    assert pair_difference(4, np.int64(2), np.intp(4)).tolist() == [0.0, 1.0, 0.0, -1.0]
 
 
 def test_pairwise_range_controllable_array(watertanks_ring):
@@ -339,43 +353,75 @@ def test_falsifier_witness_holds_on_dense_grid():
 
 
 def _count_exponentials(monkeypatch):
+    """The times of every call of ``_exponentials``, in call order."""
     calls = []
     real = relctrl.oracles._exponentials
 
     def counting(A, times):
-        calls.append(times.size)
+        calls.append(np.array(times))
         return real(A, times)
 
     monkeypatch.setattr(relctrl.oracles, "_exponentials", counting)
     return calls
 
 
+def _assert_dense_prefix(calls, spec):
+    """calls after the first form a prefix of the dense grid, one batch each.
+
+    So no dense time is formed twice, and at most the 10 x coarse times of
+    the dense grid are formed.  Returns how many were.
+    """
+    grid = default_polar_grid(spec)
+    dense = _chebyshev_grid(grid[-1], 10 * grid.size)
+    assert np.array_equal(calls[0], grid)
+    formed = np.concatenate(calls[1:])
+    assert np.array_equal(formed, dense[: formed.size])
+    assert all(times.size == _batch(spec.n) for times in calls[1:-1])
+    assert 0 < calls[-1].size <= _batch(spec.n)
+    return formed.size
+
+
 def test_falsifier_forms_the_dense_exponentials_once(oscillators_a, monkeypatch):
     # On (1,2) many candidates pass the coarse grid and reach the dense
-    # check (17 at the time of writing); all of them scan one stack.
+    # check (17 at the time of writing).  Each scans the batches formed
+    # before it and forms a batch only where it first gets past them;
+    # every candidate is rejected within the first half of the grid, so
+    # the rest of it is never formed.
     coarse = default_polar_grid(oscillators_a).size
     calls = _count_exponentials(monkeypatch)
     checked = []
     real_scan = relctrl.oracles._stays_nonpositive
 
-    def scan(E, B, eta, slack):
-        checked.append(len(E))
-        return real_scan(E, B, eta, slack)
+    def scan(batches, B, eta, slack):
+        checked.append(eta)
+        return real_scan(batches, B, eta, slack)
 
     monkeypatch.setattr(relctrl.oracles, "_stays_nonpositive", scan)
     assert polar_falsifier(oscillators_a, 1, 2) is None
     assert len(checked) > 1
-    assert calls.count(10 * coarse) <= 1
-    assert len(calls) <= 2
+    assert _assert_dense_prefix(calls, oscillators_a) < 10 * coarse
 
-    # cross_check forms exactly two stacks per array, the coarse and the
-    # dense one: every pair shares them, and the reach simulator, which
-    # runs on all six positive pairs here, reads the same coarse stack.
+    # cross_check forms one coarse stack per array and one dense grid's
+    # batches, each once: every pair reads the same batches, and the
+    # reach simulator, which runs on all six positive pairs here, reads
+    # the same coarse stack.
     report = analyze(oscillators_a, pairs=all_pairs(oscillators_a.q))
     calls.clear()
     verdicts = cross_check(oscillators_a, report)
     assert sum(v.name.startswith("reach_simulator") for v in verdicts) == 6
-    assert calls == [coarse, 10 * coarse]
+    assert _assert_dense_prefix(calls, oscillators_a) <= 10 * coarse
+
+
+def test_dense_batches_are_the_whole_dense_stack_to_the_bit(oscillators_b, monkeypatch):
+    # Read to the end, the batches are the stack of the whole dense grid
+    # formed at once, and a second scan forms nothing.
+    stack = _response_stack(oscillators_b, None, DEFAULT_TOLERANCES)
+    dense = _chebyshev_grid(stack.grid[-1], 10 * stack.grid.size)
+    whole = _exponentials(oscillators_b.A, dense)
+    assert np.array_equal(np.concatenate(list(stack.dense())), whole)
+    calls = _count_exponentials(monkeypatch)
+    assert len(list(stack.dense())) == -(-dense.size // _batch(oscillators_b.n))
+    assert calls == []
 
 
 def test_reach_reads_the_falsifiers_programs(watertanks_ring, monkeypatch):
@@ -437,16 +483,28 @@ def test_falsifier_is_deterministic(oscillators_b):
 
 def test_dense_check_scans_every_chunk():
     # Input response of eta is -cos(w t): it turns positive at t = 0.9,
-    # inside the last of three batches of this grid.
+    # inside the last of three batches fed to the scan.
     w = 0.5 * np.pi / 0.9
     spec = ArraySpec(n=2, q=2, p=1, A=[[0.0, w], [-w, 0.0]],
                      B=[[[1.0, 0.0]], [[-1.0, 0.0]]])
     eta = np.array([-1.0, 0.0, 0.0, 0.0])
     size = _batch(2)
     times = np.concatenate([np.linspace(0.0, 0.85, 2 * size), np.linspace(0.86, 1.0, 37)])
-    E = _exponentials(spec.A, times)
-    assert not _stays_nonpositive(E, spec.B, eta, 1e-7)
-    assert _stays_nonpositive(E[: 2 * size + 10], spec.B, eta, 1e-7)
+    parts = (times[:size], times[size : 2 * size], times[2 * size :])
+    batches = [_exponentials(spec.A, t) for t in parts]
+    assert not _stays_nonpositive(batches, spec.B, eta, 1e-7)
+    assert _stays_nonpositive(batches[:2] + [batches[2][:10]], spec.B, eta, 1e-7)
+
+    # The scan stops at the violation and asks for no later batch.
+    asked = []
+
+    def feed():
+        for E in batches + [np.eye(2)[None]]:
+            asked.append(len(E))
+            yield E
+
+    assert not _stays_nonpositive(feed(), spec.B, eta, 1e-7)
+    assert asked == [size, size, 37]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10])

@@ -56,14 +56,18 @@ questions against that generator graph, whose range complement is in
 turn factored once.  Single vector memberships go through
 ``cone_member``.
 
-Every cone program of the package, the oracles' included, is one call
-of ``nnls``.  It solves a wide program (more than twice as many columns
-as rows, as the oracles' sampled input responses are) on a small
-working set of columns that grows by the most violating ones, and
-returns only answers that pass a first-order optimality certificate
-over every column, falling back to bounded-variable least squares when
-the compiled active-set solver stops short.  Since the projection onto
-a convex cone is unique, the residual does not depend on the route.
+Every cone program of the package runs one certified working-set loop,
+``_lawson_hanson``, on unit-norm columns: ``nnls`` calls it once per
+program, and the oracles' ``ResponseStack`` calls it for each program
+on its one matrix of sampled input responses, starting each from the
+columns its earlier answers used.  The loop solves a wide program (more
+than twice as many columns as rows, as the oracles' sampled input
+responses are) on a small working set of columns that grows by the most
+violating ones, and returns only answers that pass a first-order
+optimality certificate over every column, falling back to
+bounded-variable least squares when the compiled active-set solver
+stops short.  Since the projection onto a convex cone is unique, the
+residual does not depend on the route or on the set it starts from.
 """
 
 from __future__ import annotations
@@ -178,20 +182,48 @@ def nnls(M: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> tuple[np.
     """Nonnegative least squares, solved on a working set and certified.
 
     Minimizes ``||M a - v||`` over ``a >= 0`` and returns ``(a, residual)``.
-    The program runs on the unit-norm columns U = M / ||M||, which leaves
-    the cone unchanged and keeps columns of very different magnitude
-    (powers of the dynamics) from skewing the active-set choices; the
-    weights y are mapped back at the end and zero columns keep weight
-    zero.  The residual is recomputed as ``||v - M a||`` from the returned
-    weights and the original columns, so it is the distance they achieve.
+    The program runs on the unit-norm columns U = M / ||M||
+    (``_unit_columns``), which leaves the cone unchanged and keeps columns
+    of very different magnitude (powers of the dynamics) from skewing the
+    active-set choices; the weights y of ``_lawson_hanson`` are mapped
+    back at the end and zero columns keep weight zero.  The residual is
+    recomputed as ``||v - M a||`` from the returned weights and the
+    original columns, so it is the distance they achieve.  Each call
+    starts afresh; the oracles' ``ResponseStack``, which poses many
+    programs on one matrix, calls ``_lawson_hanson`` itself with the
+    columns its earlier answers used.
+
+    ``max_iter`` caps every solve, by default ``50 * n_columns``; the
+    compiled solver raises NumericalFailureError past it.
+    """
+    M = np.asarray(M, dtype=float)
+    v = np.asarray(v, dtype=float).ravel()
+    if v.shape[0] != M.shape[0]:
+        raise DimensionError(f"target has length {v.shape[0]}, expected {M.shape[0]}")
+    U, scaling = _unit_columns(M)
+    x = _lawson_hanson(U, v, max_iter) / scaling
+    return x, float(np.linalg.norm(v - M @ x))
+
+
+def _unit_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, scaling): U = M / scaling, the columns of M at unit norm; a zero column keeps scale 1."""
+    colnorms = np.linalg.norm(M, axis=0)
+    scaling = np.where(colnorms > 0.0, colnorms, 1.0)
+    return M / scaling, scaling
+
+
+def _lawson_hanson(
+    U: np.ndarray, v: np.ndarray, max_iter: int | None = None, used: np.ndarray | None = None
+) -> np.ndarray:
+    """Certified weights y >= 0 of min ||U y - v|| on unit-norm columns U.
 
     Every answer carries the first-order certificate of optimality, over
     all columns: with r = v - U y and g = U* r,
 
         g_j <= kappa for every j,  |g_j| <= kappa wherever y_j > 0,
 
-    kappa = ``KKT`` (1 + ||v||), with ``config.KKT`` fixed: nnls takes no
-    tolerance.  The program is convex, so at kappa = 0 these (KKT)
+    kappa = ``KKT`` (1 + ||v||), with ``config.KKT`` fixed: the loop takes
+    no tolerance.  The program is convex, so at kappa = 0 these (KKT)
     conditions characterize its optimum, and as the projection onto a
     cone is unique, every route to it gives the same residual: the
     distance to the cone.
@@ -202,8 +234,10 @@ def nnls(M: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> tuple[np.
     A program with c <= 2m columns (m rows; every peel program) is solved
     on all of them at once: one solve and one gradient product.  A wider
     program (the oracles' sampled input responses) starts from the 2m
-    columns with the largest U* v; each round solves on the working set,
-    forms g over every column and stops when the certificate holds.
+    columns with the largest U* v, together with the columns of the
+    boolean mask ``used`` when one is given (the supports of the earlier
+    programs of a ``ResponseStack``); each round solves on the working
+    set, forms g over every column and stops when the certificate holds.
     Otherwise the next set is the round's support plus at most m of the
     most violating columns outside the set.  Each round must lower the
     residual strictly, so no set repeats.  When a round does not, or
@@ -218,28 +252,23 @@ def nnls(M: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> tuple[np.
     when the package loads: the import takes about 0.45 s and 40 MB,
     most of a cold ``import relctrl``, and an array without a real
     eigenvalue is decided by rank tests alone.
-
-    ``max_iter`` caps every solve, by default ``50 * n_columns``; the
-    compiled solver raises NumericalFailureError past it.
     """
     from scipy.optimize import nnls as scipy_nnls
 
-    M = np.asarray(M, dtype=float)
-    v = np.asarray(v, dtype=float).ravel()
-    m, c = M.shape
-    if v.shape[0] != m:
-        raise DimensionError(f"target has length {v.shape[0]}, expected {m}")
+    m, c = U.shape
     # With no rows the compiled solver returns uninitialised weights.
     if c == 0 or m == 0:
-        return np.zeros(c), float(np.linalg.norm(v))
+        return np.zeros(c)
     if max_iter is None:
         max_iter = 50 * c
-    colnorms = np.linalg.norm(M, axis=0)
-    scaling = np.where(colnorms > 0.0, colnorms, 1.0)
-    U = M / scaling
     kappa = KKT * (1.0 + float(np.linalg.norm(v)))
     whole = c <= 2 * m
-    S = np.arange(c) if whole else np.sort(np.argpartition(U.T @ v, c - 2 * m)[c - 2 * m :])
+    if whole:
+        S = np.arange(c)
+    else:
+        first = np.zeros(c, dtype=bool) if used is None else used.copy()
+        first[np.argpartition(U.T @ v, c - 2 * m)[c - 2 * m :]] = True
+        S = np.flatnonzero(first)
     best = math.inf
     while True:
         US = U if whole else U[:, S]
@@ -255,14 +284,13 @@ def nnls(M: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> tuple[np.
         if _breach(g, support) <= kappa:
             x = np.zeros(c)
             x[S] = y
-            break
+            return x
         outside = np.ones(c, dtype=bool)
         outside[S] = False
         violators = np.flatnonzero(outside & (g > kappa))
         residual = float(np.linalg.norm(r))
         if violators.size == 0 or not residual < best:
-            x = _bvls(U, v, kappa, max_iter)
-            break
+            return _bvls(U, v, kappa, max_iter)
         best = residual
         if violators.size > m:
             violators = violators[np.argpartition(-g[violators], m)[:m]]
@@ -270,8 +298,6 @@ def nnls(M: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> tuple[np.
         chosen[support] = True
         chosen[violators] = True
         S = np.flatnonzero(chosen)
-    x = x / scaling
-    return x, float(np.linalg.norm(v - M @ x))
 
 
 def _breach(g: np.ndarray, support: np.ndarray) -> float:

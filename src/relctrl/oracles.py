@@ -28,18 +28,21 @@ Kalman test, the rank half of the Brammer test and every pair's range
 test.  The analysis forms no controllability matrix: its verdicts come
 from the eigenvalue graphs alone, and an oracle must not share the step
 it checks.  The oracles share the kernels of ``relctrl.numutil``
-(``krylov``, ``range_complement``, ``pairs_within``), as they share
-``nnls``, but no graph builder, predicate or stage of the analysis.
+(``krylov``, ``range_complement``, ``pairs_within``), as they share the
+certified cone-program loop of ``relctrl.gengraph`` (``nnls`` and its
+kernel ``_lawson_hanson``), but no graph builder, predicate or stage of
+the analysis.
 
 The two evidence tools ask one question: how far is each target
 +/-(e_k - e_l) ⊗ e_i from the cone of input responses e^{A t} b_s
 sampled on the grid ``default_polar_grid``?  One ``ResponseStack`` per
 array holds the responses and solves each target's nonnegative
-least-squares program once.  By the Moreau decomposition the residual
-of a projection is the separating functional with the largest component
-along its target: a validated witness refutes positive pairwise
-controllability on the grid's finite horizon, and its absence proves
-nothing.  The reach simulator reads the same residuals as distances to
+least-squares program once, each starting its working set from the
+columns the stack's earlier answers used.  By the Moreau decomposition
+the residual of a projection is the separating functional with the
+largest component along its target: a validated witness refutes
+positive pairwise controllability on the grid's finite horizon, and its
+absence proves nothing.  The reach simulator reads the same residuals as distances to
 the sampled reach cone: they support a positive verdict but cannot
 overturn one.  One kernel, ``_exponentials``, forms the exponentials of
 a whole grid by batched Pade-13 scaling and squaring (Higham 2005), in
@@ -64,7 +67,7 @@ import numpy as np
 from .array_model import ArraySpec, build_big, require_valid
 from .config import DECADE, DEFAULT_TOLERANCES, WITNESS_GAIN, Tolerances
 from .errors import GraphDomainError
-from .gengraph import nnls
+from .gengraph import _lawson_hanson, _unit_columns, nnls
 from .numutil import krylov, pair_difference, pair_indices, pairs_within, range_complement
 from .spectral import distinct_eigenvalues
 
@@ -395,12 +398,12 @@ def _stays_nonpositive(
     formed, one batch at a time, in order; the scan stops at the first
     violation and asks for no later batch.
     """
-    q, _, n = B.shape
-    # G[s, j, m] = sum_i B[i, s, m] eta_i[j], so that b_s* exp(A* t) eta
-    # is the sum of exp(A t)[j, m] G[s, j, m].
-    G = np.einsum("qpm,qj->pjm", B, eta.reshape(q, n))
+    q, p, n = B.shape
+    # G[(j, m), s] = sum_i B[i, s, m] eta_i[j], so that b_s* exp(A* t) eta
+    # is the sum of exp(A t)[j, m] G[(j, m), s]: one product per batch.
+    G = np.einsum("qpm,qj->jmp", B, eta.reshape(q, n)).reshape(n * n, p)
     for E in batches:
-        if float(np.einsum("tjm,pjm->tp", E, G).max()) > slack:
+        if float((E.reshape(-1, n * n) @ G).max()) > slack:
             return False
     return True
 
@@ -415,7 +418,14 @@ class ResponseStack:
     solves a target's nonnegative least-squares program on P at its
     first call and keeps the answer, so that the falsifier and the reach
     simulator, and the pairs (k,l) and (l,k), which share their targets,
-    read one program.  ``dense`` yields the exponentials of the
+    read one program.  The programs share one working-set state: the
+    unit columns of P* are formed at the first program, and ``_used``
+    marks every column in the support of an answer given so far.  Each
+    later program starts the certified loop of ``gengraph`` from its own
+    top columns together with those, so a response that steered one
+    target is in the first set of the next; the certificate is still
+    checked over every column, and the residuals are those of ``nnls``
+    up to rounding.  ``dense`` yields the exponentials of the
     DENSE_FACTOR times denser check grid in batches of ``_batch(n)``
     times.  A batch is formed when a scan first asks for it and kept, so
     a scan that stops early forms no later batch, and every candidate of
@@ -428,12 +438,20 @@ class ResponseStack:
     peak: float
     _projections: dict = field(default_factory=dict, init=False, repr=False)
     _dense: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    _unit: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _used: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def projection(self, target: np.ndarray) -> tuple[np.ndarray, float]:
         """(x, ||P* x - target||) of min ||P* x - target|| over x >= 0."""
         key = (target + 0.0).tobytes()   # + 0.0 maps -0.0 to 0.0
         if key not in self._projections:
-            self._projections[key] = nnls(self.P.T, target)
+            if self._unit is None:
+                self._unit = _unit_columns(self.P.T)
+                self._used = np.zeros(self.P.shape[0], dtype=bool)
+            U, scaling = self._unit
+            x = _lawson_hanson(U, target, used=self._used) / scaling
+            self._used |= x > 0.0
+            self._projections[key] = (x, float(np.linalg.norm(target - self.P.T @ x)))
         return self._projections[key]
 
     def dense(self) -> Iterator[np.ndarray]:

@@ -620,21 +620,31 @@ def _certificate_breach(M, v, x):
     return worst / (KKT * (1.0 + np.linalg.norm(v)))
 
 
-@st.composite
-def wide_programs(draw):
-    # Wide programs as the oracles pose them, with planted exact duplicates
-    # and exactly opposite columns, and targets inside and outside the cone.
+def wide_matrix(draw):
+    # A wide matrix as the oracles pose them, with planted exact duplicates
+    # and exactly opposite columns, and the generator that drew it.
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     m = draw(st.integers(1, 12))
     c = draw(st.integers(2 * m + 1, 2000))
     M = rng.standard_normal((m, c))
     planted = rng.choice(c, size=(2, c // 4), replace=False)
     M[:, planted[1]] = M[:, planted[0]] * rng.choice([-1.0, 1.0], size=c // 4)
-    if draw(st.booleans()):
-        v = M @ (rng.uniform(0.0, 1.0, c) * (rng.random(c) < 0.02))
-    else:
-        v = rng.standard_normal(m)
-    return M, v
+    return rng, M
+
+
+def wide_target(rng, M, inside):
+    # A sparse nonnegative combination of the columns, or a generic target.
+    m, c = M.shape
+    if inside:
+        return M @ (rng.uniform(0.0, 1.0, c) * (rng.random(c) < 0.02))
+    return rng.standard_normal(m)
+
+
+@st.composite
+def wide_programs(draw):
+    # Wide programs with targets inside and outside the cone.
+    rng, M = wide_matrix(draw)
+    return M, wide_target(rng, M, draw(st.booleans()))
 
 
 @settings(max_examples=50)

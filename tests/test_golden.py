@@ -15,6 +15,11 @@ from numpy's default_rng(20261045) and kept as a spec file.  Every
 eigenvalue is non-real, so its report pins the complex-graph and
 pairwise verdicts at all 132 ordered pairs, which the examples barely
 use.
+
+oracle-verdicts.json pins, for every row of ``relctrl oracle --json``
+of each example at every ordered pair (108 rows), its name, its
+``agrees`` value and whether it carries a witness.  Residual digits in
+the details may move with the oracles' solvers; a verdict may not.
 """
 
 import json
@@ -54,6 +59,23 @@ def test_damped_array_json_matches_golden_bytes(capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / "damped-q12-n6.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_oracle_verdicts_match_golden(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    assert main(["examples", name, "--out", str(path)]) == 0
+    argv = ["oracle", str(path), "--json"]
+    for k, l in all_pairs(build_example(name).q):
+        argv += ["--pair", str(k), str(l)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)
+    verdicts = [
+        {"name": row["name"], "agrees": row["agrees"], "witness": row["witness"] is not None}
+        for row in rows
+    ]
+    assert verdicts == json.loads((GOLDEN / "oracle-verdicts.json").read_text())[name]
 
 
 # render_json's writer against json.dumps(indent=2), the reference it replaces

@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import relctrl.oracles
@@ -15,6 +17,7 @@ from relctrl import (
     cross_check,
     example_names,
     kalman_reduced,
+    nnls,
     pairwise_range,
     path_oracle,
     polar_falsifier,
@@ -26,6 +29,7 @@ from relctrl.corpus import random_array_spec
 from relctrl.errors import DimensionError, GraphDomainError, InvalidArrayError
 from relctrl.numutil import equilibrated, pair_difference, pair_indices
 from relctrl.oracles import (
+    ResponseStack,
     _batch,
     _chebyshev_grid,
     _exponentials,
@@ -43,6 +47,7 @@ from relctrl.oracles import (
 from conftest import all_pairs
 from test_controllability import _jordan_beside_rotation
 from test_edge_route import _corpus, _damped_array
+from test_gengraph import _certificate_breach, wide_matrix, wide_target
 
 WT = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
 TRIANGLE = np.array([[1.0, 0.0, -1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
@@ -429,19 +434,64 @@ def test_reach_reads_the_falsifiers_programs(watertanks_ring, monkeypatch):
     # reach simulator solves none after the falsifier, and the pair (2,1)
     # shares its targets, and so its programs, with (1,2).
     programs = []
-    real = relctrl.oracles.nnls
+    real = relctrl.oracles._lawson_hanson
 
-    def counting(M, v):
+    def counting(U, v, *args, **kwargs):
         programs.append(v)
-        return real(M, v)
+        return real(U, v, *args, **kwargs)
 
-    monkeypatch.setattr(relctrl.oracles, "nnls", counting)
+    monkeypatch.setattr(relctrl.oracles, "_lawson_hanson", counting)
     report = analyze(watertanks_ring, pairs=[(1, 2), (2, 1)])
     verdicts = {v.name: v for v in cross_check(watertanks_ring, report)}
     assert verdicts["reach_simulator_1_2"].agrees and verdicts["reach_simulator_2_1"].agrees
-    # Besides the Brammer cone test's programs, on reduced coordinates,
-    # the stack runs the two of the pair, +/-(e_1 - e_2).
+    # The Brammer cone test's programs, on reduced coordinates, go through
+    # nnls; the stack runs the two of the pair, +/-(e_1 - e_2).
     assert sum(v.size == watertanks_ring.q for v in programs) == 2
+
+
+@st.composite
+def wide_program_sequences(draw):
+    # One wide matrix, as a response stack holds, and a sequence of
+    # targets inside and outside its cone.
+    rng, M = wide_matrix(draw)
+    insides = draw(st.lists(st.booleans(), min_size=2, max_size=8))
+    return M, [wide_target(rng, M, inside) for inside in insides]
+
+
+@settings(max_examples=50)
+@given(drawn=wide_program_sequences())
+def test_warm_stack_programs_match_cold_nnls(drawn):
+    # Each program after the first starts from the columns the earlier
+    # answers used; its answer must still carry the certificate, and its
+    # residual is the distance to the cone that a cold start finds.  Only
+    # P is read by projection, so the stack needs no spec here.
+    M, targets = drawn
+    stack = ResponseStack(None, np.zeros(1), M.T, 0.0)
+    for v in targets:
+        x, residual = stack.projection(v)
+        assert x.min() >= 0.0
+        assert _certificate_breach(M, v, x) <= 1.0
+        _, cold = nnls(M, v)
+        assert abs(residual - cold) <= 1e-12 * (1.0 + np.linalg.norm(v))
+
+
+def test_the_stack_warms_its_programs(oscillators_a, monkeypatch):
+    # Started afresh, the cone programs of this cross-check took 322
+    # compiled solves; started from the columns of the earlier answers,
+    # 127.
+    import scipy.optimize
+
+    report = analyze(oscillators_a, pairs=[(1, 2)])
+    solves = []
+    real = scipy.optimize.nnls
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "nnls", counting)
+    cross_check(oscillators_a, report)
+    assert len(solves) <= 160
 
 
 def test_falsifier_counts_a_target_reached_within_the_cone_rule(watertanks, counterexample):

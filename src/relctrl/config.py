@@ -8,7 +8,8 @@ rank  relative singular-value cutoff of rank and range tests; the edge
 cone  cone-membership bound cone (1 + ||target||), marginal within a
       DECADE of it; the falsifier's slack DECADE min(cone, 1e-8) (1 + max |P|).
 eig   clustering tolerance tol = eig (1 + spectral radius), kept on the
-      Spectrum for the eigen-overlap check; restriction's invariance
+      Spectrum for the eigen-overlap check; clusters nearer than
+      CLUSTER_GAP tol are ill-conditioned; restriction's invariance
       bound DECADE eig (1 + ||A||_F); the falsifier's horizon treats
       rotations and real gaps up to eig (1 + max |lambda|) as zero.
 zero  absolute threshold for structural zeros (input column sums,
@@ -58,6 +59,12 @@ DEFAULT_TOLERANCES = Tolerances()
 # that a program's answer does not depend on who asks, and two decades
 # below the default cone tolerance, which judges residuals on that scale.
 KKT = 1e-10
+
+# Distinct eigenvalue clusters must lie at least CLUSTER_GAP clustering
+# tolerances apart.  Eigenvalues of two clusters nearer than that could
+# each move by up to tol and meet, so the partition into clusters would
+# not be stable under the perturbations the tolerance accepts.
+CLUSTER_GAP = 2.0
 
 # The least component a falsifier witness, a unit direction, keeps on the
 # (k,l) difference subspace, so that it is not a rounding residue.

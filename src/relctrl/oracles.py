@@ -45,16 +45,21 @@ positive pairwise controllability on the grid's finite horizon, and its
 absence proves nothing.  The reach simulator reads the same residuals as distances to
 the sampled reach cone: they support a positive verdict but cannot
 overturn one.  One kernel, ``_exponentials``, forms the exponentials of
-a whole grid by batched Pade-13 scaling and squaring (Higham 2005), in
-batches of about 2**13 matrix entries (``_batch``: 2048 times at n = 2,
-128 at n = 8); each time's exponential is computed on its own, so the
-stack is the same to the bit at any batch size.  ``cross_check`` hands
-the one stack to both tools and factors the reduced Krylov matrix once,
-on reduced blocks that the Brammer cone test then reuses.  The stack
-forms the exponentials of the falsifier's dense check grid on demand,
-one batch at a time as a scan first reaches it, and keeps every batch:
-a candidate rejected early forms only the batches it read, and no time
-is formed twice across the candidates and pairs of one array.
+a whole grid from anchors (Al-Mohy and Higham 2011): e^{A t} is an
+anchor e^{A k h}, h = 1 / ||A||_1, times one Taylor polynomial of degree
+18 in the rest of t, and only the anchors come from Pade-13 scaling and
+squaring (Higham 2005), one per distinct k.  It works in batches of
+about 2**13 matrix entries (``_batch``: 2048 times at n = 2, 128 at
+n = 8); each time's exponential is computed on its own, so the stack is
+the same to the bit at any batch size.  ``cross_check`` hands the one
+stack to both tools and factors the reduced Krylov matrix once, on
+reduced blocks that the Brammer cone test then reuses.  The stack forms
+the exponentials of the falsifier's dense check grid on demand, one
+batch at a time as a scan first reaches it, and keeps every batch: a
+candidate rejected early forms only the batches it read, and no time is
+formed twice across the candidates and pairs of one array.  Both grids
+span one horizon and read the stack's one set of anchors, so the dense
+batches mostly reuse the anchors of the coarse grid.
 """
 
 from __future__ import annotations
@@ -272,9 +277,19 @@ _PADE13 = np.array([
 ]) / 64764752532480000.0
 _THETA13 = 5.371920351148152
 
+# The anchor step and the Taylor degree of ``_exponentials``.  Anchors lie
+# h = _ANCHOR_NORM / ||A||_1 apart, so that N = h A has 1-norm 1: no power
+# N^j can overflow at any ||A||, and for r in [0, 1] the remainder of the
+# Taylor polynomial of e^{r N} of degree d is at most sum_{j > d} 1 / j!.
+# A longer step would need a higher degree, a shorter one more anchors.
+_ANCHOR_NORM = 1.0
+# The least degree whose remainder is below the unit roundoff 2**-53 =
+# 1.1e-16: sum_{j > 18} 1 / j! = 8.2e-18, while sum_{j > 17} 1 / j! = 1.6e-16.
+_TAYLOR_DEGREE = 18
 
-def _exponentials(A: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The stack e^{A t} for every t in times, shape (T, n, n).
+
+def _pade13(A: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The stack e^{A t} for every t in times by Pade-13, shape (T, n, n).
 
     Batched Pade-13 scaling and squaring (Higham 2005, "The scaling and
     squaring method for the matrix exponential revisited").  Each time
@@ -285,8 +300,6 @@ def _exponentials(A: np.ndarray, times: np.ndarray) -> np.ndarray:
     product and solve acts on one time's matrices alone, so the stack is
     bitwise the same at any batch size.  t = 0 gives exactly the identity.
     """
-    A = np.asarray(A, dtype=float)
-    times = np.asarray(times, dtype=float)
     n = A.shape[0]
     b = _PADE13
     ident = np.eye(n)
@@ -317,7 +330,84 @@ def _exponentials(A: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _input_responses(spec: ArraySpec, times: np.ndarray) -> np.ndarray:
+@dataclass(eq=False)
+class _Anchors:
+    """What ``_exponentials`` shares across calls for one matrix A.
+
+    terms holds the Taylor terms (h A)^j / j!, j = 0, ..., _TAYLOR_DEGREE,
+    once formed, and formed maps each anchor index k to e^{A k h}.
+    """
+
+    terms: np.ndarray | None = None
+    formed: dict = field(default_factory=dict)
+
+
+def _taylor_terms(N: np.ndarray) -> np.ndarray:
+    """N^j / j! for j = 0, ..., _TAYLOR_DEGREE along the last axis, shape (n, n, degree + 1)."""
+    terms = np.empty((*N.shape, _TAYLOR_DEGREE + 1))
+    term = np.eye(N.shape[0])
+    terms[..., 0] = term
+    for j in range(1, _TAYLOR_DEGREE + 1):
+        term = term @ N / j
+        terms[..., j] = term
+    return terms
+
+
+def _exponentials(
+    A: np.ndarray, times: np.ndarray, anchors: _Anchors | None = None
+) -> np.ndarray:
+    """The stack e^{A t} for every t in times, shape (T, n, n).
+
+    Exponentials at many times of one matrix share their work (Al-Mohy
+    and Higham 2011): each time splits as t = k h + r h with k = floor(t
+    / h) and r in [0, 1), for the anchor step h = 1 / ||A||_1, and
+
+        e^{A t} = e^{A k h} S(r),   S(r) = sum_{j <= 18} r^j (h A)^j / j!.
+
+    The anchors e^{A k h} come from Pade-13 scaling and squaring
+    (``_pade13``), one per distinct k and so never more than there are
+    times; the Taylor terms (h A)^j / j! are formed once, and no time
+    needs a solve of its own.  A caller that keeps anchors across calls,
+    as a ``ResponseStack`` keeps those of its coarse grid for its dense
+    one, forms no anchor twice.  S is contracted by ``np.einsum`` and
+    each time's product acts on its own matrices, ``_batch(n)`` times at a
+    time, so the stack is bitwise the same at any batch size.  t = 0,
+    where the anchor and S are both the identity, and the zero matrix
+    give exactly the identity.
+    """
+    A = np.asarray(A, dtype=float)
+    times = np.asarray(times, dtype=float)
+    n = A.shape[0]
+    out = np.empty((times.size, n, n))
+    norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
+    if norm == 0.0:
+        out[:] = np.eye(n)
+        return out
+    anchors = _Anchors() if anchors is None else anchors
+    step = _ANCHOR_NORM / norm
+    if anchors.terms is None:
+        anchors.terms = _taylor_terms(A * step)
+    k = np.floor(times / step)
+    distinct, at = np.unique(k, return_inverse=True)
+    new = [key for key in distinct.tolist() if key not in anchors.formed]
+    if new:
+        anchors.formed.update(zip(new, _pade13(A, np.array(new) * step)))
+    formed = np.array([anchors.formed[key] for key in distinct.tolist()]).reshape(-1, n, n)
+    size = _batch(n)
+    for start in range(0, times.size, size):
+        r = (times[start : start + size] - k[start : start + size] * step) / step
+        powers = np.empty((r.size, _TAYLOR_DEGREE + 1))
+        powers[:, 0] = 1.0
+        for j in range(1, _TAYLOR_DEGREE + 1):
+            np.multiply(powers[:, j - 1], r, out=powers[:, j])
+        S = np.einsum("tj,abj->tab", powers, anchors.terms)
+        out[start : start + r.size] = formed[at[start : start + size]] @ S
+    return out
+
+
+def _input_responses(
+    spec: ArraySpec, times: np.ndarray, anchors: _Anchors | None = None
+) -> np.ndarray:
     """Row ``t * p + s`` is the stacked response (I_q ⊗ e^{A t}) b_s.
 
     One batched n x n exponential per time is applied to the (q, p, n)
@@ -325,7 +415,7 @@ def _input_responses(spec: ArraySpec, times: np.ndarray) -> np.ndarray:
     is B* exp(A* t) stacked over the times, read as columns it holds the
     state each input moves the array to.
     """
-    E = _exponentials(spec.A, times)
+    E = _exponentials(spec.A, times, anchors)
     R = np.einsum("tjm,qpm->tpqj", E, spec.B)
     return R.reshape(times.size * spec.p, spec.q * spec.n)
 
@@ -429,13 +519,18 @@ class ResponseStack:
     DENSE_FACTOR times denser check grid in batches of ``_batch(n)``
     times.  A batch is formed when a scan first asks for it and kept, so
     a scan that stops early forms no later batch, and every candidate of
-    every pair reads the batches formed before it.
+    every pair reads the batches formed before it.  anchors keeps the
+    Pade anchors and Taylor terms of ``_exponentials`` for A: the coarse
+    and the dense grid span the same horizon, so the dense batches form
+    only the anchors the coarse grid did not reach, and the same bits as
+    the whole dense grid formed at once.
     """
 
     spec: ArraySpec
     grid: np.ndarray
     P: np.ndarray
     peak: float
+    anchors: _Anchors = field(default_factory=_Anchors, repr=False)
     _projections: dict = field(default_factory=dict, init=False, repr=False)
     _dense: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
     _unit: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
@@ -459,7 +554,8 @@ class ResponseStack:
         size = _batch(self.spec.n)
         for index, start in enumerate(range(0, times.size, size)):
             if index == len(self._dense):
-                self._dense.append(_exponentials(self.spec.A, times[start : start + size]))
+                batch = times[start : start + size]
+                self._dense.append(_exponentials(self.spec.A, batch, self.anchors))
             yield self._dense[index]
 
 
@@ -471,8 +567,9 @@ def _response_stack(
         return grid
     spec = require_valid(spec, tolerances.zero)
     grid = np.asarray(default_polar_grid(spec, tolerances) if grid is None else grid, dtype=float)
-    P = _input_responses(spec, grid)
-    return ResponseStack(spec, grid, P, float(np.abs(P).max(initial=0.0)))
+    anchors = _Anchors()
+    P = _input_responses(spec, grid, anchors)
+    return ResponseStack(spec, grid, P, float(np.abs(P).max(initial=0.0)), anchors)
 
 
 def _reached(residual: float, target: np.ndarray, tol_cone: float) -> bool:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DECADE, DEFAULT_TOLERANCES
+from .config import CLUSTER_GAP, DECADE, DEFAULT_TOLERANCES
 from .errors import (
     IllConditionedSpectrumError,
     InconsistentSpectrumError,
@@ -158,7 +158,7 @@ def distinct_eigenvalues(A: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig)
     rows, cols = np.nonzero(np.triu(dist <= tol, 1))
     labels = component_labels(len(evals), zip(rows.tolist(), cols.tolist()))
     gap = dist[labels[:, None] != labels[None, :]].min(initial=np.inf)
-    if gap < 2.0 * tol:
+    if gap < CLUSTER_GAP * tol:
         raise IllConditionedSpectrumError(
             f"eigenvalue clusters separated by {gap:.3e} with tolerance {tol:.3e}; "
             "choose a different eigenvalue tolerance"

@@ -1,12 +1,15 @@
 """Every threshold is named in ``relctrl.config``, and its defaults are the old literals."""
 
 import ast
+import math
 from pathlib import Path
 
 import relctrl
 from relctrl import DEFAULT_TOLERANCES
-from relctrl.config import DECADE, KKT, WITNESS_GAIN
+from relctrl.config import CLUSTER_GAP, DECADE, KKT, WITNESS_GAIN
 from relctrl.oracles import (
+    _ANCHOR_NORM,
+    _TAYLOR_DEGREE,
     BASE_TIME_CONSTANTS,
     DENSE_FACTOR,
     GAP_TIME_CONSTANTS,
@@ -36,6 +39,20 @@ HORIZON_CODE = {
 }
 
 
+# The anchor kernel of the exponentials: every number in it but 0 and 1
+# is named at module level, with its derivation (the Pade-13 helper keeps
+# Higham's published coefficients and their indices).
+KERNEL_CODE = {"_Anchors", "_taylor_terms", "_exponentials"}
+
+
+def _top_levels(module, names):
+    """The top-level definitions of module named in names, by name."""
+    tops = ast.parse((SRC / module).read_text()).body
+    found = {top.name: top for top in tops if getattr(top, "name", None) in names}
+    assert set(found) == set(names), f"renamed or removed: {set(names) - set(found)}"
+    return found
+
+
 def _small_float_literals():
     for path in sorted(SRC.glob("*.py")):
         if path.name == "config.py":
@@ -60,21 +77,57 @@ def test_no_threshold_literal_outside_config():
 
 
 def test_no_bare_multiplier_in_the_horizon_code():
-    stray, seen = [], set()
-    for top in ast.parse((SRC / "oracles.py").read_text()).body:
-        if getattr(top, "name", None) not in HORIZON_CODE:
-            continue
-        seen.add(top.name)
-        for node in ast.walk(top):
-            if (
-                isinstance(node, ast.Constant)
-                and type(node.value) in (int, float)
-                and abs(node.value) >= 1
-                and node.value not in (1, 2)
-            ):
-                stray.append((top.name, node.value, node.lineno))
-    assert seen == HORIZON_CODE, "a horizon function was renamed or removed"
+    stray = [
+        (name, node.value, node.lineno)
+        for name, top in _top_levels("oracles.py", HORIZON_CODE).items()
+        for node in ast.walk(top)
+        if isinstance(node, ast.Constant)
+        and type(node.value) in (int, float)
+        and abs(node.value) >= 1
+        and node.value not in (1, 2)
+    ]
     assert not stray, f"name these multipliers in relctrl.oracles: {stray}"
+
+
+def test_no_bare_number_in_the_exponential_kernel():
+    stray = [
+        (name, node.value, node.lineno)
+        for name, top in _top_levels("oracles.py", KERNEL_CODE).items()
+        for node in ast.walk(top)
+        if isinstance(node, ast.Constant)
+        and type(node.value) in (int, float)
+        and node.value not in (0, 1)
+    ]
+    assert not stray, f"name these numbers in relctrl.oracles: {stray}"
+
+
+def test_no_bare_multiplier_in_the_eigenvalue_clustering():
+    # A number of 1 or more that multiplies or divides is a scale and is
+    # named in relctrl.config; 2 stays bare elsewhere (ndim, the 2-norm).
+    top = _top_levels("spectral.py", {"distinct_eigenvalues"})["distinct_eigenvalues"]
+    stray = [
+        (side.value, node.lineno)
+        for node in ast.walk(top)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div))
+        for side in (node.left, node.right)
+        if isinstance(side, ast.Constant)
+        and type(side.value) in (int, float)
+        and abs(side.value) >= 1
+        and side.value != 1
+    ]
+    assert not stray, f"name these multipliers in relctrl.config: {stray}"
+
+
+def test_the_kernel_constants_follow_their_derivations():
+    # The anchor step makes ||h A||_1 = 1, and the Taylor degree is the
+    # least whose remainder sum_{j > d} 1 / j! at that norm is below the
+    # unit roundoff.
+    def remainder(d):
+        return sum(1.0 / math.factorial(j) for j in range(d + 1, d + 40))
+
+    assert _ANCHOR_NORM == 1.0
+    assert remainder(_TAYLOR_DEGREE) < 2.0**-53 <= remainder(_TAYLOR_DEGREE - 1)
+    assert _TAYLOR_DEGREE == 18
 
 
 def test_named_horizon_multipliers_equal_the_literals_they_replaced():
@@ -91,3 +144,4 @@ def test_derived_scales_equal_the_literals_they_replaced():
     assert DECADE * tol.cone == 1e-7        # the falsifier's slack factor, its cap
     assert KKT == 1e-10                     # the nnls certificate constant
     assert WITNESS_GAIN == 0.1              # the falsifier's least gain
+    assert CLUSTER_GAP == 2.0               # least gap between eigenvalue clusters, in tol

@@ -324,6 +324,27 @@ def test_exponentials_at_time_zero_are_exactly_the_identity():
     assert np.array_equal(_exponentials(np.zeros((3, 3)), np.array([2.0]))[0], np.eye(3))
 
 
+def _anchor_step(A):
+    return 1.0 / np.abs(A).sum(axis=0).max()
+
+
+def test_exponentials_match_expm_around_the_anchors():
+    # Times at the anchors k h exactly and one ulp on either side, where
+    # k = floor(t / h) may fall either way, over 200 anchors; then at
+    # negative times, and at ||A||_1 = 1e6, where 200 anchors span 2e-4.
+    A = np.random.default_rng(4).standard_normal((5, 5)) - 3.0 * np.eye(5)
+    anchors = np.arange(200) * _anchor_step(A)
+    times = np.concatenate([anchors, np.nextafter(anchors, -np.inf), np.nextafter(anchors, np.inf)])
+    _assert_matches_expm(A, times)
+
+    A = np.random.default_rng(5).standard_normal((4, 4)) + 2.0 * np.eye(4)
+    _assert_matches_expm(A, -_chebyshev_grid(200 * _anchor_step(A), 301))
+
+    A = -np.diag([1.0, 1e2, 1e4, 1e6]) + np.triu(np.arange(1.0, 17.0).reshape(4, 4), 1)
+    A *= 1e6 / np.abs(A).sum(axis=0).max()
+    _assert_matches_expm(A, _chebyshev_grid(200 * _anchor_step(A), 500))
+
+
 def test_exponentials_on_a_grid_off_the_chunk_size():
     A = np.random.default_rng(3).standard_normal((4, 4))
     times = np.linspace(0.0, 3.0, 2 * _batch(4) + 37)
@@ -357,16 +378,16 @@ def test_falsifier_witness_holds_on_dense_grid():
     assert {("oscillators-b", (1, 2)), ("counterexample-23", (2, 3))} <= witnessed
 
 
-def _count_exponentials(monkeypatch):
-    """The times of every call of ``_exponentials``, in call order."""
+def _count_calls(monkeypatch, name="_exponentials"):
+    """The times of every call of the kernel ``relctrl.oracles.<name>``, in call order."""
     calls = []
-    real = relctrl.oracles._exponentials
+    real = getattr(relctrl.oracles, name)
 
-    def counting(A, times):
+    def counting(A, times, *rest):
         calls.append(np.array(times))
-        return real(A, times)
+        return real(A, times, *rest)
 
-    monkeypatch.setattr(relctrl.oracles, "_exponentials", counting)
+    monkeypatch.setattr(relctrl.oracles, name, counting)
     return calls
 
 
@@ -393,7 +414,7 @@ def test_falsifier_forms_the_dense_exponentials_once(oscillators_a, monkeypatch)
     # every candidate is rejected within the first half of the grid, so
     # the rest of it is never formed.
     coarse = default_polar_grid(oscillators_a).size
-    calls = _count_exponentials(monkeypatch)
+    calls = _count_calls(monkeypatch)
     checked = []
     real_scan = relctrl.oracles._stays_nonpositive
 
@@ -417,6 +438,40 @@ def test_falsifier_forms_the_dense_exponentials_once(oscillators_a, monkeypatch)
     assert _assert_dense_prefix(calls, oscillators_a) <= 10 * coarse
 
 
+def test_cross_check_forms_one_pade_exponential_per_anchor(oscillators_a, monkeypatch):
+    # Each exponential on [0, T] is an anchor e^{A k h}, k <= T ||A||_1,
+    # times a Taylor polynomial: at most ceil(T ||A||_1) + 1 Pade
+    # exponentials for the whole cross-check, where one per time formed
+    # 195 coarse and 1,950 dense ones.
+    horizon = default_polar_grid(oscillators_a)[-1]
+    bound = int(np.ceil(horizon / _anchor_step(oscillators_a.A))) + 1
+    report = analyze(oscillators_a, pairs=all_pairs(oscillators_a.q))
+    calls = _count_calls(monkeypatch, "_pade13")
+    cross_check(oscillators_a, report)
+    formed = np.concatenate(calls)
+    assert 0 < formed.size <= bound
+    assert np.unique(formed).size == formed.size
+
+
+def test_dense_batches_form_no_anchor_of_the_coarse_grid(monkeypatch):
+    # A fast rotation, ||A||_1 = 201 on the horizon 4: its 64 coarse
+    # times reach only some of the 805 anchors, so the dense batches form
+    # anchors too, but none that the coarse grid formed, and none twice.
+    w = 200.0
+    spec = ArraySpec(n=2, q=2, p=1, A=[[-1.0, w], [-w, -1.0]],
+                     B=[[[1.0, 0.0]], [[-1.0, 0.0]]])
+    calls = _count_calls(monkeypatch, "_pade13")
+    stack = _response_stack(spec, None, DEFAULT_TOLERANCES)
+    coarse = set(np.concatenate(calls).tolist())
+    calls.clear()
+    whole = np.concatenate(list(stack.dense()))
+    dense = np.concatenate(calls).tolist()
+    assert dense and coarse.isdisjoint(dense) and len(set(dense)) == len(dense)
+    times = _chebyshev_grid(stack.grid[-1], 10 * stack.grid.size)
+    assert np.array_equal(whole, _exponentials(spec.A, times))
+    _assert_matches_expm(spec.A, times)
+
+
 def test_dense_batches_are_the_whole_dense_stack_to_the_bit(oscillators_b, monkeypatch):
     # Read to the end, the batches are the stack of the whole dense grid
     # formed at once, and a second scan forms nothing.
@@ -424,7 +479,7 @@ def test_dense_batches_are_the_whole_dense_stack_to_the_bit(oscillators_b, monke
     dense = _chebyshev_grid(stack.grid[-1], 10 * stack.grid.size)
     whole = _exponentials(oscillators_b.A, dense)
     assert np.array_equal(np.concatenate(list(stack.dense())), whole)
-    calls = _count_exponentials(monkeypatch)
+    calls = _count_calls(monkeypatch)
     assert len(list(stack.dense())) == -(-dense.size // _batch(oscillators_b.n))
     assert calls == []
 
@@ -560,13 +615,13 @@ def test_dense_check_scans_every_chunk():
 @pytest.mark.parametrize("n", [1, 2, 3, 10])
 def test_exponentials_are_bitwise_the_same_at_any_batch_size(n, monkeypatch):
     # Each time's exponential is computed on its own, so the batch rule
-    # (2**13 entries) and the old fixed 128 times give the same bits, on a
-    # grid whose length is a multiple of neither batch.
+    # (2**13 entries), the old fixed 128 times and one time per batch give
+    # the same bits, on a grid whose length is a multiple of neither batch.
     rng = np.random.default_rng(n)
     A = rng.standard_normal((n, n))
     times = np.concatenate([[0.0], rng.uniform(0.0, 12.0, 2 * _batch(n) + 129)])
     stacks = []
-    for entries in (relctrl.oracles._BATCH_ENTRIES, 128 * n * n, 7 * n * n):
+    for entries in (relctrl.oracles._BATCH_ENTRIES, 128 * n * n, 7 * n * n, n * n):
         monkeypatch.setattr(relctrl.oracles, "_BATCH_ENTRIES", entries)
         stacks.append(_exponentials(A, times))
     assert all(np.array_equal(stacks[0], other) for other in stacks[1:])

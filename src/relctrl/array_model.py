@@ -204,6 +204,10 @@ def build_big(spec: ArraySpec, tol_zero: float = DEFAULT_TOLERANCES.zero) -> Big
 
     The blocks are built from the projection ``require_valid`` returns.
     """
-    spec = require_valid(spec, tol_zero)
+    return _reduced(require_valid(spec, tol_zero))
+
+
+def _reduced(spec: ArraySpec) -> BigOperators:
+    """The reduced coordinates of a spec that ``require_valid`` returned."""
     D = disagreement_basis(spec.q)
     return BigOperators(D=D, Bred=np.einsum("qr,qpn->rpn", D, spec.B))

@@ -40,36 +40,35 @@ array holds the responses and solves each target's nonnegative
 least-squares program once, each starting its working set from the
 columns the stack's earlier answers used.  By the Moreau decomposition
 the residual of a projection is the separating functional with the
-largest component along its target: a validated witness refutes
-positive pairwise controllability on the grid's finite horizon, and its
-absence proves nothing.  The reach simulator reads the same residuals as distances to
-the sampled reach cone: they support a positive verdict but cannot
-overturn one.  One kernel, ``_exponentials``, forms the exponentials of
-a whole grid from anchors (Al-Mohy and Higham 2011): e^{A t} is an
-anchor e^{A k h}, h = 1 / ||A||_1, times one Taylor polynomial of degree
-18 in the rest of t, and only the anchors come from Pade-13 scaling and
-squaring (Higham 2005), one per distinct k.  It works in batches of
-about 2**13 matrix entries (``_batch``: 2048 times at n = 2, 128 at
-n = 8); each time's exponential is computed on its own, so the stack is
-the same to the bit at any batch size.  ``cross_check`` hands the one
-stack to both tools and factors the reduced Krylov matrix once, on
-reduced blocks that the Brammer cone test then reuses.  The stack forms
-the exponentials of the falsifier's dense check grid on demand, one
-batch at a time as a scan first reaches it, and keeps every batch: a
-candidate rejected early forms only the batches it read, and no time is
-formed twice across the candidates and pairs of one array.  Both grids
-span one horizon and read the stack's one set of anchors, so the dense
-batches mostly reuse the anchors of the coarse grid.
+largest component along its target.  A candidate is a witness only if
+every input's response to it stays within the slack on the whole
+horizon [0, T], not only at the grid's times: a validated witness
+refutes positive pairwise controllability on that finite horizon, and
+its absence proves nothing.  The reach simulator reads the same
+residuals as distances to the sampled reach cone: they support a
+positive verdict but cannot overturn one.
+
+One approximant serves both, the Taylor polynomial S(r) of degree 18 of
+e^{r h A}, h = 1 / ||A||_1 (Al-Mohy and Higham 2011): ``_exponentials``
+forms e^{A t}, t = k h + r h, as the anchor e^{A k h} = S(+/-1)^|k|,
+a power of one Taylor step, times S(r), the same to the bit at any batch
+size; on each anchor interval a response is one polynomial in r, which
+the witness check ``_stays_nonpositive`` bounds by its Bernstein
+coefficients (Farouki and Rajan 1987).  The stack keeps its anchors for
+every candidate and pair of one array.  ``cross_check`` validates the
+spec once, hands the one stack to both tools and factors the reduced
+Krylov matrix once, on reduced blocks that the Brammer cone test reuses.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array_model import ArraySpec, build_big, require_valid
+from .array_model import ArraySpec, _reduced, build_big, require_valid
 from .config import DECADE, DEFAULT_TOLERANCES, WITNESS_GAIN, Tolerances
 from .errors import GraphDomainError
 from .gengraph import _lawson_hanson, _unit_columns, nnls
@@ -255,10 +254,10 @@ def _pair_targets(d: np.ndarray, n: int) -> list[np.ndarray]:
     return targets
 
 
-# Matrix entries per batch of the exponential kernel and of the dense
-# scan: a batch of 2**13 // n^2 times keeps its temporaries (a dozen
-# arrays of that many entries) in cache, while small matrices still come
-# in batches large enough to amortize numpy's per-call cost.
+# Matrix entries per batch of the exponential kernel: a batch of
+# 2**13 // n^2 times keeps its temporaries (a dozen arrays of that many
+# entries) in cache, while small matrices still come in batches large
+# enough to amortize numpy's per-call cost.
 _BATCH_ENTRIES = 2**13
 
 
@@ -267,16 +266,6 @@ def _batch(n: int) -> int:
     return max(1, _BATCH_ENTRIES // (n * n))
 
 
-# Pade-13 coefficients b_0..b_13, divided by b_0 so that t = 0 solves
-# I x = I exactly, and the largest 1-norm theta_13 at which the
-# approximant is accurate to unit roundoff (Higham 2005).
-_PADE13 = np.array([
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-]) / 64764752532480000.0
-_THETA13 = 5.371920351148152
-
 # The anchor step and the Taylor degree of ``_exponentials``.  Anchors lie
 # h = _ANCHOR_NORM / ||A||_1 apart, so that N = h A has 1-norm 1: no power
 # N^j can overflow at any ||A||, and for r in [0, 1] the remainder of the
@@ -284,78 +273,94 @@ _THETA13 = 5.371920351148152
 # A longer step would need a higher degree, a shorter one more anchors.
 _ANCHOR_NORM = 1.0
 # The least degree whose remainder is below the unit roundoff 2**-53 =
-# 1.1e-16: sum_{j > 18} 1 / j! = 8.2e-18, while sum_{j > 17} 1 / j! = 1.6e-16.
+# 1.1e-16: sum_{j > 18} 1 / j! = 8.7e-18, while sum_{j > 17} 1 / j! = 1.6e-16.
 _TAYLOR_DEGREE = 18
+_DEGREES = range(_TAYLOR_DEGREE + 1)
+# That remainder; the terms past j = 2 d cannot move its last digit.
+_TAYLOR_TAIL = math.fsum(1 / math.factorial(_TAYLOR_DEGREE + j) for j in _DEGREES[1:])
+# Columns c of coefficients of sum_j c_j r^j have on [0, 1] the Bernstein
+# coefficients _TO_BERNSTEIN @ c, [i, j] = C(i, j) / C(d, j), which bound it
+# there, the first and last its values at 0 and 1 (Farouki and Rajan 1987);
+# those of its halves are _HALVES[0] @ b and _HALVES[1] @ b (de Casteljau).
+_COMB = np.array([[math.comb(i, j) for j in _DEGREES] for i in _DEGREES])
+_TO_BERNSTEIN = _COMB / _COMB[-1]
+_HALVES = np.array([_COMB / 2 ** np.array(_DEGREES)[:, None]] * 2)
+_HALVES[1] = _HALVES[0][::-1, ::-1]
+# The witness check halves an undecided interval at most this often: a bound
+# above the slack on 1/4096 of an interval is within rounding of it, and a
+# refused candidate costs a "?", not a false witness (the corpora needed 8).
+_SPLIT_DEPTH = 12
 
 
-def _pade13(A: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The stack e^{A t} for every t in times by Pade-13, shape (T, n, n).
-
-    Batched Pade-13 scaling and squaring (Higham 2005, "The scaling and
-    squaring method for the matrix exponential revisited").  Each time
-    gets its own squaring count s = max(0, ceil(log2(||A||_1 |t| /
-    theta_13))); the scaled matrices' U and V come from batched products
-    and one batched solve, and then each is squared s times.  The work is
-    done ``_batch(n)`` times at a time into one preallocated output.  Every
-    product and solve acts on one time's matrices alone, so the stack is
-    bitwise the same at any batch size.  t = 0 gives exactly the identity.
-    """
-    n = A.shape[0]
-    b = _PADE13
-    ident = np.eye(n)
-    norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
-    out = np.empty((times.size, n, n))
-    size = _batch(n)
-    for start in range(0, times.size, size):
-        t = times[start : start + size]
-        s = np.ceil(np.log2(np.maximum(norm * np.abs(t) / _THETA13, 1.0))).astype(int)
-        X = A * (t / 2.0**s)[:, None, None]
-        X2 = X @ X
-        X4 = X2 @ X2
-        X6 = X4 @ X2
-        U = X @ (
-            X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
-            + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * ident
-        )
-        V = (
-            X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
-            + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * ident
-        )
-        E = np.linalg.solve(V - U, V + U)
-        for step in range(int(s.max(initial=0))):
-            active = s > step
-            R = E[active]
-            E[active] = R @ R
-        out[start : start + t.size] = E
-    return out
-
-
-@dataclass(eq=False)
 class _Anchors:
     """What ``_exponentials`` shares across calls for one matrix A.
 
-    terms holds the Taylor terms (h A)^j / j!, j = 0, ..., _TAYLOR_DEGREE,
-    once formed, and formed maps each anchor index k to e^{A k h}.
+    The step h = _ANCHOR_NORM / ||A||_1 (infinite at A = 0: one interval),
+    the terms (h A)^j / j!, and per sign the anchors e^{A k h} = S(sign)^|k|,
+    S(x) = sum_j x^j (h A)^j / j!: powers[sign][|k|] where formed[sign][|k|]
+    is set, and the squares S(sign)^(2^i) in squares[sign].
     """
 
-    terms: np.ndarray | None = None
-    formed: dict = field(default_factory=dict)
+    def __init__(self, A: np.ndarray):
+        norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
+        self.step = _ANCHOR_NORM / norm if norm else np.inf
+        self.terms = _taylor_terms(A * self.step if norm else A)
+        self.powers = {sign: np.eye(A.shape[0])[None] for sign in (1, -1)}
+        self.formed = {sign: np.ones(1, bool) for sign in (1, -1)}
+        self.squares: dict = {}
+
+    def at(self, keys: Iterable[float]) -> np.ndarray:
+        """The anchors e^{A k h} for the integers k in keys, shape (len(keys), n, n).
+
+        Anchor k is formed once, from anchor k - sign 2^i with 2^i the top
+        bit of |k|, so asking for it forms at most log2 |k| anchors more.
+        """
+        keys = np.asarray(keys).astype(np.int64)
+        out = np.empty((keys.size, *self.terms.shape[:-1]))
+        for sign in (1, -1):
+            chosen = np.flatnonzero(sign * keys >= 0)
+            exponents = np.abs(keys[chosen])
+            if (grow := int(exponents.max(initial=0)) + 1 - self.formed[sign].size) > 0:
+                self.formed[sign] = np.pad(self.formed[sign], (0, grow))
+                self.powers[sign] = np.pad(self.powers[sign], ((0, grow), (0, 0), (0, 0)))
+            wanted, frontier = np.zeros(self.formed[sign].size, bool), exponents
+            while (frontier := np.unique(frontier[~(wanted | self.formed[sign])[frontier]])).size:
+                wanted[frontier] = True
+                frontier = frontier - (1 << (np.frexp(frontier)[1] - 1))
+            if wanted.any():
+                _taylor_powers(self, sign * np.flatnonzero(wanted))
+            out[chosen] = self.powers[sign][exponents]
+        return out
 
 
 def _taylor_terms(N: np.ndarray) -> np.ndarray:
     """N^j / j! for j = 0, ..., _TAYLOR_DEGREE along the last axis, shape (n, n, degree + 1)."""
-    terms = np.empty((*N.shape, _TAYLOR_DEGREE + 1))
-    term = np.eye(N.shape[0])
-    terms[..., 0] = term
-    for j in range(1, _TAYLOR_DEGREE + 1):
-        term = term @ N / j
-        terms[..., j] = term
-    return terms
+    terms = [np.eye(N.shape[0])]
+    for j in _DEGREES[1:]:
+        terms.append(terms[-1] @ N / j)
+    return np.stack(terms, axis=-1)
 
 
-def _exponentials(
-    A: np.ndarray, times: np.ndarray, anchors: _Anchors | None = None
-) -> np.ndarray:
+def _taylor_powers(anchors: _Anchors, keys: np.ndarray) -> None:
+    """Form the anchors of keys, of one sign, ascending, and each k - sign 2^i formed or in keys.
+
+    Anchor k is anchor k - sign 2^i, 2^i the top bit of |k|, times the
+    square S^(2^i): one product each, and no square past the top bit asked
+    for, which could overflow.  Unrolled it is the squares of the bits of
+    |k|, lowest first, whichever call forms it: the same to the bit.
+    """
+    sign, exponents = int(np.sign(keys[0])), np.abs(keys)
+    bits = np.frexp(exponents)[1] - 1
+    squares = anchors.squares.setdefault(sign, [anchors.terms @ np.power(float(sign), _DEGREES)])
+    for bit in range(int(bits.max()) + 1):
+        if bit == len(squares):
+            squares.append(squares[-1] @ squares[-1])
+        group = exponents[bits == bit]
+        anchors.powers[sign][group] = anchors.powers[sign][group - (1 << bit)] @ squares[bit]
+    anchors.formed[sign][exponents] = True
+
+
+def _exponentials(A: np.ndarray, times: np.ndarray, anchors: _Anchors | None = None) -> np.ndarray:
     """The stack e^{A t} for every t in times, shape (T, n, n).
 
     Exponentials at many times of one matrix share their work (Al-Mohy
@@ -364,42 +369,24 @@ def _exponentials(
 
         e^{A t} = e^{A k h} S(r),   S(r) = sum_{j <= 18} r^j (h A)^j / j!.
 
-    The anchors e^{A k h} come from Pade-13 scaling and squaring
-    (``_pade13``), one per distinct k and so never more than there are
-    times; the Taylor terms (h A)^j / j! are formed once, and no time
-    needs a solve of its own.  A caller that keeps anchors across calls,
-    as a ``ResponseStack`` keeps those of its coarse grid for its dense
-    one, forms no anchor twice.  S is contracted by ``np.einsum`` and
-    each time's product acts on its own matrices, ``_batch(n)`` times at a
-    time, so the stack is bitwise the same at any batch size.  t = 0,
-    where the anchor and S are both the identity, and the zero matrix
-    give exactly the identity.
+    The anchors are powers of that one polynomial, S(+/-1)^|k| (``_Anchors``),
+    formed once per caller that keeps them, as a ``ResponseStack`` does.
+    Each time's product acts on its own matrices, ``_batch(n)`` times at a
+    time, so the stack is bitwise the same at any batch size.  t = 0 and
+    A = 0 give exactly the identity.
     """
     A = np.asarray(A, dtype=float)
     times = np.asarray(times, dtype=float)
     n = A.shape[0]
-    out = np.empty((times.size, n, n))
-    norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
-    if norm == 0.0:
-        out[:] = np.eye(n)
-        return out
-    anchors = _Anchors() if anchors is None else anchors
-    step = _ANCHOR_NORM / norm
-    if anchors.terms is None:
-        anchors.terms = _taylor_terms(A * step)
-    k = np.floor(times / step)
+    anchors = _Anchors(A) if anchors is None else anchors
+    k = np.floor(times / anchors.step)
     distinct, at = np.unique(k, return_inverse=True)
-    new = [key for key in distinct.tolist() if key not in anchors.formed]
-    if new:
-        anchors.formed.update(zip(new, _pade13(A, np.array(new) * step)))
-    formed = np.array([anchors.formed[key] for key in distinct.tolist()]).reshape(-1, n, n)
+    formed = anchors.at(distinct)
+    out = np.empty((times.size, n, n))
     size = _batch(n)
     for start in range(0, times.size, size):
-        r = (times[start : start + size] - k[start : start + size] * step) / step
-        powers = np.empty((r.size, _TAYLOR_DEGREE + 1))
-        powers[:, 0] = 1.0
-        for j in range(1, _TAYLOR_DEGREE + 1):
-            np.multiply(powers[:, j - 1], r, out=powers[:, j])
+        r = times[start : start + size] / anchors.step - k[start : start + size]
+        powers = np.cumprod(np.column_stack([np.ones_like(r), *[r] * _TAYLOR_DEGREE]), axis=1)
         S = np.einsum("tj,abj->tab", powers, anchors.terms)
         out[start : start + r.size] = formed[at[start : start + size]] @ S
     return out
@@ -427,14 +414,12 @@ def _input_responses(
 # The falsifier's horizon and grids (``polar_horizon``): the base horizon
 # spans BASE_TIME_CONSTANTS time constants of the fastest real part, a
 # beat of two real parts GAP_TIME_CONSTANTS over their gap, and the
-# horizon is capped at HORIZON_CAP base horizons.  The coarse grid has
-# POINTS_PER_BASE points per base horizon, the check grid DENSE_FACTOR
-# times as many.
+# horizon is capped at HORIZON_CAP base horizons.  The grid has
+# POINTS_PER_BASE points per base horizon.
 BASE_TIME_CONSTANTS = 4
 GAP_TIME_CONSTANTS = 8
 HORIZON_CAP = 16
 POINTS_PER_BASE = 64
-DENSE_FACTOR = 10
 
 
 def _chebyshev_grid(t_max: float, count: int) -> np.ndarray:
@@ -479,23 +464,43 @@ def default_polar_grid(spec: ArraySpec, tolerances: Tolerances = DEFAULT_TOLERAN
     return _chebyshev_grid(horizon, int(np.ceil(POINTS_PER_BASE * horizon / base - 1e-9)))
 
 
-def _stays_nonpositive(
-    batches: Iterable[np.ndarray], B: np.ndarray, eta: np.ndarray, slack: float
-) -> bool:
-    """max over the stacks E = e^{A t} of batches and inputs of b_s* e^{A* t} eta <= slack.
+def _stays_nonpositive(stack: ResponseStack, eta: np.ndarray, slack: float) -> bool:
+    """Whether every input's response b_s* e^{A* t} eta stays within slack on all of [0, T].
 
-    B holds the (q, p, n) input blocks.  Only the products with eta are
-    formed, one batch at a time, in order; the scan stops at the first
-    violation and asks for no later batch.
+    T is the grid's end.  On the anchor interval [k h, (k + 1) h] the
+    response is the polynomial sum_j c[k, j, s] r^j, r in [0, 1], with
+    c[k, j, s] = sum_i (E_k* eta_i)* (T_j b_{i,s}), E_k = e^{A k h} and
+    T_j = (h A)^j / j!, up to a remainder at most _TAYLOR_TAIL sum_i
+    ||E_k* eta_i||_inf ||b_{i,s}||_1; the last interval stops at r = T / h - k,
+    and A = 0 is one constant interval.  By its Bernstein coefficients,
+    each interval and input passes when all of them plus the remainder
+    are at most slack, fails when the first or last, its exact value at
+    an end, is above slack, and is halved by de Casteljau otherwise; still
+    open after _SPLIT_DEPTH halvings, it fails, as a candidate not shown
+    to stay within slack is no witness.  The anchors are the stack's own:
+    the check forms those its grid did not reach, once per stack.
     """
-    q, p, n = B.shape
-    # G[(j, m), s] = sum_i B[i, s, m] eta_i[j], so that b_s* exp(A* t) eta
-    # is the sum of exp(A t)[j, m] G[(j, m), s]: one product per batch.
-    G = np.einsum("qpm,qj->jmp", B, eta.reshape(q, n)).reshape(n * n, p)
-    for E in batches:
-        if float((E.reshape(-1, n * n) @ G).max()) > slack:
+    spec, anchors = stack.spec, stack.anchors
+    q, p, n = spec.B.shape
+    reach = float(stack.grid.max()) / anchors.step
+    count = max(1, int(np.ceil(reach)))
+    E = anchors.at(np.arange(count))
+    # Z[(i, m), k] = (E_k* eta_i)[m] and TB[(j, s), (i, m)] = (T_j b_{i,s})[m].
+    Z = (eta.reshape(q, n) @ np.moveaxis(E, 0, -1).reshape(n, -1)).reshape(q * n, count)
+    TB = np.einsum("mcj,ipc->jpim", anchors.terms, spec.B).reshape(-1, q * n)
+    c = (TB @ Z).reshape(len(_DEGREES), p, count)
+    c[..., -1] *= (reach - (count - 1)) ** np.array(_DEGREES)[:, None]
+    bernstein = np.tensordot(_TO_BERNSTEIN, c, 1)
+    tail = _TAYLOR_TAIL * np.abs(spec.B).sum(axis=-1).T @ np.abs(Z).reshape(q, n, count).max(axis=1)
+    for _ in range(_SPLIT_DEPTH + 1):
+        if max(bernstein[0].max(initial=-np.inf), bernstein[-1].max(initial=-np.inf)) > slack:
             return False
-    return True
+        undecided = bernstein.max(axis=0) + tail > slack
+        if not undecided.any():
+            return True
+        bernstein = np.concatenate([half @ bernstein[:, undecided] for half in _HALVES], axis=1)
+        tail = np.tile(tail[undecided], len(_HALVES))
+    return False
 
 
 @dataclass(eq=False)
@@ -515,24 +520,16 @@ class ResponseStack:
     top columns together with those, so a response that steered one
     target is in the first set of the next; the certificate is still
     checked over every column, and the residuals are those of ``nnls``
-    up to rounding.  ``dense`` yields the exponentials of the
-    DENSE_FACTOR times denser check grid in batches of ``_batch(n)``
-    times.  A batch is formed when a scan first asks for it and kept, so
-    a scan that stops early forms no later batch, and every candidate of
-    every pair reads the batches formed before it.  anchors keeps the
-    Pade anchors and Taylor terms of ``_exponentials`` for A: the coarse
-    and the dense grid span the same horizon, so the dense batches form
-    only the anchors the coarse grid did not reach, and the same bits as
-    the whole dense grid formed at once.
+    up to rounding.  anchors keeps the anchors and Taylor terms of
+    ``_exponentials`` for A, for the witness check ``_stays_nonpositive``.
     """
 
     spec: ArraySpec
     grid: np.ndarray
     P: np.ndarray
     peak: float
-    anchors: _Anchors = field(default_factory=_Anchors, repr=False)
+    anchors: _Anchors | None = field(default=None, repr=False)
     _projections: dict = field(default_factory=dict, init=False, repr=False)
-    _dense: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
     _unit: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
     _used: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -549,15 +546,6 @@ class ResponseStack:
             self._projections[key] = (x, float(np.linalg.norm(target - self.P.T @ x)))
         return self._projections[key]
 
-    def dense(self) -> Iterator[np.ndarray]:
-        times = _chebyshev_grid(float(self.grid.max()), DENSE_FACTOR * self.grid.size)
-        size = _batch(self.spec.n)
-        for index, start in enumerate(range(0, times.size, size)):
-            if index == len(self._dense):
-                batch = times[start : start + size]
-                self._dense.append(_exponentials(self.spec.A, batch, self.anchors))
-            yield self._dense[index]
-
 
 def _response_stack(
     spec: ArraySpec, grid: np.ndarray | ResponseStack | None, tolerances: Tolerances
@@ -566,8 +554,13 @@ def _response_stack(
     if isinstance(grid, ResponseStack):
         return grid
     spec = require_valid(spec, tolerances.zero)
-    grid = np.asarray(default_polar_grid(spec, tolerances) if grid is None else grid, dtype=float)
-    anchors = _Anchors()
+    return _stack_on(spec, default_polar_grid(spec, tolerances) if grid is None else grid)
+
+
+def _stack_on(spec: ArraySpec, grid: np.ndarray) -> ResponseStack:
+    """The stack of a spec that ``require_valid`` returned, on grid."""
+    grid = np.asarray(grid, dtype=float)
+    anchors = _Anchors(spec.A)
     P = _input_responses(spec, grid, anchors)
     return ResponseStack(spec, grid, P, float(np.abs(P).max(initial=0.0)), anchors)
 
@@ -602,18 +595,17 @@ def polar_falsifier(
     v-component.  A candidate must keep P eta within the slack
     DECADE min(tolerances.cone, DEFAULT_TOLERANCES.cone) (1 + max |P|),
     which a looser cone rule does not loosen, have gain ||(e_k - e_l)* eta||
-    >= WITNESS_GAIN and stay within the slack on a ten times denser grid;
-    the first one that does is returned.
+    >= WITNESS_GAIN and stay within the slack on the whole horizon, as the
+    interval bounds of ``_stays_nonpositive`` show; the first one that does
+    is returned.
 
     The grid defaults to ``default_polar_grid``.  grid may also be a
     ``ResponseStack`` built for spec, as ``cross_check`` passes one to
-    every pair of an array: its coarse stack and the programs it has
+    every pair of an array: its stack, anchors and the programs it has
     already solved are then not formed again (the cone rule and the slack
-    are still read from tolerances), and each batch of its dense-grid
-    exponentials is formed once, by the first scan of any pair that
-    reaches it.  A witness is evidence only for the finite horizon it was
-    checked on: a response that turns positive later would reach the
-    target after all.
+    are still read from tolerances).  A witness is evidence only for the
+    finite horizon it was checked on: a response that turns positive later
+    would reach the target after all.
     Returns the witness or None; the absence of a witness proves nothing.
     """
     stack = _response_stack(spec, grid, tolerances)
@@ -629,7 +621,7 @@ def polar_falsifier(
             continue
         if float(np.linalg.norm(d @ eta.reshape(spec.q, spec.n))) < WITNESS_GAIN:
             continue
-        if _stays_nonpositive(stack.dense(), spec.B, eta, slack):
+        if _stays_nonpositive(stack, eta, slack):
             return eta
     return None
 
@@ -693,20 +685,23 @@ def cross_check(spec: ArraySpec, report) -> list[OracleVerdict]:
     """Run every oracle that applies to spec and set it against report.
 
     ``report`` is what ``analyze(spec, pairs, tolerances)`` returned; the
-    oracles run under its tolerances, at its pairs.  In order: the Kalman
-    rank and Brammer cone tests, which share one set of reduced blocks and
-    one factorization of their Krylov matrix; on n = 1 arrays whose inputs
-    are literal unit edges, the walks of ``path_oracle``; then per pair
-    the range test, read from that same factorization, the polar
-    falsifier and, for a positive pairwise verdict, the reach simulator,
-    both on the array's one ``ResponseStack`` over ``default_polar_grid``.
-    A decidable oracle agrees when it gives the analysis' answer; the
-    falsifier is inconclusive (``agrees`` None) without a witness, or
+    oracles run under its tolerances, at its pairs, on the spec validated
+    once here.  In order: the Kalman rank and Brammer cone tests, which
+    share one set of reduced blocks and one factorization of their Krylov
+    matrix; on n = 1 arrays whose inputs are literal unit edges, the walks
+    of ``path_oracle``; then per pair the range test, read from that same
+    factorization, the polar falsifier and, for a positive pairwise
+    verdict, the reach simulator, both on the array's one
+    ``ResponseStack`` over ``default_polar_grid``, whose one Taylor
+    approximant forms the responses on the grid and checks each witness
+    on the whole horizon.  A decidable oracle agrees when it gives the
+    analysis' answer; the falsifier is inconclusive (``agrees`` None) without a witness, or
     against a yes when ``polar_horizon``'s cap cut its horizon short, and
     the reach simulator unless every target is hit.
     """
     tol = report.tolerances
-    big = build_big(spec, tol.zero)
+    spec = require_valid(spec, tol.zero)
+    big = _reduced(spec)
     complement = _krylov_complement(spec.A, big.Bred, tol.rank)
     controllable = complement[0].shape[0] == 0
     verdicts = [
@@ -729,7 +724,7 @@ def cross_check(spec: ArraySpec, report) -> list[OracleVerdict]:
         except GraphDomainError:
             pass   # inputs are not literal unit edges; inapplicable
 
-    stack = _response_stack(spec, None, tol) if report.pairwise else None
+    stack = _stack_on(spec, default_polar_grid(spec, tol)) if report.pairwise else None
     in_range = _pairs_in_range(complement, big.D, list(report.pairwise), spec.n)
     for ((k, l), pairwise), ranged in zip(report.pairwise.items(), in_range):
         verdicts.append(_compared(f"pairwise_range_{k}_{l}", "range test", ranged, pairwise))

@@ -666,13 +666,14 @@ def test_oracle_runs_each_pair_once(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_runs_the_kalman_test_and_build_big_once(tmp_path, capsys, monkeypatch):
-    # cross_check factors the reduced Krylov matrix once, for the Kalman
-    # verdict and every pair's range test, and hands the reduced blocks it
-    # was built from to the Brammer cone test.
+    # cross_check validates the spec once, runs the reduction of
+    # build_big on it once, factors the reduced Krylov matrix once, for
+    # the Kalman verdict and every pair's range test, and hands the
+    # reduced blocks it was built from to the Brammer cone test.
     import relctrl.oracles as oracles_module
 
     path = write_example(tmp_path, "watertanks")
-    counts = {"_krylov_complement": 0, "build_big": 0}
+    counts = {"_krylov_complement": 0, "_reduced": 0, "build_big": 0, "require_valid": 0}
     for name in counts:
         original = getattr(oracles_module, name)
 
@@ -682,7 +683,7 @@ def test_oracle_runs_the_kalman_test_and_build_big_once(tmp_path, capsys, monkey
 
         monkeypatch.setattr(oracles_module, name, counting)
     assert main(["oracle", str(path), "--pair", "1", "2", "--pair", "2", "3"]) == 0
-    assert counts == {"_krylov_complement": 1, "build_big": 1}
+    assert counts == {"_krylov_complement": 1, "_reduced": 1, "build_big": 0, "require_valid": 1}
     capsys.readouterr()
 
 

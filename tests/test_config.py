@@ -9,9 +9,10 @@ from relctrl import DEFAULT_TOLERANCES
 from relctrl.config import CLUSTER_GAP, DECADE, KKT, WITNESS_GAIN
 from relctrl.oracles import (
     _ANCHOR_NORM,
+    _SPLIT_DEPTH,
     _TAYLOR_DEGREE,
+    _TAYLOR_TAIL,
     BASE_TIME_CONSTANTS,
-    DENSE_FACTOR,
     GAP_TIME_CONSTANTS,
     HORIZON_CAP,
     POINTS_PER_BASE,
@@ -39,10 +40,12 @@ HORIZON_CODE = {
 }
 
 
-# The anchor kernel of the exponentials: every number in it but 0 and 1
-# is named at module level, with its derivation (the Pade-13 helper keeps
-# Higham's published coefficients and their indices).
-KERNEL_CODE = {"_Anchors", "_taylor_terms", "_exponentials"}
+# The anchor kernel of the exponentials, its powering helper and the
+# witness check on its anchor intervals: every number in them but 0 and 1
+# is named at module level, with its derivation.
+KERNEL_CODE = {
+    "_Anchors", "_taylor_terms", "_taylor_powers", "_exponentials", "_stays_nonpositive",
+}
 
 
 def _top_levels(module, names):
@@ -121,21 +124,24 @@ def test_no_bare_multiplier_in_the_eigenvalue_clustering():
 def test_the_kernel_constants_follow_their_derivations():
     # The anchor step makes ||h A||_1 = 1, and the Taylor degree is the
     # least whose remainder sum_{j > d} 1 / j! at that norm is below the
-    # unit roundoff.
+    # unit roundoff.  The witness check adds that remainder to its bounds,
+    # and halves an interval at most 12 times.
     def remainder(d):
         return sum(1.0 / math.factorial(j) for j in range(d + 1, d + 40))
 
     assert _ANCHOR_NORM == 1.0
     assert remainder(_TAYLOR_DEGREE) < 2.0**-53 <= remainder(_TAYLOR_DEGREE - 1)
     assert _TAYLOR_DEGREE == 18
+    assert math.isclose(_TAYLOR_TAIL, remainder(_TAYLOR_DEGREE), rel_tol=1e-15)
+    assert 8.6e-18 < _TAYLOR_TAIL < 8.7e-18
+    assert _SPLIT_DEPTH == 12
 
 
 def test_named_horizon_multipliers_equal_the_literals_they_replaced():
     assert BASE_TIME_CONSTANTS == 4         # base horizon 4 / max(1, remax)
     assert GAP_TIME_CONSTANTS == 8          # beat horizon 8 / gap
     assert HORIZON_CAP == 16                # cap in base horizons
-    assert POINTS_PER_BASE == 64            # coarse grid points per base horizon
-    assert DENSE_FACTOR == 10               # the check grid's density over the coarse one
+    assert POINTS_PER_BASE == 64            # grid points per base horizon
 
 
 def test_derived_scales_equal_the_literals_they_replaced():

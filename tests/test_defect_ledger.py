@@ -18,8 +18,9 @@ import pytest
 
 import relctrl
 from relctrl import ArraySpec, analyze, build_example, kalman_reduced
+from relctrl.corpus import random_array_spec
 from relctrl.specio import save_spec
-from relctrl.cli import EXIT_NUMERICAL, main
+from relctrl.cli import EXIT_DISAGREEMENT, EXIT_NUMERICAL, main
 
 from conftest import all_pairs
 
@@ -56,6 +57,40 @@ def test_item_4_the_kalman_oracle_agrees_on_a_generic_ring_of_32_states():
     spec = _generic_ring(32, 0)
     assert analyze(spec).controllable
     assert kalman_reduced(spec)
+
+
+def _oracle(spec: ArraySpec, path: Path, *pairs: tuple[int, int]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``relctrl oracle`` on spec at pairs."""
+    save_spec(spec, path)
+    argv = ["oracle", str(path)]
+    for k, l in pairs:
+        argv += ["--pair", str(k), str(l)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.xfail(strict=True, reason="item 4: the rank oracles lose rank on a scaled A")
+def test_item_4_the_oracles_agree_on_oscillators_a_at_twenty_times_a(tmp_path):
+    # At 10 A the oracle command exits 0; at 20 A kalman_reduced and
+    # brammer_positive say "no" against the analysis' "yes".
+    spec = build_example("oscillators-a")
+    scaled = ArraySpec(n=spec.n, q=spec.q, p=spec.p, A=20.0 * spec.A, B=spec.B)
+    code, out, _ = _oracle(scaled, tmp_path / "oscillators-a-20.json")
+    assert code != EXIT_DISAGREEMENT, out
+
+
+@pytest.mark.xfail(strict=True, reason="item 16: the falsifier raises where it should abstain")
+def test_item_16_the_oracle_command_does_not_fail_numerically_at_n_3(tmp_path):
+    # Not only a large-n defect: draws 170 (random-3-4-4, eigenvalue 2.216)
+    # and 194 (random-3-2-2) of random_array_spec(default_rng(0)) stop with
+    # "no optimum" at these pairs.
+    rng = np.random.default_rng(0)
+    draws = [random_array_spec(rng) for _ in range(195)]
+    for index, pair in ((170, (2, 3)), (194, (1, 2))):
+        code, _, err = _oracle(draws[index], tmp_path / f"draw-{index}.json", pair)
+        assert code != EXIT_NUMERICAL, (index, err)
 
 
 @pytest.mark.xfail(strict=True, reason="item 16: the falsifier raises where it should abstain")

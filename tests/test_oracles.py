@@ -379,109 +379,119 @@ def test_falsifier_witness_holds_on_dense_grid():
 
 
 def _count_calls(monkeypatch, name="_exponentials"):
-    """The times of every call of the kernel ``relctrl.oracles.<name>``, in call order."""
+    """The second argument of every call of ``relctrl.oracles.<name>``, in call order.
+
+    That is the times of the exponential kernel and the anchor indices
+    of the anchor helper ``_taylor_powers``.
+    """
     calls = []
     real = getattr(relctrl.oracles, name)
 
-    def counting(A, times, *rest):
+    def counting(first, times, *rest):
         calls.append(np.array(times))
-        return real(A, times, *rest)
+        return real(first, times, *rest)
 
     monkeypatch.setattr(relctrl.oracles, name, counting)
     return calls
 
 
-def _assert_dense_prefix(calls, spec):
-    """calls after the first form a prefix of the dense grid, one batch each.
-
-    So no dense time is formed twice, and at most the 10 x coarse times of
-    the dense grid are formed.  Returns how many were.
-    """
-    grid = default_polar_grid(spec)
-    dense = _chebyshev_grid(grid[-1], 10 * grid.size)
-    assert np.array_equal(calls[0], grid)
-    formed = np.concatenate(calls[1:])
-    assert np.array_equal(formed, dense[: formed.size])
-    assert all(times.size == _batch(spec.n) for times in calls[1:-1])
-    assert 0 < calls[-1].size <= _batch(spec.n)
-    return formed.size
-
-
-def test_falsifier_forms_the_dense_exponentials_once(oscillators_a, monkeypatch):
-    # On (1,2) many candidates pass the coarse grid and reach the dense
-    # check (17 at the time of writing).  Each scans the batches formed
-    # before it and forms a batch only where it first gets past them;
-    # every candidate is rejected within the first half of the grid, so
-    # the rest of it is never formed.
-    coarse = default_polar_grid(oscillators_a).size
-    calls = _count_calls(monkeypatch)
-    checked = []
-    real_scan = relctrl.oracles._stays_nonpositive
-
-    def scan(batches, B, eta, slack):
-        checked.append(eta)
-        return real_scan(batches, B, eta, slack)
-
-    monkeypatch.setattr(relctrl.oracles, "_stays_nonpositive", scan)
-    assert polar_falsifier(oscillators_a, 1, 2) is None
-    assert len(checked) > 1
-    assert _assert_dense_prefix(calls, oscillators_a) < 10 * coarse
-
-    # cross_check forms one coarse stack per array and one dense grid's
-    # batches, each once: every pair reads the same batches, and the
-    # reach simulator, which runs on all six positive pairs here, reads
-    # the same coarse stack.
-    report = analyze(oscillators_a, pairs=all_pairs(oscillators_a.q))
-    calls.clear()
-    verdicts = cross_check(oscillators_a, report)
-    assert sum(v.name.startswith("reach_simulator") for v in verdicts) == 6
-    assert _assert_dense_prefix(calls, oscillators_a) <= 10 * coarse
-
-
-def test_cross_check_forms_one_pade_exponential_per_anchor(oscillators_a, monkeypatch):
-    # Each exponential on [0, T] is an anchor e^{A k h}, k <= T ||A||_1,
-    # times a Taylor polynomial: at most ceil(T ||A||_1) + 1 Pade
-    # exponentials for the whole cross-check, where one per time formed
-    # 195 coarse and 1,950 dense ones.
-    horizon = default_polar_grid(oscillators_a)[-1]
-    bound = int(np.ceil(horizon / _anchor_step(oscillators_a.A))) + 1
-    report = analyze(oscillators_a, pairs=all_pairs(oscillators_a.q))
-    calls = _count_calls(monkeypatch, "_pade13")
-    cross_check(oscillators_a, report)
+def _assert_each_anchor_once(calls, spec):
+    """Every anchor formed was formed once, and at most ceil(T ||A||_1) + 1 of them."""
+    horizon = default_polar_grid(spec)[-1]
+    bound = int(np.ceil(horizon / _anchor_step(spec.A))) + 1
     formed = np.concatenate(calls)
     assert 0 < formed.size <= bound
     assert np.unique(formed).size == formed.size
 
 
-def test_dense_batches_form_no_anchor_of_the_coarse_grid(monkeypatch):
-    # A fast rotation, ||A||_1 = 201 on the horizon 4: its 64 coarse
-    # times reach only some of the 805 anchors, so the dense batches form
-    # anchors too, but none that the coarse grid formed, and none twice.
+def test_falsifier_forms_the_dense_exponentials_once(oscillators_a, monkeypatch):
+    # On (1,2) many candidates pass the grid and reach the witness check
+    # (17 at the time of writing).  Each reads the anchors formed before
+    # it and forms only those no earlier call formed, so no anchor of the
+    # dense check is formed twice.
+    calls = _count_calls(monkeypatch, "_taylor_powers")
+    checked = []
+    real_check = relctrl.oracles._stays_nonpositive
+
+    def check(stack, eta, slack):
+        checked.append(eta)
+        return real_check(stack, eta, slack)
+
+    monkeypatch.setattr(relctrl.oracles, "_stays_nonpositive", check)
+    assert polar_falsifier(oscillators_a, 1, 2) is None
+    assert len(checked) > 1
+    _assert_each_anchor_once(calls, oscillators_a)
+
+
+def test_cross_check_forms_one_pade_exponential_per_anchor(oscillators_a, monkeypatch):
+    # Each exponential on [0, T] is an anchor e^{A k h}, k <= T ||A||_1,
+    # times a Taylor polynomial, and the witness check reads the anchors
+    # 0..ceil(T ||A||_1) - 1: each anchor is formed once, by the anchor
+    # helper, for the whole cross-check, where one exponential per time
+    # formed 195 coarse and 1,950 dense ones.  Every pair and candidate
+    # reads the anchors formed before it, and the reach simulator, which
+    # runs on all six positive pairs here, reads the same stack.
+    report = analyze(oscillators_a, pairs=all_pairs(oscillators_a.q))
+    calls = _count_calls(monkeypatch, "_taylor_powers")
+    verdicts = cross_check(oscillators_a, report)
+    assert sum(v.name.startswith("reach_simulator") for v in verdicts) == 6
+    _assert_each_anchor_once(calls, oscillators_a)
+
+
+def test_the_witness_check_forms_no_anchor_of_the_grid(monkeypatch):
+    # A fast rotation, ||A||_1 = 201 on the horizon 4: its 64 grid times
+    # fall in 64 of the 805 anchor intervals, which with the anchors their
+    # bits pass through make a few hundred.  The witness check forms the
+    # rest, but none that the grid formed, and none twice; a second
+    # candidate forms none.  Each anchor is e^{A k h} to the kernel's
+    # accuracy.
     w = 200.0
     spec = ArraySpec(n=2, q=2, p=1, A=[[-1.0, w], [-w, -1.0]],
                      B=[[[1.0, 0.0]], [[-1.0, 0.0]]])
-    calls = _count_calls(monkeypatch, "_pade13")
+    calls = _count_calls(monkeypatch, "_taylor_powers")
     stack = _response_stack(spec, None, DEFAULT_TOLERANCES)
-    coarse = set(np.concatenate(calls).tolist())
+    grid = np.concatenate(calls).tolist()
     calls.clear()
-    whole = np.concatenate(list(stack.dense()))
-    dense = np.concatenate(calls).tolist()
-    assert dense and coarse.isdisjoint(dense) and len(set(dense)) == len(dense)
-    times = _chebyshev_grid(stack.grid[-1], 10 * stack.grid.size)
-    assert np.array_equal(whole, _exponentials(spec.A, times))
-    _assert_matches_expm(spec.A, times)
-
-
-def test_dense_batches_are_the_whole_dense_stack_to_the_bit(oscillators_b, monkeypatch):
-    # Read to the end, the batches are the stack of the whole dense grid
-    # formed at once, and a second scan forms nothing.
-    stack = _response_stack(oscillators_b, None, DEFAULT_TOLERANCES)
-    dense = _chebyshev_grid(stack.grid[-1], 10 * stack.grid.size)
-    whole = _exponentials(oscillators_b.A, dense)
-    assert np.array_equal(np.concatenate(list(stack.dense())), whole)
-    calls = _count_calls(monkeypatch)
-    assert len(list(stack.dense())) == -(-dense.size // _batch(oscillators_b.n))
+    eta = np.array([0.0, 1.0, 0.0, -1.0]) / np.sqrt(2.0)
+    assert not _stays_nonpositive(stack, eta, 1e-7)
+    checked = np.concatenate(calls).tolist()
+    assert checked and set(grid).isdisjoint(checked)
+    assert len(set(grid)) == len(grid) and len(set(checked)) == len(checked)
+    assert set(range(1, int(np.ceil(stack.grid[-1] * 201.0)))) <= set(grid) | set(checked)
+    calls.clear()
+    assert not _stays_nonpositive(stack, -eta, 1e-7)
     assert calls == []
+    formed = stack.anchors.powers[1]
+    ref = expm(spec.A[None] * (np.arange(len(formed)) / 201.0)[:, None, None])
+    assert np.abs(formed - ref).max() <= 1e-11
+
+
+def test_anchors_are_the_same_bits_whichever_call_forms_them():
+    # Anchor k is the identity times the squares of the bits of |k|, in
+    # one order: formed all at once, one at a time, or a few at a time
+    # after another call made the squares, every anchor has the same bits.
+    A = np.random.default_rng(6).standard_normal((4, 4))
+    keys = [0, 1, 2, 3, 7, 8, 100, 255, 256, -1, -5, -64, 1000]
+    whole = relctrl.oracles._Anchors(A).at(keys)
+    one = relctrl.oracles._Anchors(A)
+    assert all(np.array_equal(one.at([key])[0], E) for key, E in zip(keys[::-1], whole[::-1]))
+    few = relctrl.oracles._Anchors(A)
+    few.at([5, -3])
+    assert np.array_equal(few.at(keys), whole)
+    assert np.array_equal(whole[0], np.eye(4))
+
+
+def test_anchors_form_no_square_past_the_largest_anchor():
+    # With ||A||_1 = 1 the anchor k is e^k: anchor 700 is e^700 = 1e304,
+    # and the square S^1024 past its top bit 512 would overflow.
+    A = np.array([[1.0]])
+    anchors = relctrl.oracles._Anchors(A)
+    with np.errstate(over="raise", invalid="raise"):
+        E = _exponentials(A, np.array([700.5]), anchors)
+    assert len(anchors.squares[1]) == 10
+    # 700 is formed from 700 - 512, and so on down its bits.
+    assert np.flatnonzero(anchors.formed[1]).tolist() == [0, 4, 12, 28, 60, 188, 700]
+    assert E[0, 0, 0] == pytest.approx(np.exp(700.5), rel=1e-12)
 
 
 def test_reach_reads_the_falsifiers_programs(watertanks_ring, monkeypatch):
@@ -566,11 +576,11 @@ def test_falsifier_slack_follows_its_tolerances_on_a_shared_stack(watertanks, mo
     # slack, and under a looser one with the default slack.
     stack = _response_stack(watertanks, None, DEFAULT_TOLERANCES)
     slacks = []
-    dense_check = relctrl.oracles._stays_nonpositive
+    witness_check = relctrl.oracles._stays_nonpositive
 
-    def spy(dense, B, eta, slack):
+    def spy(stack, eta, slack):
         slacks.append(slack)
-        return dense_check(dense, B, eta, slack)
+        return witness_check(stack, eta, slack)
 
     monkeypatch.setattr(relctrl.oracles, "_stays_nonpositive", spy)
     for cone, scale in ((1e-9, 1e-9), (DEFAULT_TOLERANCES.cone, 1e-8), (1e-6, 1e-8)):
@@ -586,30 +596,60 @@ def test_falsifier_is_deterministic(oscillators_b):
     assert first.tobytes() == second.tobytes()
 
 
-def test_dense_check_scans_every_chunk():
-    # Input response of eta is -cos(w t): it turns positive at t = 0.9,
-    # inside the last of three batches fed to the scan.
-    w = 0.5 * np.pi / 0.9
-    spec = ArraySpec(n=2, q=2, p=1, A=[[0.0, w], [-w, 0.0]],
-                     B=[[[1.0, 0.0]], [[-1.0, 0.0]]])
-    eta = np.array([-1.0, 0.0, 0.0, 0.0])
-    size = _batch(2)
-    times = np.concatenate([np.linspace(0.0, 0.85, 2 * size), np.linspace(0.86, 1.0, 37)])
-    parts = (times[:size], times[size : 2 * size], times[2 * size :])
-    batches = [_exponentials(spec.A, t) for t in parts]
-    assert not _stays_nonpositive(batches, spec.B, eta, 1e-7)
-    assert _stays_nonpositive(batches[:2] + [batches[2][:10]], spec.B, eta, 1e-7)
+def _chain_stack(response):
+    """A nilpotent chain's stack, q = 2 and p = 1 on its last state, and the
+    eta whose response is a t^2 + b t + c, for response = (a, b, c).
 
-    # The scan stops at the violation and asks for no later batch.
-    asked = []
+    e^{A t} e_3 = (t^2 / 2, t, 1), and the input is e_3 on system 1 and
+    -e_3 on system 2, so eta = ((2 a, b, c), 0) has that response.
+    """
+    spec = ArraySpec(n=3, q=2, p=1, A=np.eye(3, k=1), B=[[[0.0, 0.0, 1.0]], [[0.0, 0.0, -1.0]]])
+    a, b, c = response
+    return _response_stack(spec, None, DEFAULT_TOLERANCES), np.array([2.0 * a, b, c, 0.0, 0.0, 0.0])
 
-    def feed():
-        for E in batches + [np.eye(2)[None]]:
-            asked.append(len(E))
-            yield E
 
-    assert not _stays_nonpositive(feed(), spec.B, eta, 1e-7)
-    assert asked == [size, size, 37]
+def _peaked(t0, top, width):
+    """(a, b, c) of top - width (t - t0)^2."""
+    return -width, 2.0 * width * t0, top - width * t0**2
+
+
+def test_the_witness_check_passes_fails_at_an_end_or_splits(monkeypatch):
+    # ||A||_1 = 1, so the anchor intervals of [0, 4] are [k, k + 1].
+    stack, eta = _chain_stack(_peaked(1.5, -1.0, 1.0))
+    assert stack.grid[-1] == 4.0
+    assert _stays_nonpositive(stack, eta, 1e-7)            # bounded below 0 unsplit
+    stack, eta = _chain_stack(_peaked(5.0, 1.0, 0.01))
+    assert not _stays_nonpositive(stack, eta, 1e-7)        # f(4) = 0.99, an end value
+    stack, eta = _chain_stack((0.0, 0.0, 1e-3))
+    assert not _stays_nonpositive(stack, eta, 1e-7)        # positive everywhere
+    assert _stays_nonpositive(stack, eta, 1e-2)
+    # A narrow peak below the slack: the unsplit Bernstein bound of its
+    # interval is far above it, so the interval is halved until it is
+    # decided; with no halving allowed the candidate fails safe.
+    stack, eta = _chain_stack(_peaked(2.3, -1e-4, 1e3))
+    assert _stays_nonpositive(stack, eta, 1e-7)
+    monkeypatch.setattr(relctrl.oracles, "_SPLIT_DEPTH", 0)
+    assert not _stays_nonpositive(stack, eta, 1e-7)
+    # A = 0 is one constant interval.
+    spec = ArraySpec(n=1, q=2, p=1, A=[[0.0]], B=[[[1.0]], [[-1.0]]])
+    zero = _response_stack(spec, None, DEFAULT_TOLERANCES)
+    assert _stays_nonpositive(zero, np.array([-1.0, 0.0]), 1e-7)
+    assert not _stays_nonpositive(zero, np.array([1.0, 0.0]), 1e-7)
+
+
+def test_the_witness_check_rejects_a_response_positive_only_between_dense_points():
+    # The response 1e-3 - 1e3 (t - t0)^2 peaks at t0, midway between two
+    # points of the ten times denser grid a sampled check once read, just
+    # past t = 2.  At every dense point it is below -0.02, so a sampled
+    # check accepts it; on the whole horizon it is not a witness.
+    stack, _ = _chain_stack((0.0, 0.0, 0.0))
+    dense = _chebyshev_grid(stack.grid[-1], 10 * stack.grid.size)
+    above = np.flatnonzero(dense > 2.0)[0]
+    t0 = 0.5 * (dense[above] + dense[above + 1])
+    stack, eta = _chain_stack(_peaked(t0, 1e-3, 1e3))
+    sampled = _kron_responses(stack.spec, dense) @ eta
+    assert sampled.max() < -0.02
+    assert not _stays_nonpositive(stack, eta, 1e-7)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10])
@@ -796,7 +836,7 @@ def test_the_falsifier_skips_a_residual_that_is_not_polar_within_its_slack(monke
     # Draw 241 of the Jordan-block family (n = 4, q = 3): for pair (2,3)
     # an unreached target leaves a residual whose P eta breaks the slack,
     # before the target that gives the witness.  The falsifier must pass
-    # over it without the dense-grid check.
+    # over it without the witness check.
     rng = np.random.default_rng(20261018)
     for _ in range(242):
         spec = _jordan_beside_rotation(rng)
@@ -810,11 +850,11 @@ def test_the_falsifier_skips_a_residual_that_is_not_polar_within_its_slack(monke
             breaks.append(float(np.max(stack.P @ eta)) > slack)
     assert breaks[0] and not all(breaks)
     checked = []
-    dense_check = relctrl.oracles._stays_nonpositive
+    witness_check = relctrl.oracles._stays_nonpositive
 
-    def spy(dense, B, eta, slack):
+    def spy(stack, eta, slack):
         checked.append(float(np.max(stack.P @ eta)))
-        return dense_check(dense, B, eta, slack)
+        return witness_check(stack, eta, slack)
 
     monkeypatch.setattr(relctrl.oracles, "_stays_nonpositive", spy)
     witness = polar_falsifier(spec, 2, 3, stack)
